@@ -12,6 +12,7 @@
 #include "core/edge_quality.hpp"
 #include "net/probing.hpp"
 #include "sim/simulator.hpp"
+#include "transport/sim_transport.hpp"
 
 namespace {
 
@@ -44,7 +45,8 @@ Outcome run_async(core::StrategyKind kind, double session_median_min, std::uint6
   core::HistoryStore history(overlay.size());
   core::EdgeQualityEvaluator quality(probing, history, core::QualityWeights{});
   core::PathBuilder builder(overlay, quality);
-  core::AsyncConnectionRunner runner(simulator, overlay, builder);
+  transport::SimTransport transport(simulator, overlay);
+  core::AsyncConnectionRunner runner(simulator, overlay, builder, transport);
   const auto strategy = core::make_strategy(kind);
   core::StrategyAssignment assign(overlay, *strategy);
 

@@ -2,31 +2,14 @@
 // simulation hot path: RNG streams, the event queue, routing decisions
 // (including the paper's O(log d) next-hop claim — ours is O(d) argmax,
 // measured here to show it is nanoseconds at d = 5), probing updates,
-// payment settlement, and parallel replication scaling.
-//
-// The decision-stack before/after pairs (legacy std::map selectivity index
-// vs the packed-key flat map, uncached vs cached q(s, v), uncached vs
-// memoised depth-3 Utility-Model-II hop decision) are additionally measured
-// by a manual timing pass in main(), which writes the machine-readable
-// BENCH_decision_stack.json (to $P2PANON_CSV_DIR when set, else the cwd)
-// before the google-benchmark suite runs.
+// payment settlement, and parallel replication scaling. Uncached vs cached
+// rows pair up the decision stack with and without the per-replicate
+// DecisionResources.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <iterator>
-#include <map>
-#include <sstream>
-#include <tuple>
-#include <unordered_map>
-#include <utility>
+#include <string>
 
 #include "core/decision_scratch.hpp"
-#include "harness/checkpoint.hpp"
 #include "core/edge_quality.hpp"
 #include "core/incentive.hpp"
 #include "core/routing.hpp"
@@ -75,8 +58,7 @@ BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(64)->Arg(1024)->Arg(16384);
 
 /// Shared environment for routing-decision microbenches. `ctx` evaluates
 /// everything from scratch; `cached_ctx` carries the per-replicate
-/// DecisionResources (edge-quality cache + memo arena) — the before/after
-/// pair of the decision-stack refactor.
+/// DecisionResources (edge-quality cache + memo arena).
 struct RoutingEnv {
   RoutingEnv()
       : root(7),
@@ -90,7 +72,7 @@ struct RoutingEnv {
     simulator.run_until(sim::hours(1.0));
     candidates = overlay.online_neighbors(0);
     if (candidates.empty()) candidates.push_back(1);
-    // Stored history makes selectivity (and hence the before/after
+    // Stored history makes selectivity (and hence the uncached/cached
     // comparison) non-trivial. Steady state after an hour of simulated
     // operation has hundreds of recorded connections spread over many
     // pairs, so populate accordingly: a few paths for the benched pair
@@ -199,37 +181,9 @@ void BM_EdgeQualityCached(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeQualityCached);
 
-/// The pre-refactor count index: one ordered map keyed by the full
-/// (pair, predecessor, successor) tuple — what HistoryProfile used before
-/// the packed-key flat table. Rebuilt here so the "before" side of the
-/// selectivity comparison stays measurable.
-struct LegacySelectivityIndex {
-  std::map<std::tuple<net::PairId, net::NodeId, net::NodeId>, std::uint32_t> counts;
-
-  void record(net::PairId pair, net::NodeId pred, net::NodeId succ) {
-    ++counts[{pair, pred, succ}];
-  }
-  [[nodiscard]] double selectivity(net::PairId pair, net::NodeId pred, net::NodeId succ,
-                                   std::uint32_t k) const {
-    if (k <= 1) return 0.0;
-    const auto it = counts.find({pair, pred, succ});
-    const auto c = it == counts.end() ? 0u : it->second;
-    return static_cast<double>(c) / static_cast<double>(k - 1);
-  }
-};
-
 /// Mixed hit/miss probe set mirroring what per-hop decisions ask of one
 /// node's profile: same pair, varying predecessor/successor ids.
 constexpr std::uint32_t kSelectivityProbes = 64;
-
-LegacySelectivityIndex& legacy_index() {
-  static LegacySelectivityIndex index = [] {
-    LegacySelectivityIndex idx;
-    for (std::uint32_t i = 0; i < 200; ++i) idx.record(i % 7, i % 11, (i * 3) % 13);
-    return idx;
-  }();
-  return index;
-}
 
 core::HistoryProfile& flat_profile() {
   static core::HistoryProfile profile = [] {
@@ -241,19 +195,6 @@ core::HistoryProfile& flat_profile() {
   }();
   return profile;
 }
-
-void BM_SelectivityLegacyMap(benchmark::State& state) {
-  const LegacySelectivityIndex& idx = legacy_index();
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (std::uint32_t i = 0; i < kSelectivityProbes; ++i) {
-      sum += idx.selectivity(i % 7, i % 11, i % 13, 5);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kSelectivityProbes);
-}
-BENCHMARK(BM_SelectivityLegacyMap);
 
 void BM_SelectivityFlatMap(benchmark::State& state) {
   const core::HistoryProfile& profile = flat_profile();
@@ -267,123 +208,6 @@ void BM_SelectivityFlatMap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kSelectivityProbes);
 }
 BENCHMARK(BM_SelectivityFlatMap);
-
-/// The whole pre-refactor per-hop decision stack, reconstructed bench-local:
-/// per-node std::map count index (what HistoryProfile used), direct
-/// availability reads, plain exhaustive lookahead — no flat tables, no
-/// edge-quality cache, no memoisation. This is the honest "before" of the
-/// decision-stack refactor; the post-refactor "after" runs the real code
-/// with DecisionResources attached.
-struct LegacyDecisionStack {
-  const RoutingEnv& env;
-  std::vector<std::map<std::tuple<net::PairId, net::NodeId, net::NodeId>, std::uint32_t>> counts;
-  std::vector<std::unordered_map<net::NodeId, double>> session_times;
-
-  explicit LegacyDecisionStack(const RoutingEnv& e)
-      : env(e), counts(e.overlay.size()), session_times(e.overlay.size()) {
-    for (net::NodeId s = 0; s < e.overlay.size(); ++s) {
-      for (const core::HistoryEntry& entry : e.history.at(s).entries()) {
-        ++counts[s][{entry.pair, entry.predecessor, entry.successor}];
-      }
-      for (net::NodeId v : e.overlay.neighbors(s)) {
-        const double t = e.probing.observed_session_time(s, v);
-        if (t > 0.0) session_times[s][v] = t;
-      }
-    }
-  }
-
-  // Pre-rebuild ProbingEstimator::availability: an O(d) walk re-summing the
-  // per-neighbour session times — held in a per-node unordered_map, as the
-  // old estimator stored them — on every call. The current estimator keeps a
-  // running total over a packed flat table, so the real accessor is O(1);
-  // using it here would let the "before" side inherit that optimisation and
-  // understate the gap.
-  [[nodiscard]] double availability(net::NodeId s, net::NodeId u) const {
-    const std::unordered_map<net::NodeId, double>& times = session_times[s];
-    double total = 0.0;
-    for (net::NodeId v : env.overlay.neighbors(s)) {
-      const auto it = times.find(v);
-      if (it != times.end()) total += it->second;
-    }
-    if (total <= 0.0) {
-      const auto d = env.overlay.neighbors(s).size();
-      return d > 0 ? 1.0 / static_cast<double>(d) : 0.0;
-    }
-    const auto it = times.find(u);
-    return it == times.end() ? 0.0 : it->second / total;
-  }
-
-  [[nodiscard]] double edge_quality(net::NodeId s, net::NodeId v, net::NodeId responder,
-                                    net::PairId pair, net::NodeId pred,
-                                    std::uint32_t k) const {
-    if (v == responder) return 1.0;
-    double sigma = 0.0;
-    if (k > 1) {
-      const auto it = counts[s].find({pair, pred, v});
-      const auto c = it == counts[s].end() ? 0u : it->second;
-      sigma = static_cast<double>(c) / static_cast<double>(k - 1);
-    }
-    const core::QualityWeights& w = env.quality.weights();
-    return w.w_selectivity * sigma + w.w_availability * availability(s, v);
-  }
-
-  [[nodiscard]] double best_onward(net::NodeId from, net::NodeId pred,
-                                   std::uint32_t depth) const {
-    const core::RoutingContext& ctx = env.ctx;
-    if (depth == 0 || from == ctx.responder) return 0.0;
-    double best = 0.0;
-    bool any = false;
-    for (net::NodeId c : env.overlay.neighbors(from)) {
-      if (!env.overlay.is_online(c) || c == from) continue;
-      const double q = edge_quality(from, c, ctx.responder, ctx.pair, pred, ctx.conn_index);
-      const double total = c == ctx.responder ? q : q + best_onward(c, from, depth - 1);
-      if (!any || total > best) {
-        best = total;
-        any = true;
-      }
-    }
-    if (!any || 1.0 > best) best = 1.0;
-    return best;
-  }
-
-  [[nodiscard]] net::NodeId choose_depth3(net::NodeId self, net::NodeId pred) const {
-    const core::RoutingContext& ctx = env.ctx;
-    net::NodeId best_j = net::kInvalidNode;
-    double best_u = 0.0;
-    double best_q = 0.0;
-    bool have = false;
-    for (net::NodeId j : env.candidates) {
-      const double q_ij = edge_quality(self, j, ctx.responder, ctx.pair, pred, ctx.conn_index);
-      const double onward = j == ctx.responder ? 0.0 : best_onward(j, self, 2);
-      const double u = ctx.contract.forwarding_benefit +
-                       (q_ij + onward) * ctx.contract.routing_benefit() -
-                       (env.overlay.node(self).participation_cost +
-                        env.overlay.links().transmission_cost(self, j));
-      // argmax_choice recomputes the tie-break quality; mirror that cost.
-      const double q = edge_quality(self, j, ctx.responder, ctx.pair, pred, ctx.conn_index);
-      if (!have || u > best_u || (u == best_u && (q > best_q || (q == best_q && j < best_j)))) {
-        best_j = j;
-        best_u = u;
-        best_q = q;
-        have = true;
-      }
-    }
-    return best_j;
-  }
-};
-
-LegacyDecisionStack& legacy_stack() {
-  static LegacyDecisionStack stack(routing_env());
-  return stack;
-}
-
-void BM_RoutingDecisionModel2Legacy(benchmark::State& state) {
-  const LegacyDecisionStack& legacy = legacy_stack();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(legacy.choose_depth3(0, net::kInvalidNode));
-  }
-}
-BENCHMARK(BM_RoutingDecisionModel2Legacy);
 
 void BM_SettlementRoundTrip(benchmark::State& state) {
   sim::rng::Stream root(9);
@@ -452,138 +276,6 @@ void BM_ParallelReplicationScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelReplicationScaling)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
-/// ns/op of `fn`: the minimum average over several independent repetitions
-/// (the canonical microbenchmark estimator — the minimum is the least
-/// contaminated by scheduler preemption and frequency transitions, which
-/// only ever add time). The JSON numbers feed a before/after speedup ratio,
-/// where constant harness overhead cancels.
-template <typename Fn>
-double timed_rep_ns(Fn&& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  std::int64_t iters = 0;
-  for (;;) {
-    for (int i = 0; i < 200; ++i) fn();
-    iters += 200;
-    if (std::chrono::steady_clock::now() - start > std::chrono::milliseconds(60)) break;
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::nano>(elapsed).count() /
-         static_cast<double>(iters);
-}
-
-template <typename Fn>
-double measure_ns(Fn&& fn) {
-  for (int i = 0; i < 500; ++i) fn();  // warmup: fills caches, faults pages
-  double best = 1.0e300;
-  for (int rep = 0; rep < 7; ++rep) best = std::min(best, timed_rep_ns(fn));
-  return best;
-}
-
-/// Paired before/after measurement with the repetitions interleaved
-/// (before, after, before, after, ...) so a frequency transition or noisy
-///-neighbour phase biases both sides of the ratio alike rather than
-/// whichever side happened to run during it.
-template <typename FnBefore, typename FnAfter>
-std::pair<double, double> measure_pair_ns(FnBefore&& before, FnAfter&& after) {
-  for (int i = 0; i < 500; ++i) before();
-  for (int i = 0; i < 500; ++i) after();
-  double best_before = 1.0e300;
-  double best_after = 1.0e300;
-  for (int rep = 0; rep < 7; ++rep) {
-    best_before = std::min(best_before, timed_rep_ns(before));
-    best_after = std::min(best_after, timed_rep_ns(after));
-  }
-  return {best_before, best_after};
-}
-
-struct BeforeAfter {
-  const char* name;
-  double before_ns;
-  double after_ns;
-  [[nodiscard]] double speedup() const { return before_ns / after_ns; }
-};
-
-/// Manually time the decision-stack before/after pairs and write
-/// BENCH_decision_stack.json.
-void emit_decision_stack_json() {
-  RoutingEnv& env = routing_env();
-
-  const auto [sel_before, sel_after] = measure_pair_ns(
-      [&] {
-        double sum = 0.0;
-        for (std::uint32_t i = 0; i < kSelectivityProbes; ++i) {
-          sum += legacy_index().selectivity(i % 7, i % 11, i % 13, 5);
-        }
-        benchmark::DoNotOptimize(sum);
-      },
-      [&] {
-        double sum = 0.0;
-        for (std::uint32_t i = 0; i < kSelectivityProbes; ++i) {
-          sum += flat_profile().selectivity(i % 7, i % 11, i % 13, 5);
-        }
-        benchmark::DoNotOptimize(sum);
-      });
-  const BeforeAfter selectivity{"selectivity_64_probes", sel_before, sel_after};
-
-  const net::NodeId v = env.candidates.front();
-  const LegacyDecisionStack& legacy = legacy_stack();
-  const auto [edge_before, edge_after] = measure_pair_ns(
-      [&] {
-        benchmark::DoNotOptimize(legacy.edge_quality(0, v, 39, 0, net::kInvalidNode, 5));
-      },
-      [&] {
-        benchmark::DoNotOptimize(env.resources.edge_cache.get_or_compute(
-            env.quality, 0, v, 39, 0, net::kInvalidNode, 5));
-      });
-  const BeforeAfter edge{"edge_quality", edge_before, edge_after};
-
-  core::UtilityModelIIRouting routing(3);
-  auto stream = env.root.child("json-m2");
-  const auto [dec_before, dec_after] = measure_pair_ns(
-      [&] {
-        benchmark::DoNotOptimize(legacy.choose_depth3(0, net::kInvalidNode));
-      },
-      [&] {
-        benchmark::DoNotOptimize(
-            routing.choose(env.cached_ctx, 0, net::kInvalidNode, env.candidates, stream));
-      });
-  const BeforeAfter decision{"model2_depth3_hop_decision", dec_before, dec_after};
-
-  std::filesystem::path dir = std::filesystem::current_path();
-  if (const char* csv_dir = std::getenv("P2PANON_CSV_DIR")) {
-    std::error_code ec;
-    std::filesystem::create_directories(csv_dir, ec);
-    if (!ec) dir = csv_dir;
-  }
-  const std::filesystem::path out_path = dir / "BENCH_decision_stack.json";
-  std::ostringstream out;
-  out << "{\n  \"benchmarks\": [\n";
-  const BeforeAfter rows[] = {selectivity, edge, decision};
-  for (std::size_t i = 0; i < std::size(rows); ++i) {
-    const BeforeAfter& r = rows[i];
-    out << "    {\"name\": \"" << r.name << "\", \"before_ns\": " << r.before_ns
-        << ", \"after_ns\": " << r.after_ns << ", \"speedup\": " << r.speedup() << "}"
-        << (i + 1 < std::size(rows) ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  if (!harness::atomic_write_file(out_path, out.str())) {
-    std::cerr << "BENCH_decision_stack.json: cannot write " << out_path << "\n";
-    return;
-  }
-  std::cout << "decision-stack before/after (also in " << out_path.string() << "):\n";
-  for (const BeforeAfter& r : rows) {
-    std::cout << "  " << r.name << ": " << r.before_ns << " ns -> " << r.after_ns
-              << " ns (x" << r.speedup() << ")\n";
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  emit_decision_stack_json();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,7 +1,6 @@
 // BENCH_sim_engine: how the discrete-event engine scales with overlay size.
 //
-// Two measurement families, both written to BENCH_sim_engine.json (in
-// $P2PANON_CSV_DIR when set, else the cwd):
+// Two measurement families (in $P2PANON_CSV_DIR when set, else the cwd):
 //
 //  1. Scale sweep — full scenarios at N in {40, 200, 1000, 5000} with degree
 //     and pair count scaled alongside, in both the synchronous paper shape
@@ -10,15 +9,9 @@
 //     surfaced through ScenarioResult: events scheduled / cancelled / fired
 //     and the number of callbacks that outgrew EventCallback's inline buffer
 //     (expected 0 — the allocation-free claim, checked here at scale).
+//     Written to BENCH_sim_engine.json.
 //
-//  2. Cancel-heavy before/after — the fault-mode timer pattern (arm an ack
-//     timer per leg, cancel it when the ack arrives, let the stragglers
-//     fire) replayed against the current slot-map queue and against the
-//     pre-rebuild implementation preserved in legacy_event_queue.hpp, with a
-//     pending set proportional to N. Legacy cancel() is O(pending), so the
-//     speedup grows with N; the acceptance bar is >= 5x at N = 1000.
-//
-//  3. Sharded scale sweep — the windowed sharded workload
+//  2. Sharded scale sweep — the windowed sharded workload
 //     (harness/sharded_scenario) at N up to 10^5 by default (10^6 via the
 //     env knob), swept over shard count K x window size W, written to
 //     BENCH_scale_overlay.json: per-point events/sec, peak RSS, cancel
@@ -26,17 +19,17 @@
 //     model counters. Every point re-checks the model invariants (claim
 //     conservation, zero heap fallbacks) so the sweep doubles as a gate.
 //
-// Knobs: --smoke runs only the N = 1000 point of parts 1-2 with one
-// replicate and a shortened timing pass (the `scale-smoke` ctest entry);
-// --sharded-smoke runs only the N = 10^5, K = 4 sharded point twice and
-// asserts completion, determinism (digest-for-digest), claim conservation
-// and zero heap fallbacks — no timing gates, so it cannot flake under a
-// loaded CI box (the `scale-smoke-sharded` ctest entry); --adaptive raises
-// the part-1 replicate cap 4x and stops each point once its connection-
-// latency interval is within ±eps (relative); --checkpoint makes the
-// expensive part-3 grid crash-recoverable point by point (finished points
-// are replayed from the checkpoint instead of re-run). Environment:
-//   P2PANON_SCALE_MAX_N        largest part-1/2 sweep point (default 5000)
+// Knobs: --smoke runs only the N = 1000 point of part 1 with one replicate
+// (the `scale-smoke` ctest entry); --sharded-smoke runs only the N = 10^5,
+// K = 4 sharded point twice and asserts completion, determinism
+// (digest-for-digest), claim conservation and zero heap fallbacks — no
+// timing gates, so it cannot flake under a loaded CI box (the
+// `scale-smoke-sharded` ctest entry); --adaptive raises the part-1
+// replicate cap 4x and stops each point once its connection-latency
+// interval is within ±eps (relative); --checkpoint makes the expensive
+// part-2 grid crash-recoverable point by point (finished points are
+// replayed from the checkpoint instead of re-run). Environment:
+//   P2PANON_SCALE_MAX_N        largest part-1 sweep point (default 5000)
 //   P2PANON_SCALE_REPLICATES   replicates per part-1 point (default 2)
 //   P2PANON_SHARDED_MAX_N      largest sharded sweep point (default 100000)
 //   P2PANON_SHARDED_DURATION_MIN  simulated minutes per point (default 20)
@@ -44,12 +37,9 @@
 // adaptive knobs P2PANON_ADAPTIVE / P2PANON_EPS / P2PANON_CHECKPOINT.
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -59,18 +49,11 @@
 #include "common.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/sharded_scenario.hpp"
-#include "legacy_event_queue.hpp"
-#include "sim/event_queue.hpp"
 
 namespace {
 
 using namespace p2panon;
 using bench::env_size;
-
-template <typename T>
-void do_not_optimize(T& value) {
-  asm volatile("" : "+m"(value) : : "memory");
-}
 
 // --- Part 1: scenario scale sweep -----------------------------------------
 
@@ -128,7 +111,7 @@ SweepRow run_sweep_point(const SweepPoint& p, bool fault_mode, std::size_t repli
   const harness::ScenarioConfig cfg = scaled_config(p, fault_mode);
   // Adaptive mode: connection latency (relative ±eps) decides when a point
   // has enough replicates; the cap is 4x the configured count. Checkpointing
-  // stays off for part 1 (points are cheap relative to part 3).
+  // stays off for part 1 (points are cheap relative to part 2).
   const std::vector<harness::TrackedScenarioMetric> tracked = {
       {"connection_latency", &harness::ReplicatedResult::connection_latency, 0.0, true},
   };
@@ -153,112 +136,7 @@ SweepRow run_sweep_point(const SweepPoint& p, bool fault_mode, std::size_t repli
   return row;
 }
 
-// --- Part 2: cancel-heavy before/after vs the legacy queue ----------------
-
-/// Fault-mode timer pattern over a generic queue: a circular window of
-/// `pending` armed ack timers; each step either cancels the oldest (the ack
-/// arrived — 7 of 8 steps) or pops the earliest due event (a straggler timer
-/// fires), then arms a replacement. Live size stays ~`pending`, which is
-/// exactly the variable legacy cancel() is linear in.
-template <typename Queue>
-class CancelHeavyWorkload {
- public:
-  explicit CancelHeavyWorkload(std::size_t pending) : window_(pending) {
-    for (std::size_t i = 0; i < pending; ++i) {
-      window_[i] = q_.schedule(5.0 + 0.05 * static_cast<double>(i % 97),
-                               [this] { ++fired_; });
-    }
-  }
-
-  void step() {
-    const std::size_t idx = step_count_ % window_.size();
-    if (step_count_ % 8 != 0) {
-      q_.cancel(window_[idx]);  // false when the timer already fired
-    } else {
-      auto ev = q_.pop();
-      now_ = ev.time;
-      ev.fn();
-    }
-    window_[idx] = q_.schedule(now_ + 5.0 + 0.25 * static_cast<double>(step_count_ % 17),
-                               [this] { ++fired_; });
-    ++step_count_;
-  }
-
-  [[nodiscard]] std::uint64_t fired() const noexcept { return fired_; }
-
- private:
-  Queue q_;
-  std::vector<sim::EventId> window_;
-  sim::Time now_ = 0.0;
-  std::uint64_t fired_ = 0;
-  std::size_t step_count_ = 0;
-};
-
-/// ns/op as the minimum average over independent repetitions (the estimator
-/// least contaminated by preemption and frequency transitions, which only
-/// ever add time).
-template <typename Fn>
-double timed_rep_ns(Fn&& fn, std::chrono::milliseconds budget) {
-  const auto start = std::chrono::steady_clock::now();
-  std::int64_t iters = 0;
-  for (;;) {
-    for (int i = 0; i < 64; ++i) fn();
-    iters += 64;
-    if (std::chrono::steady_clock::now() - start > budget) break;
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::nano>(elapsed).count() /
-         static_cast<double>(iters);
-}
-
-/// Paired measurement with repetitions interleaved (before, after, before,
-/// after, ...) so a noisy-neighbour phase biases both sides of the ratio
-/// alike rather than whichever side happened to run during it.
-template <typename FnBefore, typename FnAfter>
-std::pair<double, double> measure_pair_ns(FnBefore&& before, FnAfter&& after,
-                                          int reps, std::chrono::milliseconds budget) {
-  for (int i = 0; i < 256; ++i) before();  // warmup: caches, page faults,
-  for (int i = 0; i < 256; ++i) after();   // steady-state pending sets
-  double best_before = 1.0e300;
-  double best_after = 1.0e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    best_before = std::min(best_before, timed_rep_ns(before, budget));
-    best_after = std::min(best_after, timed_rep_ns(after, budget));
-  }
-  return {best_before, best_after};
-}
-
-struct BeforeAfter {
-  std::size_t n = 0;
-  std::size_t pending = 0;
-  double before_ns = 0.0;
-  double after_ns = 0.0;
-  [[nodiscard]] double speedup() const { return before_ns / after_ns; }
-};
-
-BeforeAfter run_cancel_heavy(std::size_t n, bool smoke) {
-  const std::size_t pending = 2 * n;  // ~2 armed timers per node in fault mode
-  CancelHeavyWorkload<p2panon::bench::LegacyEventQueue> legacy(pending);
-  CancelHeavyWorkload<sim::EventQueue> current(pending);
-  const int reps = smoke ? 3 : 7;
-  const auto budget = std::chrono::milliseconds(smoke ? 20 : 60);
-  std::uint64_t sink = 0;
-  const auto [before_ns, after_ns] = measure_pair_ns(
-      [&] {
-        legacy.step();
-        sink += legacy.fired();
-        do_not_optimize(sink);
-      },
-      [&] {
-        current.step();
-        sink += current.fired();
-        do_not_optimize(sink);
-      },
-      reps, budget);
-  return BeforeAfter{n, pending, before_ns, after_ns};
-}
-
-// --- Part 3: sharded scale sweep -------------------------------------------
+// --- Part 2: sharded scale sweep -------------------------------------------
 
 /// Peak resident set size of this process in MiB (ru_maxrss is KiB on Linux).
 double peak_rss_mib() {
@@ -340,8 +218,7 @@ void print_sharded_row(const ShardedRow& row) {
 
 namespace {
 
-void write_json(const std::vector<SweepRow>& sweep,
-                const std::vector<BeforeAfter>& pairs) {
+void write_json(const std::vector<SweepRow>& sweep) {
   std::ostringstream out;
   out << "{\n  \"sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -354,14 +231,6 @@ void write_json(const std::vector<SweepRow>& sweep,
         << ", \"callback_heap_allocs\": " << r.heap_allocs
         << ", \"connections_completed\": " << r.completed << "}"
         << (i + 1 < sweep.size() ? ",\n" : "\n");
-  }
-  out << "  ],\n  \"cancel_heavy\": [\n";
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const BeforeAfter& p = pairs[i];
-    out << "    {\"n\": " << p.n << ", \"pending\": " << p.pending
-        << ", \"before_ns\": " << p.before_ns << ", \"after_ns\": " << p.after_ns
-        << ", \"speedup\": " << p.speedup() << "}"
-        << (i + 1 < pairs.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
   bench::write_bench_json("BENCH_sim_engine.json", out.str());
@@ -400,7 +269,7 @@ void write_sharded_json(const std::vector<ShardedRow>& rows) {
   bench::write_bench_json("BENCH_scale_overlay.json", out.str());
 }
 
-// --- Part-3 checkpointing: one Checkpoint record set per sharded point ----
+// --- Part-2 checkpointing: one Checkpoint record set per sharded point ----
 // Wall-clock fields are checkpointed too (bit-exact, via encode_double):
 // a resumed sweep reports the timing the point actually ran with, not a
 // re-measure of a skipped run.
@@ -579,19 +448,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<BeforeAfter> pairs;
-  for (const SweepPoint& p : kSweep) {
-    if (smoke ? p.n != 1000 : p.n > max_n) continue;
-    const BeforeAfter r = run_cancel_heavy(p.n, smoke);
-    std::cout << "cancel-heavy n=" << r.n << " (pending " << r.pending
-              << "): legacy " << r.before_ns << " ns/op -> slot map " << r.after_ns
-              << " ns/op (x" << r.speedup() << ")\n";
-    pairs.push_back(r);
-  }
+  write_json(sweep);
 
-  write_json(sweep, pairs);
-
-  // Part 3: shard-count x window-size sweep at population scale. Each N gets
+  // Part 2: shard-count x window-size sweep at population scale. Each N gets
   // the serial oracle as the single-threaded baseline, the K sweep at the
   // default window, and the window sweep at K = 4.
   int rc = 0;
@@ -670,16 +529,8 @@ int main(int argc, char** argv) {
     write_sharded_json(sharded_rows);
   }
 
-  // Acceptance gates, enforced here so scale-smoke fails loudly in CI:
-  // the slot map must beat the legacy queue >= 5x on the cancel-heavy
-  // workload at N = 1000, and no scenario callback may fall back to the heap.
-  for (const BeforeAfter& p : pairs) {
-    if (p.n == 1000 && p.speedup() < 5.0) {
-      std::cerr << "FAIL: cancel-heavy speedup at N=1000 is x" << p.speedup()
-                << " (< 5x)\n";
-      rc = 1;
-    }
-  }
+  // Acceptance gate, enforced here so scale-smoke fails loudly in CI: no
+  // scenario callback may fall back to the heap.
   for (const SweepRow& r : sweep) {
     if (r.heap_allocs != 0) {
       std::cerr << "FAIL: " << r.heap_allocs << " callback heap fallbacks at n="

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/suspicion.hpp"
-#include "fault/fault.hpp"
 #include "transport/sim_transport.hpp"
 
 namespace p2panon::core {
@@ -219,21 +218,12 @@ void AsyncConnectionRunner::send_leg(std::shared_ptr<Pending> p, net::NodeId fro
     // departed ones refuse — their host answers with the RST analog.
     if (!overlay_.appears_online(to)) send_nack(p, to, from);
   };
-  if (transport_ != nullptr) {
-    // Same drop/delay draws, same schedule call, same (unwrapped) capture —
-    // bitwise-identical to the branch below — plus codec verification and
-    // frame accounting. A false return means the injector ate the frame;
-    // the ack timer armed above covers it either way.
-    const wire::LegMsg msg{p->pair,    p->conn_index,  attempt,  tid,
-                           static_cast<std::uint8_t>(leg.kind), leg.holder,
-                           leg.next,   leg.forwarders, leg.index};
-    (void)transport_->send(from, to, msg, std::move(deliver));
-    return;
-  }
-  if (faults_ != nullptr && faults_->drop_message(from, to)) return;  // timer will fire
-  sim::Time flight = base;
-  if (faults_ != nullptr) flight += faults_->extra_delay(from, to);
-  sim_.schedule_in(flight, std::move(deliver));
+  // A false return means the injector ate the frame; the ack timer armed
+  // above covers it either way.
+  const wire::LegMsg msg{p->pair,    p->conn_index,  attempt,  tid,
+                         static_cast<std::uint8_t>(leg.kind), leg.holder,
+                         leg.next,   leg.forwarders, leg.index};
+  (void)transport_.send(from, to, msg, std::move(deliver));
 }
 
 void AsyncConnectionRunner::send_ack(std::shared_ptr<Pending> p, net::NodeId from,
@@ -242,15 +232,8 @@ void AsyncConnectionRunner::send_ack(std::shared_ptr<Pending> p, net::NodeId fro
     if (p->finished || tid != p->current_tid) return;  // stale ack
     sim_.cancel(p->ack_timeout_event);
   };
-  if (transport_ != nullptr) {
-    (void)transport_->send(from, to, wire::AckMsg{p->pair, p->conn_index, tid},
-                           std::move(deliver));
-    return;
-  }
-  if (faults_ != nullptr && faults_->drop_message(from, to)) return;
-  sim::Time flight = overlay_.links().transfer_time(from, to);
-  if (faults_ != nullptr) flight += faults_->extra_delay(from, to);
-  sim_.schedule_in(flight, std::move(deliver));
+  (void)transport_.send(from, to, wire::AckMsg{p->pair, p->conn_index, tid},
+                        std::move(deliver));
 }
 
 void AsyncConnectionRunner::send_nack(std::shared_ptr<Pending> p, net::NodeId from,
@@ -260,15 +243,8 @@ void AsyncConnectionRunner::send_nack(std::shared_ptr<Pending> p, net::NodeId fr
     if (p->finished || !p->attempt_active || attempt != p->attempts) return;
     fail_attempt(p);
   };
-  if (transport_ != nullptr) {
-    (void)transport_->send(from, to, wire::NackMsg{p->pair, p->conn_index, attempt},
-                           std::move(deliver));  // false: timer covers it
-    return;
-  }
-  if (faults_ != nullptr && faults_->drop_message(from, to)) return;  // timer covers it
-  sim::Time flight = overlay_.links().transfer_time(from, to);
-  if (faults_ != nullptr) flight += faults_->extra_delay(from, to);
-  sim_.schedule_in(flight, std::move(deliver));
+  (void)transport_.send(from, to, wire::NackMsg{p->pair, p->conn_index, attempt},
+                        std::move(deliver));  // false: timer covers it
 }
 
 void AsyncConnectionRunner::fail_attempt(std::shared_ptr<Pending> p) {

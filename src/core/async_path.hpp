@@ -20,15 +20,17 @@
 //  * a receiver that crashed *silently* answers nothing — the attempt dies
 //    only when the ack timer fires, and the timed-out hop's receiver is
 //    reported to the optional SuspicionTracker;
-//  * the optional fault::FaultInjector can drop or delay any leg or ack,
-//    so lossy links produce spurious timeouts exactly like dead nodes do;
+//  * every leg, ack and NACK travels through transport::SimTransport, so
+//    the fault injector behind it (if any) can drop or delay any of them
+//    and lossy links produce spurious timeouts exactly like dead nodes do;
 //  * retries use capped exponential backoff with multiplicative jitter
 //    drawn from a dedicated child stream, and an optional per-attempt
 //    deadline bounds how long one attempt may dangle.
 //
-// With no injector, no tracker, and no failures, the timing is unchanged
-// from the omniscient version: setup completes after exactly one forward
-// plus one reverse traversal (acks ride in parallel and gate nothing).
+// With a lossless transport, no tracker, and no failures, the timing is
+// unchanged from the omniscient version: setup completes after exactly one
+// forward plus one reverse traversal (acks ride in parallel and gate
+// nothing).
 #pragma once
 
 #include <cstdint>
@@ -38,10 +40,6 @@
 
 #include "core/path.hpp"
 #include "sim/simulator.hpp"
-
-namespace p2panon::fault {
-class FaultInjector;
-}
 
 namespace p2panon::transport {
 class SimTransport;
@@ -84,24 +82,18 @@ class AsyncConnectionRunner {
  public:
   using Callback = std::function<void(const AsyncResult&)>;
 
-  /// `faults` (optional) injects loss/delay on every leg and ack;
-  /// `suspicion` (optional) learns from ack timeouts and confirmed paths;
-  /// `transport` (optional) carries legs/acks/nacks as codec-verified wire
-  /// frames through the SimTransport backend (bitwise-identical delivery —
-  /// same draws, same schedule — plus frame accounting). All must outlive
-  /// the runner.
+  /// `transport` carries every leg, ack and NACK (and applies its fault
+  /// injector's loss/delay, if any); `suspicion` (optional) learns from ack
+  /// timeouts and confirmed paths. Both must outlive the runner.
   AsyncConnectionRunner(sim::Simulator& simulator, const net::Overlay& overlay,
-                        const PathBuilder& builder, AsyncConfig cfg = {},
-                        fault::FaultInjector* faults = nullptr,
-                        SuspicionTracker* suspicion = nullptr,
-                        transport::SimTransport* transport = nullptr) noexcept
+                        const PathBuilder& builder, transport::SimTransport& transport,
+                        AsyncConfig cfg = {}, SuspicionTracker* suspicion = nullptr) noexcept
       : sim_(simulator),
         overlay_(overlay),
         builder_(builder),
+        transport_(transport),
         cfg_(cfg),
-        faults_(faults),
-        suspicion_(suspicion),
-        transport_(transport) {}
+        suspicion_(suspicion) {}
 
   /// Begin establishing connection `conn_index` of `pair` from `initiator`
   /// to `responder`. The callback fires (once) when the reverse-path
@@ -124,8 +116,8 @@ class AsyncConnectionRunner {
   void arrive_setup(std::shared_ptr<Pending> p, net::NodeId holder, net::NodeId pred,
                     std::uint32_t forwarders);
   void arrive_confirm(std::shared_ptr<Pending> p, std::size_t reverse_index);
-  /// Send one leg from `from` to `to`: arms the ack timer, routes the
-  /// payload through the fault injector, and classifies the receiver at
+  /// Send one leg from `from` to `to`: arms the ack timer, hands the
+  /// payload to the transport, and classifies the receiver at
   /// arrival (alive → ack + deliver_leg(); crashed → silence; gracefully
   /// offline → NACK).
   void send_leg(std::shared_ptr<Pending> p, net::NodeId from, net::NodeId to, LegDelivery leg);
@@ -139,10 +131,9 @@ class AsyncConnectionRunner {
   sim::Simulator& sim_;
   const net::Overlay& overlay_;
   const PathBuilder& builder_;
+  transport::SimTransport& transport_;
   AsyncConfig cfg_;
-  fault::FaultInjector* faults_;
   SuspicionTracker* suspicion_;
-  transport::SimTransport* transport_;
 };
 
 }  // namespace p2panon::core

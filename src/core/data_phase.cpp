@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "fault/fault.hpp"
 #include "transport/sim_transport.hpp"
 
 namespace p2panon::core {
@@ -101,22 +100,13 @@ void DataPhaseRunner::relay(std::shared_ptr<Pending> p, std::uint32_t gen, std::
     const bool at_responder = !echo && to_index == p->path.nodes.size() - 1;
     relay(p, gen, seq, to_index, at_responder ? true : echo);
   };
-  if (transport_ != nullptr) {
-    // Same draws, same schedule, same capture as the branch below; the hop
-    // additionally round-trips through the wire codec.
-    const wire::DataMsg msg{p->pair,
-                            p->conn_index,
-                            gen,
-                            seq,
-                            static_cast<std::uint32_t>(to_index),
-                            static_cast<std::uint8_t>(echo)};
-    (void)transport_->send(from, to, msg, std::move(deliver));  // false: timer covers it
-    return;
-  }
-  if (faults_ != nullptr && faults_->drop_message(from, to)) return;  // timer covers it
-  sim::Time flight = overlay_.links().transfer_time(from, to);
-  if (faults_ != nullptr) flight += faults_->extra_delay(from, to);
-  sim_.schedule_in(flight, std::move(deliver));
+  const wire::DataMsg msg{p->pair,
+                          p->conn_index,
+                          gen,
+                          seq,
+                          static_cast<std::uint32_t>(to_index),
+                          static_cast<std::uint8_t>(echo)};
+  (void)transport_.send(from, to, msg, std::move(deliver));  // false: timer covers it
 }
 
 void DataPhaseRunner::on_timeout(std::shared_ptr<Pending> p, std::uint32_t /*gen*/,

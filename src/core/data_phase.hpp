@@ -60,21 +60,14 @@ class DataPhaseRunner {
  public:
   using Callback = std::function<void(const DataPhaseResult&)>;
 
-  /// `faults` (optional) applies loss/delay to keepalive hops just like the
-  /// setup legs. Re-formation goes through `runner`, so it inherits that
-  /// runner's fault injector and suspicion tracker. `transport` (optional)
-  /// carries keepalive hops as codec-verified wire frames (SimTransport,
-  /// bitwise-identical delivery).
+  /// `transport` carries every keepalive hop (and applies its fault
+  /// injector's loss/delay, if any), just like the setup legs.
+  /// Re-formation goes through `runner`, so it inherits that runner's
+  /// transport and suspicion tracker.
   DataPhaseRunner(sim::Simulator& simulator, const net::Overlay& overlay,
-                  AsyncConnectionRunner& runner, DataPhaseConfig cfg = {},
-                  fault::FaultInjector* faults = nullptr,
-                  transport::SimTransport* transport = nullptr) noexcept
-      : sim_(simulator),
-        overlay_(overlay),
-        runner_(runner),
-        cfg_(cfg),
-        faults_(faults),
-        transport_(transport) {}
+                  AsyncConnectionRunner& runner, transport::SimTransport& transport,
+                  DataPhaseConfig cfg = {}) noexcept
+      : sim_(simulator), overlay_(overlay), runner_(runner), transport_(transport), cfg_(cfg) {}
 
   /// Run the data phase of connection `conn_index` of `pair` over the
   /// just-established `path`. The callback fires once, when the phase ends
@@ -98,9 +91,8 @@ class DataPhaseRunner {
   sim::Simulator& sim_;
   const net::Overlay& overlay_;
   AsyncConnectionRunner& runner_;
+  transport::SimTransport& transport_;
   DataPhaseConfig cfg_;
-  fault::FaultInjector* faults_;
-  transport::SimTransport* transport_;
 };
 
 }  // namespace p2panon::core

@@ -106,17 +106,7 @@ class PaperWorld {
     probing_ = std::make_unique<net::ShardedProbing>(state_, partition_, cfg.probing.period,
                                                      stream_.child("probing"));
 
-    // Same neighbour-selection idiom as the scale scenario: one shared
-    // stream, nodes in id order, picks mapped onto V \ {id}.
-    auto nb_stream = stream_.child("neighbors");
-    for (NodeId id = 0; id < node_count_; ++id) {
-      auto picks = nb_stream.sample_indices(node_count_ - 1, degree_);
-      auto row = state_.neighbors_of(id);
-      for (std::size_t slot = 0; slot < picks.size(); ++slot) {
-        const std::size_t p = picks[slot];
-        row[slot] = static_cast<NodeId>(p >= id ? p + 1 : p);
-      }
-    }
+    net::sample_neighbors(state_, stream_.child("neighbors"));
 
     published_.assign(node_count_, 0);
     avail_snap_.assign(node_count_ * degree_, 0.0);

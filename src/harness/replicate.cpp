@@ -314,6 +314,12 @@ std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept {
   mix_d(cfg.overlay.churn.session_max);
   mix_d(cfg.overlay.churn.offline_gap_mean);
   mix_d(cfg.overlay.churn.departure_probability);
+  mix_d(cfg.overlay.link.bandwidth_lo);
+  mix_d(cfg.overlay.link.bandwidth_hi);
+  mix_d(cfg.overlay.link.cost_scale);
+  mix_d(cfg.overlay.link.payload_size);
+  mix_d(cfg.overlay.link.propagation_delay);
+  mix_d(cfg.probing.period);
   mix_d(cfg.weights.w_selectivity);
   mix_d(cfg.weights.w_availability);
   mix_u(static_cast<std::uint64_t>(cfg.good_strategy));
@@ -340,6 +346,10 @@ std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept {
   mix_d(cfg.fault.crash_recovery_mean);
   mix_d(cfg.fault.probe_false_negative);
   mix_u(cfg.fault.partitions.size());
+  for (const fault::PartitionWindow& w : cfg.fault.partitions) {
+    mix_d(w.start);
+    mix_d(w.end);
+  }
   mix_u(cfg.fault.bank.lifecycle ? 1 : 0);
   mix_d(cfg.fault.bank.claim_loss);
   mix_d(cfg.fault.bank.claim_delay_mean);
@@ -348,12 +358,29 @@ std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept {
   mix_d(cfg.fault.bank.claim_deadline);
   mix_d(cfg.fault.bank.close_after);
   mix_d(cfg.fault.bank.claim_spread);
+  mix_d(cfg.async_setup.backoff_base);
+  mix_d(cfg.async_setup.backoff_cap);
+  mix_d(cfg.async_setup.backoff_jitter);
+  mix_u(cfg.async_setup.max_attempts);
+  mix_d(cfg.async_setup.ack_timeout_factor);
+  mix_d(cfg.async_setup.ack_timeout_slack);
+  mix_d(cfg.async_setup.attempt_deadline);
+  mix_d(cfg.data_phase.duration);
+  mix_d(cfg.data_phase.keepalive_interval);
+  mix_d(cfg.data_phase.ack_timeout_factor);
+  mix_d(cfg.data_phase.ack_timeout_slack);
+  mix_u(cfg.data_phase.max_reformations);
   mix_d(cfg.suspicion_penalty);
   mix_d(cfg.initial_balance_credits);
-  mix_u(cfg.use_decision_cache ? 1 : 0);
-  mix_u(cfg.use_sharded_engine ? 1 : 0);
+  mix_u(static_cast<std::uint64_t>(cfg.anonymity.form));
+  mix_d(cfg.anonymity.scale);
+  mix_d(cfg.anonymity.lambda);
+  mix_u(cfg.path_builder.max_forwarders);
+  mix_u(cfg.path_builder.allow_declines ? 1 : 0);
   mix_d(cfg.engine_window);
-  mix_u(static_cast<std::uint64_t>(cfg.transport));
+  mix_u(cfg.engine_shards);
+  mix_u(cfg.bank_partitions);
+  mix_d(cfg.view_refresh);
   return h;
 }
 

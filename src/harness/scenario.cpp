@@ -11,7 +11,6 @@
 #include "core/suspicion.hpp"
 #include "harness/paper_sharded.hpp"
 #include "payment/settlement.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "transport/sim_transport.hpp"
 
@@ -36,27 +35,7 @@ ScenarioResult ScenarioRunner::run() const {
   const ScenarioConfig& cfg = cfg_;
   if (cfg.engine_shards > 1) return run_paper_scenario_sharded(cfg, nullptr);
   sim::rng::Stream root(cfg.seed);
-
-  // Engine routing: the plain serial Simulator, or the sharded engine at
-  // K = 1 (whose windowed drive of shard 0 is order-preserving, hence
-  // bitwise identical — pinned by test_sharded_equivalence). All model code
-  // below holds `simulator`, the single shard's engine, either way.
-  std::optional<sim::ShardedSimulator> sharded_engine;
-  std::optional<sim::Simulator> serial_engine;
-  if (cfg.use_sharded_engine) {
-    sharded_engine.emplace(1u, cfg.engine_window, nullptr);
-  } else {
-    serial_engine.emplace();
-  }
-  sim::Simulator& simulator =
-      cfg.use_sharded_engine ? sharded_engine->shard(0) : *serial_engine;
-  const auto run_horizon = [&](sim::Time until) {
-    if (sharded_engine) {
-      sharded_engine->run_until(until);
-    } else {
-      simulator.run_until(until);
-    }
-  };
+  sim::Simulator simulator;
   net::Overlay overlay(cfg.overlay, simulator, root.child("overlay"));
   net::ProbingEstimator probing(overlay, cfg.probing, root.child("probing"));
   core::HistoryStore history(overlay.size(), cfg.history_capacity);
@@ -76,29 +55,22 @@ ScenarioResult ScenarioRunner::run() const {
     });
   }
 
-  // Transport plane (kSim): legs/acks/keepalives and bank-fault claim/close
-  // messages travel as codec-verified wire frames. Delivery is
-  // bitwise-identical to kDirect — SimTransport reproduces the exact
-  // drop/delay draws and schedule calls the runners would make inline.
-  std::optional<transport::SimTransport> transport;
-  if (cfg.transport == TransportBackend::kSim) {
-    transport.emplace(simulator, overlay, faults ? &*faults : nullptr);
-  }
+  // Transport plane: fault-mode legs/acks/keepalives and bank-fault
+  // claim/close messages all travel through it (the synchronous path sends
+  // nothing, so its counters stay zero there).
+  transport::SimTransport transport(simulator, overlay, faults ? &*faults : nullptr);
 
   core::EdgeQualityEvaluator quality(probing, history, cfg.weights,
                                      suspicion ? &*suspicion : nullptr);
   core::DecisionResources resources;  // one edge cache + memo arena per replicate
-  core::PathBuilder builder(overlay, quality, cfg.path_builder,
-                            cfg.use_decision_cache ? &resources : nullptr);
+  core::PathBuilder builder(overlay, quality, cfg.path_builder, &resources);
   core::PayoffLedger ledger(overlay.size());
 
   std::optional<core::AsyncConnectionRunner> setup_runner;
   std::optional<core::DataPhaseRunner> data_runner;
   if (fault_mode) {
-    setup_runner.emplace(simulator, overlay, builder, cfg.async_setup, &*faults, &*suspicion,
-                         transport ? &*transport : nullptr);
-    data_runner.emplace(simulator, overlay, *setup_runner, cfg.data_phase, &*faults,
-                        transport ? &*transport : nullptr);
+    setup_runner.emplace(simulator, overlay, builder, transport, cfg.async_setup, &*suspicion);
+    data_runner.emplace(simulator, overlay, *setup_runner, transport, cfg.data_phase);
   }
 
   // Bank-fault mode (orthogonal to message/liveness faults): settlement runs
@@ -287,7 +259,7 @@ ScenarioResult ScenarioRunner::run() const {
   // phase (plus its re-formations) to play out.
   const sim::Time tail =
       fault_mode ? cfg.data_phase.duration + sim::minutes(10.0) : sim::minutes(1.0);
-  run_horizon(last_connection_at + tail);
+  simulator.run_until(last_connection_at + tail);
 
   // --- Settle every pair through the payment system.
   auto settle_stream = root.child("settle");
@@ -304,18 +276,15 @@ ScenarioResult ScenarioRunner::run() const {
     // and the deadline sweep terminalises whatever is left on its own —
     // abandoning with a pro-rata payout, or expiring with a full refund.
     const fault::BankFaultConfig& bf = cfg.fault.bank;
-    if (transport) {
-      // The bank's message plane: claims and closes arrive as wire frames
-      // and dispatch synchronously inside their scheduled events, so event
-      // ordering (and every digest) matches the direct calls exactly.
-      transport->set_bank_handler([&engine](const transport::wire::WireMessage& m) {
-        if (const auto* c = std::get_if<transport::wire::ClaimMsg>(&m)) {
-          (void)engine.submit_claim(c->sid, c->claimant, c->receipt);
-        } else if (const auto* cl = std::get_if<transport::wire::CloseMsg>(&m)) {
-          (void)engine.close(cl->sid);
-        }
-      });
-    }
+    // The bank's message plane: claims and closes arrive as wire messages
+    // and dispatch synchronously inside their scheduled events.
+    transport.set_bank_handler([&engine](const transport::wire::WireMessage& m) {
+      if (const auto* c = std::get_if<transport::wire::ClaimMsg>(&m)) {
+        (void)engine.submit_claim(c->sid, c->claimant, c->receipt);
+      } else if (const auto* cl = std::get_if<transport::wire::CloseMsg>(&m)) {
+        (void)engine.close(cl->sid);
+      }
+    });
     auto bank_fault_stream = root.child("bank-faults");
     const sim::Time t0 = simulator.now();
     const sim::Time deadline = t0 + bf.claim_deadline;
@@ -351,35 +320,24 @@ ScenarioResult ScenarioRunner::run() const {
         // A delay past the deadline is not special-cased: the claim arrives,
         // the settlement is already terminal, and the engine refuses it
         // (claims_after_terminal) — exactly the race the lifecycle guards.
-        if (transport) {
-          simulator.schedule_at(
-              t0 + spread + delay,
-              [tp = &*transport,
-               m = transport::wire::ClaimMsg{prep.sid, claim.claimant, claim.receipt}] {
-                tp->post_to_bank(m);
-              });
-        } else {
-          simulator.schedule_at(t0 + spread + delay, [&engine, sid = prep.sid, claim] {
-            (void)engine.submit_claim(sid, claim.claimant, claim.receipt);
-          });
-        }
+        simulator.schedule_at(
+            t0 + spread + delay,
+            [tp = &transport,
+             m = transport::wire::ClaimMsg{prep.sid, claim.claimant, claim.receipt}] {
+              tp->post_to_bank(m);
+            });
       }
 
       if (!fs.bernoulli(bf.initiator_crash)) {
-        if (transport) {
-          simulator.schedule_at(t0 + bf.close_after,
-                                [tp = &*transport, m = transport::wire::CloseMsg{prep.sid}] {
-                                  tp->post_to_bank(m);
-                                });
-        } else {
-          simulator.schedule_at(t0 + bf.close_after,
-                                [&engine, sid = prep.sid] { (void)engine.close(sid); });
-        }
+        simulator.schedule_at(t0 + bf.close_after,
+                              [tp = &transport, m = transport::wire::CloseMsg{prep.sid}] {
+                                tp->post_to_bank(m);
+                              });
       }
     }
     simulator.schedule_at(deadline,
                           [&engine, &simulator] { (void)engine.expire_due(simulator.now()); });
-    run_horizon(deadline + sim::minutes(1.0));
+    simulator.run_until(deadline + sim::minutes(1.0));
     assert(engine.open_settlements() == 0 && "deadline sweep left a settlement open");
     for (std::size_t i = 0; i < plans.size(); ++i) {
       outcomes.push_back(plans[i].session->finalize_settlement(bank, engine, ledger, sids[i]));
@@ -451,21 +409,15 @@ ScenarioResult ScenarioRunner::run() const {
   result.engine_events_cancelled = queue_stats.cancelled;
   result.engine_events_fired = queue_stats.fired;
   result.engine_callback_heap_allocs = queue_stats.callback_heap_allocs;
-  if (sharded_engine) {
-    result.engine_cross_shard_messages = sharded_engine->stats().cross_shard_messages;
-    result.engine_window_barriers = sharded_engine->stats().window_barriers;
-  }
-  if (transport) {
-    const transport::TransportCounters& tc = transport->counters();
-    result.transport_frames_sent = tc.frames_sent;
-    result.transport_frames_delivered = tc.frames_delivered;
-    result.transport_frames_dropped = tc.frames_dropped;
-    result.transport_frames_rejected = tc.frames_rejected;
-    result.transport_reconnects = tc.reconnects;
-    result.transport_backoff_retries = tc.backoff_retries;
-    result.transport_heartbeat_timeouts = tc.heartbeat_timeouts;
-    result.transport_deadline_expiries = tc.deadline_expiries;
-  }
+  const transport::TransportCounters& tc = transport.counters();
+  result.transport_frames_sent = tc.frames_sent;
+  result.transport_frames_delivered = tc.frames_delivered;
+  result.transport_frames_dropped = tc.frames_dropped;
+  result.transport_frames_rejected = tc.frames_rejected;
+  result.transport_reconnects = tc.reconnects;
+  result.transport_backoff_retries = tc.backoff_retries;
+  result.transport_heartbeat_timeouts = tc.heartbeat_timeouts;
+  result.transport_deadline_expiries = tc.deadline_expiries;
 
   result.connection_latency = latency;
   result.churn_events = overlay.churn_events();

@@ -23,16 +23,12 @@
 
 namespace p2panon::harness {
 
-/// Which carrier moves fault-mode legs/acks/keepalives and bank-fault
-/// claim/close traffic.
+/// The carrier of fault-mode legs/acks/keepalives and bank-fault
+/// claim/close traffic. transport::SimTransport is the only one; nothing
+/// branches on this. It remains only because the benchmark's workload code
+/// assigns ScenarioConfig::transport, and goes with the next benchmark
+/// revision.
 enum class TransportBackend : std::uint8_t {
-  /// Legacy direct in-sim delivery: the runners schedule continuations
-  /// themselves, nothing is framed.
-  kDirect = 0,
-  /// transport::SimTransport: identical delivery (same draws, same
-  /// schedule — pinned bitwise against kDirect by
-  /// tests/harness/test_transport_equivalence.cpp), with every message
-  /// additionally round-tripped through the wire codec and counted.
   kSim = 1,
 };
 
@@ -94,29 +90,15 @@ struct ScenarioConfig {
 
   core::PathBuilderConfig path_builder;
 
-  /// Attach the per-replicate decision resources (epoch-invalidated
-  /// edge-quality cache + memoised-lookahead arena) to the path builder.
-  /// Off or on, replicate results are bitwise identical (see
-  /// test_cache_equivalence); the switch exists for that proof and for
-  /// before/after benchmarking.
-  bool use_decision_cache = true;
-
-  /// Drive the replicate through the sharded engine at K = 1 instead of the
-  /// plain serial Simulator. Bitwise identical either way (the windowed
-  /// drive of one shard preserves event order; pinned by
-  /// test_sharded_equivalence) — the switch exists for that proof. The full
-  /// paper scenario shares one Overlay and one HistoryStore, so it only
-  /// runs single-sharded; K > 1 lives in the sharded scale scenario
-  /// (harness/sharded_scenario).
-  bool use_sharded_engine = false;
-  /// Window-synchronisation quantum when use_sharded_engine is set.
+  /// Window-synchronisation quantum of the K > 1 sharded paper runner
+  /// (ignored at K = 1, which runs on the plain serial Simulator).
   sim::Time engine_window = sim::minutes(5.0);
 
-  /// Engine shards for the full paper scenario. 1 (default) keeps today's
-  /// path — serial, or the windowed K = 1 drive above, both bitwise-pinned
-  /// to each other. > 1 routes the replicate through the windowed sharded
-  /// paper runner (harness/paper_sharded.hpp): node-partitioned
-  /// history/probing state behind barrier-merged read views, pair
+  /// Engine shards for the full paper scenario. 1 (default) runs the
+  /// replicate on the plain serial Simulator, with the per-replicate
+  /// decision cache always attached. > 1 routes the replicate through the
+  /// windowed sharded paper runner (harness/paper_sharded.hpp):
+  /// node-partitioned history/probing state behind barrier-merged read views, pair
   /// settlement batched through the window-barrier hook onto the sharded
   /// settlement plane. K > 1 is a different (windowed) workload than the
   /// serial scenario — its contract is pool-size- and window-invariance of
@@ -134,10 +116,7 @@ struct ScenarioConfig {
   /// absolute times.
   sim::Time view_refresh = 0.0;
 
-  /// Transport backend for fault/bank-fault message traffic. kSim (default)
-  /// is bitwise-identical to kDirect in every result field except the
-  /// transport_* counters; the K > 1 sharded paper runner ignores this knob
-  /// (its messaging is the window mailbox, not per-hop frames).
+  /// Single-valued; see TransportBackend. Read by nothing.
   TransportBackend transport = TransportBackend::kSim;
 };
 
@@ -200,10 +179,10 @@ struct ScenarioResult {
   std::uint64_t engine_events_cancelled = 0;
   std::uint64_t engine_events_fired = 0;
   std::uint64_t engine_callback_heap_allocs = 0;
-  /// Sharded-engine counters: zero on the serial path; on the sharded path
-  /// cross-shard messages stay zero at K = 1 (everything is shard-local)
-  /// while window barriers count the windowed drive's synchronisation
-  /// points. Deterministic, so the determinism suite pins both.
+  /// Sharded-engine counters: zero at K = 1 (the serial path); at K > 1 they
+  /// count cross-shard mailbox traffic and the windowed drive's
+  /// synchronisation points. Deterministic, so the determinism suite pins
+  /// both.
   std::uint64_t engine_cross_shard_messages = 0;
   std::uint64_t engine_window_barriers = 0;
 
@@ -228,12 +207,12 @@ struct ScenarioResult {
   /// side). Vacuously true outside bank-fault mode.
   bool settlement_reconciled = true;
 
-  // --- Transport-plane counters (zero under kDirect and outside fault/
-  // bank-fault modes — the synchronous path sends no messages). Under kSim
-  // these count codec-verified frames; deterministic, pinned by the
-  // determinism suite alongside the engine counters. The TCP-only rows
-  // (reconnects, backoff, heartbeats, deadlines) stay zero in-sim and are
-  // populated by the multi-process chaos driver's processes instead.
+  // --- Transport-plane counters (zero outside fault/bank-fault modes — the
+  // synchronous path sends no messages). Deterministic, pinned by the
+  // determinism suite alongside the engine counters. In-sim nothing is
+  // decoded, so frames_rejected stays zero; the TCP-only rows (reconnects,
+  // backoff, heartbeats, deadlines) stay zero in-sim and are populated by
+  // the multi-process chaos driver's processes instead.
   std::uint64_t transport_frames_sent = 0;
   std::uint64_t transport_frames_delivered = 0;
   std::uint64_t transport_frames_dropped = 0;

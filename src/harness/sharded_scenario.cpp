@@ -49,17 +49,7 @@ class World {
     probing_ = std::make_unique<net::ShardedProbing>(state_, partition_, cfg.probe_period,
                                                      stream_.child("probing"));
 
-    // Same neighbour-selection draw order as Overlay: one shared stream,
-    // nodes in id order, picks mapped onto V \ {id}.
-    auto nb_stream = stream_.child("neighbors");
-    for (NodeId id = 0; id < cfg.node_count; ++id) {
-      auto picks = nb_stream.sample_indices(cfg.node_count - 1, cfg.degree);
-      auto row = state_.neighbors_of(id);
-      for (std::size_t slot = 0; slot < picks.size(); ++slot) {
-        const std::size_t p = picks[slot];
-        row[slot] = static_cast<NodeId>(p >= id ? p + 1 : p);
-      }
-    }
+    net::sample_neighbors(state_, stream_.child("neighbors"));
 
     quality_ = std::make_unique<core::ShardedEdgeQuality>(state_, partition_, *probing_,
                                                           cfg.weights);

@@ -28,18 +28,8 @@ Overlay::Overlay(const OverlayConfig& cfg, sim::Simulator& simulator, sim::rng::
     state_.kind[idx] = NodeKind::kMalicious;
   }
 
-  // Each node randomly selects d distinct neighbours (paper §3), written
-  // straight into the node's fixed-stride CSR row.
-  auto nb_stream = stream.child("neighbors");
-  for (NodeId id = 0; id < cfg.node_count; ++id) {
-    auto picks = nb_stream.sample_indices(cfg.node_count - 1, cfg.degree);
-    auto row = state_.neighbors_of(id);
-    for (std::size_t slot = 0; slot < picks.size(); ++slot) {
-      // Map [0, N-1) onto V \ {id}.
-      const std::size_t p = picks[slot];
-      row[slot] = static_cast<NodeId>(p >= id ? p + 1 : p);
-    }
-  }
+  // Each node randomly selects d distinct neighbours (paper §3).
+  sample_neighbors(state_, stream.child("neighbors"));
 }
 
 void Overlay::start() {

@@ -21,6 +21,7 @@
 
 #include "net/churn.hpp"
 #include "net/ids.hpp"
+#include "sim/rng.hpp"
 
 namespace p2panon::net {
 
@@ -87,6 +88,13 @@ struct NodeStateSoA {
     return online[id] != 0 || crashed[id] != 0;
   }
 };
+
+/// Random d-regular-out neighbour selection (paper §3): every node, in id
+/// order, draws `state.degree` distinct picks over [0, N-1) from the one
+/// shared `stream`, mapped onto V \ {id} and written straight into its CSR
+/// row. The single site shared by the serial overlay and both sharded
+/// runners, so all three build the same graph from the same stream.
+void sample_neighbors(NodeStateSoA& state, sim::rng::Stream stream);
 
 /// A cheap value-type snapshot of one node's row across the columns, shaped
 /// like the former `struct Node` so call sites keep reading `n.online`,

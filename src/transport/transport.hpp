@@ -4,11 +4,10 @@
 // settlement) speaks wire::WireMessage. Below it sit two backends:
 //
 //   * SimTransport (sim_transport.hpp) — routes messages through the
-//     discrete-event engine, reproducing the legacy direct delivery
-//     *bitwise*: same RNG draw order, same schedule order, same event
-//     capture sizes. Every frame round-trips through the wire codec as a
-//     self-check, so the in-sim protocol and the on-the-wire format cannot
-//     drift apart.
+//     discrete-event engine with a fixed RNG draw order, one scheduled
+//     event per delivered frame and the caller's continuation captured
+//     unwrapped. Messages stay values in-sim; the codec's round-trip
+//     property tests are what keep them carriable on the wire.
 //
 //   * TcpTransport (tcp_transport.hpp) — carries the same frames between
 //     real processes over loopback TCP: length-prefixed versioned framing,
@@ -26,8 +25,9 @@
 namespace p2panon::transport {
 
 /// Frame- and liveness-level counters, shared by both backends. Sim runs
-/// leave the TCP-only rows (reconnects, backoff, heartbeats, deadlines) at
-/// zero; they exist so the reporting plumbing upstream is identical.
+/// leave the TCP-only rows (bytes, reconnects, backoff, heartbeats,
+/// deadlines) at zero, and never reject a frame (nothing is decoded
+/// in-sim); the rows exist so the reporting plumbing upstream is identical.
 struct TransportCounters {
   std::uint64_t frames_sent = 0;       ///< send() calls (before drop decision)
   std::uint64_t frames_delivered = 0;  ///< handed to the link (sent minus dropped)

@@ -1,8 +1,7 @@
 // Wire messages of the transport plane.
 //
 // One message set serves both backends: SimTransport routes these through
-// the discrete-event engine (codec-verifying every frame against the wire
-// format so the two backends cannot drift), and TcpTransport carries them
+// the discrete-event engine as values, and TcpTransport carries them
 // between real processes as length-prefixed frames (wire_codec.hpp). The
 // set covers the protocol's four planes:
 //
@@ -18,8 +17,9 @@
 //     ByeMsg for graceful shutdown (the NACK analog: a peer that says Bye
 //     is *gone*, not crashed — suspicion learns nothing from it).
 //
-// Every struct is equality-comparable so the codec round-trip tests (and
-// SimTransport's per-send self-check) can assert bit-exactness.
+// Every struct is equality-comparable so the codec round-trip tests can
+// assert bit-exactness — which is what keeps the in-sim protocol carriable
+// on the wire.
 #pragma once
 
 #include <cstdint>

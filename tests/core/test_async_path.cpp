@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fixtures.hpp"
+#include "transport/sim_transport.hpp"
 
 using namespace p2panon;
 using namespace p2panon::core;
@@ -16,7 +17,8 @@ class AsyncPathTest : public ::testing::Test {
 
   AsyncResult establish_one(std::uint32_t conn = 1, AsyncConfig cfg = {}) {
     PathBuilder builder(world.overlay, world.quality);
-    AsyncConnectionRunner runner(world.simulator, world.overlay, builder, cfg);
+    transport::SimTransport transport(world.simulator, world.overlay);
+    AsyncConnectionRunner runner(world.simulator, world.overlay, builder, transport, cfg);
     UtilityModelIRouting strategy;
     StrategyAssignment assign(world.overlay, strategy);
     AsyncResult captured;
@@ -66,7 +68,8 @@ TEST_F(AsyncPathTest, PathStructureMatchesBuilderInvariants) {
 
 TEST_F(AsyncPathTest, CallbackFiresExactlyOnce) {
   PathBuilder builder(world.overlay, world.quality);
-  AsyncConnectionRunner runner(world.simulator, world.overlay, builder);
+  transport::SimTransport transport(world.simulator, world.overlay);
+  AsyncConnectionRunner runner(world.simulator, world.overlay, builder, transport);
   UtilityModelIRouting strategy;
   StrategyAssignment assign(world.overlay, strategy);
   int fired = 0;
@@ -95,7 +98,8 @@ TEST(AsyncPathChurn, ReformationsHappenUnderHeavyChurn) {
   core::HistoryStore history(overlay.size());
   core::EdgeQualityEvaluator quality(probing, history, core::QualityWeights{});
   core::PathBuilder builder(overlay, quality);
-  core::AsyncConnectionRunner runner(simulator, overlay, builder);
+  transport::SimTransport transport(simulator, overlay);
+  core::AsyncConnectionRunner runner(simulator, overlay, builder, transport);
   core::RandomRouting strategy;
   core::StrategyAssignment assign(overlay, strategy);
 
@@ -149,7 +153,8 @@ TEST(AsyncPathChurn, ExhaustedAttemptsReportFailure) {
   core::PathBuilder builder(overlay, quality);
   core::AsyncConfig acfg;
   acfg.max_attempts = 1;
-  core::AsyncConnectionRunner runner(simulator, overlay, builder, acfg);
+  transport::SimTransport transport(simulator, overlay);
+  core::AsyncConnectionRunner runner(simulator, overlay, builder, transport, acfg);
   core::RandomRouting strategy;
   core::StrategyAssignment assign(overlay, strategy);
 

@@ -8,6 +8,7 @@
 #include "core/suspicion.hpp"
 #include "fault/fault.hpp"
 #include "fixtures.hpp"
+#include "transport/sim_transport.hpp"
 
 using namespace p2panon;
 using namespace p2panon::core;
@@ -23,7 +24,8 @@ struct AsyncHarness {
                         fault::FaultInjector* faults = nullptr,
                         SuspicionTracker* suspicion = nullptr,
                         sim::Time drive = sim::hours(4.0)) {
-    AsyncConnectionRunner runner(w.simulator, w.overlay, builder, cfg, faults, suspicion);
+    transport::SimTransport transport(w.simulator, w.overlay, faults);
+    AsyncConnectionRunner runner(w.simulator, w.overlay, builder, transport, cfg, suspicion);
     AsyncResult captured;
     bool done = false;
     runner.establish(1, conn, 0, 19, Contract{}, assign, w.root.child("async", conn),

@@ -1,6 +1,7 @@
 // End-to-end fault-mode soak: a full scenario with every fault knob on must
 // complete connections, drive the keepalive layer, keep payments conserved,
-// and stay bitwise deterministic in the seed.
+// stay bitwise deterministic in the seed, and account for every message it
+// hands to the transport.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -32,6 +33,34 @@ ScenarioConfig soak_config(std::uint64_t seed = 7) {
   cfg.data_phase.duration = 90.0;
   cfg.data_phase.keepalive_interval = 10.0;
   return cfg;
+}
+
+ScenarioConfig bank_fault_config(std::uint64_t seed) {
+  ScenarioConfig cfg = soak_config(seed);
+  cfg.fault.bank.claim_loss = 0.2;
+  cfg.fault.bank.claim_delay_mean = sim::minutes(4.0);
+  cfg.fault.bank.initiator_crash = 0.3;
+  cfg.fault.bank.forwarder_crash = 0.15;
+  cfg.fault.bank.claim_deadline = sim::minutes(20.0);
+  cfg.fault.bank.close_after = sim::minutes(8.0);
+  return cfg;
+}
+
+/// Every message the run hands to the transport is either delivered or
+/// dropped, exactly once; in-sim nothing is decoded, so nothing is
+/// rejected; the TCP-only rows stay zero.
+void expect_frames_balance(const ScenarioResult& r) {
+  EXPECT_GT(r.transport_frames_sent, 0u);
+  EXPECT_EQ(r.transport_frames_sent, r.transport_frames_delivered + r.transport_frames_dropped);
+  EXPECT_EQ(r.transport_frames_rejected, 0u);
+  // Leg/ack/keepalive drops are the injector's own coin flips; claim/close
+  // frames dispatch synchronously and are never dropped (claim loss is a
+  // separate bank-fault stream, counted in claims_lost).
+  EXPECT_EQ(r.transport_frames_dropped, r.messages_dropped);
+  EXPECT_EQ(r.transport_reconnects, 0u);
+  EXPECT_EQ(r.transport_backoff_retries, 0u);
+  EXPECT_EQ(r.transport_heartbeat_timeouts, 0u);
+  EXPECT_EQ(r.transport_deadline_expiries, 0u);
 }
 
 }  // namespace
@@ -114,4 +143,37 @@ TEST(FaultScenario, DifferentSeedsDiverge) {
   // A frozen fault stream would make these identical; any live knob makes
   // collision across seeds effectively impossible.
   EXPECT_NE(a.messages_dropped, b.messages_dropped);
+}
+
+TEST(FaultScenario, FaultFreeRunSendsNoFrames) {
+  // The fault-free scenario runs connections synchronously: no messages, so
+  // every transport counter stays zero.
+  ScenarioConfig cfg = soak_config(17);
+  cfg.fault = fault::FaultConfig{};
+  const ScenarioResult r = ScenarioRunner(cfg).run();
+  EXPECT_GT(r.connections_completed, 0u);
+  EXPECT_EQ(r.transport_frames_sent, 0u);
+  EXPECT_EQ(r.transport_frames_delivered, 0u);
+  EXPECT_EQ(r.transport_frames_dropped, 0u);
+  EXPECT_EQ(r.transport_frames_rejected, 0u);
+  EXPECT_EQ(r.transport_reconnects, 0u);
+  EXPECT_EQ(r.transport_backoff_retries, 0u);
+  EXPECT_EQ(r.transport_heartbeat_timeouts, 0u);
+  EXPECT_EQ(r.transport_deadline_expiries, 0u);
+}
+
+TEST(FaultScenario, TransportFramesBalanceInFaultMode) {
+  const ScenarioResult r = ScenarioRunner(soak_config(23)).run();
+  ASSERT_GT(r.crashes, 0u) << "config must actually exercise fault mode";
+  ASSERT_GT(r.messages_dropped, 0u) << "config must actually drop frames";
+  expect_frames_balance(r);
+}
+
+TEST(FaultScenario, TransportFramesBalanceInBankFaultMode) {
+  const ScenarioResult r = ScenarioRunner(bank_fault_config(29)).run();
+  ASSERT_GT(r.claims_submitted, 0u) << "config must actually submit claims";
+  expect_frames_balance(r);
+  // Claim/close traffic rides the transport too, on top of legs/acks.
+  EXPECT_GT(r.transport_frames_sent, r.keepalives_sent)
+      << "claim/close frames should add to the data-plane traffic";
 }

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/checkpoint.hpp"
@@ -262,6 +263,66 @@ TEST(AdaptiveRunner, FingerprintMismatchDiscardsStoredCell) {
   const auto b = runner.run_cell("cell", 8, 8, replicate);
   EXPECT_EQ(calls, 16u);
   EXPECT_FALSE(b.outcome.resumed);
+}
+
+TEST(ConfigFingerprint, EveryResultChangingKnobChangesIt) {
+  // A checkpoint cell written under `base` must never resume into a config
+  // that differs in any knob that changes results — e.g. one written at
+  // K = 4 into a K = 1 cell.
+  ScenarioConfig base = tiny_config();
+  base.fault.partitions = {fault::PartitionWindow{600.0, 1200.0}};
+  const std::uint64_t fp = config_fingerprint(base);
+
+  using Mutation = void (*)(ScenarioConfig&);
+  const std::vector<std::pair<const char*, Mutation>> knobs = {
+      {"engine_shards", [](ScenarioConfig& c) { c.engine_shards = 4; }},
+      {"bank_partitions", [](ScenarioConfig& c) { c.bank_partitions = 3; }},
+      {"view_refresh", [](ScenarioConfig& c) { c.view_refresh = 600.0; }},
+      {"overlay.link.bandwidth_lo", [](ScenarioConfig& c) { c.overlay.link.bandwidth_lo = 2.0; }},
+      {"overlay.link.bandwidth_hi", [](ScenarioConfig& c) { c.overlay.link.bandwidth_hi = 20.0; }},
+      {"overlay.link.cost_scale", [](ScenarioConfig& c) { c.overlay.link.cost_scale = 2.0; }},
+      {"overlay.link.payload_size", [](ScenarioConfig& c) { c.overlay.link.payload_size = 2.0; }},
+      {"overlay.link.propagation_delay",
+       [](ScenarioConfig& c) { c.overlay.link.propagation_delay = 0.1; }},
+      {"probing.period", [](ScenarioConfig& c) { c.probing.period = 60.0; }},
+      {"async_setup.backoff_base", [](ScenarioConfig& c) { c.async_setup.backoff_base = 3.0; }},
+      {"async_setup.backoff_cap", [](ScenarioConfig& c) { c.async_setup.backoff_cap = 90.0; }},
+      {"async_setup.backoff_jitter",
+       [](ScenarioConfig& c) { c.async_setup.backoff_jitter = 0.25; }},
+      {"async_setup.max_attempts", [](ScenarioConfig& c) { c.async_setup.max_attempts = 4; }},
+      {"async_setup.ack_timeout_factor",
+       [](ScenarioConfig& c) { c.async_setup.ack_timeout_factor = 2.0; }},
+      {"async_setup.ack_timeout_slack",
+       [](ScenarioConfig& c) { c.async_setup.ack_timeout_slack = 2.0; }},
+      {"async_setup.attempt_deadline",
+       [](ScenarioConfig& c) { c.async_setup.attempt_deadline = 180.0; }},
+      {"data_phase.duration", [](ScenarioConfig& c) { c.data_phase.duration = 90.0; }},
+      {"data_phase.keepalive_interval",
+       [](ScenarioConfig& c) { c.data_phase.keepalive_interval = 10.0; }},
+      {"data_phase.ack_timeout_factor",
+       [](ScenarioConfig& c) { c.data_phase.ack_timeout_factor = 2.0; }},
+      {"data_phase.ack_timeout_slack",
+       [](ScenarioConfig& c) { c.data_phase.ack_timeout_slack = 2.0; }},
+      {"data_phase.max_reformations",
+       [](ScenarioConfig& c) { c.data_phase.max_reformations = 2; }},
+      {"path_builder.max_forwarders",
+       [](ScenarioConfig& c) { c.path_builder.max_forwarders = 8; }},
+      {"path_builder.allow_declines",
+       [](ScenarioConfig& c) { c.path_builder.allow_declines = false; }},
+      {"anonymity.form",
+       [](ScenarioConfig& c) { c.anonymity.form = metrics::AnonymityFunctional::kInverse; }},
+      {"anonymity.scale", [](ScenarioConfig& c) { c.anonymity.scale = 500.0; }},
+      {"anonymity.lambda", [](ScenarioConfig& c) { c.anonymity.lambda = 5.0; }},
+      // Same partition count, different windows: the contents count, not
+      // only the size.
+      {"fault.partitions[0].start", [](ScenarioConfig& c) { c.fault.partitions[0].start = 300.0; }},
+      {"fault.partitions[0].end", [](ScenarioConfig& c) { c.fault.partitions[0].end = 1800.0; }},
+  };
+  for (const auto& [name, mutate] : knobs) {
+    ScenarioConfig cfg = base;
+    mutate(cfg);
+    EXPECT_NE(config_fingerprint(cfg), fp) << name << " does not reach the fingerprint";
+  }
 }
 
 TEST(AdaptiveRunner, AdaptiveStopsEarlyOnTightCell) {

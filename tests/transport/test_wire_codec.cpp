@@ -11,13 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <span>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -162,6 +168,195 @@ TEST(WireCodec, RoundTripsEveryMessageTypeBitExactly) {
     const std::vector<std::byte> again = encode_one(decoded);
     EXPECT_EQ(again, frame);
   }
+}
+
+// --- Seeded round-trip property ----------------------------------------------
+//
+// Every alternative of wire::WireMessage, filled field by field either with
+// random values or with one extreme applied to every field at once (0, the
+// type's max, the type's min — the latter differs from 0 only for the
+// signed milli-credit amounts). Variable-length fields run from empty to
+// the longest the decoder accepts (SetupMsg: kMaxWirePath nodes; a path
+// record's forwarder list: 4 * kMaxWirePath); the record list of
+// OpenSettlementMsg is capped at kMaxRecords so the frame stays under
+// kDefaultMaxFrame.
+
+enum class Fill : std::uint8_t { kRandom, kZero, kMax, kMin };
+
+constexpr std::size_t kMaxRecords = 16;
+constexpr int kRandomInstances = 300;
+
+class FieldGen {
+ public:
+  FieldGen(sim::rng::Stream& rng, Fill fill) : rng_(rng), fill_(fill) {}
+
+  template <std::integral T>
+  void operator()(T& v) {
+    switch (fill_) {
+      case Fill::kRandom: v = static_cast<T>(rng_.next_u64()); return;
+      case Fill::kZero: v = T{0}; return;
+      case Fill::kMax: v = std::numeric_limits<T>::max(); return;
+      case Fill::kMin: v = std::numeric_limits<T>::min(); return;
+    }
+  }
+
+  void operator()(payment::ForwardReceipt& r) {
+    (*this)(r.pair);
+    (*this)(r.conn_index);
+    (*this)(r.forwarder);
+    (*this)(r.predecessor);
+    (*this)(r.successor);
+    (*this)(r.mac);
+  }
+
+  void operator()(std::vector<net::NodeId>& nodes, std::size_t max_len) {
+    nodes.resize(length(max_len));
+    for (net::NodeId& n : nodes) (*this)(n);
+  }
+
+  [[nodiscard]] std::size_t length(std::size_t max_len) {
+    switch (fill_) {
+      case Fill::kRandom: return static_cast<std::size_t>(rng_.below(max_len + 1));
+      case Fill::kMax: return max_len;
+      case Fill::kZero:
+      case Fill::kMin: return 0;
+    }
+    return 0;
+  }
+
+ private:
+  sim::rng::Stream& rng_;
+  Fill fill_;
+};
+
+void fill(FieldGen& g, wire::LegMsg& m) {
+  g(m.pair);
+  g(m.conn_index);
+  g(m.attempt);
+  g(m.tid);
+  g(m.kind);
+  g(m.holder);
+  g(m.next);
+  g(m.forwarders);
+  g(m.index);
+}
+void fill(FieldGen& g, wire::AckMsg& m) {
+  g(m.pair);
+  g(m.conn_index);
+  g(m.tid);
+}
+void fill(FieldGen& g, wire::NackMsg& m) {
+  g(m.pair);
+  g(m.conn_index);
+  g(m.attempt);
+}
+void fill(FieldGen& g, wire::DataMsg& m) {
+  g(m.pair);
+  g(m.conn_index);
+  g(m.gen);
+  g(m.seq);
+  g(m.index);
+  g(m.echo);
+}
+void fill(FieldGen& g, wire::ClaimMsg& m) {
+  g(m.sid);
+  g(m.claimant);
+  g(m.receipt);
+}
+void fill(FieldGen& g, wire::ClaimReplyMsg& m) { g(m.result); }
+void fill(FieldGen& g, wire::CloseMsg& m) { g(m.sid); }
+void fill(FieldGen& g, wire::CloseReplyMsg& m) { g(m.ok); }
+void fill(FieldGen& g, wire::OpenSettlementMsg& m) {
+  g(m.pair);
+  g(m.initiator_account);
+  g(m.escrow_milli);
+  g(m.forwarding_benefit_milli);
+  g(m.routing_benefit_milli);
+  m.records.resize(g.length(kMaxRecords));
+  for (wire::WirePathRecord& rec : m.records) {
+    g(rec.conn_index);
+    g(rec.entry);
+    g(rec.exit);
+    g(rec.forwarders, 4 * wire::kMaxWirePath);
+  }
+}
+void fill(FieldGen& g, wire::OpenReplyMsg& m) {
+  g(m.ok);
+  g(m.sid);
+}
+void fill(FieldGen& g, wire::ContractMsg& m) {
+  g(m.sid);
+  g(m.bank_port);
+  g(m.receipt);
+}
+void fill(FieldGen& g, wire::ContractAckMsg& m) { g(m.sid); }
+void fill(FieldGen& g, wire::HelloMsg& m) { g(m.node); }
+void fill(FieldGen& g, wire::HelloReplyMsg& m) {
+  g(m.account);
+  g(m.mac_key);
+  g(m.balance_milli);
+}
+void fill(FieldGen& g, wire::SetupMsg& m) {
+  g(m.pair);
+  g(m.conn_index);
+  g(m.hop);
+  g(m.path, wire::kMaxWirePath);
+}
+void fill(FieldGen& g, wire::SetupAckMsg& m) {
+  g(m.pair);
+  g(m.conn_index);
+}
+void fill(FieldGen& g, wire::HeartbeatMsg& m) { g(m.nonce); }
+void fill(FieldGen& g, wire::HeartbeatAckMsg& m) { g(m.nonce); }
+void fill(FieldGen& g, wire::ByeMsg& m) { g(m.port); }
+void fill(FieldGen& g, wire::SweepMsg& m) { g(m.write_report); }
+void fill(FieldGen& g, wire::SweepReplyMsg& m) { g(m.terminalised); }
+
+/// encode -> decode -> compare, then re-encode the decoded value: the frame
+/// must come back byte for byte.
+void expect_round_trip(const wire::WireMessage& m) {
+  std::vector<std::byte> frame;
+  const std::size_t n = encode(m, frame);
+  ASSERT_EQ(n, frame.size());
+  wire::WireMessage decoded;
+  std::size_t consumed = 0;
+  ASSERT_EQ(decode(frame, decoded, consumed), DecodeResult::kOk);
+  ASSERT_EQ(consumed, frame.size());
+  ASSERT_EQ(decoded, m) << "decoded message differs from the encoded one";
+  std::vector<std::byte> again;
+  (void)encode(decoded, again);
+  ASSERT_EQ(again, frame);
+}
+
+template <std::size_t I>
+void round_trip_alternative(sim::rng::Stream& rng) {
+  using Msg = std::variant_alternative_t<I, wire::WireMessage>;
+  SCOPED_TRACE("type " + std::to_string(static_cast<int>(wire::type_of(Msg{}))));
+  for (const Fill extreme : {Fill::kZero, Fill::kMax, Fill::kMin}) {
+    FieldGen g(rng, extreme);
+    Msg m;
+    fill(g, m);
+    expect_round_trip(m);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  FieldGen g(rng, Fill::kRandom);
+  for (int i = 0; i < kRandomInstances; ++i) {
+    Msg m;
+    fill(g, m);
+    expect_round_trip(m);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+template <std::size_t... I>
+void round_trip_every_alternative(sim::rng::Stream& rng, std::index_sequence<I...>) {
+  (round_trip_alternative<I>(rng), ...);
+}
+
+TEST(WireCodec, RoundTripPropertyHoldsForEveryMessageType) {
+  sim::rng::Stream rng(20240917);
+  round_trip_every_alternative(
+      rng, std::make_index_sequence<std::variant_size_v<wire::WireMessage>>{});
 }
 
 TEST(WireCodec, HeaderLayoutIsPinned) {
