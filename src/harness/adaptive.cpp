@@ -1,13 +1,13 @@
 #include "harness/adaptive.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
-#include <sstream>
+#include <filesystem>
+#include <optional>
 
 #include "harness/checkpoint.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace p2panon::harness {
 
@@ -153,13 +153,110 @@ std::size_t plan_next_batch(const std::vector<StopTarget>& targets,
   return std::min(remaining, std::min(grow, std::max(want, min_batch)));
 }
 
+AdaptiveOutcome run_batches(const AdaptiveConfig& cfg, std::string_view ns,
+                            std::string_view cell_key, std::uint64_t fingerprint,
+                            std::size_t planned, const BatchCell& cell) {
+  AdaptiveOutcome out;
+  out.replicates_planned = planned;
+  std::size_t done = 0;
+  std::size_t peeks = 0;
+  bool stopped = false;
+  bool complete = false;
+
+  const bool use_ckpt = !cfg.checkpoint.empty();
+  const std::filesystem::path ckpt_path = cfg.checkpoint;
+  const std::string prefix = std::string(ns) + "." + sanitize_key(cell_key) + ".";
+  Checkpoint ckpt;
+
+  if (use_ckpt) {
+    if (auto loaded = Checkpoint::load(ckpt_path)) ckpt = std::move(*loaded);
+    const auto find_u64 = [&](const char* key) -> std::optional<std::uint64_t> {
+      const std::string* v = ckpt.find(prefix + key);
+      return v != nullptr ? decode_u64(*v) : std::nullopt;
+    };
+    const auto stored_done = find_u64("done");
+    const auto stored_peeks = find_u64("peeks");
+    const std::string* st = ckpt.find(prefix + "stopped");
+    const std::string* co = ckpt.find(prefix + "complete");
+    const std::string* bm = ckpt.find(prefix + "bitmap");
+    // Stale (config or cap changed) or torn cell state restarts the cell;
+    // it is never merged. Every batch runs at least one replicate, so
+    // peeks <= done.
+    if (find_u64("fp") == fingerprint && find_u64("planned") == planned && stored_done &&
+        stored_peeks && *stored_done <= planned && *stored_peeks <= *stored_done &&
+        st != nullptr && co != nullptr && bm != nullptr && *bm == bitmap_for(*stored_done) &&
+        cell.decode(ckpt, prefix)) {
+      done = static_cast<std::size_t>(*stored_done);
+      peeks = static_cast<std::size_t>(*stored_peeks);
+      stopped = (*st == "1");
+      complete = (*co == "1");
+      out.resumed = done > 0 || complete;
+    } else {
+      ckpt.erase_prefix(prefix);
+    }
+  }
+
+  std::vector<StopTarget> targets;
+  std::vector<PassTarget> passes;
+  while (!complete && !stopped && done < planned) {
+    std::size_t batch = planned - done;  // fixed count, nothing persisted: one batch
+    if (cfg.adaptive) {
+      cell.targets(done, targets, passes);
+      batch = plan_next_batch(targets, passes, cfg.alpha, peeks + 1, done, planned,
+                              cfg.min_batch);
+    } else if (use_ckpt) {
+      // Checkpointing without adaptivity: doubling batches bound the work a
+      // crash can lose while leaving aggregates identical (fold order is
+      // still replicate-index ascending).
+      batch = std::min(planned - done, std::max(cfg.min_batch, done));
+    }
+    batch = std::max<std::size_t>(batch, 1);
+
+    cell.fold(done, done + batch);
+    done += batch;
+    ++peeks;
+
+    if (cfg.adaptive && done < planned) {
+      cell.targets(done, targets, passes);
+      stopped = anytime_stop(targets, passes, cfg.alpha, peeks);
+    }
+
+    if (use_ckpt) {
+      ckpt.set(prefix + "fp", encode_u64(fingerprint));
+      ckpt.set(prefix + "planned", encode_u64(planned));
+      ckpt.set(prefix + "done", encode_u64(done));
+      ckpt.set(prefix + "peeks", encode_u64(peeks));
+      ckpt.set(prefix + "stopped", stopped ? "1" : "0");
+      ckpt.set(prefix + "complete", stopped || done >= planned ? "1" : "0");
+      ckpt.set(prefix + "bitmap", bitmap_for(done));
+      cell.encode(ckpt, prefix);
+      (void)ckpt.save(ckpt_path);
+      // The kill hook counts saves process-wide, across cells and runners.
+      static std::atomic<std::size_t> saves{0};
+      const std::size_t saved = ++saves;
+      if (cfg.kill_after_batches != 0 && saved >= cfg.kill_after_batches) {
+        // Crash injection for the kill-and-resume gates: die with no
+        // unwinding, no flushing, right after the checkpoint rename — the
+        // closest portable stand-in for SIGKILL at the worst moment.
+        std::_Exit(9);
+      }
+    }
+  }
+
+  out.replicates_used = done;
+  out.batches = peeks;
+  out.stopped_early = stopped && done < planned;
+  out.complete = true;
+  return out;
+}
+
 AdaptiveRunner::AdaptiveRunner(AdaptiveConfig cfg, std::vector<MetricSpec> specs)
     : cfg_(std::move(cfg)), specs_(std::move(specs)) {}
 
 AdaptiveCellResult AdaptiveRunner::run_cell(
     const std::string& cell_key, std::uint64_t fingerprint, std::size_t planned,
     const std::function<std::vector<double>(std::size_t)>& replicate,
-    parallel::ThreadPool* pool) {
+    parallel::ThreadPool* pool) const {
   const std::size_t nspec = specs_.size();
 
   // Fold the metric set and the cap into the fingerprint: changing either
@@ -174,117 +271,55 @@ AdaptiveCellResult AdaptiveRunner::run_cell(
   AdaptiveCellResult out;
   out.metrics.resize(nspec);
   out.sums.assign(nspec, 0.0);
-  out.outcome.replicates_planned = planned;
   std::vector<std::uint64_t> pass_counts(nspec, 0);
   std::uint64_t sample_digest = fnv1a_init();
-  std::size_t done = 0;
-  std::size_t peeks = 0;
-  bool stopped = false;
 
-  const bool use_ckpt = !cfg_.checkpoint.empty();
-  const std::filesystem::path ckpt_path = cfg_.checkpoint;
-  const std::string prefix = "c." + sanitize_key(cell_key) + ".";
-  Checkpoint ckpt;
-
-  auto store_state = [&](bool complete) {
-    ckpt.set(prefix + "fp", encode_u64(fp));
-    ckpt.set(prefix + "planned", encode_u64(planned));
-    ckpt.set(prefix + "done", encode_u64(done));
-    ckpt.set(prefix + "peeks", encode_u64(peeks));
-    ckpt.set(prefix + "stopped", stopped ? "1" : "0");
-    ckpt.set(prefix + "complete", complete ? "1" : "0");
-    ckpt.set(prefix + "bitmap", bitmap_for(done));
+  BatchCell cell;
+  cell.fold = [&](std::size_t begin, std::size_t end) {
+    fold_in_order(pool, begin, end, replicate, [&](const std::vector<double>& row) {
+      for (std::size_t i = 0; i < nspec && i < row.size(); ++i) {
+        out.metrics[i].add(row[i]);
+        if (specs_[i].kind == MetricSpec::Kind::kSum) out.sums[i] += row[i];
+        if (specs_[i].kind == MetricSpec::Kind::kPassRate && row[i] > 0.5) ++pass_counts[i];
+        sample_digest = fnv1a_double(sample_digest, row[i]);
+      }
+    });
+  };
+  cell.encode = [&](Checkpoint& ckpt, const std::string& prefix) {
     ckpt.set(prefix + "samples", encode_u64(sample_digest));
     for (std::size_t i = 0; i < nspec; ++i) {
-      const auto raw = out.metrics[i].raw();
-      std::ostringstream acc;
-      acc << encode_u64(raw.n) << " " << encode_u64(raw.mean_bits) << " "
-          << encode_u64(raw.m2_bits) << " " << encode_u64(raw.min_bits) << " "
-          << encode_u64(raw.max_bits);
-      ckpt.set(prefix + "m" + std::to_string(i), acc.str());
+      ckpt.set(prefix + "m" + std::to_string(i), encode_accumulator(out.metrics[i]));
       ckpt.set(prefix + "s" + std::to_string(i), encode_double(out.sums[i]));
       ckpt.set(prefix + "p" + std::to_string(i), encode_u64(pass_counts[i]));
     }
   };
-
-  auto restore_state = [&]() -> bool {  // true = complete, replay stored result
-    const std::string* stored_fp = ckpt.find(prefix + "fp");
-    const std::string* stored_planned = ckpt.find(prefix + "planned");
-    if (stored_fp == nullptr || decode_u64(*stored_fp) != fp || stored_planned == nullptr ||
-        decode_u64(*stored_planned) != planned) {
-      ckpt.erase_prefix(prefix);  // config changed: this cell restarts
-      return false;
-    }
-    const std::string* d = ckpt.find(prefix + "done");
-    const std::string* k = ckpt.find(prefix + "peeks");
-    const std::string* st = ckpt.find(prefix + "stopped");
-    const std::string* co = ckpt.find(prefix + "complete");
-    const std::string* bm = ckpt.find(prefix + "bitmap");
-    const std::string* sd = ckpt.find(prefix + "samples");
-    if (d == nullptr || k == nullptr || st == nullptr || co == nullptr || bm == nullptr ||
-        sd == nullptr) {
-      ckpt.erase_prefix(prefix);
-      return false;
-    }
-    const auto done_v = decode_u64(*d);
-    const auto peeks_v = decode_u64(*k);
-    const auto digest_v = decode_u64(*sd);
-    if (!done_v || !peeks_v || !digest_v || *done_v > planned || *bm != bitmap_for(*done_v)) {
-      ckpt.erase_prefix(prefix);
-      return false;
-    }
+  cell.decode = [&](const Checkpoint& ckpt, const std::string& prefix) {
+    const auto field = [&](const std::string& key) {
+      const std::string* v = ckpt.find(prefix + key);
+      return v != nullptr ? *v : std::string();
+    };
+    const auto digest = decode_u64(field("samples"));
+    if (!digest) return false;
     std::vector<metrics::Accumulator> accs(nspec);
     std::vector<double> sums(nspec, 0.0);
     std::vector<std::uint64_t> pcs(nspec, 0);
     for (std::size_t i = 0; i < nspec; ++i) {
-      const std::string* acc = ckpt.find(prefix + "m" + std::to_string(i));
-      const std::string* sum = ckpt.find(prefix + "s" + std::to_string(i));
-      const std::string* pc = ckpt.find(prefix + "p" + std::to_string(i));
-      if (acc == nullptr || sum == nullptr || pc == nullptr) {
-        ckpt.erase_prefix(prefix);
-        return false;
-      }
-      std::istringstream fields(*acc);
-      std::string n, mean, m2, mn, mx;
-      fields >> n >> mean >> m2 >> mn >> mx;
-      const auto nv = decode_u64(n);
-      const auto meanv = decode_u64(mean);
-      const auto m2v = decode_u64(m2);
-      const auto mnv = decode_u64(mn);
-      const auto mxv = decode_u64(mx);
-      const auto sumv = decode_double(*sum);
-      const auto pcv = decode_u64(*pc);
-      if (!nv || !meanv || !m2v || !mnv || !mxv || !sumv || !pcv) {
-        ckpt.erase_prefix(prefix);
-        return false;
-      }
-      accs[i] = metrics::Accumulator::from_raw({*nv, *meanv, *m2v, *mnv, *mxv});
-      sums[i] = *sumv;
-      pcs[i] = *pcv;
+      const auto acc = decode_accumulator(field("m" + std::to_string(i)));
+      const auto sum = decode_double(field("s" + std::to_string(i)));
+      const auto pc = decode_u64(field("p" + std::to_string(i)));
+      if (!acc || !sum || !pc) return false;
+      accs[i] = *acc;
+      sums[i] = *sum;
+      pcs[i] = *pc;
     }
     out.metrics = std::move(accs);
     out.sums = std::move(sums);
     pass_counts = std::move(pcs);
-    done = *done_v;
-    peeks = *peeks_v;
-    sample_digest = *digest_v;
-    stopped = (*st == "1");
-    out.outcome.resumed = done > 0 || *co == "1";
-    return *co == "1";
+    sample_digest = *digest;
+    return true;
   };
-
-  if (use_ckpt) {
-    if (auto loaded = Checkpoint::load(ckpt_path)) ckpt = std::move(*loaded);
-    if (restore_state()) {
-      out.outcome.replicates_used = done;
-      out.outcome.batches = peeks;
-      out.outcome.stopped_early = stopped && done < planned;
-      out.outcome.complete = true;
-      return out;
-    }
-  }
-
-  auto build_targets = [&](std::vector<StopTarget>& targets, std::vector<PassTarget>& passes) {
+  cell.targets = [&](std::size_t done, std::vector<StopTarget>& targets,
+                     std::vector<PassTarget>& passes) {
     targets.clear();
     passes.clear();
     for (std::size_t i = 0; i < nspec; ++i) {
@@ -298,70 +333,7 @@ AdaptiveCellResult AdaptiveRunner::run_cell(
     }
   };
 
-  std::vector<StopTarget> targets;
-  std::vector<PassTarget> passes;
-  while (done < planned && !stopped) {
-    std::size_t batch;
-    if (!cfg_.adaptive && !use_ckpt) {
-      batch = planned - done;  // fixed-count fast path: one batch, zero overhead
-    } else if (!cfg_.adaptive) {
-      // Checkpointing without adaptivity: doubling batches bound the work a
-      // crash can lose while leaving aggregates identical (fold order is
-      // still replicate-index ascending).
-      batch = std::min(planned - done, std::max(cfg_.min_batch, done));
-      batch = std::max<std::size_t>(batch, 1);
-    } else {
-      build_targets(targets, passes);
-      batch = plan_next_batch(targets, passes, cfg_.alpha, peeks + 1, done, planned,
-                              cfg_.min_batch);
-      batch = std::max<std::size_t>(batch, 1);
-    }
-
-    std::vector<std::vector<double>> samples(batch);
-    if (pool != nullptr) {
-      parallel::parallel_for(*pool, 0, batch,
-                             [&](std::size_t b) { samples[b] = replicate(done + b); });
-    } else {
-      for (std::size_t b = 0; b < batch; ++b) samples[b] = replicate(done + b);
-    }
-
-    // Fold strictly in replicate-index order: results are independent of
-    // batching, pool size, and whether the run was ever interrupted.
-    for (std::size_t b = 0; b < batch; ++b) {
-      const std::vector<double>& row = samples[b];
-      for (std::size_t i = 0; i < nspec && i < row.size(); ++i) {
-        out.metrics[i].add(row[i]);
-        if (specs_[i].kind == MetricSpec::Kind::kSum) out.sums[i] += row[i];
-        if (specs_[i].kind == MetricSpec::Kind::kPassRate && row[i] > 0.5) ++pass_counts[i];
-        sample_digest = fnv1a_double(sample_digest, row[i]);
-      }
-    }
-    done += batch;
-    ++peeks;
-
-    if (cfg_.adaptive && done < planned) {
-      build_targets(targets, passes);
-      stopped = anytime_stop(targets, passes, cfg_.alpha, peeks);
-    }
-
-    if (use_ckpt) {
-      const bool complete = stopped || done >= planned;
-      store_state(complete);
-      (void)ckpt.save(ckpt_path);
-      ++saves_this_run_;
-      if (cfg_.kill_after_batches != 0 && saves_this_run_ >= cfg_.kill_after_batches) {
-        // Crash injection for the kill-and-resume gates: die with no
-        // unwinding, no flushing, right after the checkpoint rename — the
-        // closest portable stand-in for SIGKILL at the worst moment.
-        std::_Exit(9);
-      }
-    }
-  }
-
-  out.outcome.replicates_used = done;
-  out.outcome.batches = peeks;
-  out.outcome.stopped_early = stopped && done < planned;
-  out.outcome.complete = true;
+  out.outcome = run_batches(cfg_, "c", cell_key, fp, planned, cell);
   return out;
 }
 

@@ -1,8 +1,17 @@
-// Adaptive sequential stopping with checkpoint/resume for sweep harnesses.
+// The replication loop: one batch driver for every replicated sweep cell,
+// with sequential stopping and checkpoint/resume.
 //
-// Every ablation/attack/chaos sweep used to run a fixed replicate count
-// regardless of variance, and a crash at schedule 187/200 threw everything
-// away. AdaptiveRunner replaces both weaknesses:
+// run_batches is the only loop that runs replicates. It sizes batches,
+// folds each batch in replicate-index order, peeks after every batch, and
+// saves/resumes cell state; the cell supplies only its state (fold, encode,
+// decode, stop targets). Two entry points drive it:
+//
+//  * AdaptiveRunner::run_cell — cells of per-replicate double columns
+//    (chaos and attack sweeps, scale_full_scenario);
+//  * run_replicated / run_replicated_adaptive (harness/replicate.hpp) —
+//    cells holding a full ReplicatedResult.
+//
+// What the driver adds on top of a fixed replicate count:
 //
 //  * Sequential stopping — batches are planned with Hoeffding + a union
 //    bound over the tracked metrics, anytime (alpha-spending) confidence
@@ -10,17 +19,19 @@
 //    invariants stop on a Hoeffding pass-rate lower bound, and a cell stops
 //    the moment every target interval is within ±eps — under a hard
 //    replicate cap (the planned fixed count, so adaptivity only ever saves
-//    work). Default-off and bitwise-inert: with `adaptive = false` and no
-//    checkpoint the runner degrades to exactly the fixed-count behaviour.
+//    work). Default-off: with `adaptive = false` and no checkpoint a cell
+//    runs all its replicates as one batch, which is the fixed-count run.
 //
-//  * Checkpoint/resume — after each batch the full cell state (metric
-//    accumulators, exact sums, completed-replicate bitmap, sample digest,
-//    config fingerprint) is serialised bit-exactly through
-//    harness::Checkpoint (write-temp + atomic rename). Because replicate i
-//    is a pure deterministic function of i (seed = base + i), a run killed
-//    at any instant and resumed from its checkpoint produces numerically
-//    identical final aggregates to an uninterrupted run — asserted by the
-//    kill-and-resume gates (tests/harness/adaptive_smoke.py).
+//  * Checkpoint/resume — after each batch the full cell state plus the
+//    driver's own (config fingerprint, cap, progress, completed-replicate
+//    bitmap) is serialised bit-exactly through harness::Checkpoint
+//    (write-temp + atomic rename). Because replicate i is a pure
+//    deterministic function of i (seed = base + i), a run killed at any
+//    instant and resumed from its checkpoint produces numerically identical
+//    final aggregates to an uninterrupted run — asserted by the
+//    kill-and-resume gates (tests/harness/adaptive_smoke.py). A stored cell
+//    that is stale (fingerprint or cap changed) or torn (any record missing
+//    or malformed) restarts from scratch.
 //
 // The math is documented in DESIGN.md §3.12.
 #pragma once
@@ -28,12 +39,17 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "metrics/stats.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace p2panon::harness {
+
+class Checkpoint;
 
 /// Knobs of the sequential-stopping layer. Default-constructed: adaptivity
 /// off, no checkpointing — the proven-inert configuration.
@@ -43,10 +59,12 @@ struct AdaptiveConfig {
   double alpha = 0.05;       ///< anytime error budget across all peeks & metrics
   std::size_t min_batch = 8; ///< first batch size / smallest planning quantum
   std::string checkpoint;    ///< checkpoint file path; empty = no checkpointing
-  /// Crash-testing hook: once the checkpoint for the N-th batch of a cell is
-  /// on disk, terminate the process abruptly (std::_Exit, no unwinding — a
-  /// faithful SIGKILL stand-in). 0 = off. Driven by the kill-and-resume
-  /// gates; also settable via --kill-after-batch / P2PANON_KILL_AFTER_BATCH.
+  /// Crash-testing hook: once the N-th checkpoint save of this process is on
+  /// disk (one counter across all cells, so a crash can land in the middle
+  /// of a multi-cell sweep), terminate the process abruptly (std::_Exit, no
+  /// unwinding — a faithful SIGKILL stand-in). 0 = off. Driven by the
+  /// kill-and-resume gates; also settable via --kill-after-batch /
+  /// P2PANON_KILL_AFTER_BATCH.
   std::size_t kill_after_batches = 0;
 };
 
@@ -91,8 +109,7 @@ struct AdaptiveCellResult {
   AdaptiveOutcome outcome;
 };
 
-// --- Shared sequential-stopping arithmetic (pure, deterministic) -----------
-// Used by AdaptiveRunner and by the scenario-level run_replicated_adaptive.
+// --- Sequential-stopping arithmetic (pure, deterministic) -------------------
 
 /// View over one mean-CI stopping target.
 struct StopTarget {
@@ -126,6 +143,50 @@ struct PassTarget {
                                           double alpha, std::size_t peek, std::size_t done,
                                           std::size_t planned, std::size_t min_batch);
 
+// --- The batch driver -------------------------------------------------------
+
+/// One sweep cell's state, as the batch driver sees it.
+struct BatchCell {
+  /// Run replicates [begin, end) and fold them into the state in index order.
+  std::function<void(std::size_t begin, std::size_t end)> fold;
+  /// Write the state into `ckpt` under keys starting with `prefix`.
+  std::function<void(Checkpoint& ckpt, const std::string& prefix)> encode;
+  /// Restore the state from `ckpt`. False = torn record; the state must then
+  /// be left untouched (the cell restarts from scratch).
+  std::function<bool(const Checkpoint& ckpt, const std::string& prefix)> decode;
+  /// The current stopping targets, pointing into the state, after `done`
+  /// replicates.
+  std::function<void(std::size_t done, std::vector<StopTarget>& targets,
+                     std::vector<PassTarget>& passes)>
+      targets;
+};
+
+/// Run one cell of `planned` replicates under `cfg`: the one replication
+/// loop. Fixed count without a checkpoint folds all replicates as a single
+/// batch; a checkpoint alone uses doubling batches (bounding the work a
+/// crash can lose); adaptivity plans batches and stops early. The cell's
+/// checkpoint records live under "<ns>.<cell_key>." and resume only if
+/// `fingerprint` and `planned` match what was stored.
+[[nodiscard]] AdaptiveOutcome run_batches(const AdaptiveConfig& cfg, std::string_view ns,
+                                          std::string_view cell_key, std::uint64_t fingerprint,
+                                          std::size_t planned, const BatchCell& cell);
+
+/// Compute replicate(i) for i in [begin, end) — across `pool` when given,
+/// else serially — then fold(result) for each in index order, so results
+/// never depend on the pool size.
+template <class Replicate, class Fold>
+void fold_in_order(parallel::ThreadPool* pool, std::size_t begin, std::size_t end,
+                   const Replicate& replicate, const Fold& fold) {
+  std::vector<std::invoke_result_t<const Replicate&, std::size_t>> rows(end - begin);
+  if (pool != nullptr) {
+    parallel::parallel_for(*pool, 0, rows.size(),
+                           [&](std::size_t b) { rows[b] = replicate(begin + b); });
+  } else {
+    for (std::size_t b = 0; b < rows.size(); ++b) rows[b] = replicate(begin + b);
+  }
+  for (const auto& row : rows) fold(row);
+}
+
 /// Sequential-stopping runner for sweeps whose replicate `i` is a pure
 /// deterministic function of `i` (seeded `base + i` by convention).
 class AdaptiveRunner {
@@ -142,7 +203,7 @@ class AdaptiveRunner {
   [[nodiscard]] AdaptiveCellResult run_cell(
       const std::string& cell_key, std::uint64_t fingerprint, std::size_t planned,
       const std::function<std::vector<double>(std::size_t)>& replicate,
-      parallel::ThreadPool* pool = nullptr);
+      parallel::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const AdaptiveConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const std::vector<MetricSpec>& specs() const noexcept { return specs_; }
@@ -150,10 +211,6 @@ class AdaptiveRunner {
  private:
   AdaptiveConfig cfg_;
   std::vector<MetricSpec> specs_;
-  /// Checkpoint saves performed by this process across all cells — the
-  /// kill_after_batches hook counts these, so an injected crash can land in
-  /// the middle of a multi-cell sweep.
-  std::size_t saves_this_run_ = 0;
 };
 
 }  // namespace p2panon::harness

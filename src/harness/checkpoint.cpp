@@ -78,6 +78,24 @@ std::optional<double> decode_double(std::string_view s) noexcept {
   return std::bit_cast<double>(*bits);
 }
 
+std::string encode_accumulator(const metrics::Accumulator& acc) {
+  const auto raw = acc.raw();
+  return encode_u64(raw.n) + " " + encode_u64(raw.mean_bits) + " " + encode_u64(raw.m2_bits) +
+         " " + encode_u64(raw.min_bits) + " " + encode_u64(raw.max_bits);
+}
+
+std::optional<metrics::Accumulator> decode_accumulator(const std::string& s) {
+  std::istringstream in(s);
+  std::string tok;
+  std::uint64_t v[5] = {};
+  for (std::uint64_t& x : v) {
+    const auto d = (in >> tok) ? decode_u64(tok) : std::nullopt;
+    if (!d) return std::nullopt;
+    x = *d;
+  }
+  return metrics::Accumulator::from_raw({v[0], v[1], v[2], v[3], v[4]});
+}
+
 void Checkpoint::set(std::string key, std::string value) {
   for (auto& [k, v] : records_) {
     if (k == key) {

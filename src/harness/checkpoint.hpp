@@ -25,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include "metrics/stats.hpp"
+
 namespace p2panon::harness {
 
 /// Atomically replace `path` with `payload` (write temp + rename).
@@ -57,6 +59,9 @@ namespace p2panon::harness {
 [[nodiscard]] std::optional<double> decode_double(std::string_view s) noexcept;
 [[nodiscard]] std::string encode_u64(std::uint64_t v);
 [[nodiscard]] std::optional<std::uint64_t> decode_u64(std::string_view s) noexcept;
+/// metrics::Accumulator::Raw as five space-separated encode_u64 tokens.
+[[nodiscard]] std::string encode_accumulator(const metrics::Accumulator& acc);
+[[nodiscard]] std::optional<metrics::Accumulator> decode_accumulator(const std::string& s);
 
 /// Checkpoint file: ordered (key, value) records under a versioned header,
 /// closed by a whole-file FNV-1a digest line. `load` refuses a file whose

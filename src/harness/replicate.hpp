@@ -101,6 +101,102 @@ struct ReplicatedResult {
   }
 };
 
+/// Merge rules of the ReplicatedResult field table.
+namespace rule {
+struct Sum {};      ///< exact counter: add the replicate's count
+struct And {};      ///< invariant flag: true only if every replicate held it
+struct AddMean {};  ///< across-replicate accumulator of per-replicate means
+struct Merge {};    ///< pooled per-event samples: Accumulator::merge
+}  // namespace rule
+
+/// The ReplicatedResult field table: calls
+/// `row(key, &ReplicatedResult::member, source, rule)` once per field, where
+/// `key` names the field in checkpoints and `source` is the ScenarioResult
+/// member (or getter) each replicate contributes. The fold, the checkpoint
+/// codec and the determinism tests all loop over this table, so a new field
+/// needs one row here. Pooled samples and the new-edge-fraction curve are
+/// vectors and keep their explicit code.
+template <class Row>
+void for_each_result_field(Row&& row) {
+  using R = ReplicatedResult;
+  using S = ScenarioResult;
+  row("good_payoff", &R::good_payoff, &S::good_payoff, rule::AddMean{});
+  row("member_payoff", &R::member_payoff, &S::member_payoff, rule::AddMean{});
+  row("forwarder_set_size", &R::forwarder_set_size, &S::forwarder_set_size, rule::AddMean{});
+  row("avg_path_length", &R::avg_path_length, &S::avg_path_length, rule::AddMean{});
+  row("path_quality", &R::path_quality, &S::path_quality, rule::AddMean{});
+  row("initiator_utility", &R::initiator_utility, &S::initiator_utility, rule::AddMean{});
+  row("initiator_spend", &R::initiator_spend, &S::initiator_spend, rule::AddMean{});
+  row("routing_efficiency", &R::routing_efficiency, &S::routing_efficiency, rule::AddMean{});
+  row("connection_latency", &R::connection_latency, &S::connection_latency, rule::AddMean{});
+  row("delivery_ratio", &R::delivery_ratio, &S::delivery_ratio, rule::AddMean{});
+  row("setup_time", &R::setup_time, &S::setup_time, rule::Merge{});
+  row("time_to_detect", &R::time_to_detect, &S::time_to_detect, rule::Merge{});
+  row("total_reformations", &R::total_reformations, &S::reformations, rule::Sum{});
+  row("total_churn_events", &R::total_churn_events, &S::churn_events, rule::Sum{});
+  row("all_payments_conserved", &R::all_payments_conserved, &S::payment_conserved, rule::And{});
+  row("total_connections_completed", &R::total_connections_completed,
+      &S::connections_completed, rule::Sum{});
+  row("total_connections_failed", &R::total_connections_failed, &S::connections_failed,
+      rule::Sum{});
+  row("total_setup_attempts", &R::total_setup_attempts, &S::setup_attempts, rule::Sum{});
+  row("total_ack_timeouts", &R::total_ack_timeouts, &S::setup_ack_timeouts, rule::Sum{});
+  row("total_crashes", &R::total_crashes, &S::crashes, rule::Sum{});
+  row("total_messages_dropped", &R::total_messages_dropped, &S::messages_dropped, rule::Sum{});
+  row("total_keepalives_sent", &R::total_keepalives_sent, &S::keepalives_sent, rule::Sum{});
+  row("total_keepalives_delivered", &R::total_keepalives_delivered, &S::keepalives_delivered,
+      rule::Sum{});
+  row("total_engine_events_scheduled", &R::total_engine_events_scheduled,
+      &S::engine_events_scheduled, rule::Sum{});
+  row("total_engine_events_cancelled", &R::total_engine_events_cancelled,
+      &S::engine_events_cancelled, rule::Sum{});
+  row("total_engine_events_fired", &R::total_engine_events_fired, &S::engine_events_fired,
+      rule::Sum{});
+  row("total_engine_callback_heap_allocs", &R::total_engine_callback_heap_allocs,
+      &S::engine_callback_heap_allocs, rule::Sum{});
+  row("total_engine_cross_shard_messages", &R::total_engine_cross_shard_messages,
+      &S::engine_cross_shard_messages, rule::Sum{});
+  row("total_engine_window_barriers", &R::total_engine_window_barriers,
+      &S::engine_window_barriers, rule::Sum{});
+  row("total_settlements_closed", &R::total_settlements_closed, &S::settlements_closed,
+      rule::Sum{});
+  row("total_settlements_abandoned", &R::total_settlements_abandoned, &S::settlements_abandoned,
+      rule::Sum{});
+  row("total_settlements_expired", &R::total_settlements_expired, &S::settlements_expired,
+      rule::Sum{});
+  row("total_settlements_prorata", &R::total_settlements_prorata, &S::settlements_prorata,
+      rule::Sum{});
+  row("total_claims_submitted", &R::total_claims_submitted, &S::claims_submitted, rule::Sum{});
+  row("total_claims_lost", &R::total_claims_lost, &S::claims_lost, rule::Sum{});
+  row("total_claims_rejected", &R::total_claims_rejected, &S::claims_rejected, rule::Sum{});
+  row("total_claims_after_terminal", &R::total_claims_after_terminal,
+      &S::claims_after_terminal, rule::Sum{});
+  row("total_settlement_escrow_milli", &R::total_settlement_escrow_milli,
+      &S::settlement_escrow_milli, rule::Sum{});
+  row("total_settlement_paid_milli", &R::total_settlement_paid_milli, &S::settlement_paid_milli,
+      rule::Sum{});
+  row("total_settlement_refunded_milli", &R::total_settlement_refunded_milli,
+      &S::settlement_refunded_milli, rule::Sum{});
+  row("all_settlements_reconciled", &R::all_settlements_reconciled, &S::settlement_reconciled,
+      rule::And{});
+  row("total_transport_frames_sent", &R::total_transport_frames_sent,
+      &S::transport_frames_sent, rule::Sum{});
+  row("total_transport_frames_delivered", &R::total_transport_frames_delivered,
+      &S::transport_frames_delivered, rule::Sum{});
+  row("total_transport_frames_dropped", &R::total_transport_frames_dropped,
+      &S::transport_frames_dropped, rule::Sum{});
+  row("total_transport_frames_rejected", &R::total_transport_frames_rejected,
+      &S::transport_frames_rejected, rule::Sum{});
+  row("total_transport_reconnects", &R::total_transport_reconnects, &S::transport_reconnects,
+      rule::Sum{});
+  row("total_transport_backoff_retries", &R::total_transport_backoff_retries,
+      &S::transport_backoff_retries, rule::Sum{});
+  row("total_transport_heartbeat_timeouts", &R::total_transport_heartbeat_timeouts,
+      &S::transport_heartbeat_timeouts, rule::Sum{});
+  row("total_transport_deadline_expiries", &R::total_transport_deadline_expiries,
+      &S::transport_deadline_expiries, rule::Sum{});
+}
+
 /// Run `replicates` independent replicates of `base` (seed = base.seed + r).
 /// `pool` may be nullptr for serial execution.
 [[nodiscard]] ReplicatedResult run_replicated(const ScenarioConfig& base, std::size_t replicates,
@@ -134,15 +230,15 @@ struct AdaptiveReplicatedResult {
 /// on resume, never silently merged.
 [[nodiscard]] std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept;
 
-/// run_replicated with a sequential-stopping layer on top.
+/// run_replicated under the options of `adaptive` (see run_batches).
 ///
-/// With `adaptive.adaptive` off and no checkpoint path, this is exactly
-/// run_replicated(base, planned, pool) — same replicates, same fold order,
-/// bitwise-identical aggregates. With adaptivity on, replication stops at
-/// the first batch boundary where every tracked metric's anytime interval
-/// is within ±eps (planned stays the hard cap). With a checkpoint path set,
-/// the full ReplicatedResult state is persisted after every batch and a
-/// killed run resumes bit-exactly.
+/// With `adaptive.adaptive` off and no checkpoint path, this is
+/// run_replicated(base, planned, pool), and `intervals` are the plain
+/// confidence intervals. With adaptivity on, replication stops at the first
+/// batch boundary where every tracked metric's anytime interval is within
+/// ±eps (planned stays the hard cap). With a checkpoint path set, the full
+/// ReplicatedResult state is persisted after every batch under
+/// "r.<cell_key>." and a killed run resumes bit-exactly.
 [[nodiscard]] AdaptiveReplicatedResult run_replicated_adaptive(
     const ScenarioConfig& base, std::size_t planned, const AdaptiveConfig& adaptive,
     const std::vector<TrackedScenarioMetric>& tracked, parallel::ThreadPool* pool = nullptr,

@@ -20,11 +20,13 @@
 #include <utility>
 #include <vector>
 
+#include "expect_bits.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/replicate.hpp"
 
 using namespace p2panon;
 using namespace p2panon::harness;
+using harness_test::expect_bits_eq;
 
 namespace {
 
@@ -40,16 +42,6 @@ std::vector<double> synthetic(std::size_t i, double spread) {
   return {5.0 + spread * std::sin(static_cast<double>(i) * 0.73), 1.0};
 }
 
-void expect_acc_bits_eq(const metrics::Accumulator& a, const metrics::Accumulator& b) {
-  const auto ra = a.raw();
-  const auto rb = b.raw();
-  EXPECT_EQ(ra.n, rb.n);
-  EXPECT_EQ(ra.mean_bits, rb.mean_bits);
-  EXPECT_EQ(ra.m2_bits, rb.m2_bits);
-  EXPECT_EQ(ra.min_bits, rb.min_bits);
-  EXPECT_EQ(ra.max_bits, rb.max_bits);
-}
-
 ScenarioConfig tiny_config(std::uint64_t seed = 1) {
   ScenarioConfig cfg = paper_default_config(seed);
   cfg.overlay.node_count = 15;
@@ -59,24 +51,6 @@ ScenarioConfig tiny_config(std::uint64_t seed = 1) {
   cfg.warmup = sim::minutes(20.0);
   cfg.pair_start_window = sim::minutes(20.0);
   return cfg;
-}
-
-void expect_replicated_bits_eq(const ReplicatedResult& a, const ReplicatedResult& b) {
-  EXPECT_EQ(a.replicates, b.replicates);
-  expect_acc_bits_eq(a.good_payoff, b.good_payoff);
-  expect_acc_bits_eq(a.forwarder_set_size, b.forwarder_set_size);
-  expect_acc_bits_eq(a.delivery_ratio, b.delivery_ratio);
-  expect_acc_bits_eq(a.connection_latency, b.connection_latency);
-  EXPECT_EQ(a.pooled_good_payoffs, b.pooled_good_payoffs);
-  EXPECT_EQ(a.pooled_member_payoffs, b.pooled_member_payoffs);
-  EXPECT_EQ(a.total_reformations, b.total_reformations);
-  EXPECT_EQ(a.total_churn_events, b.total_churn_events);
-  EXPECT_EQ(a.total_settlement_escrow_milli, b.total_settlement_escrow_milli);
-  EXPECT_EQ(a.all_payments_conserved, b.all_payments_conserved);
-  ASSERT_EQ(a.new_edge_fraction_by_conn.size(), b.new_edge_fraction_by_conn.size());
-  for (std::size_t i = 0; i < a.new_edge_fraction_by_conn.size(); ++i) {
-    expect_acc_bits_eq(a.new_edge_fraction_by_conn[i], b.new_edge_fraction_by_conn[i]);
-  }
 }
 
 }  // namespace
@@ -187,10 +161,10 @@ TEST(AdaptiveRunner, FixedModeMatchesManualFold) {
                                     [](std::size_t i) { return synthetic(i, 1.0); });
   metrics::Accumulator manual;
   for (std::size_t i = 0; i < 16; ++i) manual.add(synthetic(i, 1.0)[0]);
-  expect_acc_bits_eq(cell.metrics[0], manual);
+  expect_bits_eq(cell.metrics[0], manual);
   EXPECT_EQ(cell.outcome.replicates_used, 16u);
   EXPECT_EQ(cell.outcome.replicates_planned, 16u);
-  EXPECT_EQ(cell.outcome.batches, 1u);  // fixed fast path: one batch
+  EXPECT_EQ(cell.outcome.batches, 1u);  // fixed count: one batch
   EXPECT_FALSE(cell.outcome.stopped_early);
   EXPECT_FALSE(cell.outcome.resumed);
   EXPECT_TRUE(cell.outcome.complete);
@@ -203,8 +177,8 @@ TEST(AdaptiveRunner, ParallelFoldMatchesSerialBitwise) {
                                       [](std::size_t i) { return synthetic(i, 1.0); });
   const auto par = runner.run_cell("par", 1, 24,
                                    [](std::size_t i) { return synthetic(i, 1.0); }, &pool);
-  expect_acc_bits_eq(serial.metrics[0], par.metrics[0]);
-  expect_acc_bits_eq(serial.metrics[1], par.metrics[1]);
+  expect_bits_eq(serial.metrics[0], par.metrics[0]);
+  expect_bits_eq(serial.metrics[1], par.metrics[1]);
 }
 
 TEST(AdaptiveRunner, CheckpointingAloneIsBitwiseInert) {
@@ -219,8 +193,8 @@ TEST(AdaptiveRunner, CheckpointingAloneIsBitwiseInert) {
                                 [](std::size_t i) { return synthetic(i, 1.0); });
   const auto b = saver.run_cell("cell", 7, 24,
                                 [](std::size_t i) { return synthetic(i, 1.0); });
-  expect_acc_bits_eq(a.metrics[0], b.metrics[0]);
-  expect_acc_bits_eq(a.metrics[1], b.metrics[1]);
+  expect_bits_eq(a.metrics[0], b.metrics[0]);
+  expect_bits_eq(a.metrics[1], b.metrics[1]);
   EXPECT_EQ(a.outcome.replicates_used, b.outcome.replicates_used);
   EXPECT_GT(b.outcome.batches, 1u);
   EXPECT_TRUE(std::filesystem::exists(ckpt));
@@ -243,8 +217,8 @@ TEST(AdaptiveRunner, CompletedCellReplaysFromCheckpointWithoutRerunning) {
   EXPECT_EQ(calls, 12u);  // replayed, not recomputed
   EXPECT_TRUE(b.outcome.resumed);
   EXPECT_TRUE(b.outcome.complete);
-  expect_acc_bits_eq(a.metrics[0], b.metrics[0]);
-  expect_acc_bits_eq(a.metrics[1], b.metrics[1]);
+  expect_bits_eq(a.metrics[0], b.metrics[0]);
+  expect_bits_eq(a.metrics[1], b.metrics[1]);
 }
 
 TEST(AdaptiveRunner, FingerprintMismatchDiscardsStoredCell) {
@@ -366,9 +340,13 @@ TEST(AdaptiveRunner, SumColumnsAreExactAndNeverGateStopping) {
 }
 
 // The kill hook dies with std::_Exit(9) right after a checkpoint rename;
-// gtest death tests fork, so the parent survives to resume from the file
-// the killed child left behind — the in-process kill-and-resume gate.
+// the death test runs in a child process, so the parent survives to resume
+// from the file the killed child left behind — the in-process
+// kill-and-resume gate. "threadsafe" death tests re-execute the binary, so
+// the child's process-wide save counter starts at zero whatever checkpoint
+// tests ran before it in this process.
 TEST(AdaptiveRunnerDeathTest, KilledRunResumesBitExactly) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const auto ckpt = temp_path("adaptive_kill.ckpt");
   AdaptiveConfig cfg;
   cfg.checkpoint = ckpt.string();
@@ -393,8 +371,8 @@ TEST(AdaptiveRunnerDeathTest, KilledRunResumesBitExactly) {
 
   AdaptiveRunner uninterrupted(AdaptiveConfig{}, two_specs());
   const auto clean = uninterrupted.run_cell("cell", 7, 24, replicate);
-  expect_acc_bits_eq(clean.metrics[0], resumed.metrics[0]);
-  expect_acc_bits_eq(clean.metrics[1], resumed.metrics[1]);
+  expect_bits_eq(clean.metrics[0], resumed.metrics[0]);
+  expect_bits_eq(clean.metrics[1], resumed.metrics[1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +383,7 @@ TEST(RunReplicatedAdaptive, OffModeIsBitwiseIdenticalToRunReplicated) {
   const ReplicatedResult fixed = run_replicated(tiny_config(), 3);
   const AdaptiveReplicatedResult wrapped =
       run_replicated_adaptive(tiny_config(), 3, AdaptiveConfig{}, {});
-  expect_replicated_bits_eq(fixed, wrapped.result);
+  expect_bits_eq(fixed, wrapped.result);
   EXPECT_EQ(wrapped.outcome.replicates_used, 3u);
   EXPECT_FALSE(wrapped.outcome.stopped_early);
   EXPECT_TRUE(wrapped.outcome.complete);
@@ -424,28 +402,64 @@ TEST(RunReplicatedAdaptive, TrackedIntervalsComeBackInOrder) {
 }
 
 TEST(RunReplicatedAdaptiveDeathTest, KilledSweepResumesBitExactly) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const auto ckpt = temp_path("replicate_kill.ckpt");
   AdaptiveConfig cfg;
   cfg.checkpoint = ckpt.string();
   cfg.min_batch = 2;
+  // Message and bank faults, so the transport and settlement totals that
+  // cross the checkpoint are nonzero.
+  ScenarioConfig faulty = tiny_config();
+  faulty.fault.link_loss = 0.05;
+  faulty.fault.bank.claim_loss = 0.2;
 
   AdaptiveConfig killing = cfg;
   killing.kill_after_batches = 1;  // dies after 2 of 4 replicates
   EXPECT_EXIT(
       {
-        const auto r = run_replicated_adaptive(tiny_config(), 4, killing, {});
+        const auto r = run_replicated_adaptive(faulty, 4, killing, {});
         (void)r;
       },
       ::testing::ExitedWithCode(9), "");
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
-  const AdaptiveReplicatedResult resumed =
-      run_replicated_adaptive(tiny_config(), 4, cfg, {});
+  const AdaptiveReplicatedResult resumed = run_replicated_adaptive(faulty, 4, cfg, {});
   EXPECT_TRUE(resumed.outcome.resumed);
   EXPECT_EQ(resumed.outcome.replicates_used, 4u);
 
+  const ReplicatedResult clean = run_replicated(faulty, 4);
+  EXPECT_GT(clean.total_transport_frames_sent, 0u);
+  EXPECT_GT(clean.total_claims_lost, 0u);
+  expect_bits_eq(clean, resumed.result);
+}
+
+TEST(RunReplicatedAdaptive, HostileCheckpointRecordRestartsTheCell) {
+  // The file digest proves a checkpoint is whole, not honest: anyone can
+  // recompute it. A sample list claiming more samples than it holds, or a
+  // curve of the wrong length, must restart the cell — never size an
+  // allocation from the stored count.
   const ReplicatedResult clean = run_replicated(tiny_config(), 4);
-  expect_replicated_bits_eq(clean, resumed.result);
+  const std::vector<std::pair<std::string, std::string>> hostile = {
+      {"r.cell.pooled_good", "ffffffffffffffff"},
+      {"r.cell.nef.count", "0000ffffffffffff"},
+  };
+  for (const auto& [key, value] : hostile) {
+    SCOPED_TRACE(key);
+    const auto ckpt = temp_path("hostile.ckpt");
+    AdaptiveConfig cfg;
+    cfg.checkpoint = ckpt.string();
+    (void)run_replicated_adaptive(tiny_config(), 4, cfg, {});
+    auto stored = Checkpoint::load(ckpt);
+    ASSERT_TRUE(stored.has_value());
+    ASSERT_NE(stored->find(key), nullptr);
+    stored->set(key, value);
+    ASSERT_TRUE(stored->save(ckpt));
+
+    const AdaptiveReplicatedResult resumed =
+        run_replicated_adaptive(tiny_config(), 4, cfg, {});
+    EXPECT_FALSE(resumed.outcome.resumed);
+    expect_bits_eq(clean, resumed.result);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,21 +7,22 @@
 // path into shared-looking (but per-replicate) caches, so this is the test
 // that would catch a cache accidentally shared across replicate threads —
 // EXPECT_DOUBLE_EQ tolerance would mask exactly the low-bit divergence such a
-// leak produces first, hence the bit_cast comparisons.
+// leak produces first, hence the full-bit comparisons of expect_bits.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "expect_bits.hpp"
 #include "harness/replicate.hpp"
 #include "parallel/thread_pool.hpp"
 
 using namespace p2panon;
 using namespace p2panon::harness;
+using harness_test::expect_bits_eq;
 
 namespace {
 
@@ -35,92 +36,6 @@ ScenarioConfig stress_config(std::uint64_t seed = 17) {
   cfg.warmup = sim::minutes(20.0);
   cfg.pair_start_window = sim::minutes(20.0);
   return cfg;
-}
-
-/// Bitwise double equality: distinguishes -0.0 from 0.0 and admits no ULP
-/// slack, because the determinism contract is *bitwise* reproduction.
-void expect_biteq(double a, double b, const char* what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
-      << what << ": " << a << " vs " << b;
-}
-
-void expect_biteq(const std::vector<double>& a, const std::vector<double>& b,
-                  const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i]))
-        << what << "[" << i << "]: " << a[i] << " vs " << b[i];
-  }
-}
-
-void expect_same_results(const ReplicatedResult& a, const ReplicatedResult& b) {
-  EXPECT_EQ(a.replicates, b.replicates);
-  expect_biteq(a.good_payoff.mean(), b.good_payoff.mean(), "good_payoff.mean");
-  expect_biteq(a.good_payoff.variance(), b.good_payoff.variance(), "good_payoff.var");
-  expect_biteq(a.member_payoff.mean(), b.member_payoff.mean(), "member_payoff.mean");
-  expect_biteq(a.forwarder_set_size.mean(), b.forwarder_set_size.mean(), "set_size.mean");
-  expect_biteq(a.avg_path_length.mean(), b.avg_path_length.mean(), "path_length.mean");
-  expect_biteq(a.path_quality.mean(), b.path_quality.mean(), "path_quality.mean");
-  expect_biteq(a.initiator_utility.mean(), b.initiator_utility.mean(), "utility.mean");
-  expect_biteq(a.initiator_spend.mean(), b.initiator_spend.mean(), "spend.mean");
-  expect_biteq(a.routing_efficiency.mean(), b.routing_efficiency.mean(), "efficiency.mean");
-  expect_biteq(a.connection_latency.mean(), b.connection_latency.mean(), "latency.mean");
-  expect_biteq(a.pooled_good_payoffs, b.pooled_good_payoffs, "pooled_good_payoffs");
-  expect_biteq(a.pooled_member_payoffs, b.pooled_member_payoffs, "pooled_member_payoffs");
-  ASSERT_EQ(a.new_edge_fraction_by_conn.size(), b.new_edge_fraction_by_conn.size());
-  for (std::size_t j = 0; j < a.new_edge_fraction_by_conn.size(); ++j) {
-    expect_biteq(a.new_edge_fraction_by_conn[j].mean(),
-                 b.new_edge_fraction_by_conn[j].mean(), "new_edge_fraction.mean");
-  }
-  EXPECT_EQ(a.total_reformations, b.total_reformations);
-  EXPECT_EQ(a.total_churn_events, b.total_churn_events);
-  EXPECT_EQ(a.all_payments_conserved, b.all_payments_conserved);
-  // Fault/robustness aggregates (all zero outside fault mode, but the
-  // contract is bitwise either way).
-  EXPECT_EQ(a.total_connections_completed, b.total_connections_completed);
-  EXPECT_EQ(a.total_connections_failed, b.total_connections_failed);
-  EXPECT_EQ(a.total_setup_attempts, b.total_setup_attempts);
-  EXPECT_EQ(a.total_ack_timeouts, b.total_ack_timeouts);
-  EXPECT_EQ(a.total_crashes, b.total_crashes);
-  EXPECT_EQ(a.total_messages_dropped, b.total_messages_dropped);
-  EXPECT_EQ(a.total_keepalives_sent, b.total_keepalives_sent);
-  EXPECT_EQ(a.total_keepalives_delivered, b.total_keepalives_delivered);
-  expect_biteq(a.delivery_ratio.mean(), b.delivery_ratio.mean(), "delivery_ratio.mean");
-  expect_biteq(a.setup_time.mean(), b.setup_time.mean(), "setup_time.mean");
-  expect_biteq(a.setup_time.variance(), b.setup_time.variance(), "setup_time.var");
-  expect_biteq(a.time_to_detect.mean(), b.time_to_detect.mean(), "time_to_detect.mean");
-  // Engine counters: identical runs schedule/cancel/fire the same events.
-  EXPECT_EQ(a.total_engine_events_scheduled, b.total_engine_events_scheduled);
-  EXPECT_EQ(a.total_engine_events_cancelled, b.total_engine_events_cancelled);
-  EXPECT_EQ(a.total_engine_events_fired, b.total_engine_events_fired);
-  EXPECT_EQ(a.total_engine_callback_heap_allocs, b.total_engine_callback_heap_allocs);
-  EXPECT_EQ(a.total_engine_cross_shard_messages, b.total_engine_cross_shard_messages);
-  EXPECT_EQ(a.total_engine_window_barriers, b.total_engine_window_barriers);
-  // Settlement-lifecycle outcomes: identical runs terminalise the same
-  // settlements the same way and move the same milli-credits.
-  EXPECT_EQ(a.total_settlements_closed, b.total_settlements_closed);
-  EXPECT_EQ(a.total_settlements_abandoned, b.total_settlements_abandoned);
-  EXPECT_EQ(a.total_settlements_expired, b.total_settlements_expired);
-  EXPECT_EQ(a.total_settlements_prorata, b.total_settlements_prorata);
-  EXPECT_EQ(a.total_claims_submitted, b.total_claims_submitted);
-  EXPECT_EQ(a.total_claims_lost, b.total_claims_lost);
-  EXPECT_EQ(a.total_claims_rejected, b.total_claims_rejected);
-  EXPECT_EQ(a.total_claims_after_terminal, b.total_claims_after_terminal);
-  EXPECT_EQ(a.total_settlement_escrow_milli, b.total_settlement_escrow_milli);
-  EXPECT_EQ(a.total_settlement_paid_milli, b.total_settlement_paid_milli);
-  EXPECT_EQ(a.total_settlement_refunded_milli, b.total_settlement_refunded_milli);
-  EXPECT_EQ(a.all_settlements_reconciled, b.all_settlements_reconciled);
-  // Transport-plane counters: the Sim backend frames the same messages in
-  // the same order every run, so these are as deterministic as the engine
-  // counters above.
-  EXPECT_EQ(a.total_transport_frames_sent, b.total_transport_frames_sent);
-  EXPECT_EQ(a.total_transport_frames_delivered, b.total_transport_frames_delivered);
-  EXPECT_EQ(a.total_transport_frames_dropped, b.total_transport_frames_dropped);
-  EXPECT_EQ(a.total_transport_frames_rejected, b.total_transport_frames_rejected);
-  EXPECT_EQ(a.total_transport_reconnects, b.total_transport_reconnects);
-  EXPECT_EQ(a.total_transport_backoff_retries, b.total_transport_backoff_retries);
-  EXPECT_EQ(a.total_transport_heartbeat_timeouts, b.total_transport_heartbeat_timeouts);
-  EXPECT_EQ(a.total_transport_deadline_expiries, b.total_transport_deadline_expiries);
 }
 
 ScenarioConfig faulty_stress_config(std::uint64_t seed = 23) {
@@ -163,7 +78,7 @@ TEST(Determinism, BitwiseIdenticalAcrossPoolSizes) {
       std::max<std::size_t>(1, std::thread::hardware_concurrency())};
   for (std::size_t threads : pool_sizes) {
     SCOPED_TRACE("pool size " + std::to_string(threads));
-    expect_same_results(serial, run_with_pool_size(threads, kReplicates));
+    expect_bits_eq(serial, run_with_pool_size(threads, kReplicates));
   }
 }
 
@@ -172,7 +87,7 @@ TEST(Determinism, RepeatedParallelRunsAgree) {
   // state leaking between batches through the pool itself.
   const ReplicatedResult a = run_with_pool_size(2, 4);
   const ReplicatedResult b = run_with_pool_size(2, 4);
-  expect_same_results(a, b);
+  expect_bits_eq(a, b);
 }
 
 TEST(Determinism, FullScenarioRaceStress) {
@@ -201,7 +116,7 @@ TEST(Determinism, FaultKnobsOffAreBitwiseInert) {
   tweaked.async_setup.attempt_deadline = sim::minutes(1.0);
   tweaked.data_phase.duration = 5.0;
   tweaked.data_phase.keepalive_interval = 1.0;
-  expect_same_results(baseline, run_replicated(tweaked, 3, nullptr));
+  expect_bits_eq(baseline, run_replicated(tweaked, 3, nullptr));
 }
 
 TEST(Determinism, FaultModeBitwiseIdenticalAcrossPoolSizes) {
@@ -215,7 +130,7 @@ TEST(Determinism, FaultModeBitwiseIdenticalAcrossPoolSizes) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE("pool size " + std::to_string(threads));
     parallel::ThreadPool pool(threads);
-    expect_same_results(serial, run_replicated(faulty_stress_config(), 4, &pool));
+    expect_bits_eq(serial, run_replicated(faulty_stress_config(), 4, &pool));
   }
 }
 
@@ -231,7 +146,7 @@ TEST(Determinism, BankFaultKnobsOffAreBitwiseInert) {
   tweaked.fault.bank.claim_deadline = sim::minutes(2.0);
   tweaked.fault.bank.close_after = sim::minutes(1.0);
   tweaked.fault.bank.claim_spread = sim::minutes(0.5);
-  expect_same_results(baseline, run_replicated(tweaked, 3, nullptr));
+  expect_bits_eq(baseline, run_replicated(tweaked, 3, nullptr));
 }
 
 TEST(Determinism, BankFaultModeBitwiseIdenticalAcrossPoolSizes) {
@@ -248,7 +163,7 @@ TEST(Determinism, BankFaultModeBitwiseIdenticalAcrossPoolSizes) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE("pool size " + std::to_string(threads));
     parallel::ThreadPool pool(threads);
-    expect_same_results(serial, run_replicated(chaotic_settlement_config(), 4, &pool));
+    expect_bits_eq(serial, run_replicated(chaotic_settlement_config(), 4, &pool));
   }
 }
 
