@@ -17,6 +17,7 @@
 //   P2PANON_CHECKPOINT  checkpoint path (same as --checkpoint)
 #pragma once
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -38,6 +39,12 @@ inline std::size_t env_size(const char* name, std::size_t fallback) {
   if (v == nullptr) return fallback;
   const long parsed = std::strtol(v, nullptr, 10);
   return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+}
+
+/// Wall-clock milliseconds elapsed since `start`.
+inline double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 inline std::size_t replicate_count() { return env_size("P2PANON_REPLICATES", 8); }

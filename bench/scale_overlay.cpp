@@ -14,10 +14,12 @@
 //  2. Sharded scale sweep — the windowed sharded workload
 //     (harness/sharded_scenario) at N up to 10^5 by default (10^6 via the
 //     env knob), swept over shard count K x window size W, written to
-//     BENCH_scale_overlay.json: per-point events/sec, peak RSS, cancel
-//     ratio, cross-shard traffic and barrier counts, and the per-shard
-//     model counters. Every point re-checks the model invariants (claim
-//     conservation, zero heap fallbacks) so the sweep doubles as a gate.
+//     BENCH_scale_overlay.json: per-point setup time (the same call at
+//     zero horizon, which only builds the world), events/sec over the run
+//     phase (wall minus setup), peak RSS, cancel ratio, cross-shard traffic
+//     and barrier counts, and the per-shard model counters. Every point
+//     re-checks the model invariants (claim conservation, zero heap
+//     fallbacks) so the sweep doubles as a gate.
 //
 // Knobs: --smoke runs only the N = 1000 point of part 1 with one replicate
 // (the `scale-smoke` ctest entry); --sharded-smoke runs only the N = 10^5,
@@ -54,6 +56,7 @@ namespace {
 
 using namespace p2panon;
 using bench::env_size;
+using bench::ms_since;
 
 // --- Part 1: scenario scale sweep -----------------------------------------
 
@@ -163,7 +166,8 @@ struct ShardedRow {
   std::uint32_t shards = 0;
   double window = 0.0;
   double wall_ms = 0.0;
-  double events_per_sec = 0.0;
+  double setup_ms = 0.0;        ///< zero-horizon call: world build only
+  double events_per_sec = 0.0;  ///< events fired over (wall_ms - setup_ms)
   double cancel_ratio = 0.0;   ///< cancelled / scheduled — the workload shape
   double peak_rss_mib = 0.0;   ///< process high-water mark after the run
   std::uint64_t fired = 0;
@@ -175,20 +179,40 @@ struct ShardedRow {
   std::vector<harness::ShardCounters> per_shard;
 };
 
-ShardedRow run_sharded_point(const harness::ShardedScenarioConfig& cfg) {
+/// Milliseconds `run(cfg)` takes at zero horizon: it builds the world
+/// (overlay, shards, schedules) and simulates nothing, so it is the setup
+/// share of a full call on the same config.
+template <typename Run>
+double setup_ms_of(harness::ShardedScenarioConfig cfg, Run run) {
+  cfg.duration = 0.0;
   const auto start = std::chrono::steady_clock::now();
-  const harness::ShardedScenarioResult r =
-      harness::run_sharded_scenario(cfg, &bench::shared_pool());
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+  (void)run(cfg);
+  return ms_since(start);
+}
 
+/// Events per second of the run phase: `fired` over the wall time of a full
+/// call minus its setup.
+double run_events_per_sec(std::uint64_t fired, double wall_ms, double setup_ms) {
+  const double run_ms = wall_ms - setup_ms;
+  return run_ms > 0.0 ? static_cast<double>(fired) / (run_ms / 1000.0) : 0.0;
+}
+
+harness::ShardedScenarioResult run_on_shared_pool(const harness::ShardedScenarioConfig& cfg) {
+  return harness::run_sharded_scenario(cfg, &bench::shared_pool());
+}
+
+ShardedRow run_sharded_point(const harness::ShardedScenarioConfig& cfg) {
   ShardedRow row;
+  row.setup_ms = setup_ms_of(cfg, run_on_shared_pool);
+  const auto start = std::chrono::steady_clock::now();
+  const harness::ShardedScenarioResult r = run_on_shared_pool(cfg);
+  row.wall_ms = ms_since(start);
+
   row.n = cfg.node_count;
   row.shards = cfg.shard_count;
   row.window = cfg.window;
-  row.wall_ms = std::chrono::duration<double, std::milli>(elapsed).count();
   row.fired = r.engine.fired;
-  row.events_per_sec =
-      row.wall_ms > 0.0 ? static_cast<double>(r.engine.fired) / (row.wall_ms / 1000.0) : 0.0;
+  row.events_per_sec = run_events_per_sec(r.engine.fired, row.wall_ms, row.setup_ms);
   row.cancel_ratio = r.engine.scheduled > 0
                          ? static_cast<double>(r.engine.cancelled) /
                                static_cast<double>(r.engine.scheduled)
@@ -205,8 +229,8 @@ ShardedRow run_sharded_point(const harness::ShardedScenarioConfig& cfg) {
 
 void print_sharded_row(const ShardedRow& row) {
   std::cout << "sharded n=" << row.n << " K=" << row.shards << " W=" << row.window
-            << ": " << row.wall_ms << " ms, " << row.events_per_sec
-            << " events/s, cancel_ratio=" << row.cancel_ratio
+            << ": " << row.wall_ms << " ms (setup " << row.setup_ms << " ms), "
+            << row.events_per_sec << " events/s, cancel_ratio=" << row.cancel_ratio
             << " cross_shard=" << row.cross_shard_messages
             << " barriers=" << row.window_barriers << " rss=" << row.peak_rss_mib
             << " MiB\n";
@@ -238,13 +262,14 @@ void write_json(const std::vector<SweepRow>& sweep) {
 
 void write_sharded_json(const std::vector<ShardedRow>& rows) {
   std::ostringstream out;
-  out << "{\n  \"threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"sharded_sweep\": [\n";
+  const unsigned hw_threads = std::thread::hardware_concurrency();
+  out << "{\n  \"threads\": " << bench::env_size("P2PANON_THREADS", hw_threads)
+      << ",\n  \"hardware_threads\": " << hw_threads << ",\n  \"sharded_sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ShardedRow& r = rows[i];
     out << "    {\"n\": " << r.n << ", \"shards\": " << r.shards
         << ", \"window_s\": " << r.window << ", \"wall_ms\": " << r.wall_ms
-        << ", \"events_fired\": " << r.fired
+        << ", \"setup_ms\": " << r.setup_ms << ", \"events_fired\": " << r.fired
         << ", \"events_per_sec\": " << r.events_per_sec
         << ", \"cancel_ratio\": " << r.cancel_ratio
         << ", \"peak_rss_mib\": " << r.peak_rss_mib
@@ -297,6 +322,7 @@ void store_sharded_row(harness::Checkpoint& ckpt, const std::string& prefix,
   using harness::encode_u64;
   ckpt.set(prefix + "fp", encode_u64(fp));
   ckpt.set(prefix + "wall_ms", encode_double(row.wall_ms));
+  ckpt.set(prefix + "setup_ms", encode_double(row.setup_ms));
   ckpt.set(prefix + "events_per_sec", encode_double(row.events_per_sec));
   ckpt.set(prefix + "cancel_ratio", encode_double(row.cancel_ratio));
   ckpt.set(prefix + "peak_rss_mib", encode_double(row.peak_rss_mib));
@@ -342,7 +368,8 @@ bool load_sharded_row(const harness::Checkpoint& ckpt, const std::string& prefix
   row.n = cfg.node_count;
   row.shards = cfg.shard_count;
   row.window = cfg.window;
-  if (!get_d("wall_ms", row.wall_ms) || !get_d("events_per_sec", row.events_per_sec) ||
+  if (!get_d("wall_ms", row.wall_ms) || !get_d("setup_ms", row.setup_ms) ||
+      !get_d("events_per_sec", row.events_per_sec) ||
       !get_d("cancel_ratio", row.cancel_ratio) || !get_d("peak_rss_mib", row.peak_rss_mib) ||
       !get_u("fired", row.fired) || !get_u("heap_allocs", row.heap_allocs) ||
       !get_u("cross_shard", row.cross_shard_messages) ||
@@ -490,16 +517,13 @@ int main(int argc, char** argv) {
       if (n > sharded_max_n) continue;
 
       const harness::ShardedScenarioConfig base = sharded_config(n, 1, 30.0);
+      const double oracle_setup_ms = setup_ms_of(base, harness::run_serial_oracle);
       const auto oracle_start = std::chrono::steady_clock::now();
       const harness::ShardedScenarioResult oracle = harness::run_serial_oracle(base);
-      const double oracle_ms = std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - oracle_start)
-                                   .count();
-      const double oracle_eps =
-          oracle_ms > 0.0 ? static_cast<double>(oracle.engine.fired) / (oracle_ms / 1000.0)
-                          : 0.0;
-      std::cout << "sharded n=" << n << " serial-oracle: " << oracle_ms << " ms, "
-                << oracle_eps << " events/s\n";
+      const double oracle_ms = ms_since(oracle_start);
+      const double oracle_eps = run_events_per_sec(oracle.engine.fired, oracle_ms, oracle_setup_ms);
+      std::cout << "sharded n=" << n << " serial-oracle: " << oracle_ms << " ms (setup "
+                << oracle_setup_ms << " ms), " << oracle_eps << " events/s\n";
 
       double k8_eps = 0.0;
       for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {

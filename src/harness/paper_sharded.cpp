@@ -143,6 +143,7 @@ class PaperWorld {
       engine_.post(s, s, at, [this, id] { do_join(id); });
     }
     for (std::uint32_t p = 0; p < pairs_.size(); ++p) {
+      if (launch_times_[p].empty()) continue;  // connections_per_pair == 0
       const std::uint32_t s = owner_shard(p);
       engine_.post(s, s, launch_times_[p][0], [this, p] { launch(p, 0); });
     }
@@ -209,7 +210,7 @@ class PaperWorld {
         times.push_back(t);
         t += stream_.child("conn-gap", key_of(p, j)).exponential(rate);
       }
-      horizon = std::max(horizon, times.back());
+      if (!times.empty()) horizon = std::max(horizon, times.back());
     }
     // Tail: claim deadline plus an hour of slack for the data-plane echo,
     // then snap UP to a refresh boundary.

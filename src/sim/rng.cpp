@@ -1,7 +1,10 @@
 #include "sim/rng.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <unordered_map>
 
 namespace p2panon::sim::rng {
 
@@ -53,32 +56,91 @@ double Stream::normal(double mean, double stddev) noexcept {
   return mean + stddev * z;
 }
 
-std::size_t Stream::zipf(std::size_t n, double s) noexcept {
-  assert(n > 0 && s >= 0.0);
-  if (n == 1) return 0;
-  // Inverse-CDF walk over the (unnormalised) weights 1/(k+1)^s.
-  double total = 0.0;
-  for (std::size_t k = 0; k < n; ++k) total += std::pow(static_cast<double>(k + 1), -s);
-  double u = next_double() * total;
+namespace detail {
+
+namespace {
+
+/// ZipfCdf::band in units of the rounding bound n * eps * total.
+constexpr double kZipfGuardFactor = 2.0;
+
+/// Zipf weight of rank k. The table build and the subtract walk below must
+/// call it with the same arguments so both see the same doubles.
+double zipf_weight(std::size_t k, double s) noexcept {
+  return std::pow(static_cast<double>(k + 1), -s);
+}
+
+/// The sequential inverse-CDF walk: subtract the weights from the target in
+/// rank order and return the first rank that takes it to <= 0. Its rounding
+/// defines the exact rank every draw must return.
+std::size_t zipf_walk(std::size_t n, double s, double target) noexcept {
   for (std::size_t k = 0; k < n; ++k) {
-    u -= std::pow(static_cast<double>(k + 1), -s);
-    if (u <= 0.0) return k;
+    target -= zipf_weight(k, s);
+    if (target <= 0.0) return k;
   }
   return n - 1;  // floating-point slack
 }
 
+}  // namespace
+
+const ZipfCdf& zipf_cdf(std::size_t n, double s) {
+  thread_local ZipfCdf table;
+  if (table.n != n || table.s != s) {
+    table.n = n;
+    table.s = s;
+    table.cdf.resize(n);
+    double sum = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      sum += zipf_weight(k, s);
+      table.cdf[k] = sum;
+    }
+    table.band = kZipfGuardFactor * static_cast<double>(n) *
+                 std::numeric_limits<double>::epsilon() * sum;
+  }
+  return table;
+}
+
+std::size_t zipf_rank(const ZipfCdf& table, double target) noexcept {
+  const std::vector<double>& cdf = table.cdf;
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), target);
+  if (it != cdf.end()) {
+    const auto k = static_cast<std::size_t>(it - cdf.begin());
+    const bool clear_above = *it - target > table.band;
+    const bool clear_below = k == 0 || target - cdf[k - 1] > table.band;
+    if (clear_above && clear_below) return k;
+  }
+  return zipf_walk(table.n, table.s, target);
+}
+
+}  // namespace detail
+
+std::size_t Stream::zipf(std::size_t n, double s) noexcept {
+  assert(n > 0 && s >= 0.0);
+  if (n == 1) return 0;
+  const detail::ZipfCdf& table = detail::zipf_cdf(n, s);
+  return detail::zipf_rank(table, next_double() * table.cdf.back());
+}
+
 std::vector<std::size_t> Stream::sample_indices(std::size_t n, std::size_t k) noexcept {
   assert(k <= n);
-  // Partial Fisher-Yates over an index vector; O(n) setup, fine for the
-  // overlay sizes this simulator targets.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  // Partial Fisher-Yates over the virtual identity array [0, n): only the
+  // positions a swap displaced are stored. Step i swaps position i with a
+  // position j >= i and never touches position i again, so position i's
+  // value is final the moment it is read. The map is only looked up, never
+  // iterated, so its order cannot leak into the result.
+  std::unordered_map<std::size_t, std::size_t> displaced;
+  displaced.reserve(2 * k);
+  const auto value_at = [&displaced](std::size_t pos) {
+    const auto it = displaced.find(pos);
+    return it == displaced.end() ? pos : it->second;
+  };
+  std::vector<std::size_t> picks(k);
   for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = i + static_cast<std::size_t>(below(n - i));
-    std::swap(idx[i], idx[j]);
+    const std::size_t j = i + static_cast<std::size_t>(below(n - i));
+    const std::size_t at_i = value_at(i);
+    picks[i] = value_at(j);
+    displaced[j] = at_i;
   }
-  idx.resize(k);
-  return idx;
+  return picks;
 }
 
 double pareto_shape_for_median(double xm, double median) noexcept {

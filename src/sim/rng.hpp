@@ -7,6 +7,7 @@
 // parallel Monte-Carlo replication layer bitwise-deterministic.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -110,7 +111,9 @@ class Stream {
   double normal(double mean, double stddev) noexcept;
 
   /// Zipf-distributed rank in [0, n): P(k) proportional to 1/(k+1)^s.
-  /// s = 0 degenerates to uniform. O(n) per draw (fine for overlay sizes).
+  /// s = 0 degenerates to uniform. Consumes one next_double() (none when
+  /// n == 1). The first draw for a given (n, s) on a thread builds the CDF
+  /// in O(n); later draws are an O(log n) search (see detail::zipf_rank).
   std::size_t zipf(std::size_t n, double s) noexcept;
 
   /// Fisher-Yates shuffle of a vector.
@@ -123,7 +126,9 @@ class Stream {
     }
   }
 
-  /// Sample k distinct indices from [0, n) (k <= n), in random order.
+  /// Sample k distinct indices from [0, n) (k <= n), in random order: the
+  /// first k slots of a partial Fisher-Yates shuffle of [0, n), drawing
+  /// below(n - i) at step i. O(k) time and memory, independent of n.
   [[nodiscard]] std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k) noexcept;
 
  private:
@@ -142,6 +147,46 @@ class Stream {
   std::uint64_t key_ = 0;  // derivation key, preserved for child()
   std::uint64_t s_[4] = {};
 };
+
+namespace detail {
+
+/// Prefix sums of the Zipf weights w_k = 1/(k+1)^s for one (n, s), added in
+/// rank order: cdf[k] = fl(cdf[k-1] + w_k), so cdf.back() is bit for bit the
+/// sequential total a walk over the weights would compute.
+struct ZipfCdf {
+  std::size_t n = 0;
+  double s = 0.0;
+  std::vector<double> cdf;
+  /// A target closer than this to a CDF boundary may round to the other
+  /// side of it in the subtract walk, so zipf_rank falls back to the walk.
+  ///
+  /// Why the band is wide enough: the walk computes R_k = target - w_0 - ...
+  /// - w_k with k + 1 rounded subtractions; the table computes cdf[k] with k
+  /// rounded additions. Every intermediate is at most `total` in magnitude
+  /// (the walk stops at the first R_k <= 0, and w_k <= w_0 = 1 <= total), so
+  /// each rounding moves its value by at most (eps / 2) * total. R_k and
+  /// target - cdf[k] therefore differ by at most (2k + 1) * (eps / 2) *
+  /// total < n * eps * total for every k < n. When target is farther than
+  /// that from both cdf[k - 1] and cdf[k], the walk sees the same signs as
+  /// the search and returns the same k. The band is twice that bound, for
+  /// margin; subnormal weights (large s) add only absolute errors far below
+  /// it since total >= 1.
+  double band = 0.0;
+};
+
+/// The CDF table for (n, s), n >= 1, kept in a one-entry thread_local cache:
+/// rebuilt in O(n) when (n, s) differs from this thread's previous call, so
+/// threads never share it. The reference stays valid until this thread
+/// asks for a different (n, s).
+[[nodiscard]] const ZipfCdf& zipf_cdf(std::size_t n, double s);
+
+/// The u -> rank step of Stream::zipf for target = u * cdf.back(): the
+/// smallest k with target <= cdf[k], found by binary search; inside the
+/// guard band of a boundary, the sequential subtract walk decides instead.
+/// Either way the result equals the walk's bit for bit.
+[[nodiscard]] std::size_t zipf_rank(const ZipfCdf& table, double target) noexcept;
+
+}  // namespace detail
 
 /// Pareto shape parameter such that the *median* of the classic Pareto
 /// distribution (scale xm) equals the requested median: median = xm * 2^(1/a).

@@ -79,6 +79,21 @@ TEST(PaperSharded, RunnerRoutesAutomaticallyAboveOneShard) {
   expect_same_run(direct, routed);
 }
 
+TEST(PaperSharded, ZeroConnectionsPerPairRunsWithoutTraffic) {
+  // The zero-horizon shape benches time as setup: no warm-up, no
+  // connections. The runner must build the world and finish cleanly.
+  for (const std::uint32_t shards : {1u, 2u}) {
+    ScenarioConfig cfg = small_config();
+    cfg.engine_shards = shards;
+    cfg.connections_per_pair = 0;
+    cfg.warmup = 0.0;
+    const ScenarioResult r = run_paper_scenario_sharded(cfg, nullptr);
+    EXPECT_EQ(r.connections_completed, 0u) << "K=" << shards;
+    EXPECT_EQ(r.settlements_closed, 0u) << "K=" << shards;
+    EXPECT_TRUE(r.payment_conserved) << "K=" << shards;
+  }
+}
+
 TEST(PaperSharded, DigestInvariantAcrossThreadPools) {
   for (const std::uint32_t shards : {2u, 4u}) {
     ScenarioConfig cfg = small_config();

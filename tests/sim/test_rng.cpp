@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
+
+#include "parallel/thread_pool.hpp"
 
 namespace rng = p2panon::sim::rng;
 
@@ -274,6 +278,51 @@ TEST(Stream, SampleIndicesZero) {
   EXPECT_TRUE(s.sample_indices(5, 0).empty());
 }
 
+namespace {
+
+// The dense partial Fisher-Yates that Stream::sample_indices must reproduce
+// draw for draw: an n-element identity array, swap i with i + below(n - i).
+std::vector<std::size_t> dense_sample_indices(rng::Stream& s, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(s.below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+}  // namespace
+
+TEST(Stream, SampleIndicesMatchesDenseReference) {
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 16u, 97u, 1000u}) {
+    std::set<std::size_t> ks = {0, 1, n / 2, n - 1, n};
+    if (n >= 8) ks.insert(8);
+    for (const std::size_t k : ks) {
+      for (std::uint64_t seed = 0; seed < 200; ++seed) {
+        rng::Stream sparse = rng::Stream(seed).child("sample", n * 1000 + k);
+        rng::Stream dense = sparse;
+        ASSERT_EQ(sparse.sample_indices(n, k), dense_sample_indices(dense, n, k))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        // Same draws consumed: both streams continue identically.
+        ASSERT_EQ(sparse.next_u64(), dense.next_u64()) << "n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Stream, SampleIndicesIsSublinearInN) {
+  // A dense index array over 2^50 slots cannot be allocated; the sparse
+  // sampler's cost depends on k only.
+  const std::size_t n = std::size_t{1} << 50;
+  rng::Stream s(27);
+  const std::vector<std::size_t> idx = s.sample_indices(n, 16);
+  ASSERT_EQ(idx.size(), 16u);
+  EXPECT_EQ(std::set<std::size_t>(idx.begin(), idx.end()).size(), 16u);
+  for (const std::size_t i : idx) EXPECT_LT(i, n);
+}
+
 TEST(ParetoShape, MedianFormulaInverts) {
   // alpha derived from (xm, median) must map the analytic median back.
   const double xm = 300.0;  // 5 min in seconds
@@ -335,6 +384,133 @@ TEST(Zipf, HigherExponentMoreSkew) {
 TEST(Zipf, SingleElementAlwaysZero) {
   rng::Stream s(33);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(s.zipf(1, 1.5), 0u);
+}
+
+namespace {
+
+// The sequential inverse-CDF walk Stream::zipf must reproduce bit for bit:
+// total summed in rank order, target = u * total, subtract the weights in
+// rank order until the target is <= 0. The weights are precomputed with the
+// same pow call, so they are the same doubles the walk would compute.
+struct WalkZipf {
+  WalkZipf(std::size_t n, double s) : weights(n) {
+    for (std::size_t k = 0; k < n; ++k) {
+      weights[k] = std::pow(static_cast<double>(k + 1), -s);
+      total += weights[k];
+    }
+  }
+  std::size_t rank(double target) const {
+    for (std::size_t k = 0; k < weights.size(); ++k) {
+      target -= weights[k];
+      if (target <= 0.0) return k;
+    }
+    return weights.size() - 1;
+  }
+  std::size_t draw(rng::Stream& s) const {
+    if (weights.size() == 1) return 0;
+    return rank(s.next_double() * total);
+  }
+  std::vector<double> weights;
+  double total = 0.0;
+};
+
+}  // namespace
+
+TEST(Zipf, MatchesSequentialWalk) {
+  std::size_t draws_total = 0;
+  for (const std::size_t n : {2u, 10u, 10'000u, 100'000u}) {
+    for (const double s : {0.0, 0.5, 1.0, 2.0}) {
+      const WalkZipf walk(n, s);
+      EXPECT_EQ(rng::detail::zipf_cdf(n, s).cdf.back(), walk.total) << "n=" << n << " s=" << s;
+      // The walk costs O(rank) per draw, so large n gets fewer draws.
+      const std::size_t draws = std::min<std::size_t>(1'000'000, 200'000'000 / n);
+      rng::Stream fast = rng::Stream(34).child("zipf", n);
+      rng::Stream ref = fast;
+      for (std::size_t i = 0; i < draws; ++i) {
+        ASSERT_EQ(fast.zipf(n, s), walk.draw(ref)) << "n=" << n << " s=" << s << " draw " << i;
+      }
+      ASSERT_EQ(fast.next_u64(), ref.next_u64());
+      draws_total += draws;
+    }
+  }
+  EXPECT_GE(draws_total, 1'000'000u);
+}
+
+TEST(Zipf, InterleavedParametersMatchWalk) {
+  // Alternating (n, s) on one thread rebuilds the one-entry table each call.
+  const std::vector<std::pair<std::size_t, double>> params = {
+      {10, 0.5}, {1000, 1.0}, {10, 2.0}, {1, 1.0}, {1000, 1.0}, {2, 0.0}};
+  std::vector<WalkZipf> walks;
+  for (const auto& [n, s] : params) walks.emplace_back(n, s);
+  rng::Stream fast(35);
+  rng::Stream ref = fast;
+  for (int i = 0; i < 20'000; ++i) {
+    const std::size_t p = static_cast<std::size_t>(i) % params.size();
+    ASSERT_EQ(fast.zipf(params[p].first, params[p].second), walks[p].draw(ref)) << "call " << i;
+  }
+}
+
+TEST(Zipf, PoolThreadsMatchWalk) {
+  // Each pool thread keeps its own table; results must not depend on which
+  // thread drew or on what that thread drew before.
+  constexpr std::size_t kTasks = 16;
+  constexpr std::size_t kDraws = 2000;
+  const std::size_t ns[] = {10, 1000};
+  const double ss[] = {1.0, 0.5};
+  std::vector<std::vector<std::size_t>> got(kTasks, std::vector<std::size_t>(kDraws));
+  {
+    p2panon::parallel::ThreadPool pool(4);
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      pool.submit([&got, &ns, &ss, t] {
+        rng::Stream s = rng::Stream(36).child("task", t);
+        for (std::size_t i = 0; i < kDraws; ++i) got[t][i] = s.zipf(ns[(t + i) % 2], ss[t % 2]);
+      });
+    }
+    pool.wait_idle();
+  }
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    const WalkZipf walks[] = {WalkZipf(ns[0], ss[t % 2]), WalkZipf(ns[1], ss[t % 2])};
+    rng::Stream ref = rng::Stream(36).child("task", t);
+    for (std::size_t i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(got[t][i], walks[(t + i) % 2].draw(ref)) << "task " << t << " draw " << i;
+    }
+  }
+}
+
+TEST(Zipf, CdfBoundariesTakeTheWalk) {
+  // Targets exactly at, and one ulp either side of, every CDF boundary lie
+  // inside the guard band, where the rounding of the walk decides; just
+  // outside the band the binary search decides. Both must agree with the walk.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t search_would_differ = 0;
+  for (const double s : {0.0, 0.25, 0.5, 1.0, 2.0, 40.0}) {
+    for (const std::size_t n : {2u, 7u, 12u, 16u}) {
+      const WalkZipf walk(n, s);
+      const rng::detail::ZipfCdf& table = rng::detail::zipf_cdf(n, s);
+      ASSERT_EQ(table.cdf.size(), n);
+      ASSERT_EQ(table.cdf.back(), walk.total);
+      for (std::size_t k = 0; k < n; ++k) {
+        const double c = table.cdf[k];
+        for (const double t : {c, std::nextafter(c, -inf), std::nextafter(c, inf)}) {
+          EXPECT_LE(std::abs(t - c), table.band) << "s=" << s << " n=" << n << " k=" << k;
+          const auto search = static_cast<std::size_t>(
+              std::lower_bound(table.cdf.begin(), table.cdf.end(), t) - table.cdf.begin());
+          if (search != walk.rank(t)) ++search_would_differ;
+          EXPECT_EQ(rng::detail::zipf_rank(table, t), walk.rank(t))
+              << "s=" << s << " n=" << n << " k=" << k << " target=" << t;
+        }
+        for (const double t : {c - 2.0 * table.band, c + 2.0 * table.band}) {
+          EXPECT_EQ(rng::detail::zipf_rank(table, t), walk.rank(t))
+              << "s=" << s << " n=" << n << " k=" << k << " target=" << t;
+        }
+      }
+      EXPECT_EQ(rng::detail::zipf_rank(table, 0.0), 0u);
+    }
+  }
+  // The grid must contain boundaries where a bare binary search and the walk
+  // round to different ranks (s = 0.25 at n >= 10 has several), or the
+  // fallback goes untested.
+  EXPECT_GT(search_would_differ, 0u);
 }
 
 TEST(BoundedParetoShape, LongMedianAchievableWithWideBounds) {
