@@ -30,7 +30,8 @@
 //     Asks the bank to terminalise every open settlement and write the
 //     reconciliation report (SweepMsg), then exits.
 //
-// Invariants reported by the bank's sweep (see DESIGN.md 3.9):
+// Invariants reported by the bank's sweep, computed by
+// payment::audit_settlements (see DESIGN.md 3.9):
 //   C1 bank money + outstanding coins unchanged end to end;
 //   C2 every settlement terminal, none left Open/Claiming;
 //   C3 escrow in == payouts + refunds, exact milli-credits, per settlement;
@@ -209,7 +210,6 @@ class BankProcess {
                                    open->routing_benefit_milli},
           records, open->initiator_account, kSettlementDeadline);
       sid_by_pair_.emplace(open->pair, sid);
-      escrow_in_ += open->escrow_milli;
       return wire::OpenReplyMsg{1, sid};
     }
     if (const auto* claim = std::get_if<wire::ClaimMsg>(&m)) {
@@ -264,86 +264,26 @@ class BankProcess {
   }
 
   void write_report() {
-    // C1: every credit in existence was minted by an account opening.
-    const bool c1 = bank_.total_money() + bank_.outstanding_coin_value() == money_minted_;
-
-    // C2 + C3 + C5 walk every settlement's terminal report.
-    bool c2 = true;
-    bool c3 = true;
-    bool c5 = true;
-    payment::Amount paid_total = 0;
-    payment::Amount refunded_total = 0;
-    std::size_t closed = 0;
-    std::size_t abandoned = 0;
-    std::size_t expired = 0;
-    std::map<payment::AccountId, payment::Amount> payouts;
-    for (const auto& [pair, sid] : sid_by_pair_) {
-      if (!engine_.is_closed(sid)) {
-        c2 = false;
-        continue;
-      }
-      const payment::SettlementReport* rep = engine_.report(sid);
-      if (rep == nullptr) {
-        c2 = false;
-        continue;
-      }
-      if (rep->escrow_in != rep->paid_out + rep->refunded) c3 = false;
-      if (rep->outcome == payment::SettlementState::kExpired &&
-          rep->refunded != rep->escrow_in) {
-        c5 = false;
-      }
-      paid_total += rep->paid_out;
-      refunded_total += rep->refunded;
-      switch (rep->outcome) {
-        case payment::SettlementState::kClosed: ++closed; break;
-        case payment::SettlementState::kAbandoned: ++abandoned; break;
-        case payment::SettlementState::kExpired: ++expired; break;
-        default: c2 = false; break;
-      }
-      for (const auto& [acct, amount] : rep->payouts) payouts[acct] += amount;
-    }
-    if (escrow_in_ != paid_total + refunded_total) c3 = false;
-
-    // C4: replaying the audit journal from zero must rebuild the bank's
-    // exact final balances, and the journal's per-account escrow payouts
-    // must equal the settlement reports' (bank side == node side).
-    payment::ReplayState replayed;
-    bool c4 = audit_.replay(replayed);
-    if (c4) {
-      for (payment::AccountId a = 0; a < bank_.account_count(); ++a) {
-        if (replayed.accounts.size() <= a || replayed.accounts[a] != bank_.balance(a)) {
-          c4 = false;
-          break;
-        }
-      }
-      if (replayed.outstanding != bank_.outstanding_coin_value()) c4 = false;
-    }
-    if (c4) {
-      std::map<payment::AccountId, payment::Amount> journal_payouts;
-      for (const payment::Transaction& tx : audit_.transactions()) {
-        if (tx.kind == payment::TxKind::kEscrowPay) journal_payouts[tx.account] += tx.amount;
-      }
-      if (journal_payouts != payouts) c4 = false;
-    }
-
+    // C1 counts every credit ever minted by an account opening.
+    const payment::PartitionAudit a =
+        payment::audit_settlements(bank_, audit_, engine_, money_minted_);
     std::ofstream out(opt_.report);
-    out << "{\n"
-        << "  \"c1_money_conserved\": " << (c1 ? "true" : "false") << ",\n"
-        << "  \"c2_all_terminal\": " << (c2 ? "true" : "false") << ",\n"
-        << "  \"c3_escrow_drained\": " << (c3 ? "true" : "false") << ",\n"
-        << "  \"c4_journal_reconciles\": " << (c4 ? "true" : "false") << ",\n"
-        << "  \"c5_terminal_refused_and_expired_refunded\": " << (c5 ? "true" : "false")
-        << ",\n"
+    out << std::boolalpha << "{\n"
+        << "  \"c1_money_conserved\": " << a.conserved << ",\n"
+        << "  \"c2_all_terminal\": " << a.all_terminal << ",\n"
+        << "  \"c3_escrow_drained\": " << a.escrows_drained << ",\n"
+        << "  \"c4_journal_reconciles\": " << (a.replay_ok && a.payouts_match) << ",\n"
+        << "  \"c5_terminal_refused_and_expired_refunded\": " << a.expired_refunded << ",\n"
         << "  \"settlements\": " << sid_by_pair_.size() << ",\n"
-        << "  \"closed\": " << closed << ",\n"
-        << "  \"abandoned\": " << abandoned << ",\n"
-        << "  \"expired\": " << expired << ",\n"
+        << "  \"closed\": " << a.closed << ",\n"
+        << "  \"abandoned\": " << a.abandoned << ",\n"
+        << "  \"expired\": " << a.expired << ",\n"
         << "  \"claims_accepted\": " << engine_.claims_accepted() << ",\n"
         << "  \"claims_rejected\": " << engine_.claims_rejected() << ",\n"
         << "  \"claims_after_terminal\": " << engine_.claims_after_terminal() << ",\n"
-        << "  \"escrow_milli\": " << escrow_in_ << ",\n"
-        << "  \"paid_milli\": " << paid_total << ",\n"
-        << "  \"refunded_milli\": " << refunded_total << ",\n"
+        << "  \"escrow_milli\": " << a.escrow_milli << ",\n"
+        << "  \"paid_milli\": " << a.paid_milli << ",\n"
+        << "  \"refunded_milli\": " << a.refunded_milli << ",\n"
         << "  \"frames_rejected\": " << transport_.counters().frames_rejected << "\n"
         << "}\n";
   }
@@ -369,7 +309,6 @@ class BankProcess {
   std::vector<std::byte> scratch_;
   std::map<net::PairId, payment::SettlementId> sid_by_pair_;
   payment::Amount money_minted_ = 0;
-  payment::Amount escrow_in_ = 0;
   bool sweep_done_ = false;
 };
 

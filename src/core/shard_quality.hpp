@@ -1,4 +1,4 @@
-// Shard-scoped edge quality and per-shard decision scratch.
+// Shard-scoped edge quality.
 //
 // The serial decision stack scores an edge as
 //   q(s, v) = w_s * sigma(s, v) + w_a * alpha_s(v)            (paper §2.3)
@@ -59,14 +59,6 @@ class ShardedEdgeQuality {
   [[nodiscard]] std::size_t pick_best(net::NodeId s,
                                       std::span<const std::uint8_t> published_online) const;
 
-  /// Slot `slot` of D(s) was replaced: its evidence belongs to the departed
-  /// occupant, so both counters restart.
-  void on_neighbor_replaced(net::NodeId s, std::size_t slot) {
-    const std::size_t i = index(s, slot);
-    attempts_[i] = 0;
-    successes_[i] = 0;
-  }
-
   [[nodiscard]] std::uint64_t attempts(net::NodeId s, std::size_t slot) const {
     return attempts_[index(s, slot)];
   }
@@ -87,23 +79,6 @@ class ShardedEdgeQuality {
   /// CSR-aligned per-edge evidence, size N * d each.
   std::vector<std::uint32_t> attempts_;
   std::vector<std::uint32_t> successes_;
-};
-
-/// Per-shard reusable decision scratch: candidate buffers sized once to the
-/// degree so hop decisions allocate nothing in steady state. One instance
-/// per shard — never shared across shards.
-struct ShardDecisionScratch {
-  std::vector<std::size_t> candidate_slots;
-  std::vector<double> candidate_scores;
-
-  void reserve(std::size_t degree) {
-    candidate_slots.reserve(degree);
-    candidate_scores.reserve(degree);
-  }
-  void clear() noexcept {
-    candidate_slots.clear();
-    candidate_scores.clear();
-  }
 };
 
 }  // namespace p2panon::core

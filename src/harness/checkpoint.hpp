@@ -34,8 +34,8 @@ namespace p2panon::harness {
 [[nodiscard]] bool atomic_write_file(const std::filesystem::path& path,
                                      std::string_view payload);
 
-// --- FNV-1a, the repo's standard cheap digest (cf. the sharded scenario's
-// model digest): used for checkpoint integrity and config fingerprints.
+// --- FNV-1a, the repo's standard cheap digest: used for checkpoint
+// integrity, config fingerprints and both sharded runners' model digests.
 
 [[nodiscard]] constexpr std::uint64_t fnv1a_init() noexcept {
   return 1469598103934665603ULL;

@@ -1,7 +1,6 @@
 #include "harness/paper_sharded.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <map>
@@ -9,7 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/shard_history.hpp"
+#include "core/history.hpp"
+#include "harness/checkpoint.hpp"
 #include "net/link_model.hpp"
 #include "net/sharded_probing.hpp"
 #include "net/soa.hpp"
@@ -25,18 +25,6 @@ namespace {
 
 using net::NodeId;
 using payment::Amount;
-
-/// FNV-1a 64 over 8-byte words (same shape as the scale scenario's).
-struct Fingerprint {
-  std::uint64_t h = 1469598103934665603ULL;
-  void add(std::uint64_t x) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (i * 8)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-  void add_double(double d) noexcept { add(std::bit_cast<std::uint64_t>(d)); }
-};
 
 struct alignas(64) PaperShardCounters {
   std::uint64_t churn_events = 0;
@@ -75,6 +63,13 @@ struct PairState {
   std::uint64_t claims_lost = 0;
 };
 
+/// One completed path awaiting the next history fold.
+struct PendingPath {
+  net::PairId pair = net::kInvalidPair;
+  std::uint32_t conn_index = 0;
+  std::vector<NodeId> path;  ///< initiator, forwarders..., responder
+};
+
 /// One deferred settlement-plane operation, drained at the next barrier.
 struct SettleOp {
   enum class Kind : std::uint8_t { kOpen, kClaim, kClose };
@@ -93,7 +88,7 @@ class PaperWorld {
         partition_(cfg.overlay.node_count, engine.shard_count()),
         stream_(sim::rng::Stream(cfg.seed).child("paper-sharded")),
         links_(cfg.overlay.link, cfg.seed),
-        history_(partition_),
+        history_(cfg.overlay.node_count),
         plane_(cfg.bank_partitions != 0 ? cfg.bank_partitions : engine.shard_count(),
                cfg.overlay.node_count, payment::from_credits(cfg.initial_balance_credits),
                stream_.child("plane")),
@@ -111,6 +106,7 @@ class PaperWorld {
     published_.assign(node_count_, 0);
     avail_snap_.assign(node_count_ * degree_, 0.0);
     churn_cycle_.assign(node_count_, 0);
+    probe_loop_active_.assign(node_count_, 0);
 
     // View-refresh interval R, snapped to a whole number of windows so every
     // refresh lands on a window boundary for ANY window that divides R.
@@ -228,7 +224,10 @@ class PaperWorld {
     state_.tracker[id].on_join(now);
     ++counters_[s].churn_events;
 
-    post_probe(id, now + cfg_.probing.period);
+    if (probe_loop_active_[id] == 0) {
+      probe_loop_active_[id] = 1;
+      post_probe(id, now + cfg_.probing.period);
+    }
 
     const std::uint64_t cycle = churn_cycle_[id];
     const net::ChurnConfig& churn = cfg_.overlay.churn;
@@ -265,7 +264,10 @@ class PaperWorld {
   }
 
   void probe_tick(NodeId id) {
-    if (state_.online[id] == 0) return;  // suspended; do_join restarts it
+    if (state_.online[id] == 0) {
+      probe_loop_active_[id] = 0;  // suspend; restarts on the next join
+      return;
+    }
     const std::uint32_t s = partition_.shard_of(id);
     probing_->probe(id, published_);
     post_probe(id, local_sim(s).now() + cfg_.probing.period);
@@ -326,7 +328,7 @@ class PaperWorld {
       for (std::size_t slot = 0; slot < row.size(); ++slot) {
         const NodeId v = row[slot];
         if (published_[v] == 0 || v == prev || v == st.initiator || v == st.responder) continue;
-        const double sigma = history_.selectivity(cur, p, prev, v, k);
+        const double sigma = history_.at(cur).selectivity(p, prev, v, k);
         const double alpha = avail_snap_[cur * degree_ + slot];
         const double score =
             cfg_.weights.w_selectivity * sigma + cfg_.weights.w_availability * alpha;
@@ -372,8 +374,6 @@ class PaperWorld {
     record.forwarders.assign(path.begin() + 1, path.end() - 1);
     const auto epoch = static_cast<std::uint32_t>(now / refresh_interval_);
     for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-      history_buf_[s].push_back(
-          core::HistoryDelta{path[i], static_cast<net::PairId>(p), path[i - 1], path[i + 1]});
       st.aggregates[{path[i], epoch}].push_back(payment::make_receipt(
           plane_.mac_key_of(path[i]), static_cast<net::PairId>(p), j, path[i], path[i - 1],
           path[i + 1]));
@@ -382,6 +382,7 @@ class PaperWorld {
     st.instances += record.forwarders.size();
     st.length_sum += static_cast<double>(record.forwarders.size());
     st.latency_sum += links_.path_latency(path);
+    history_buf_[s].push_back(PendingPath{static_cast<net::PairId>(p), j, std::move(path)});
     st.records.push_back(std::move(record));
     ++st.completed;
     ++counters_[s].connections_completed;
@@ -453,11 +454,16 @@ class PaperWorld {
 
   // ---- barrier work -------------------------------------------------------
 
-  /// Epoch boundary: fold the buffered history writes shard-ascending, then
-  /// republish liveness and the per-edge availability snapshot.
+  /// Epoch boundary: fold the buffered paths into the history store
+  /// shard-ascending, FIFO within a shard (the store is unbounded, so its
+  /// counts, and every sigma, are the same for any K), then republish
+  /// liveness and the per-edge availability snapshot. Shards only read the
+  /// store between folds.
   void refresh_views() {
     for (std::uint32_t s = 0; s < partition_.shard_count(); ++s) {
-      history_.fold(history_buf_[s]);
+      for (const PendingPath& done : history_buf_[s]) {
+        history_.record_path(done.pair, done.conn_index, done.path);
+      }
       history_buf_[s].clear();
     }
     for (NodeId id = 0; id < node_count_; ++id) {
@@ -501,7 +507,6 @@ class PaperWorld {
       }
       settle_buf_[s].clear();
     }
-    ++settlement_batches_;
   }
 
   // ---- result -------------------------------------------------------------
@@ -582,7 +587,7 @@ class PaperWorld {
   /// coin signatures (op-order-dependent), history/probing epoch counters
   /// driven by barrier cadence.
   [[nodiscard]] std::uint64_t digest(const payment::PlaneReconciliation& rec) const {
-    Fingerprint f;
+    std::uint64_t h = fnv1a_init();
     for (std::uint32_t p = 0; p < pairs_.size(); ++p) {
       const PairState& st = pairs_[p];
       std::uint64_t outcome = 0;
@@ -608,48 +613,53 @@ class PaperWorld {
           set_size = report->forwarder_set_size;
         }
       }
-      f.add(outcome | (static_cast<std::uint64_t>(st.completed) << 8) |
-            (static_cast<std::uint64_t>(st.launched) << 24) |
-            (static_cast<std::uint64_t>(st.close_skipped) << 40));
-      f.add(escrow);
-      f.add(paid);
-      f.add(refunded);
-      f.add(accepted | (set_size << 32));
-      f.add(st.claims_lost);
-      f.add_double(st.length_sum);
-      f.add_double(st.latency_sum);
+      h = fnv1a_mix(h, outcome | (static_cast<std::uint64_t>(st.completed) << 8) |
+                           (static_cast<std::uint64_t>(st.launched) << 24) |
+                           (static_cast<std::uint64_t>(st.close_skipped) << 40));
+      h = fnv1a_mix(h, escrow);
+      h = fnv1a_mix(h, paid);
+      h = fnv1a_mix(h, refunded);
+      h = fnv1a_mix(h, accepted | (set_size << 32));
+      h = fnv1a_mix(h, st.claims_lost);
+      h = fnv1a_double(h, st.length_sum);
+      h = fnv1a_double(h, st.latency_sum);
     }
     for (NodeId id = 0; id < node_count_; ++id) {
-      f.add(state_.online[id] | (static_cast<std::uint64_t>(state_.departed[id]) << 8) |
-            (static_cast<std::uint64_t>(churn_cycle_[id]) << 16));
-      f.add_double(state_.tracker[id].availability(duration_));
+      h = fnv1a_mix(h, state_.online[id] |
+                           (static_cast<std::uint64_t>(state_.departed[id]) << 8) |
+                           (static_cast<std::uint64_t>(churn_cycle_[id]) << 16));
+      h = fnv1a_double(h, state_.tracker[id].availability(duration_));
       for (std::size_t slot = 0; slot < degree_; ++slot) {
-        f.add_double(probing_->observed_session_time(id, slot));
+        h = fnv1a_double(h, probing_->observed_session_time(id, slot));
       }
       const Amount delta =
           plane_.merged_balance(static_cast<payment::AccountId>(id)) -
           payment::from_credits(cfg_.initial_balance_credits);
-      f.add(static_cast<std::uint64_t>(delta));
+      h = fnv1a_mix(h, static_cast<std::uint64_t>(delta));
     }
-    f.add(history_.total_entries());
+    h = fnv1a_mix(h, history_.total_entries());
     for (std::uint32_t s = 0; s < partition_.shard_count(); ++s) {
-      f.add(history_.entries_in_shard(s));
+      std::size_t entries = 0;
+      const net::ShardPartition::Range nodes = partition_.range(s);
+      for (NodeId id = nodes.begin; id < nodes.end; ++id) entries += history_.at(id).size();
+      h = fnv1a_mix(h, entries);
       const PaperShardCounters& c = counters_[s];
-      f.add(c.churn_events);
-      f.add(c.departures);
-      f.add(c.connections_launched);
-      f.add(c.connections_completed);
-      f.add(c.connections_failed);
-      f.add(c.no_candidate);
-      f.add(c.hops_recorded);
+      h = fnv1a_mix(h, c.churn_events);
+      h = fnv1a_mix(h, c.departures);
+      h = fnv1a_mix(h, c.connections_launched);
+      h = fnv1a_mix(h, c.connections_completed);
+      h = fnv1a_mix(h, c.connections_failed);
+      h = fnv1a_mix(h, c.no_candidate);
+      h = fnv1a_mix(h, c.hops_recorded);
     }
-    f.add(static_cast<std::uint64_t>(rec.escrow_milli));
-    f.add(static_cast<std::uint64_t>(rec.paid_milli));
-    f.add(static_cast<std::uint64_t>(rec.refunded_milli));
-    f.add(rec.closed | (rec.abandoned << 16) | (rec.expired << 32) | (rec.prorata << 48));
-    f.add(rec.claims_accepted);
-    f.add(rec.claims_rejected);
-    return f.h;
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(rec.escrow_milli));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(rec.paid_milli));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(rec.refunded_milli));
+    h = fnv1a_mix(h, rec.closed | (rec.abandoned << 16) | (rec.expired << 32) |
+                         (rec.prorata << 48));
+    h = fnv1a_mix(h, rec.claims_accepted);
+    h = fnv1a_mix(h, rec.claims_rejected);
+    return h;
   }
 
   const ScenarioConfig& cfg_;
@@ -660,7 +670,7 @@ class PaperWorld {
   net::ShardPartition partition_;
   sim::rng::Stream stream_;
   net::LinkModel links_;
-  core::ShardedHistory history_;
+  core::HistoryStore history_;  ///< unbounded; written only in refresh_views
   payment::ShardedSettlementPlane plane_;
   std::unique_ptr<net::ShardedProbing> probing_;
   std::vector<PaperShardCounters> counters_;
@@ -670,10 +680,11 @@ class PaperWorld {
   std::vector<double> avail_snap_;
 
   // Per-shard write buffers (each shard appends only to its own).
-  std::vector<std::vector<core::HistoryDelta>> history_buf_;
+  std::vector<std::vector<PendingPath>> history_buf_;
   std::vector<std::vector<SettleOp>> settle_buf_;
 
   std::vector<std::uint64_t> churn_cycle_;
+  std::vector<std::uint8_t> probe_loop_active_;
   std::vector<PairState> pairs_;
   std::vector<std::vector<sim::Time>> launch_times_;
 
@@ -682,7 +693,6 @@ class PaperWorld {
   sim::Time half_window_ = 0.0;
   sim::Time next_refresh_ = 0.0;
   sim::Time duration_ = 0.0;
-  std::uint64_t settlement_batches_ = 0;
 };
 
 }  // namespace

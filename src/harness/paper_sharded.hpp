@@ -8,10 +8,10 @@
 //   * nodes are partitioned contiguously across K shards
 //     (net::ShardPartition); churn, probing, and per-node traffic events
 //     run on the owning shard (net::ShardedProbing live/published split);
-//   * connection history lives in core::ShardedHistory — writes are
-//     buffered per source shard during a window and folded serially in the
-//     window-barrier hook at view-refresh epoch boundaries, so the store is
-//     a read-only merged view while shards run;
+//   * connection history lives in one unbounded core::HistoryStore —
+//     completed paths are buffered per source shard during a window and
+//     folded serially in the window-barrier hook at view-refresh epoch
+//     boundaries, so the store is a read-only merged view while shards run;
 //   * path construction reads ONLY epoch snapshots (published liveness,
 //     per-edge availability snapshot, folded history selectivity) plus
 //     static topology, so a pair's paths are identical for any K, pool

@@ -85,10 +85,6 @@ struct ReplicatedResult {
   std::uint64_t total_transport_frames_delivered = 0;
   std::uint64_t total_transport_frames_dropped = 0;
   std::uint64_t total_transport_frames_rejected = 0;
-  std::uint64_t total_transport_reconnects = 0;
-  std::uint64_t total_transport_backoff_retries = 0;
-  std::uint64_t total_transport_heartbeat_timeouts = 0;
-  std::uint64_t total_transport_deadline_expiries = 0;
 
   [[nodiscard]] metrics::ConfidenceInterval good_payoff_ci(double confidence = 0.95) const {
     return metrics::confidence_interval(good_payoff, confidence);
@@ -187,14 +183,6 @@ void for_each_result_field(Row&& row) {
       &S::transport_frames_dropped, rule::Sum{});
   row("total_transport_frames_rejected", &R::total_transport_frames_rejected,
       &S::transport_frames_rejected, rule::Sum{});
-  row("total_transport_reconnects", &R::total_transport_reconnects, &S::transport_reconnects,
-      rule::Sum{});
-  row("total_transport_backoff_retries", &R::total_transport_backoff_retries,
-      &S::transport_backoff_retries, rule::Sum{});
-  row("total_transport_heartbeat_timeouts", &R::total_transport_heartbeat_timeouts,
-      &S::transport_heartbeat_timeouts, rule::Sum{});
-  row("total_transport_deadline_expiries", &R::total_transport_deadline_expiries,
-      &S::transport_deadline_expiries, rule::Sum{});
 }
 
 /// Run `replicates` independent replicates of `base` (seed = base.seed + r).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -414,10 +413,6 @@ ScenarioResult ScenarioRunner::run() const {
   result.transport_frames_delivered = tc.frames_delivered;
   result.transport_frames_dropped = tc.frames_dropped;
   result.transport_frames_rejected = tc.frames_rejected;
-  result.transport_reconnects = tc.reconnects;
-  result.transport_backoff_retries = tc.backoff_retries;
-  result.transport_heartbeat_timeouts = tc.heartbeat_timeouts;
-  result.transport_deadline_expiries = tc.deadline_expiries;
 
   result.connection_latency = latency;
   result.churn_events = overlay.churn_events();
@@ -438,41 +433,9 @@ ScenarioResult ScenarioRunner::run() const {
   result.claims_after_terminal = engine.claims_after_terminal();
 
   if (bank_mode) {
-    // Reconcile the bank side against the node side. Journal replay must
-    // rebuild the bank's exact final state, and the journal's escrow-pay /
-    // escrow-refund flows must match the settlement reports to the
-    // milli-credit, per account.
-    payment::ReplayState replayed;
-    bool ok = audit.replay(replayed);
-    ok = ok && replayed.accounts.size() == bank.account_count();
-    for (payment::AccountId a = 0; ok && a < replayed.accounts.size(); ++a) {
-      ok = replayed.accounts[a] == bank.balance(a);
-    }
-    ok = ok && replayed.escrows.size() == bank.escrow_count();
-    for (payment::EscrowId e = 0; ok && e < replayed.escrows.size(); ++e) {
-      ok = replayed.escrows[e] == bank.escrow_balance(e);
-    }
-    ok = ok && replayed.outstanding == bank.outstanding_coin_value();
-
-    std::map<payment::AccountId, payment::Amount> audit_paid;
-    payment::Amount audit_paid_total = 0;
-    payment::Amount audit_refund_total = 0;
-    for (const payment::Transaction& tx : audit.transactions()) {
-      if (tx.kind == payment::TxKind::kEscrowPay) {
-        audit_paid[tx.account] += tx.amount;
-        audit_paid_total += tx.amount;
-      } else if (tx.kind == payment::TxKind::kEscrowRefund) {
-        audit_refund_total += tx.amount;
-      }
-    }
-    std::map<payment::AccountId, payment::Amount> report_paid;
-    for (const core::SettleOutcome& o : outcomes) {
-      for (const auto& [acct, amount] : o.report.payouts) report_paid[acct] += amount;
-    }
-    ok = ok && audit_paid == report_paid;
-    ok = ok && audit_paid_total == result.settlement_paid_milli;
-    ok = ok && audit_refund_total == result.settlement_refunded_milli;
-    result.settlement_reconciled = ok;
+    // The bank side against the node side: the full C1–C5 audit.
+    result.settlement_reconciled =
+        payment::audit_settlements(bank, audit, engine, money_before).ok();
   }
 
   return result;

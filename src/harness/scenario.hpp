@@ -210,17 +210,13 @@ struct ScenarioResult {
   // --- Transport-plane counters (zero outside fault/bank-fault modes — the
   // synchronous path sends no messages). Deterministic, pinned by the
   // determinism suite alongside the engine counters. In-sim nothing is
-  // decoded, so frames_rejected stays zero; the TCP-only rows (reconnects,
-  // backoff, heartbeats, deadlines) stay zero in-sim and are populated by
-  // the multi-process chaos driver's processes instead.
+  // decoded, so frames_rejected stays zero. The TCP-only counters
+  // (reconnects, backoff, heartbeats, deadlines) never move in-sim and are
+  // reported by the TCP processes of tools/transport/run_chaos.py instead.
   std::uint64_t transport_frames_sent = 0;
   std::uint64_t transport_frames_delivered = 0;
   std::uint64_t transport_frames_dropped = 0;
   std::uint64_t transport_frames_rejected = 0;
-  std::uint64_t transport_reconnects = 0;
-  std::uint64_t transport_backoff_retries = 0;
-  std::uint64_t transport_heartbeat_timeouts = 0;
-  std::uint64_t transport_deadline_expiries = 0;
 
   /// K > 1 model fingerprint (zero on the serial / K = 1 paths): FNV-1a over
   /// the sharded paper runner's order-invariant end state — per-pair

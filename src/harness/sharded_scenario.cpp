@@ -1,9 +1,9 @@
 #include "harness/sharded_scenario.hpp"
 
 #include <cassert>
-#include <bit>
 
 #include "core/shard_quality.hpp"
+#include "harness/checkpoint.hpp"
 #include "net/sharded_probing.hpp"
 #include "net/soa.hpp"
 #include "sim/rng.hpp"
@@ -15,18 +15,6 @@ namespace p2panon::harness {
 namespace {
 
 using net::NodeId;
-
-/// FNV-1a 64 over 8-byte words.
-struct Fingerprint {
-  std::uint64_t h = 1469598103934665603ULL;
-  void add(std::uint64_t x) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (i * 8)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-  void add_double(double d) noexcept { add(std::bit_cast<std::uint64_t>(d)); }
-};
 
 /// The whole sharded world: SoA overlay state, shard-scoped estimators,
 /// per-shard counters, and the event handlers. Bound either to a
@@ -276,29 +264,30 @@ class World {
   }
 
   [[nodiscard]] std::uint64_t digest() const {
-    Fingerprint f;
+    std::uint64_t h = fnv1a_init();
     for (const ShardCounters& c : counters_) {
-      f.add(c.connections_launched);
-      f.add(c.connections_acked);
-      f.add(c.ack_timeouts);
-      f.add(c.no_candidate);
-      f.add(c.hops_forwarded);
-      f.add(c.churn_events);
-      f.add(c.departures);
-      f.add(c.claims_settled);
+      h = fnv1a_mix(h, c.connections_launched);
+      h = fnv1a_mix(h, c.connections_acked);
+      h = fnv1a_mix(h, c.ack_timeouts);
+      h = fnv1a_mix(h, c.no_candidate);
+      h = fnv1a_mix(h, c.hops_forwarded);
+      h = fnv1a_mix(h, c.churn_events);
+      h = fnv1a_mix(h, c.departures);
+      h = fnv1a_mix(h, c.claims_settled);
     }
     for (NodeId id = 0; id < cfg_.node_count; ++id) {
-      f.add(state_.online[id] | (static_cast<std::uint64_t>(state_.departed[id]) << 8) |
-            (static_cast<std::uint64_t>(churn_cycle_[id]) << 16));
-      f.add_double(state_.tracker[id].availability(cfg_.duration));
-      f.add(probing_->epoch(id));
+      h = fnv1a_mix(h, state_.online[id] |
+                           (static_cast<std::uint64_t>(state_.departed[id]) << 8) |
+                           (static_cast<std::uint64_t>(churn_cycle_[id]) << 16));
+      h = fnv1a_double(h, state_.tracker[id].availability(cfg_.duration));
+      h = fnv1a_mix(h, probing_->epoch(id));
       for (std::size_t slot = 0; slot < cfg_.degree; ++slot) {
-        f.add_double(probing_->observed_session_time(id, slot));
-        f.add(quality_->attempts(id, slot) |
-              (static_cast<std::uint64_t>(quality_->successes(id, slot)) << 32));
+        h = fnv1a_double(h, probing_->observed_session_time(id, slot));
+        h = fnv1a_mix(h, quality_->attempts(id, slot) |
+                             (static_cast<std::uint64_t>(quality_->successes(id, slot)) << 32));
       }
     }
-    return f.h;
+    return h;
   }
 
   ShardedScenarioConfig cfg_;

@@ -49,17 +49,6 @@ void ShardedProbing::probe(NodeId s, std::span<const std::uint8_t> published_onl
   avail_total_[s] = total;
 }
 
-void ShardedProbing::on_neighbor_replaced(NodeId s, std::size_t slot) {
-  double* times = session_time_.data() + static_cast<std::size_t>(s) * state_.degree;
-  times[slot] = kNeverObserved;
-  double total = 0.0;
-  for (std::size_t j = 0; j < state_.degree; ++j) {
-    if (times[j] >= 0.0) total += times[j];
-  }
-  avail_total_[s] = total;
-  ++probe_epoch_[s];
-}
-
 double ShardedProbing::availability(NodeId s, std::size_t slot) const {
   const double total = avail_total_[s];
   if (total <= 0.0) {
@@ -68,14 +57,6 @@ double ShardedProbing::availability(NodeId s, std::size_t slot) const {
   }
   const double t = session_time_[static_cast<std::size_t>(s) * state_.degree + slot];
   return t < 0.0 ? 0.0 : t / total;
-}
-
-double ShardedProbing::availability_of(NodeId s, NodeId u) const {
-  const auto row = state_.neighbors_of(s);
-  for (std::size_t slot = 0; slot < row.size(); ++slot) {
-    if (row[slot] == u) return availability(s, slot);
-  }
-  return 0.0;
 }
 
 std::uint64_t ShardedProbing::probes_performed() const {

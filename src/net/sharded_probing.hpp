@@ -18,8 +18,7 @@
 //
 // Epoch contract (mirrors ProbingEstimator::epoch): probe_epoch_[s] is
 // bumped by every mutation that any alpha_s(.) depends on — a probe sweep of
-// s or a neighbour replacement in D(s). Equal epochs guarantee bit-identical
-// availability answers for s.
+// s. Equal epochs guarantee bit-identical availability answers for s.
 #pragma once
 
 #include <cstdint>
@@ -58,14 +57,6 @@ class ShardedProbing {
   /// other accumulated.
   [[nodiscard]] double availability(NodeId s, std::size_t slot) const;
 
-  /// alpha_s(u) addressed by node id (linear scan of D(s); slot addressing
-  /// is the hot path).
-  [[nodiscard]] double availability_of(NodeId s, NodeId u) const;
-
-  /// Neighbour slot j of D(s) was replaced: forget the departed occupant's
-  /// session time and rebuild the denominator.
-  void on_neighbor_replaced(NodeId s, std::size_t slot);
-
   [[nodiscard]] std::uint64_t epoch(NodeId s) const { return probe_epoch_[s]; }
   [[nodiscard]] sim::Time observed_session_time(NodeId s, std::size_t slot) const {
     const double t = session_time_[static_cast<std::size_t>(s) * state_.degree + slot];
@@ -73,11 +64,8 @@ class ShardedProbing {
   }
   [[nodiscard]] sim::Time period() const noexcept { return period_; }
 
-  /// Probes performed by nodes of shard `shard` (per-shard so concurrent
+  /// Probes performed by all nodes (counted per shard, so concurrent
   /// windows never contend on one counter).
-  [[nodiscard]] std::uint64_t probes_in_shard(std::uint32_t shard) const {
-    return probes_per_shard_[shard];
-  }
   [[nodiscard]] std::uint64_t probes_performed() const;
 
  private:

@@ -2,11 +2,12 @@
 //
 // Every balance-moving operation is journaled; replaying the journal from
 // zero must reconstruct the bank's exact account/escrow balances and the
-// outstanding coin value. The invariant checker is used by tests and by the
-// payment_walkthrough example, and models the auditability a real payment
-// processor for an anonymity network would need: the journal contains
-// amounts and account ids but no coin serials for withdrawals (the bank
-// never sees them — unlinkability is preserved even against its own log).
+// outstanding coin value. Replay is the core of the C4 check in
+// payment::audit_settlements (settlement.hpp), and models the auditability
+// a real payment processor for an anonymity network would need: the
+// journal contains amounts and account ids but no coin serials for
+// withdrawals (the bank never sees them — unlinkability is preserved even
+// against its own log).
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <unordered_set>
 
 namespace p2panon::payment {
@@ -255,6 +256,96 @@ std::vector<crypto::u64> SettlementEngine::redeemed_macs() const {
   }
   std::sort(macs.begin(), macs.end());
   return macs;
+}
+
+PartitionAudit audit_settlements(const Bank& bank, const AuditLog& journal,
+                                 const SettlementEngine& engine, Amount initial_total) {
+  PartitionAudit audit;
+  audit.conserved = bank.total_money() + bank.outstanding_coin_value() == initial_total;
+
+  // C2, C3 (per report), C5, and the report-side totals.
+  std::map<AccountId, Amount> report_payouts;
+  audit.all_terminal = true;
+  audit.escrows_drained = true;
+  audit.expired_refunded = true;
+  for (SettlementId id = 0; id < engine.settlement_count(); ++id) {
+    const SettlementReport* report = engine.report(id);
+    if (report == nullptr) {
+      audit.all_terminal = false;
+      continue;
+    }
+    if (report->escrow_in != report->paid_out + report->refunded) audit.escrows_drained = false;
+    switch (report->outcome) {
+      case SettlementState::kClosed:
+        ++audit.closed;
+        break;
+      case SettlementState::kAbandoned:
+        ++audit.abandoned;
+        break;
+      case SettlementState::kExpired:
+        ++audit.expired;
+        if (report->paid_out != 0 || report->refunded != report->escrow_in) {
+          audit.expired_refunded = false;
+        }
+        break;
+      default:
+        audit.all_terminal = false;
+        break;
+    }
+    if (report->pro_rata) ++audit.prorata;
+    audit.escrow_milli += report->escrow_in;
+    audit.paid_milli += report->paid_out;
+    audit.refunded_milli += report->refunded;
+    for (const auto& [acct, paid] : report->payouts) report_payouts[acct] += paid;
+  }
+
+  // The journal's side of the same money flows.
+  std::map<AccountId, Amount> journal_payouts;
+  Amount journal_funded = 0;
+  Amount journal_paid = 0;
+  Amount journal_refunded = 0;
+  for (const Transaction& tx : journal.transactions()) {
+    switch (tx.kind) {
+      case TxKind::kEscrowFund:
+        journal_funded += tx.amount;
+        break;
+      case TxKind::kEscrowPay:
+        journal_payouts[tx.account] += tx.amount;
+        journal_paid += tx.amount;
+        break;
+      case TxKind::kEscrowRefund:
+        journal_refunded += tx.amount;
+        break;
+      default:
+        break;
+    }
+  }
+
+  // C3 on the bank side: terminal settlements leave nothing in escrow. The
+  // check is vacuous while settlements remain open (C2 already failed).
+  if (audit.all_terminal) {
+    for (EscrowId e = 0; e < bank.escrow_count(); ++e) {
+      if (bank.escrow_balance(e) != 0) audit.escrows_drained = false;
+    }
+    if (journal_funded != audit.paid_milli + audit.refunded_milli) audit.escrows_drained = false;
+  }
+
+  // C4: replaying the journal from an empty bank lands on the bank's exact
+  // balances, and the journal's payouts and refunds are the reports'.
+  ReplayState replayed;
+  audit.replay_ok = journal.replay(replayed) &&
+                    replayed.accounts.size() == bank.account_count() &&
+                    replayed.escrows.size() == bank.escrow_count() &&
+                    replayed.outstanding == bank.outstanding_coin_value();
+  for (AccountId a = 0; audit.replay_ok && a < replayed.accounts.size(); ++a) {
+    audit.replay_ok = replayed.accounts[a] == bank.balance(a);
+  }
+  for (EscrowId e = 0; audit.replay_ok && e < replayed.escrows.size(); ++e) {
+    audit.replay_ok = replayed.escrows[e] == bank.escrow_balance(e);
+  }
+  audit.payouts_match = journal_payouts == report_payouts && journal_paid == audit.paid_milli &&
+                        journal_refunded == audit.refunded_milli;
+  return audit;
 }
 
 }  // namespace p2panon::payment

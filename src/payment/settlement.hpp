@@ -261,4 +261,43 @@ class SettlementEngine {
   std::uint64_t cross_settlement_replays_ = 0;
 };
 
+/// The C1–C5 money audit of one payment universe: a bank, its audit journal
+/// and the settlement engine that moves its escrows (DESIGN.md 3.9). Each
+/// flag is one invariant; the totals and outcome counts are over the
+/// engine's settlement reports.
+struct PartitionAudit {
+  bool conserved = false;        ///< C1: money + outstanding coins == initial total
+  bool all_terminal = false;     ///< C2: no settlement left Open/Claiming
+  /// C3: every report's escrow_in == paid + refunded; once all are terminal,
+  /// every bank escrow is empty and the journal's funded total equals the
+  /// reports' paid + refunded total.
+  bool escrows_drained = false;
+  bool replay_ok = false;        ///< C4: journal replay rebuilds the bank's exact state
+  /// C4: the journal's escrow-pay flows (per account and in total) and its
+  /// refund total equal the reports' — the double-payment detector.
+  bool payouts_match = false;
+  bool expired_refunded = false; ///< C5: every Expired report refunded its full escrow
+  Amount escrow_milli = 0;
+  Amount paid_milli = 0;
+  Amount refunded_milli = 0;
+  std::uint64_t closed = 0;
+  std::uint64_t abandoned = 0;
+  std::uint64_t expired = 0;
+  std::uint64_t prorata = 0;
+
+  [[nodiscard]] bool ok() const noexcept {
+    return replay_ok && conserved && escrows_drained && all_terminal && expired_refunded &&
+           payouts_match;
+  }
+};
+
+/// Run C1–C5 over `bank`, the journal `journal` recorded for it from its
+/// first account opening, and `engine`. `initial_total` is all the money
+/// ever created in the bank (the sum of its account openings). Read-only;
+/// this is the one implementation of the invariants — the serial scenario,
+/// every partition of the sharded settlement plane and the TCP bank call it.
+[[nodiscard]] PartitionAudit audit_settlements(const Bank& bank, const AuditLog& journal,
+                                               const SettlementEngine& engine,
+                                               Amount initial_total);
+
 }  // namespace p2panon::payment

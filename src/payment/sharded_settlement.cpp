@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <map>
 
 namespace p2panon::payment {
 
@@ -115,11 +114,6 @@ std::size_t ShardedSettlementPlane::expire_due(sim::Time now) {
   return terminalised;
 }
 
-bool ShardedSettlementPlane::partition_conserved(std::uint32_t b) const {
-  const BankPartition& part = *parts_[b];
-  return part.bank.total_money() + part.bank.outstanding_coin_value() == part.initial_total;
-}
-
 Amount ShardedSettlementPlane::merged_balance(AccountId account) const {
   Amount merged = initial_balance_;
   for (const auto& part : parts_) merged += part->bank.balance(account) - initial_balance_;
@@ -143,76 +137,8 @@ PlaneReconciliation ShardedSettlementPlane::reconcile() const {
 
   for (const auto& part_ptr : parts_) {
     const BankPartition& part = *part_ptr;
-    PartitionAudit audit;
-
-    // Journal replay must land on the bank's exact balances.
-    ReplayState replayed;
-    audit.replay_ok = part.audit.replay(replayed);
-    if (audit.replay_ok) {
-      if (replayed.accounts.size() != part.bank.account_count() ||
-          replayed.outstanding != part.bank.outstanding_coin_value()) {
-        audit.replay_ok = false;
-      }
-      for (AccountId a = 0; audit.replay_ok && a < replayed.accounts.size(); ++a) {
-        if (replayed.accounts[a] != part.bank.balance(a)) audit.replay_ok = false;
-      }
-      for (EscrowId e = 0; audit.replay_ok && e < replayed.escrows.size(); ++e) {
-        if (replayed.escrows[e] != part.bank.escrow_balance(e)) audit.replay_ok = false;
-      }
-    }
-
-    audit.conserved =
-        part.bank.total_money() + part.bank.outstanding_coin_value() == part.initial_total;
-
-    // Per-account escrow payouts in the journal vs what the reports claim
-    // was paid (the journal is the ground truth the reports must match).
-    std::map<AccountId, Amount> journal_payouts;
-    for (const Transaction& tx : part.audit.transactions()) {
-      if (tx.kind == TxKind::kEscrowPay) journal_payouts[tx.account] += tx.amount;
-    }
-    std::map<AccountId, Amount> report_payouts;
-
-    audit.all_terminal = true;
-    audit.escrows_drained = true;
-    audit.expired_refunded = true;
-    for (SettlementId id = 0; id < part.engine.settlement_count(); ++id) {
-      const SettlementReport* report = part.engine.report(id);
-      if (report == nullptr) {
-        audit.all_terminal = false;
-        continue;
-      }
-      if (report->escrow_in != report->paid_out + report->refunded) audit.escrows_drained = false;
-      switch (report->outcome) {
-        case SettlementState::kClosed:
-          ++audit.closed;
-          break;
-        case SettlementState::kAbandoned:
-          ++audit.abandoned;
-          break;
-        case SettlementState::kExpired:
-          ++audit.expired;
-          if (report->paid_out != 0 || report->refunded != report->escrow_in) {
-            audit.expired_refunded = false;
-          }
-          break;
-        default:
-          audit.all_terminal = false;
-          break;
-      }
-      if (report->pro_rata) ++audit.prorata;
-      audit.escrow_milli += report->escrow_in;
-      audit.paid_milli += report->paid_out;
-      audit.refunded_milli += report->refunded;
-      for (const auto& [acct, paid] : report->payouts) report_payouts[acct] += paid;
-    }
-    // Every escrow drained on the bank side too (terminal settlements leave
-    // nothing behind; the check is vacuous while settlements remain open).
-    if (audit.all_terminal) {
-      for (EscrowId e = 0; e < part.bank.escrow_count(); ++e) {
-        if (part.bank.escrow_balance(e) != 0) audit.escrows_drained = false;
-      }
-    }
-    audit.payouts_match = journal_payouts == report_payouts;
+    const PartitionAudit audit =
+        audit_settlements(part.bank, part.audit, part.engine, part.initial_total);
 
     rec.escrow_milli += audit.escrow_milli;
     rec.paid_milli += audit.paid_milli;

@@ -114,31 +114,10 @@ struct ClaimBatchOutcome {
   bool aggregate_mac_ok = true;
 };
 
-/// Per-partition slice of the reconciliation pass.
-struct PartitionAudit {
-  bool replay_ok = false;        ///< audit journal replays to the bank's exact state
-  bool conserved = false;        ///< money + outstanding coins == initial_total
-  bool escrows_drained = false;  ///< every terminal report: escrow_in == paid + refunded
-  bool all_terminal = false;     ///< no settlement left open
-  bool expired_refunded = false; ///< every Expired report refunded its full escrow
-  bool payouts_match = false;    ///< journal per-account payouts == report payouts
-  Amount escrow_milli = 0;
-  Amount paid_milli = 0;
-  Amount refunded_milli = 0;
-  std::uint64_t closed = 0;
-  std::uint64_t abandoned = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t prorata = 0;
-
-  [[nodiscard]] bool ok() const noexcept {
-    return replay_ok && conserved && escrows_drained && all_terminal && expired_refunded &&
-           payouts_match;
-  }
-};
-
 /// Outcome of the deterministic merge pass after the final barrier.
 struct PlaneReconciliation {
-  std::vector<PartitionAudit> partitions;  ///< ascending partition order
+  /// audit_settlements() of each partition, ascending partition order.
+  std::vector<PartitionAudit> partitions;
   bool global_conserved = false;  ///< sum of merged balances + escrows + coins unchanged
   /// Receipt digests redeemed by more than one partition — a cross-partition
   /// replay that slipped past the per-engine maps. Zero on any honest run.
@@ -220,8 +199,6 @@ class ShardedSettlementPlane {
   /// reconciliation tooling; model/bench code must not mutate through it.
   [[nodiscard]] BankPartition& partition(std::uint32_t b) { return *parts_[b]; }
 
-  /// Per-partition conservation: money + outstanding coins vs initial.
-  [[nodiscard]] bool partition_conserved(std::uint32_t b) const;
   [[nodiscard]] Amount partition_initial(std::uint32_t b) const { return parts_[b]->initial_total; }
 
   /// initial + sum over partitions of (balance_b - initial).
@@ -236,8 +213,8 @@ class ShardedSettlementPlane {
   [[nodiscard]] std::uint64_t aggregates_refused() const noexcept { return aggregates_refused_; }
   [[nodiscard]] std::uint64_t receipts_batched() const noexcept { return receipts_batched_; }
 
-  /// The deterministic merge pass: audit-replay + conservation + lifecycle
-  /// checks per partition in ascending order, then the global fold (merged
+  /// The deterministic merge pass: the C1–C5 audit (audit_settlements) per
+  /// partition in ascending order, then the global fold (merged
   /// conservation, cross-partition redeemed-MAC uniqueness). Pure read-only.
   [[nodiscard]] PlaneReconciliation reconcile() const;
 

@@ -30,7 +30,6 @@ EPOCH_GUARD_FILES = (
     "src/net/probing.hpp", "src/net/probing.cpp",
     "src/core/suspicion.hpp", "src/core/suspicion.cpp",
     "src/net/sharded_probing.hpp", "src/net/sharded_probing.cpp",
-    "src/core/shard_history.hpp", "src/core/shard_history.cpp",
 )
 
 

@@ -48,7 +48,7 @@ ScenarioConfig bank_fault_config(std::uint64_t seed) {
 
 /// Every message the run hands to the transport is either delivered or
 /// dropped, exactly once; in-sim nothing is decoded, so nothing is
-/// rejected; the TCP-only rows stay zero.
+/// rejected.
 void expect_frames_balance(const ScenarioResult& r) {
   EXPECT_GT(r.transport_frames_sent, 0u);
   EXPECT_EQ(r.transport_frames_sent, r.transport_frames_delivered + r.transport_frames_dropped);
@@ -57,10 +57,6 @@ void expect_frames_balance(const ScenarioResult& r) {
   // frames dispatch synchronously and are never dropped (claim loss is a
   // separate bank-fault stream, counted in claims_lost).
   EXPECT_EQ(r.transport_frames_dropped, r.messages_dropped);
-  EXPECT_EQ(r.transport_reconnects, 0u);
-  EXPECT_EQ(r.transport_backoff_retries, 0u);
-  EXPECT_EQ(r.transport_heartbeat_timeouts, 0u);
-  EXPECT_EQ(r.transport_deadline_expiries, 0u);
 }
 
 }  // namespace
@@ -156,10 +152,6 @@ TEST(FaultScenario, FaultFreeRunSendsNoFrames) {
   EXPECT_EQ(r.transport_frames_delivered, 0u);
   EXPECT_EQ(r.transport_frames_dropped, 0u);
   EXPECT_EQ(r.transport_frames_rejected, 0u);
-  EXPECT_EQ(r.transport_reconnects, 0u);
-  EXPECT_EQ(r.transport_backoff_retries, 0u);
-  EXPECT_EQ(r.transport_heartbeat_timeouts, 0u);
-  EXPECT_EQ(r.transport_deadline_expiries, 0u);
 }
 
 TEST(FaultScenario, TransportFramesBalanceInFaultMode) {

@@ -178,3 +178,47 @@ TEST(PaperSharded, FaultModeReconcilesAtFourShards) {
   const ScenarioResult again = run_paper_scenario_sharded(cfg, nullptr);
   expect_same_run(r, again);
 }
+
+TEST(PaperSharded, OneProbeLoopPerNode) {
+  // A node that rejoins before its pending probe tick fires must not start
+  // a second probing loop: like the serial estimator, each node probes at
+  // most once per period, so the run's probe count is bounded by N * T / P.
+  ScenarioConfig cfg = small_config();
+  cfg.engine_shards = 4;
+  cfg.overlay.churn.offline_gap_mean = 5.0;  // far below the 300 s probe period
+  cfg.overlay.churn.departure_probability = 0.0;
+  const ScenarioResult r = run_paper_scenario_sharded(cfg, nullptr);
+
+  const double bound =
+      static_cast<double>(cfg.overlay.node_count) * r.sim_end_time / cfg.probing.period;
+  EXPECT_GT(r.churn_events, 2 * cfg.overlay.node_count) << "nodes must rejoin";
+  EXPECT_GT(r.probes, 0u);
+  EXPECT_LE(static_cast<double>(r.probes), bound);
+}
+
+TEST(PaperSharded, DigestMatchesPin) {
+  // Golden values at K = 4, in the paper shape and in the bank-fault shape.
+  // A refactor of the runner's history, probing or settlement plumbing must
+  // reproduce these bit for bit; re-record only for an intended model
+  // change, and say why in the change log.
+  ScenarioConfig paper = small_config();
+  paper.engine_shards = 4;
+  const ScenarioResult a = run_paper_scenario_sharded(paper, nullptr);
+  EXPECT_EQ(a.sharded_digest, 12435200812065929497ULL);
+  EXPECT_EQ(a.probes, 451u);
+  EXPECT_EQ(a.settlement_paid_milli, 12417629);
+
+  ScenarioConfig faults = small_config(9);
+  faults.engine_shards = 4;
+  faults.bank_partitions = 3;
+  faults.fault.link_loss = 0.05;
+  faults.fault.bank.lifecycle = true;
+  faults.fault.bank.claim_loss = 0.2;
+  faults.fault.bank.initiator_crash = 0.3;
+  faults.fault.bank.forwarder_crash = 0.1;
+  const ScenarioResult b = run_paper_scenario_sharded(faults, nullptr);
+  EXPECT_EQ(b.sharded_digest, 17117862794481506774ULL);
+  EXPECT_EQ(b.probes, 490u);
+  EXPECT_EQ(b.settlement_paid_milli, 8009205);
+  EXPECT_EQ(b.settlement_refunded_milli, 1549274);
+}

@@ -143,3 +143,27 @@ TEST(ShardedScenario, CancelHeavyRegime) {
   // Acked connection <=> a cancelled ack timer (plus any other cancels).
   EXPECT_GE(r.engine.cancelled, r.connections_acked);
 }
+
+TEST(ShardedScenario, DigestMatchesPin) {
+  // Golden values: a refactor of the sharded runner, its probing or its
+  // edge-quality views must reproduce these bit for bit. Re-record only for
+  // an intended model change, and say why in the change log.
+  struct Pin {
+    std::uint32_t shards;
+    std::uint64_t digest;
+    std::uint64_t probes;
+    std::uint64_t connections_acked;
+    std::uint64_t hops_forwarded;
+  };
+  for (const Pin& pin : {Pin{1, 5308691674978303665ULL, 1176, 4412, 13267},
+                        Pin{4, 15397422980736446140ULL, 1176, 2046, 7768}}) {
+    SCOPED_TRACE("K = " + std::to_string(pin.shards));
+    ShardedScenarioConfig cfg = small_config();
+    cfg.shard_count = pin.shards;
+    const ShardedScenarioResult r = run_sharded_scenario(cfg, nullptr);
+    EXPECT_EQ(r.digest, pin.digest);
+    EXPECT_EQ(r.probes, pin.probes);
+    EXPECT_EQ(r.connections_acked, pin.connections_acked);
+    EXPECT_EQ(r.hops_forwarded, pin.hops_forwarded);
+  }
+}

@@ -155,10 +155,11 @@ TEST_F(PlaneTest, ConservationPerPartitionAndGlobally) {
   const SettlementHandle h2 = settle_pair(12);
   // Distinct keys may or may not share a partition; conservation holds
   // either way, in every partition and in the merged view.
-  for (std::uint32_t b = 0; b < plane_.partition_count(); ++b) {
-    EXPECT_TRUE(plane_.partition_conserved(b)) << "partition " << b;
-  }
   const PlaneReconciliation rec = plane_.reconcile();
+  ASSERT_EQ(rec.partitions.size(), plane_.partition_count());
+  for (std::uint32_t b = 0; b < plane_.partition_count(); ++b) {
+    EXPECT_TRUE(rec.partitions[b].conserved) << "partition " << b;
+  }
   EXPECT_TRUE(rec.global_conserved);
   EXPECT_EQ(rec.cross_partition_replays, 0u);
   EXPECT_TRUE(rec.ok());

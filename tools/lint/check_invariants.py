@@ -176,20 +176,12 @@ EPOCH_GUARDS = [
     },
     {
         # The sharded probing estimator publishes per-node epochs consumed by
-        # ShardedEdgeQuality / ShardDecisionScratch — same contract, SoA form.
+        # ShardedEdgeQuality — same contract, SoA form.
         "cls": "ShardedProbing",
         "files": ("src/net/sharded_probing.hpp", "src/net/sharded_probing.cpp"),
         "state": ("session_time_", "avail_total_"),
         "epoch": re.compile(
             r"(\+\+\s*probe_epoch_|probe_epoch_\s*(\[[^]]*\]\s*)?(\+\+|\+=|=))"),
-    },
-    {
-        # The barrier-merged history view: folds publish a new epoch that
-        # selectivity consumers may key caches on — same contract again.
-        "cls": "ShardedHistory",
-        "files": ("src/core/shard_history.hpp", "src/core/shard_history.cpp"),
-        "state": ("counts_", "entries_"),
-        "epoch": re.compile(r"(\+\+\s*epoch_|epoch_\s*(\[[^]]*\]\s*)?(\+\+|\+=|=))"),
     },
 ]
 
