@@ -1,6 +1,8 @@
 // Per-replicate decision resources: the reusable memo arena behind the
 // Utility-Model-II bounded lookahead and the SPNE backward induction, plus
-// the epoch-invalidated edge-quality cache (core/edge_quality).
+// the epoch-invalidated edge-quality cache (core/edge_quality). Every
+// RoutingContext carries one: edge qualities always go through the cache,
+// subproblem values through the memo while a DecisionScope is open.
 //
 // One hop decision = one RoutingStrategy::choose call. The world (overlay
 // liveness, history, probing estimates) is frozen for its duration — the
@@ -31,12 +33,10 @@ enum ScratchMode : std::uint32_t {
 
 class DecisionScratch {
  public:
-  explicit DecisionScratch(std::size_t log2_slots = 12) : log2_slots_(log2_slots) {}
-
   /// Start a new hop decision: all entries of earlier decisions become
   /// stale at once. Use DecisionScope rather than calling this directly.
   void begin_decision() {
-    if (slots_.empty()) slots_.assign(std::size_t{1} << log2_slots_, Slot{});
+    if (slots_.empty()) slots_.assign(std::size_t{1} << kLog2Slots, Slot{});
     ++generation_;
     armed_ = true;
   }
@@ -49,7 +49,7 @@ class DecisionScratch {
   [[nodiscard]] bool lookup(PackedKey key, double* out) const noexcept {
     const std::size_t mask = slots_.size() - 1;
     const std::size_t home =
-        static_cast<std::size_t>(hash_packed_key_fast(key) >> (64 - log2_slots_));
+        static_cast<std::size_t>(hash_packed_key_fast(key) >> (64 - kLog2Slots));
     for (std::size_t p = 0; p < kProbes; ++p) {
       const Slot& s = slots_[(home + p) & mask];
       if (s.generation == generation_ && s.key == key) {
@@ -63,7 +63,7 @@ class DecisionScratch {
   void store(PackedKey key, double value) noexcept {
     const std::size_t mask = slots_.size() - 1;
     const std::size_t home =
-        static_cast<std::size_t>(hash_packed_key_fast(key) >> (64 - log2_slots_));
+        static_cast<std::size_t>(hash_packed_key_fast(key) >> (64 - kLog2Slots));
     std::size_t victim = home;
     for (std::size_t p = 0; p < kProbes; ++p) {
       const std::size_t i = (home + p) & mask;
@@ -87,17 +87,17 @@ class DecisionScratch {
   };
 
   static constexpr std::size_t kProbes = 8;
+  static constexpr std::size_t kLog2Slots = 12;
 
-  std::size_t log2_slots_;
   std::vector<Slot> slots_;
   std::uint64_t generation_ = 0;
   bool armed_ = false;
 };
 
 /// Everything one replicate's decision stack shares across hop decisions.
-/// Owned by the scenario runner (or a test/bench), handed to PathBuilder,
-/// and threaded through RoutingContext; absent (nullptr) everywhere, the
-/// stack computes from scratch with bitwise-identical results.
+/// Owned by a PathBuilder (or by a test or bench) and threaded through
+/// RoutingContext. Construction allocates nothing: the cache and the memo
+/// size their tables on first use.
 struct DecisionResources {
   EdgeQualityCache edge_cache;
   DecisionScratch scratch;
@@ -106,18 +106,15 @@ struct DecisionResources {
 /// RAII armer: strategies open one scope per choose() call.
 class DecisionScope {
  public:
-  explicit DecisionScope(DecisionResources* resources) noexcept
-      : scratch_(resources != nullptr ? &resources->scratch : nullptr) {
-    if (scratch_ != nullptr) scratch_->begin_decision();
+  explicit DecisionScope(DecisionResources& resources) : scratch_(resources.scratch) {
+    scratch_.begin_decision();
   }
-  ~DecisionScope() {
-    if (scratch_ != nullptr) scratch_->end_decision();
-  }
+  ~DecisionScope() { scratch_.end_decision(); }
   DecisionScope(const DecisionScope&) = delete;
   DecisionScope& operator=(const DecisionScope&) = delete;
 
  private:
-  DecisionScratch* scratch_;
+  DecisionScratch& scratch_;
 };
 
 }  // namespace p2panon::core

@@ -86,18 +86,6 @@ class EdgeQualityEvaluator {
 /// evaluator, so eviction can never change a result — only its cost.
 class EdgeQualityCache {
  public:
-  /// `log2_slots` fixes the table size; the cache never reallocates after
-  /// first use (steady state is allocation-free).
-  explicit EdgeQualityCache(std::size_t log2_slots = 15) : log2_slots_(log2_slots) {}
-
-  /// O(1) canonicalisation witness, answered through the memo shared with
-  /// node_facts: true when s's profile holds no entry for
-  /// (pair, predecessor), i.e. sigma == 0 toward every successor.
-  [[nodiscard]] bool history_free(const EdgeQualityEvaluator& eval, net::NodeId s,
-                                  net::PairId pair, net::NodeId predecessor) {
-    return resolve_history_free(eval.history().at(s), s, pair, predecessor);
-  }
-
   /// Everything about the forwarder side of an edge lookup that is shared by
   /// all candidate successors of one decision level: both epochs and the
   /// canonical predecessor (kInvalidNode when s is history-free for
@@ -152,10 +140,10 @@ class EdgeQualityCache {
     const bool free = f.canonical == net::kInvalidNode;
     const PackedKey key = PackedKey::of(f.s, v, f.pair, f.canonical);
 
-    if (slots_.empty()) slots_.assign(std::size_t{1} << log2_slots_, Slot{});
+    if (slots_.empty()) slots_.assign(std::size_t{1} << kLog2Slots, Slot{});
     const std::size_t mask = slots_.size() - 1;
     const std::size_t home =
-        static_cast<std::size_t>(hash_packed_key_fast(key) >> (64 - log2_slots_));
+        static_cast<std::size_t>(hash_packed_key_fast(key) >> (64 - kLog2Slots));
 
     std::size_t victim = home;
     bool victim_fixed = false;
@@ -192,13 +180,6 @@ class EdgeQualityCache {
     slot.used = true;
     slot.value = value;
     return value;
-  }
-
-  void clear() {
-    slots_.clear();
-    hits_ = 0;
-    misses_ = 0;
-    canon_.fill(CanonEntry{});
   }
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
@@ -244,7 +225,7 @@ class EdgeQualityCache {
     return free;
   }
 
-  std::size_t log2_slots_;
+  static constexpr std::size_t kLog2Slots = 15;  ///< fixed: no reallocation after first use
   std::vector<Slot> slots_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -125,14 +125,6 @@ class PackedFlatMap {
     return true;
   }
 
-  /// Visit every (key, value) pair; order is unspecified.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.used) fn(s.key, s.value);
-    }
-  }
-
  private:
   struct Slot {
     PackedKey key;

@@ -40,22 +40,32 @@ struct PathBuilderConfig {
   std::uint32_t max_forwarders = 64;
   /// Honour participation declines (Prop. 3 utility test at each candidate).
   bool allow_declines = true;
+  bool operator==(const PathBuilderConfig&) const = default;
 };
 
 class PathBuilder {
  public:
-  /// `resources`, when given, is the per-replicate edge-quality cache and
-  /// decision memo arena threaded into every RoutingContext this builder
-  /// creates. Null disables caching; results are bitwise identical.
+  /// The builder owns its edge-quality cache and decision memo arena
+  /// (allocated on first use), threaded into every RoutingContext it creates.
   PathBuilder(const net::Overlay& overlay, const EdgeQualityEvaluator& quality,
-              PathBuilderConfig cfg = {}, DecisionResources* resources = nullptr) noexcept
-      : overlay_(overlay), quality_(quality), cfg_(cfg), resources_(resources) {}
+              PathBuilderConfig cfg = {}) noexcept
+      : overlay_(overlay), quality_(quality), cfg_(cfg), resources_(owned_) {}
+
+  /// As above, but sharing the caller's per-replicate `shared` resources
+  /// (never null), which must outlive the builder.
+  PathBuilder(const net::Overlay& overlay, const EdgeQualityEvaluator& quality,
+              PathBuilderConfig cfg, DecisionResources* shared) noexcept
+      : overlay_(overlay), quality_(quality), cfg_(cfg), resources_(*shared) {}
+
+  /// Non-copyable: a copy would alias the original's owned resources.
+  PathBuilder(const PathBuilder&) = delete;
+  PathBuilder& operator=(const PathBuilder&) = delete;
 
   [[nodiscard]] const EdgeQualityEvaluator& quality_evaluator() const noexcept {
     return quality_;
   }
 
-  [[nodiscard]] DecisionResources* resources() const noexcept { return resources_; }
+  [[nodiscard]] DecisionResources& resources() const noexcept { return resources_; }
 
   /// Form the path for connection `conn_index` (1-based) of `pair` from
   /// `initiator` to `responder` under `contract`, with per-node strategies
@@ -98,7 +108,8 @@ class PathBuilder {
   const net::Overlay& overlay_;
   const EdgeQualityEvaluator& quality_;
   PathBuilderConfig cfg_;
-  DecisionResources* resources_;
+  DecisionResources owned_;
+  DecisionResources& resources_;
 };
 
 }  // namespace p2panon::core

@@ -1,7 +1,6 @@
 #include "core/spne_routing.hpp"
 
 #include <cassert>
-#include <optional>
 
 namespace p2panon::core {
 
@@ -44,7 +43,7 @@ double equilibrium_onward(const RoutingContext& ctx, net::NodeId holder,
                           std::uint32_t stages_left) {
   if (holder == ctx.responder) return 0.0;
 
-  DecisionScratch& scratch = ctx.resources->scratch;
+  DecisionScratch& scratch = ctx.resources.scratch;
   const PackedKey key = PackedKey::of(holder, stages_left, 0, kScratchEquilibrium);
   double cached = 0.0;
   if (scratch.lookup(key, &cached)) return cached;
@@ -83,14 +82,7 @@ HopChoice SpneRouting::choose(const RoutingContext& ctx, net::NodeId self, net::
   // The equilibrium prescription considers the full neighbour set; the
   // builder may offer a narrower candidate list (declines, no-backtrack),
   // so re-derive the best response restricted to `candidates`, using the
-  // equilibrium continuation values.
-  //
-  // With decision resources attached, continuations come from the lazy
-  // memoised DFS above; without them, from the legacy eager solver over the
-  // whole overlay. Both produce bitwise-identical values.
-  const game::PathGameSpec spec = make_spec(ctx);
-  std::optional<game::BackwardInductionSolver> solver;
-  if (ctx.resources == nullptr) solver.emplace(spec, stages_);
+  // equilibrium continuation values of the lazy memoised DFS above.
   DecisionScope scope(ctx.resources);
 
   HopChoice best;
@@ -105,13 +97,10 @@ HopChoice SpneRouting::choose(const RoutingContext& ctx, net::NodeId self, net::
       // quality-1 edge dominates whenever it is available.
       onward = ctx.edge_q(self, j, net::kInvalidNode);
     } else {
-      const double continuation = solver.has_value()
-                                      ? solver->decision(j, stages_ - 1).onward_quality
-                                      : equilibrium_onward(ctx, j, stages_ - 1);
-      onward = ctx.edge_q(self, j, net::kInvalidNode) + continuation;
+      onward = ctx.edge_q(self, j, net::kInvalidNode) + equilibrium_onward(ctx, j, stages_ - 1);
     }
-    const double u = spec.forwarding_benefit + onward * spec.routing_benefit -
-                     spec.cost(self, j);
+    const double u = ctx.contract.forwarding_benefit + onward * ctx.contract.routing_benefit() -
+                     (participation_cost(ctx, self) + transmission_cost(ctx, self, j));
     const double q = ctx.edge_q(self, j, pred);
     if (!have || u > best.utility ||
         (u == best.utility && (q > best.edge_quality ||

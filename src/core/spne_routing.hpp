@@ -13,12 +13,10 @@
 // selectivity is predecessor-insensitive; tests cover both the agreement
 // and the equilibrium property.
 //
-// Performance note: when the RoutingContext carries DecisionResources, the
-// eager full-overlay backward-induction table is replaced by a lazy,
-// memoised DFS over (holder, stages-left) that solves only the subgames
-// reachable from the decision point — bitwise identical to the table (same
-// candidate order, same expression order, same strictly-better-wins rule;
-// see test_decision_cache).
+// Solver: a lazy DFS over (holder, stages-left), memoised in the context's
+// DecisionResources, solves only the subgames reachable from the decision
+// point — bitwise identical to game::BackwardInductionSolver's eager table
+// over make_spec(ctx), which test_decision_cache checks it against.
 #pragma once
 
 #include <cstdint>

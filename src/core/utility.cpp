@@ -25,29 +25,18 @@ double best_onward_quality(const RoutingContext& ctx, net::NodeId from, net::Nod
   // value bitwise (position_count is the O(1) witness). The canonical
   // predecessor is resolved once per tree level and handed to the per-edge
   // lookups below, which then skip their own canonicalisation probe.
-  EdgeQualityCache* cache = ctx.resources != nullptr ? &ctx.resources->edge_cache : nullptr;
-  DecisionScratch* scratch = ctx.resources != nullptr && ctx.resources->scratch.armed()
-                                 ? &ctx.resources->scratch
-                                 : nullptr;
-  EdgeQualityCache::NodeFacts facts;
-  if (cache != nullptr) {
-    facts = cache->node_facts(ctx.quality, from, ctx.pair, pred);
-  }
-  PackedKey key;
-  if (scratch != nullptr) {
-    key = PackedKey::of(from, facts.canonical, depth, kScratchLookahead);
-    double cached = 0.0;
-    if (scratch->lookup(key, &cached)) return cached;
-  }
+  EdgeQualityCache& cache = ctx.resources.edge_cache;
+  DecisionScratch& scratch = ctx.resources.scratch;
+  const EdgeQualityCache::NodeFacts facts = cache.node_facts(ctx.quality, from, ctx.pair, pred);
+  const PackedKey key = PackedKey::of(from, facts.canonical, depth, kScratchLookahead);
+  double cached = 0.0;
+  if (scratch.armed() && scratch.lookup(key, &cached)) return cached;
 
   double best = 0.0;
   bool any = false;
   for (net::NodeId c : ctx.overlay.neighbors(from)) {
     if (!ctx.overlay.appears_online(c) || c == from) continue;
-    const double q =
-        cache != nullptr
-            ? cache->get_or_compute_at(ctx.quality, facts, c, ctx.responder, ctx.conn_index)
-            : ctx.quality.edge_quality(from, c, ctx.responder, ctx.pair, pred, ctx.conn_index);
+    const double q = cache.get_or_compute_at(ctx.quality, facts, c, ctx.responder, ctx.conn_index);
     const double total =
         c == ctx.responder ? q : q + best_onward_quality(ctx, c, from, depth - 1);
     if (!any || total > best) {
@@ -59,7 +48,7 @@ double best_onward_quality(const RoutingContext& ctx, net::NodeId from, net::Nod
   const double direct = 1.0;
   if (!any || direct > best) best = direct;
 
-  if (scratch != nullptr) scratch->store(key, best);
+  if (scratch.armed()) scratch.store(key, best);
   return best;
 }
 

@@ -33,18 +33,13 @@ struct RoutingContext {
   net::PairId pair = net::kInvalidPair;
   std::uint32_t conn_index = 1;  ///< k, 1-based
   net::NodeId responder = net::kInvalidNode;
-  /// Optional per-replicate cache + memo arena. Null means "compute from
-  /// scratch"; results are bitwise identical either way.
-  DecisionResources* resources = nullptr;
+  /// The per-replicate edge-quality cache + memo arena of this decision.
+  DecisionResources& resources;
 
-  /// q(s, v) for this decision — through the edge-quality cache when
-  /// resources are attached, straight through the evaluator otherwise.
+  /// q(s, v) for this decision, through the edge-quality cache (a hit
+  /// returns the double the evaluator produced, so it is bitwise the same).
   [[nodiscard]] double edge_q(net::NodeId s, net::NodeId v, net::NodeId pred) const {
-    if (resources != nullptr) {
-      return resources->edge_cache.get_or_compute(quality, s, v, responder, pair, pred,
-                                                  conn_index);
-    }
-    return quality.edge_quality(s, v, responder, pair, pred, conn_index);
+    return resources.edge_cache.get_or_compute(quality, s, v, responder, pair, pred, conn_index);
   }
 };
 
@@ -72,8 +67,9 @@ struct RoutingContext {
 /// Quality (sum of edge qualities) of the best onward path of at most
 /// `depth` edges starting at node `from` (predecessor `pred`), stopping
 /// early when the responder is reached. Exhaustive search over online
-/// neighbours; cost O(d^depth), fine for d ~ 5 and depth <= 4. While a
-/// DecisionScope is open on ctx.resources, subproblems are memoised per
+/// neighbours; cost O(d^depth), fine for d ~ 5 and depth <= 4. Edge
+/// qualities come from ctx.resources' cache; while a DecisionScope is open
+/// on ctx.resources, subproblems are also memoised per
 /// (from, canonical predecessor, depth) — predecessors with no stored
 /// history at `from` collapse to one canonical key because sigma is
 /// exactly 0 toward every successor — turning the d^depth tree into at

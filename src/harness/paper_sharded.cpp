@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -90,7 +92,7 @@ class PaperWorld {
         links_(cfg.overlay.link, cfg.seed),
         history_(cfg.overlay.node_count),
         plane_(cfg.bank_partitions != 0 ? cfg.bank_partitions : engine.shard_count(),
-               cfg.overlay.node_count, payment::from_credits(cfg.initial_balance_credits),
+               cfg.overlay.node_count, payment::from_credits(kInitialBalanceCredits),
                stream_.child("plane")),
         counters_(partition_.shard_count()),
         history_buf_(partition_.shard_count()),
@@ -634,7 +636,7 @@ class PaperWorld {
       }
       const Amount delta =
           plane_.merged_balance(static_cast<payment::AccountId>(id)) -
-          payment::from_credits(cfg_.initial_balance_credits);
+          payment::from_credits(kInitialBalanceCredits);
       h = fnv1a_mix(h, static_cast<std::uint64_t>(delta));
     }
     h = fnv1a_mix(h, history_.total_entries());
@@ -697,8 +699,45 @@ class PaperWorld {
 
 }  // namespace
 
+std::string_view ScenarioConfig::validate() const {
+  if (engine_shards <= 1) return {};
+  // Every knob below changes K = 1 results and is never read by this file.
+  // A knob leaves the list when the runner implements it.
+  const ScenarioConfig d;
+  const std::pair<std::string_view, bool> unimplemented[] = {
+      {"overlay.malicious_fraction", overlay.malicious_fraction != d.overlay.malicious_fraction},
+      {"overlay.malicious_always_online", overlay.malicious_always_online},
+      {"overlay.churn.join_interarrival_mean",
+       overlay.churn.join_interarrival_mean != d.overlay.churn.join_interarrival_mean},
+      {"good_strategy", good_strategy != core::StrategyKind::kUtilityModelI},
+      {"termination", termination != core::TerminationPolicy::kCrowds},
+      {"cid_rotation", cid_rotation != 0},
+      {"history_capacity", history_capacity != 0},
+      {"adversary", adversary != d.adversary},
+      {"anonymity", anonymity != d.anonymity},
+      {"path_builder", path_builder != d.path_builder},
+      {"fault.delay_jitter", fault.delay_jitter != 0.0},
+      {"fault.crash_rate_per_hour", fault.crash_rate_per_hour != 0.0},
+      {"fault.probe_false_negative", fault.probe_false_negative != 0.0},
+      {"fault.partitions", !fault.partitions.empty()},
+      {"fault.bank.claim_delay_mean", fault.bank.claim_delay_mean != 0.0},
+      {"fault.bank.close_after", fault.bank.close_after != d.fault.bank.close_after},
+      {"fault.bank.claim_spread", fault.bank.claim_spread != d.fault.bank.claim_spread},
+      {"async_setup", async_setup != d.async_setup},
+      {"data_phase", data_phase != d.data_phase},
+  };
+  for (const auto& [name, set] : unimplemented) {
+    if (set) return name;
+  }
+  return {};
+}
+
 ScenarioResult run_paper_scenario_sharded(const ScenarioConfig& cfg, parallel::ThreadPool* pool) {
   assert(cfg.engine_shards >= 1);
+  if (const std::string_view knob = cfg.validate(); !knob.empty()) {
+    throw std::invalid_argument("the K > 1 paper runner does not implement ScenarioConfig::" +
+                                std::string(knob));
+  }
   sim::ShardedSimulator engine(cfg.engine_shards, cfg.engine_window, pool);
   PaperWorld world(cfg, engine);
   engine.add_barrier_hook([&world](sim::Time boundary) { world.on_barrier(boundary); });

@@ -43,7 +43,8 @@ namespace p2panon::harness {
 /// Run one full-paper-scenario replicate on cfg.engine_shards > 1 shards.
 /// `pool` may be nullptr (shards run serially per window — identical
 /// results, by the determinism contract). ScenarioRunner::run() routes here
-/// automatically when cfg.engine_shards > 1.
+/// automatically when cfg.engine_shards > 1. Throws std::invalid_argument
+/// naming the knob when cfg.validate() names one.
 [[nodiscard]] ScenarioResult run_paper_scenario_sharded(const ScenarioConfig& cfg,
                                                         parallel::ThreadPool* pool);
 

@@ -218,8 +218,6 @@ std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept {
   mix_d(cfg.data_phase.ack_timeout_factor);
   mix_d(cfg.data_phase.ack_timeout_slack);
   mix_u(cfg.data_phase.max_reformations);
-  mix_d(cfg.suspicion_penalty);
-  mix_d(cfg.initial_balance_credits);
   mix_u(static_cast<std::uint64_t>(cfg.anonymity.form));
   mix_d(cfg.anonymity.scale);
   mix_d(cfg.anonymity.lambda);

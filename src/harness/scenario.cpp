@@ -45,7 +45,7 @@ ScenarioResult ScenarioRunner::run() const {
   // bitwise identical to the pre-fault implementation.
   const bool fault_mode = cfg.fault.enabled();
   std::optional<core::SuspicionTracker> suspicion;
-  if (fault_mode) suspicion.emplace(overlay.size(), cfg.suspicion_penalty);
+  if (fault_mode) suspicion.emplace(overlay.size());
   std::optional<fault::FaultInjector> faults;
   if (fault_mode) {
     faults.emplace(cfg.fault, overlay, root.child("faults"));
@@ -61,8 +61,8 @@ ScenarioResult ScenarioRunner::run() const {
 
   core::EdgeQualityEvaluator quality(probing, history, cfg.weights,
                                      suspicion ? &*suspicion : nullptr);
-  core::DecisionResources resources;  // one edge cache + memo arena per replicate
-  core::PathBuilder builder(overlay, quality, cfg.path_builder, &resources);
+  // The builder owns the replicate's edge-quality cache + memo arena.
+  core::PathBuilder builder(overlay, quality, cfg.path_builder);
   core::PayoffLedger ledger(overlay.size());
 
   std::optional<core::AsyncConnectionRunner> setup_runner;
@@ -86,7 +86,7 @@ ScenarioResult ScenarioRunner::run() const {
   if (bank_mode) bank.attach_audit(&audit);
   payment::SettlementEngine engine(bank);
   auto key_stream = root.child("mac-keys");
-  const payment::Amount initial = payment::from_credits(cfg.initial_balance_credits);
+  const payment::Amount initial = payment::from_credits(kInitialBalanceCredits);
   for (net::NodeId id = 0; id < overlay.size(); ++id) {
     bank.open_account(id, initial, key_stream.child("key", id).next_u64());
   }

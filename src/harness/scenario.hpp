@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/async_path.hpp"
@@ -31,6 +32,9 @@ namespace p2panon::harness {
 enum class TransportBackend : std::uint8_t {
   kSim = 1,
 };
+
+/// Every node's opening bank balance, in credits (large enough never to bind).
+inline constexpr double kInitialBalanceCredits = 1.0e9;
 
 struct ScenarioConfig {
   std::uint64_t seed = 1;
@@ -81,10 +85,6 @@ struct ScenarioConfig {
   fault::FaultConfig fault;
   core::AsyncConfig async_setup;    ///< setup timeouts/backoff (fault mode)
   core::DataPhaseConfig data_phase; ///< keepalive phase knobs (fault mode)
-  /// SuspicionTracker penalty (availability multiplier per hop timeout).
-  double suspicion_penalty = 0.5;
-
-  double initial_balance_credits = 1.0e9;  ///< per-node bank balance
 
   metrics::AnonymityValuation anonymity;  ///< A(.) for the initiator utility
 
@@ -118,6 +118,12 @@ struct ScenarioConfig {
 
   /// Single-valued; see TransportBackend. Read by nothing.
   TransportBackend transport = TransportBackend::kSim;
+
+  /// The first knob set away from its default that changes K = 1 results
+  /// but that the K > 1 runner (harness/paper_sharded) does not implement,
+  /// or an empty name when there is none. Always empty at K = 1.
+  /// run_paper_scenario_sharded refuses configs that name one.
+  [[nodiscard]] std::string_view validate() const;
 };
 
 /// Everything the benches and EXPERIMENTS.md need from one replicate.

@@ -1,15 +1,20 @@
 // The decision stack's caching layers must be *invisible* except in cost:
-// bitwise-identical doubles with and without the edge-quality cache, the
-// memoised lookahead and the lazy SPNE solver. These tests pin that
-// contract, plus the epoch-invalidation and generation-isolation mechanics
-// that make it safe.
+// the edge-quality cache, the memoised lookahead and the lazy SPNE solver
+// return doubles bitwise identical to independent references that call
+// EdgeQualityEvaluator::edge_quality directly — a plain lookahead recursion
+// local to this file and game::BackwardInductionSolver over
+// SpneRouting::make_spec. These tests pin that contract, plus the
+// epoch-invalidation and generation-isolation mechanics that make it safe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/decision_scratch.hpp"
 #include "core/edge_quality.hpp"
 #include "core/flat_hash.hpp"
+#include "core/game.hpp"
 #include "core/spne_routing.hpp"
 #include "core/utility.hpp"
 #include "fixtures.hpp"
@@ -75,7 +80,7 @@ TEST(DecisionScratch, GenerationIsolatesDecisions) {
   double out = 0.0;
   EXPECT_FALSE(res.scratch.armed());
   {
-    DecisionScope scope(&res);
+    DecisionScope scope(res);
     EXPECT_TRUE(res.scratch.armed());
     EXPECT_FALSE(res.scratch.lookup(key, &out));
     res.scratch.store(key, 0.75);
@@ -84,14 +89,10 @@ TEST(DecisionScratch, GenerationIsolatesDecisions) {
   }
   EXPECT_FALSE(res.scratch.armed());
   {
-    DecisionScope scope(&res);
+    DecisionScope scope(res);
     // A new decision must not see the previous decision's entries.
     EXPECT_FALSE(res.scratch.lookup(key, &out));
   }
-}
-
-TEST(DecisionScope, NullResourcesAreANoOp) {
-  DecisionScope scope(nullptr);  // must not crash; plain recursion path
 }
 
 namespace {
@@ -108,10 +109,52 @@ struct CacheWorld : StableWorld {
     }
   }
 
-  [[nodiscard]] RoutingContext context(DecisionResources* res) const {
+  [[nodiscard]] RoutingContext context(DecisionResources& res) const {
     return RoutingContext{overlay, quality, Contract{}, 0, 6, 19, res};
   }
 };
+
+/// Reference lookahead: best_onward_quality's recursion with every edge
+/// quality straight from the evaluator and no memo.
+double plain_onward(const RoutingContext& ctx, NodeId from, NodeId pred, std::uint32_t depth) {
+  if (depth == 0 || from == ctx.responder) return 0.0;
+  double best = 1.0;  // direct delivery to the responder is always available
+  for (NodeId c : ctx.overlay.neighbors(from)) {
+    if (!ctx.overlay.appears_online(c) || c == from) continue;
+    const double q =
+        ctx.quality.edge_quality(from, c, ctx.responder, ctx.pair, pred, ctx.conn_index);
+    best = std::max(best, c == ctx.responder ? q : q + plain_onward(ctx, c, from, depth - 1));
+  }
+  return best;
+}
+
+/// Reference SPNE hop: the best response restricted to `candidates` over
+/// the eager backward-induction table, with SpneRouting's tie-break rule.
+HopChoice eager_spne_choice(const RoutingContext& ctx, std::uint32_t stages, NodeId self,
+                            NodeId pred, std::span<const NodeId> candidates) {
+  const game::PathGameSpec spec = SpneRouting::make_spec(ctx);
+  const game::BackwardInductionSolver solver(spec, stages);
+  HopChoice best;
+  bool have = false;
+  for (NodeId j : candidates) {
+    double onward = 1.0;
+    if (j != ctx.responder) {
+      onward = spec.edge_quality(self, j);
+      if (stages > 0) onward += solver.decision(j, stages - 1).onward_quality;
+    }
+    const double u = spec.forwarding_benefit + onward * spec.routing_benefit -
+                     spec.cost(self, j);
+    const double q =
+        ctx.quality.edge_quality(self, j, ctx.responder, ctx.pair, pred, ctx.conn_index);
+    if (!have || u > best.utility ||
+        (u == best.utility &&
+         (q > best.edge_quality || (q == best.edge_quality && j < best.next)))) {
+      best = HopChoice{j, u, q};
+      have = true;
+    }
+  }
+  return best;
+}
 
 }  // namespace
 
@@ -177,13 +220,12 @@ TEST(EdgeQualityCache, ConnectionIndexRespected) {
 TEST(Lookahead, MemoisedMatchesPlainBitwise) {
   CacheWorld w;
   DecisionResources res;
-  const RoutingContext plain = w.context(nullptr);
-  const RoutingContext cached = w.context(&res);
+  const RoutingContext cached = w.context(res);
   for (NodeId from = 0; from < w.overlay.size(); ++from) {
     for (NodeId pred : {kInvalidNode, NodeId{0}, NodeId{3}}) {
       for (std::uint32_t depth : {1u, 2u, 3u}) {
-        const double want = best_onward_quality(plain, from, pred, depth);
-        DecisionScope scope(&res);
+        const double want = plain_onward(cached, from, pred, depth);
+        DecisionScope scope(res);
         const double got = best_onward_quality(cached, from, pred, depth);
         EXPECT_EQ(want, got) << "from=" << from << " pred=" << pred << " depth=" << depth;
       }
@@ -194,12 +236,15 @@ TEST(Lookahead, MemoisedMatchesPlainBitwise) {
 TEST(Lookahead, Model2UtilityMatchesBitwise) {
   CacheWorld w;
   DecisionResources res;
-  const RoutingContext plain = w.context(nullptr);
-  const RoutingContext cached = w.context(&res);
+  const RoutingContext cached = w.context(res);
   for (NodeId i = 0; i < w.overlay.size(); ++i) {
     for (NodeId j : w.overlay.neighbors(i)) {
-      const double want = model2_utility(plain, i, kInvalidNode, j, 3);
-      DecisionScope scope(&res);
+      const double q_ij = w.quality.edge_quality(i, j, 19, 0, kInvalidNode, 6);
+      const double onward = j == cached.responder ? 0.0 : plain_onward(cached, j, i, 2);
+      const double want = cached.contract.forwarding_benefit +
+                          (q_ij + onward) * cached.contract.routing_benefit() -
+                          (participation_cost(cached, i) + transmission_cost(cached, i, j));
+      DecisionScope scope(res);
       const double got = model2_utility(cached, i, kInvalidNode, j, 3);
       EXPECT_EQ(want, got) << "i=" << i << " j=" << j;
     }
@@ -209,18 +254,17 @@ TEST(Lookahead, Model2UtilityMatchesBitwise) {
 TEST(Spne, LazySolverMatchesEagerBitwise) {
   CacheWorld w;
   DecisionResources res;
-  const RoutingContext plain = w.context(nullptr);
-  const RoutingContext cached = w.context(&res);
+  const RoutingContext cached = w.context(res);
   SpneRouting spne(3);
   auto stream = w.root.child("spne-picks");
   for (NodeId self = 0; self < w.overlay.size(); ++self) {
-    if (self == plain.responder) continue;
+    if (self == cached.responder) continue;
     std::vector<NodeId> candidates;
     for (NodeId c : w.overlay.neighbors(self)) {
       if (c != self && w.overlay.is_online(c)) candidates.push_back(c);
     }
     if (candidates.empty()) continue;
-    const HopChoice want = spne.choose(plain, self, kInvalidNode, candidates, stream);
+    const HopChoice want = eager_spne_choice(cached, 3, self, kInvalidNode, candidates);
     const HopChoice got = spne.choose(cached, self, kInvalidNode, candidates, stream);
     EXPECT_EQ(want.next, got.next) << "self=" << self;
     EXPECT_EQ(want.utility, got.utility) << "self=" << self;
@@ -231,14 +275,13 @@ TEST(Spne, LazySolverMatchesEagerBitwise) {
 TEST(Spne, LazySolverMatchesEagerAtStageZero) {
   CacheWorld w;
   DecisionResources res;
-  const RoutingContext plain = w.context(nullptr);
-  const RoutingContext cached = w.context(&res);
+  const RoutingContext cached = w.context(res);
   SpneRouting spne(0);
   auto stream = w.root.child("spne0-picks");
   const NodeId self = 0;
   std::vector<NodeId> candidates(w.overlay.neighbors(self).begin(),
                                  w.overlay.neighbors(self).end());
-  const HopChoice want = spne.choose(plain, self, kInvalidNode, candidates, stream);
+  const HopChoice want = eager_spne_choice(cached, 0, self, kInvalidNode, candidates);
   const HopChoice got = spne.choose(cached, self, kInvalidNode, candidates, stream);
   EXPECT_EQ(want.next, got.next);
   EXPECT_EQ(want.utility, got.utility);

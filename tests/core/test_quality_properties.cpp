@@ -55,7 +55,8 @@ TEST_P(QualityWeightSweep, Model1UtilityMonotoneInQuality) {
   // Holding costs fixed, a strictly better edge must yield strictly higher
   // Model-I utility whenever P_r > 0 — the alignment property Eq. 1 is
   // built for. We synthesise the comparison via history manipulation.
-  RoutingContext ctx{world.overlay, quality, Contract{}, 6, 5, 19};
+  DecisionResources resources;
+  RoutingContext ctx{world.overlay, quality, Contract{}, 6, 5, 19, resources};
   const NodeId s = 1;
   const auto nbs = world.overlay.neighbors(s);
   ASSERT_GE(nbs.size(), 2u);
@@ -76,7 +77,8 @@ TEST_P(QualityWeightSweep, Model1UtilityMonotoneInQuality) {
 }
 
 TEST_P(QualityWeightSweep, Model2AtLeastModel1ForInteriorHops) {
-  RoutingContext ctx{world.overlay, quality, Contract{}, 6, 1, 19};
+  DecisionResources resources;
+  RoutingContext ctx{world.overlay, quality, Contract{}, 6, 1, 19, resources};
   for (NodeId j : world.overlay.neighbors(0)) {
     if (j == 19) continue;
     EXPECT_GE(model2_utility(ctx, 0, net::kInvalidNode, j, 3) + 1e-12,

@@ -103,7 +103,8 @@ TEST(ReputationRouting, PicksHighestScoredCandidate) {
   for (int i = 0; i < 10; ++i) rep.report_success(0, favoured);
 
   ReputationRouting routing(rep);
-  RoutingContext ctx{world.overlay, world.quality, Contract{}, 1, 1, 19};
+  DecisionResources resources;
+  RoutingContext ctx{world.overlay, world.quality, Contract{}, 1, 1, 19, resources};
   auto stream = world.root.child("rep");
   const HopChoice c = routing.choose(ctx, 0, net::kInvalidNode, candidates, stream);
   EXPECT_EQ(c.next, favoured);

@@ -17,11 +17,12 @@ class SpneRoutingTest : public ::testing::Test {
   void SetUp() override {
     world.warmup();
     ctx = std::make_unique<RoutingContext>(
-        RoutingContext{world.overlay, world.quality, Contract{}, 2, 3, kResponder});
+        RoutingContext{world.overlay, world.quality, Contract{}, 2, 3, kResponder, resources});
   }
 
   static constexpr NodeId kResponder = 19;
   p2ptest::StableWorld world{41};
+  DecisionResources resources;
   std::unique_ptr<RoutingContext> ctx;
 };
 

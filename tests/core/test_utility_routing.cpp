@@ -15,11 +15,12 @@ class UtilityTest : public ::testing::Test {
   void SetUp() override {
     world.warmup();
     ctx = std::make_unique<RoutingContext>(
-        RoutingContext{world.overlay, world.quality, Contract{}, 4, 1, kResponder});
+        RoutingContext{world.overlay, world.quality, Contract{}, 4, 1, kResponder, resources});
   }
 
   static constexpr NodeId kResponder = 19;
   p2ptest::StableWorld world{2};
+  DecisionResources resources;
   std::unique_ptr<RoutingContext> ctx;
 };
 

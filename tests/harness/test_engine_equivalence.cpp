@@ -68,6 +68,18 @@ ScenarioConfig pinned_fault_config() {
   return cfg;
 }
 
+// SPNE routing on the paper-default shape: every good node plays the
+// lazy backward-induction solver (three stages) against adversaries, so the
+// equilibrium memo and the edge-quality cache carry every hop decision.
+ScenarioConfig pinned_spne_config() {
+  ScenarioConfig cfg = paper_default_config(61);
+  cfg.good_strategy = core::StrategyKind::kSpne;
+  cfg.lookahead_depth = 3;
+  cfg.overlay.malicious_fraction = 0.1;
+  cfg.adversary.drop_probability = 0.2;
+  return cfg;
+}
+
 constexpr PinnedDouble kPaperDoubles[] = {
     {"good_payoff_mean", 0x40CAE0A28F81CECDULL},       // 13761.270004487969
     {"member_payoff_mean", 0x407A9893B047F8BAULL},     // 425.53605678666975
@@ -122,6 +134,33 @@ constexpr PinnedCount kFaultCounts[] = {
     {"total_keepalives_delivered", 443ULL},
 };
 
+constexpr PinnedDouble kSpneDoubles[] = {
+    {"good_payoff_mean", 0x40CED4796A08D71DULL},       // 15784.948548417125
+    {"member_payoff_mean", 0x408057E6840C421FULL},     // 522.98755654885088
+    {"forwarder_set_mean", 0x40273D70A3D70A3CULL},     // 11.619999999999997
+    {"path_length_mean", 0x400F5EB851EB8520ULL},       // 3.9212500000000006
+    {"path_quality_mean", 0x3FD993CF55EEA504ULL},      // 0.39964660064522683
+    {"initiator_utility_mean", 0xC07336DA5B4C1445ULL}, // -307.42830972402982
+    {"initiator_spend_mean", 0x40B777B1C486AD2DULL},   // 6007.6944049999993
+    {"latency_mean", 0x3FF6A580BA71E508ULL},           // 1.4154059679988809
+    {"efficiency_mean", 0x4047335967F43B78ULL},        // 46.401165956739476
+    {"delivery_ratio_mean", 0x3FF0000000000000ULL},    // 1
+    {"setup_time_mean", 0x0000000000000000ULL},        // 0
+    {"time_to_detect_mean", 0x0000000000000000ULL},    // 0
+};
+constexpr PinnedCount kSpneCounts[] = {
+    {"total_reformations", 235ULL},
+    {"total_churn_events", 391ULL},
+    {"total_connections_completed", 4000ULL},
+    {"total_connections_failed", 0ULL},
+    {"total_setup_attempts", 0ULL},
+    {"total_ack_timeouts", 0ULL},
+    {"total_crashes", 0ULL},
+    {"total_messages_dropped", 0ULL},
+    {"total_keepalives_sent", 0ULL},
+    {"total_keepalives_delivered", 0ULL},
+};
+
 void expect_matches_pins(const ReplicatedResult& r,
                          const PinnedDouble (&doubles)[12],
                          const PinnedCount (&counts)[10]) {
@@ -160,6 +199,11 @@ TEST(EngineEquivalence, PaperDefaultMatchesPreChangePins) {
 TEST(EngineEquivalence, FaultModeMatchesPreChangePins) {
   expect_matches_pins(run_replicated(pinned_fault_config(), 3, nullptr),
                       kFaultDoubles, kFaultCounts);
+}
+
+TEST(EngineEquivalence, SpneMatchesPrePins) {
+  expect_matches_pins(run_replicated(pinned_spne_config(), 2, nullptr),
+                      kSpneDoubles, kSpneCounts);
 }
 
 TEST(EngineEquivalence, PinsHoldAcrossThreadPoolSizes) {
