@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 using p2panon::sim::EventQueue;
@@ -297,4 +300,122 @@ TEST(EventQueueStress, MillionEventScheduleCancelPop) {
   EXPECT_EQ(q.stats().cancelled, cancelled);
   EXPECT_EQ(q.stats().callback_heap_allocs, 0u);
   EXPECT_GT(cancelled, static_cast<std::uint64_t>(kEvents) / 20);
+}
+
+namespace {
+
+/// Drives an EventQueue and an ordered std::map model of its pending set in
+/// lock step. The model is the specification: pop order is (time, schedule
+/// order), nothing else.
+class ReferenceDriver {
+ public:
+  using Key = std::pair<double, std::uint64_t>;  // (time, schedule order)
+
+  std::uint64_t draw() {
+    rng_ = rng_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng_ >> 33;
+  }
+
+  // Coarse quarter-second grid: equal-time ties are the common case.
+  double draw_time() { return now_ + 0.25 * static_cast<double>(draw() % 256); }
+
+  void schedule(double at) {
+    const std::uint64_t order = next_order_++;
+    const auto id = q_.schedule(at, [this, order] { on_fire(order); });
+    model_.emplace(Key{at, order}, id);
+    key_of_.emplace(id, Key{at, order});
+    // Remember recent ids, live or spent, as cancel targets.
+    if (issued_.size() < 4096) {
+      issued_.push_back(id);
+    } else {
+      issued_[draw() % issued_.size()] = id;
+    }
+  }
+
+  void cancel_some() {
+    if (issued_.empty()) return;
+    const auto id = issued_[draw() % issued_.size()];
+    const auto it = key_of_.find(id);
+    const bool expected = it != key_of_.end();
+    if (expected) {
+      model_.erase(it->second);
+      key_of_.erase(it);
+    }
+    ASSERT_EQ(q_.cancel(id), expected);
+  }
+
+  void pop_one() {
+    ASSERT_FALSE(model_.empty());
+    const auto head = model_.begin();
+    const Key key = head->first;
+    const auto id = head->second;
+    model_.erase(head);
+    key_of_.erase(id);
+    auto ev = q_.pop();
+    ASSERT_EQ(ev.time, key.first);
+    ASSERT_EQ(ev.id, id);
+    now_ = ev.time;
+    ev.fn();
+    ASSERT_EQ(fired_order_, key.second);  // the callback column matches the entry
+  }
+
+  void check_head() const {
+    ASSERT_EQ(q_.size(), model_.size());
+    ASSERT_EQ(q_.next_time(),
+              model_.empty() ? p2panon::sim::kTimeInfinity : model_.begin()->first.first);
+  }
+
+  [[nodiscard]] std::size_t pending() const { return model_.size(); }
+  [[nodiscard]] const EventQueue& queue() const { return q_; }
+
+ private:
+  void on_fire(std::uint64_t order) {
+    fired_order_ = order;
+    // One in four callbacks schedules a follow-up, sometimes at `now` itself.
+    const std::uint64_t r = draw();
+    if (r % 4 == 0) schedule(r % 8 == 0 ? now_ : draw_time());
+  }
+
+  EventQueue q_;
+  std::map<Key, p2panon::sim::EventId> model_;
+  std::unordered_map<p2panon::sim::EventId, Key> key_of_;
+  std::vector<p2panon::sim::EventId> issued_;
+  std::uint64_t rng_ = 20240917;
+  std::uint64_t next_order_ = 0;
+  std::uint64_t fired_order_ = ~std::uint64_t{0};
+  double now_ = 0.0;
+};
+
+}  // namespace
+
+TEST(EventQueueStress, MatchesOrderedReferenceExactly) {
+  // ~2e5 seeded schedule/cancel/pop operations against an ordered model with
+  // ~4e4 events pending, so the heap is many levels deep: every popped
+  // (time, id), every fired callback and every next_time() must match
+  // exactly — not merely come out in non-decreasing time.
+  constexpr std::size_t kTarget = 40'000;
+  constexpr int kOps = 200'000;
+  ReferenceDriver d;
+  while (d.pending() < kTarget) d.schedule(d.draw_time());
+  for (int i = 0; i < kOps; ++i) {
+    const std::uint64_t r = d.draw() % 8;
+    if (r < 3 || d.pending() == 0) {
+      d.schedule(d.draw_time());
+    } else if (r < 5) {
+      d.cancel_some();
+    } else {
+      d.pop_one();
+    }
+    d.check_head();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(d.pending(), 10'000u);
+  while (d.pending() > 0) {
+    d.pop_one();
+    d.check_head();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(d.queue().empty());
+  EXPECT_EQ(d.queue().stats().scheduled,
+            d.queue().stats().fired + d.queue().stats().cancelled);
 }

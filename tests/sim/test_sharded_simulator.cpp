@@ -211,3 +211,62 @@ TEST(ShardedSimulator, DeterministicAcrossPoolSizes) {
     EXPECT_EQ(msgs, serial_msgs);
   }
 }
+
+TEST(ShardedSimulator, MailboxMergeIsSourceAscendingFifoPerDestination) {
+  // Pins the barrier merge order: every destination receives its mail in
+  // (source shard ascending, append order), after the events it already had
+  // pending at the same time, whatever the pool size. Shards 3, 1 and 2 send
+  // inside the first window in that wall-clock order; a barrier hook posts
+  // one more message from shard 0 after the window has run.
+  constexpr std::uint32_t kShards = 4;
+  constexpr Time kAt = 4.0;  // inside window [0, 10): clamped to boundary 10
+  const auto run_logs = [](parallel::ThreadPool* pool) {
+    ShardedSimulator engine(kShards, 10.0, pool);
+    auto logs = std::vector<std::vector<Fired>>(kShards);
+    const auto deliver = [&engine, &logs](std::uint32_t src, std::uint32_t dst, int tag) {
+      engine.post(src, dst, kAt, [&engine, &logs, dst, tag] {
+        logs[dst].push_back({tag, engine.shard(dst).now()});
+      });
+    };
+    // Already pending on the destinations at the boundary time itself.
+    engine.shard(0).schedule_at(10.0, [&engine, &logs] {
+      logs[0].push_back({900, engine.shard(0).now()});
+    });
+    engine.shard(2).schedule_at(10.0, [&engine, &logs] {
+      logs[2].push_back({902, engine.shard(2).now()});
+    });
+    for (const std::uint32_t src : {3u, 1u, 2u}) {
+      engine.shard(src).schedule_at(1.0 + (3 - src), [&deliver, src] {
+        const int base = 100 * static_cast<int>(src);
+        deliver(src, 0, base + 1);
+        deliver(src, 0, base + 2);
+        deliver(src, 2, base + 3);  // src 2 -> 2 is local: fires at kAt
+      });
+    }
+    bool hook_posted = false;
+    engine.add_barrier_hook([&deliver, &hook_posted](Time) {
+      if (hook_posted) return;
+      hook_posted = true;
+      deliver(0, 2, 1);
+    });
+    engine.run_until(30.0);
+    return std::make_pair(std::move(logs), engine.stats().cross_shard_messages);
+  };
+
+  const std::vector<std::vector<Fired>> expected = {
+      {{900, 10.0}, {101, 10.0}, {102, 10.0}, {201, 10.0}, {202, 10.0}, {301, 10.0}, {302, 10.0}},
+      {},
+      {{203, kAt}, {902, 10.0}, {1, 10.0}, {103, 10.0}, {303, 10.0}},
+      {},
+  };
+  const auto [serial_logs, serial_msgs] = run_logs(nullptr);
+  EXPECT_EQ(serial_logs, expected);
+  EXPECT_EQ(serial_msgs, 9u);  // 6 to shard 0, 2 to shard 2, 1 from the hook
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("pool size " + std::to_string(threads));
+    parallel::ThreadPool pool(threads);
+    const auto [logs, msgs] = run_logs(&pool);
+    EXPECT_EQ(logs, expected);
+    EXPECT_EQ(msgs, serial_msgs);
+  }
+}
