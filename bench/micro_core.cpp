@@ -2,10 +2,11 @@
 // simulation hot path: RNG streams, the event queue, routing decisions
 // (including the paper's O(log d) next-hop claim — ours is O(d) argmax,
 // measured here to show it is nanoseconds at d = 5), probing updates,
-// payment settlement, and parallel replication scaling. The decision rows
-// run the one decision stack (edge-quality cache + memo arena); the
-// BM_EdgeQuality / BM_EdgeQualityCached pair times the cache's miss and hit
-// paths.
+// payment settlement, and parallel replication scaling. BM_EventQueueHold
+// times the queue in a shard's steady state (pop one, schedule one). The
+// decision rows run the one decision stack (edge-quality cache + memo
+// arena); the BM_EdgeQuality / BM_EdgeQualityCached pair times the cache's
+// miss and hit paths.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -56,6 +57,28 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(64)->Arg(1024)->Arg(16384);
+
+/// The hold model: a queue kept at n pending events, each iteration pops the
+/// earliest, runs it, and schedules one more at now + Exp(1). Arg(131072) is
+/// the regime of one engine shard at N = 1e5 (~75k pending events), where the
+/// heap and the callbacks no longer fit in L2.
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::rng::Stream s(3);
+  sim::EventQueue q;
+  std::uint64_t fired = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    q.schedule(s.exponential(1.0), [&fired] { ++fired; });
+  }
+  for (auto _ : state) {
+    auto ev = q.pop();
+    ev.fn();
+    q.schedule(ev.time + s.exponential(1.0), [&fired] { ++fired; });
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1024)->Arg(131072);
 
 /// Shared environment for routing-decision microbenches; `ctx` carries the
 /// per-replicate DecisionResources (edge-quality cache + memo arena).

@@ -1,12 +1,21 @@
 // Pending-event set for the discrete-event simulator.
 //
-// A binary heap keyed by (time, sequence number) orders execution: ties in
-// time are broken by insertion order, which makes runs independent of heap
-// internals and hence reproducible. Callbacks live in a generation-checked
-// slot map; the heap holds only light (time, seq, slot, gen) records. An
-// EventId encodes (generation << 32 | slot), so cancel() is O(1): decode,
-// compare generations, drop the callback. The heap entry of a cancelled event
-// stays behind and is skipped when it surfaces at the top.
+// A 4-ary min-heap keyed by (time, sequence number) orders execution: ties in
+// time are broken by insertion order. seq is unique, so the order is total
+// and the pop sequence cannot depend on the heap's shape — runs are
+// reproducible whatever the heap arity or sift strategy. The heap holds only
+// light 24-byte (time, seq, slot, gen) records and sifts with a hole (one
+// move per level, no swaps); four children per node halve its depth against
+// a binary heap.
+//
+// Event state lives in a generation-checked slot map stored as two parallel
+// columns: a dense 8-byte SlotMeta {gen, next_free} (a slot is live exactly
+// when next_free holds the kLive sentinel) and the EventCallback column. The
+// stale-top check and cancel() read only the meta column, so they stay in
+// cache even when tens of thousands of callbacks are pending. An EventId
+// encodes (generation << 32 | slot), so cancel() is O(1): decode, compare
+// generations, drop the callback. The heap entry of a cancelled event stays
+// behind and is skipped when it surfaces at the top.
 //
 // Cancellation semantics (tested in tests/sim/test_event_queue.cpp):
 //  - cancel() returns true exactly once, and only if the event had not yet
@@ -84,6 +93,10 @@ class EventQueue {
   };
   Popped pop();
 
+  /// Grow capacity (geometrically) so the next `n` schedule() calls do not
+  /// reallocate. Changes no observable state.
+  void reserve_more(std::size_t n);
+
   /// Drop everything and zero the stats. Outstanding ids stay dead: slot
   /// generations survive and are bumped on reuse as usual.
   void clear();
@@ -91,11 +104,11 @@ class EventQueue {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct Slot {
-    EventCallback fn;
-    std::uint32_t gen = 0;       // bumped on allocation; 0 is never live
-    std::uint32_t next_free = 0; // free-list link, valid while not live
-    bool live = false;
+  // One per slot, parallel to fns_. next_free is the free-list link while
+  // the slot is free and kLive while it holds a pending event.
+  struct SlotMeta {
+    std::uint32_t gen = 0;  // bumped on allocation; 0 is never live
+    std::uint32_t next_free = 0;
   };
 
   struct HeapEntry {
@@ -105,23 +118,22 @@ class EventQueue {
     std::uint32_t gen;
   };
 
-  // Min-heap ordering on (time, seq).
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  // Heap order on (time, seq): a total order, since seq is unique.
+  static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+  }
 
-  static constexpr std::uint32_t kNoFreeSlot = 0xFFFFFFFFu;
+  static constexpr std::size_t kArity = 4;
+  static constexpr std::uint32_t kNoFreeSlot = 0xFFFFFFFFu;  // free-list end
+  static constexpr std::uint32_t kLive = 0xFFFFFFFEu;        // next_free of a live slot
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
   [[nodiscard]] bool entry_live(const HeapEntry& e) const noexcept {
-    const Slot& s = slots_[e.slot];
-    return s.live && s.gen == e.gen;
+    const SlotMeta& m = meta_[e.slot];
+    return m.next_free == kLive && m.gen == e.gen;
   }
 
   // Physically remove heap entries of cancelled events as they surface.
@@ -129,11 +141,18 @@ class EventQueue {
   // bookkeeping, slots are not touched).
   void drop_stale_tops() const;
 
+  // Hole-based 4-ary heap primitives. sift_up/sift_down place `e` starting
+  // from the hole at index `hole`; pop_top removes heap_[0].
+  void sift_up(std::size_t hole, HeapEntry e) noexcept;
+  void sift_down(std::size_t hole, HeapEntry e) const noexcept;
+  void pop_top() const noexcept;
+
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
 
   mutable std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;
+  std::vector<SlotMeta> meta_;
+  std::vector<EventCallback> fns_;
   std::uint32_t free_head_ = kNoFreeSlot;
   std::size_t live_count_ = 0;
   std::uint64_t next_seq_ = 0;

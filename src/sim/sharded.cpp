@@ -14,10 +14,11 @@ ShardedSimulator::ShardedSimulator(ShardId shard_count, Time window,
   assert(shard_count >= 1 && "need at least one shard");
   assert(window > 0.0 && "window must be positive");
   shards_.reserve(shard_count);
+  outbox_.resize(shard_count);
   for (ShardId s = 0; s < shard_count; ++s) {
     shards_.push_back(std::make_unique<Simulator>());
+    outbox_[s].resize(shard_count);
   }
-  outbox_.resize(shard_count);
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -30,7 +31,7 @@ void ShardedSimulator::post(ShardId src, ShardId dst, Time at, EventFn fn) {
     shards_[src]->schedule_at(at, std::move(fn));
     return;
   }
-  outbox_[src].push_back(Outgoing{dst, at, std::move(fn)});
+  outbox_[src][dst].push_back(Outgoing{at, std::move(fn)});
 }
 
 Time ShardedSimulator::next_event_time() const noexcept {
@@ -53,40 +54,55 @@ EventQueue::Stats ShardedSimulator::aggregate_queue_stats() const noexcept {
   return total;
 }
 
-void ShardedSimulator::run_window(Time window_end) {
+template <typename Task>
+void ShardedSimulator::for_each_shard(const Task& task) {
   if (pool_ != nullptr && shards_.size() > 1) {
-    for (const auto& shard : shards_) {
-      Simulator* s = shard.get();
-      pool_->submit([s, window_end] { s->run_until(window_end); });
+    for (ShardId s = 0; s < shard_count(); ++s) {
+      pool_->submit([&task, s] { task(s); });
     }
     pool_->wait_idle();
   } else {
-    for (const auto& shard : shards_) {
-      shard->run_until(window_end);
+    for (ShardId s = 0; s < shard_count(); ++s) task(s);
+  }
+}
+
+void ShardedSimulator::drain_into(ShardId dst, Time boundary) {
+  // Deterministic merge for one destination: source shards in ascending
+  // order, each outbox in append order. Delivery time is clamped up to the
+  // boundary so no shard ever receives an event in its past.
+  Simulator& to = *shards_[dst];
+  for (auto& row : outbox_) {
+    auto& box = row[dst];
+    for (auto& msg : box) {
+      to.schedule_at(std::max(msg.at, boundary), std::move(msg.fn));
     }
+    box.clear();  // keeps capacity — steady state appends do not allocate
   }
 }
 
 void ShardedSimulator::flush_mailboxes(Time boundary) {
-  // Deterministic merge: source shards in ascending order, each outbox in
-  // append order. Delivery time is clamped up to the boundary so no shard
-  // ever receives an event in its past.
-  for (auto& box : outbox_) {
-    for (auto& msg : box) {
-      stats_.cross_shard_messages += 1;
-      shards_[msg.dst]->schedule_at(std::max(msg.at, boundary), std::move(msg.fn));
-    }
-    box.clear();  // keeps capacity — steady state appends do not allocate
+  // Count the mail and grow every destination queue here, on the calling
+  // thread, so the drains never reallocate (keeps queue memory out of the
+  // pool threads' malloc arenas).
+  std::uint64_t mail = 0;
+  for (ShardId dst = 0; dst < shard_count(); ++dst) {
+    std::size_t incoming = 0;
+    for (const auto& row : outbox_) incoming += row[dst].size();
+    shards_[dst]->reserve_events(incoming);
+    mail += incoming;
   }
+  if (mail == 0) return;
+  stats_.cross_shard_messages += mail;
+  // Each drain writes only its destination's queue and clears only the boxes
+  // addressed to it, so the drains share no mutable state.
+  for_each_shard([this, boundary](ShardId dst) { drain_into(dst, boundary); });
 }
 
 Time ShardedSimulator::run_until(Time until) {
   // Posts made outside a window (harness setup) are delivered now, at the
   // current barrier, before any window runs.
   Time now = shards_[0]->now();
-  bool pending_mail = false;
-  for (const auto& box : outbox_) pending_mail |= !box.empty();
-  if (pending_mail) flush_mailboxes(now);
+  flush_mailboxes(now);
 
   for (;;) {
     const Time next = next_event_time();
@@ -97,18 +113,19 @@ Time ShardedSimulator::run_until(Time until) {
     // window} fully determines every boundary.
     const Time window_start = std::max(now, std::floor(next / window_) * window_);
     const Time window_end = std::min(until, window_start + window_);
-    run_window(window_end);
+    for_each_shard([this, window_end](ShardId s) { shards_[s]->run_until(window_end); });
     stats_.window_barriers += 1;
     for (const auto& hook : hooks_) hook(window_end);
     flush_mailboxes(window_end);
     now = window_end;
   }
 
-  // Advance idle clocks to the horizon (mirrors Simulator::run_until).
+  // Advance idle clocks to the horizon (mirrors Simulator::run_until). A
+  // horizon in the past moves no clock.
   for (const auto& shard : shards_) {
-    shard->run_until(until);
+    now = shard->run_until(until);
   }
-  return until;
+  return now;
 }
 
 }  // namespace p2panon::sim

@@ -9,7 +9,7 @@
 //     directly on its Simulator (`shard(s).schedule_*` or `post` with
 //     src == dst).
 //   - An effect on *another* shard must go through `post(src, dst, at, fn)`.
-//     The callback is buffered in the source shard's outbox and delivered at
+//     The callback is buffered in the (src, dst) outbox and delivered at
 //     the first window boundary >= the send window, at time
 //     max(at, boundary). Shards therefore never observe mid-window state of
 //     their peers, which is what makes the windowed run race-free without
@@ -25,13 +25,17 @@
 //     run_until never reorders events).
 //   - K > 1: for a fixed {seed, K, window} the result is bitwise identical
 //     across thread-pool sizes, including the serial pool == nullptr path.
-//     Within a window shards share no mutable state; at the barrier the
-//     mailboxes are flushed serially in (source shard ascending, append
-//     order) — a deterministic merge.
+//     Within a window shards share no mutable state. At the barrier, after
+//     the hooks, each destination shard's mail is drained by its own task
+//     in (source shard ascending, append order) — a deterministic merge per
+//     destination. A drain touches only its destination's queue and the
+//     (src, dst) boxes addressed to it, so the K drains run in parallel and
+//     every shard queue still hands out the same sequence numbers.
 //
-// The thread pool is borrowed per window (submit + wait_idle). Do not run a
-// windowed ShardedSimulator from *inside* a task on the same pool: wait_idle
-// waits for all queued tasks and would deadlock.
+// The thread pool is borrowed twice per barrier-synchronised window (window
+// tasks, then drain tasks; submit + wait_idle each). Do not run a windowed
+// ShardedSimulator from *inside* a task on the same pool: wait_idle waits for
+// all queued tasks and would deadlock.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +64,9 @@ class ShardedSimulator {
   };
 
   /// A hook run serially at every window barrier (after all shards reached
-  /// the boundary, before mailboxes flush). Used to publish cross-shard
-  /// snapshots and to drain model-level batch queues (claims, settlement).
+  /// the boundary, before the mailboxes are drained). Used to publish
+  /// cross-shard snapshots and to drain model-level batch queues (claims,
+  /// settlement).
   using BarrierHook = std::function<void(Time boundary)>;
 
   /// `shard_count` >= 1. `window` > 0 is the synchronisation quantum; the
@@ -86,9 +91,9 @@ class ShardedSimulator {
 
   /// Schedule `fn` to run on shard `dst` at absolute time `at`, from code
   /// currently executing on shard `src`. Local posts (src == dst) bypass the
-  /// mailbox entirely. Cross-shard posts are buffered in the src outbox —
-  /// safe to call concurrently from distinct shards — and delivered at the
-  /// next window barrier at time max(at, boundary).
+  /// mailbox entirely. Cross-shard posts are buffered in the (src, dst)
+  /// outbox — safe to call concurrently from distinct shards — and delivered
+  /// at the next window barrier at time max(at, boundary).
   void post(ShardId src, ShardId dst, Time at, EventFn fn);
 
   /// Register a barrier hook (see BarrierHook). Hooks run serially in
@@ -98,7 +103,9 @@ class ShardedSimulator {
   void add_barrier_hook(BarrierHook hook) { hooks_.push_back(std::move(hook)); }
 
   /// Advance all shards to `until`, window by window. Events at exactly
-  /// `until` are executed; every shard's clock ends at `until`.
+  /// `until` are executed; every shard's clock ends at max(now, until).
+  /// Returns the final clock value (like Simulator::run_until): a horizon
+  /// already in the past moves no clock and returns the current time.
   Time run_until(Time until);
 
   /// Earliest pending event over all shards; kTimeInfinity when fully idle.
@@ -111,18 +118,22 @@ class ShardedSimulator {
 
  private:
   struct Outgoing {
-    ShardId dst;
     Time at;
     EventFn fn;
   };
 
-  void run_window(Time window_end);
+  // Run task(s) for every shard s: on the pool when there is one and K > 1,
+  // in shard order otherwise. Returns when every task has finished.
+  template <typename Task>
+  void for_each_shard(const Task& task);
   void flush_mailboxes(Time boundary);
+  void drain_into(ShardId dst, Time boundary);
 
   std::vector<std::unique_ptr<Simulator>> shards_;
-  // One outbox per *source* shard: within a window each shard appends only to
-  // its own, so cross-shard sends need no synchronisation.
-  std::vector<std::vector<Outgoing>> outbox_;
+  // outbox_[src][dst]: within a window each shard appends only to its own
+  // row, so cross-shard sends need no synchronisation; at the barrier each
+  // destination drains only its own column.
+  std::vector<std::vector<std::vector<Outgoing>>> outbox_;
   std::vector<BarrierHook> hooks_;
   Time window_;
   parallel::ThreadPool* pool_;

@@ -57,6 +57,9 @@ class Simulator {
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
 
+  /// Make room for `n` more scheduled events without reallocating.
+  void reserve_events(std::size_t n) { queue_.reserve_more(n); }
+
   /// Reset clock and drop all pending events.
   void reset();
 

@@ -307,7 +307,7 @@ namespace {
 /// Drives an EventQueue and an ordered std::map model of its pending set in
 /// lock step. The model is the specification: pop order is (time, schedule
 /// order), nothing else.
-class ReferenceDriver {
+class ModelCheckedQueue {
  public:
   using Key = std::pair<double, std::uint64_t>;  // (time, schedule order)
 
@@ -325,16 +325,16 @@ class ReferenceDriver {
     model_.emplace(Key{at, order}, id);
     key_of_.emplace(id, Key{at, order});
     // Remember recent ids, live or spent, as cancel targets.
-    if (issued_.size() < 4096) {
-      issued_.push_back(id);
+    if (recent_ids_.size() < 4096) {
+      recent_ids_.push_back(id);
     } else {
-      issued_[draw() % issued_.size()] = id;
+      recent_ids_[draw() % recent_ids_.size()] = id;
     }
   }
 
   void cancel_some() {
-    if (issued_.empty()) return;
-    const auto id = issued_[draw() % issued_.size()];
+    if (recent_ids_.empty()) return;
+    const auto id = recent_ids_[draw() % recent_ids_.size()];
     const auto it = key_of_.find(id);
     const bool expected = it != key_of_.end();
     if (expected) {
@@ -379,7 +379,7 @@ class ReferenceDriver {
   EventQueue q_;
   std::map<Key, p2panon::sim::EventId> model_;
   std::unordered_map<p2panon::sim::EventId, Key> key_of_;
-  std::vector<p2panon::sim::EventId> issued_;
+  std::vector<p2panon::sim::EventId> recent_ids_;
   std::uint64_t rng_ = 20240917;
   std::uint64_t next_order_ = 0;
   std::uint64_t fired_order_ = ~std::uint64_t{0};
@@ -395,7 +395,7 @@ TEST(EventQueueStress, MatchesOrderedReferenceExactly) {
   // exactly — not merely come out in non-decreasing time.
   constexpr std::size_t kTarget = 40'000;
   constexpr int kOps = 200'000;
-  ReferenceDriver d;
+  ModelCheckedQueue d;
   while (d.pending() < kTarget) d.schedule(d.draw_time());
   for (int i = 0; i < kOps; ++i) {
     const std::uint64_t r = d.draw() % 8;

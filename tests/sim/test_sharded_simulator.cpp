@@ -270,3 +270,13 @@ TEST(ShardedSimulator, MailboxMergeIsSourceAscendingFifoPerDestination) {
     EXPECT_EQ(msgs, serial_msgs);
   }
 }
+
+TEST(ShardedSimulator, RunUntilInThePastReturnsTheClock) {
+  // Like Simulator::run_until, the return value is the clock actually
+  // reached: a horizon behind the current time moves no shard clock back.
+  ShardedSimulator engine(2, 10.0, nullptr);
+  EXPECT_EQ(engine.run_until(50.0), 50.0);
+  EXPECT_EQ(engine.run_until(20.0), 50.0);
+  EXPECT_EQ(engine.shard(0).now(), 50.0);
+  EXPECT_EQ(engine.shard(1).now(), 50.0);
+}
