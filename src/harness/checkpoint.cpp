@@ -16,7 +16,7 @@ bool atomic_write_file(const std::filesystem::path& path, std::string_view paylo
   std::filesystem::path tmp = path;
   tmp += ".tmp";
   {
-    // lint-exempt(atomic-write): this IS the atomic-rename helper's write leg
+    // This IS the atomic-rename helper's write leg.
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return false;
     out.write(payload.data(), static_cast<std::streamsize>(payload.size()));

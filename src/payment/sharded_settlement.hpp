@@ -49,7 +49,7 @@
 // close_settlement / expire_due), which the harness drives from the
 // serial window-barrier hook. Direct partition(b).engine/bank mutation
 // bypasses the routing + the batched verification and needs an explicit
-// // lint-exempt(bank-partition): waiver.
+// bank-partition waiver comment naming its reason.
 #pragma once
 
 #include <cstdint>

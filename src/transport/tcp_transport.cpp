@@ -57,7 +57,7 @@ TcpTransport::~TcpTransport() {
 double TcpTransport::now_seconds() noexcept {
   // Real processes need real time; the waiver scopes the wall clock to this
   // one accessor so the rest of the file stays greppably clock-free.
-  using clock = std::chrono::steady_clock;  // lint-allow(determinism): multi-process transport runs outside the simulator; deadlines/heartbeats need wall time
+  using clock = std::chrono::steady_clock;  // lint-exempt(determinism): multi-process transport runs outside the simulator; deadlines/heartbeats need wall time
   return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
 }
 

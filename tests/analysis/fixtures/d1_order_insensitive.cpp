@@ -17,7 +17,7 @@ class Tally {
  public:
   std::uint64_t sum_scores() const {
     std::uint64_t total = 0;
-    for (const auto& [id, score] : scores_) {
+    for (const auto& [id, score] : scores_) {  // MUST-PASS(D1)
       (void)id;
       total += static_cast<std::uint64_t>(score);
     }

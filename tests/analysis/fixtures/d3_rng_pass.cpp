@@ -15,7 +15,7 @@ struct Stream {
 namespace fixture {
 
 inline double disciplined_draw(sim::rng::Stream& stream) {
-  std::normal_distribution<double> dist(0.0, 1.0);
+  std::normal_distribution<double> dist(0.0, 1.0);  // MUST-PASS(D3)
   return dist(stream);
 }
 

@@ -1,7 +1,8 @@
 // analyzer-fixture: path=src/harness/fixture_d4_flag.cpp
 // D4 must-flag corpus: writes to NodeStateSoA columns from a method that
 // neither derives shard ownership (shard_of) nor runs in a window-barrier
-// callback, plus a shard(x).schedule_* whose target shard is underived.
+// callback, plus shard(x).schedule_* calls without a cross-shard waiver —
+// deriving x via shard_of does not prove the caller runs on shard x.
 #include <cstdint>
 #include <vector>
 
@@ -35,8 +36,14 @@ class RogueStrategy {
     shard(target).schedule_in(1.0, nullptr);  // MUST-FLAG(D4)
   }
 
+  void reschedule_derived(std::uint32_t id) {
+    const std::uint32_t s = shard_of(id);
+    shard(s).schedule_in(1.0, nullptr);  // MUST-FLAG(D4)
+  }
+
  private:
   LocalSim& shard(std::uint32_t);
+  std::uint32_t shard_of(std::uint32_t id) const { return id % 4; }
   NodeStateSoA state_;
 };
 

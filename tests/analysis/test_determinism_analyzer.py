@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Fixture-based regression tests for tools/analysis/determinism_analyzer.py.
+"""Fixture-corpus tests for the D-rules of tools/lint/check_invariants.py,
+plus the registry coverage test over both self-test files.
 
 Every ``// MUST-FLAG(Dx)`` annotation in tests/analysis/fixtures/*.cpp names
-one line the analyzer must report under rule Dx; every unannotated line must
+one line the checker must report under rule Dx; every unannotated line must
 stay silent. The comparison is exact in both directions, so a rule that stops
 firing AND a rule that starts over-reporting both fail the suite.
 
@@ -28,30 +29,32 @@ import sys
 import tempfile
 import unittest
 
-REPO = pathlib.Path(__file__).resolve().parents[2]
-ANALYZER = REPO / "tools" / "analysis" / "determinism_analyzer.py"
-FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+HERE = pathlib.Path(__file__).resolve().parent
+REPO = HERE.parents[1]
+CHECKER = REPO / "tools" / "lint" / "check_invariants.py"
+FIXTURES = HERE / "fixtures"
+TREE_TESTS = HERE / "test_invariant_linter.py"
 
-MUST_FLAG_RE = re.compile(r"MUST-FLAG\((D\d)\)")
+MARK_RE = re.compile(r"MUST-(FLAG|PASS)\((\w+)\)")
 
 
 def expected_findings() -> set:
     exp = set()
     for f in sorted(FIXTURES.glob("*.cpp")):
         for lineno, line in enumerate(f.read_text().splitlines(), 1):
-            m = MUST_FLAG_RE.search(line)
-            if m:
-                exp.add((m.group(1), f.name, lineno))
+            exp.update((rule, f.name, lineno)
+                       for kind, rule in MARK_RE.findall(line) if kind == "FLAG")
     return exp
 
 
-def run_analyzer(backend: str):
+def run_checker(backend: str):
+    rules = ",".join(sorted({rule for rule, _f, _l in expected_findings()}))
     with tempfile.TemporaryDirectory() as td:
         out = pathlib.Path(td) / "report.json"
         proc = subprocess.run(
-            [sys.executable, str(ANALYZER), "--repo", str(REPO),
-             "--fixtures", str(FIXTURES), "--backend", backend,
-             "--json", str(out), "--quiet"],
+            [sys.executable, str(CHECKER), "--repo", str(REPO),
+             "--fixtures", str(FIXTURES), "--rules", rules, "--backend", backend,
+             "--json", str(out)],
             capture_output=True, text=True, timeout=300,
         )
         report = json.loads(out.read_text()) if out.is_file() else None
@@ -67,11 +70,11 @@ def libclang_available() -> bool:
         return False
 
 
-class DeterminismAnalyzerFixtures(unittest.TestCase):
+class DeterminismFixtures(unittest.TestCase):
     maxDiff = None
 
     def _check_backend(self, backend: str) -> None:
-        proc, report = run_analyzer(backend)
+        proc, report = run_checker(backend)
         self.assertIsNotNone(report, f"no JSON report produced:\n{proc.stderr}")
         self.assertEqual(report["backend"], backend,
                          f"requested backend not used:\n{proc.stderr}")
@@ -85,7 +88,7 @@ class DeterminismAnalyzerFixtures(unittest.TestCase):
         self.assertFalse(spurious,
                          f"[{backend}] must-pass lines were flagged: {sorted(spurious)}")
         self.assertEqual(proc.returncode, 1,
-                         "analyzer must exit 1 when findings exist")
+                         "checker must exit 1 when findings exist")
 
     def test_builtin_backend(self) -> None:
         self._check_backend("builtin")
@@ -96,36 +99,20 @@ class DeterminismAnalyzerFixtures(unittest.TestCase):
         self._check_backend("libclang")
 
     def test_every_rule_has_flag_and_pass_coverage(self) -> None:
-        exp = expected_findings()
-        rules_flagged = {r for r, _f, _l in exp}
-        self.assertEqual(rules_flagged, {"D1", "D2", "D3", "D4"},
-                         "each rule family needs at least one must-flag case")
-        all_files = {p.name for p in FIXTURES.glob("*.cpp")}
-        flagged_files = {f for _r, f, _l in exp}
-        self.assertTrue(all_files - flagged_files,
-                        "corpus needs pure must-pass files too")
-
-    def test_suppression_hygiene(self) -> None:
-        """Suppressions without justification and stale entries are findings."""
-        sys.path.insert(0, str(ANALYZER.parent))
+        """Each registered rule needs a MUST-FLAG and a MUST-PASS case in the
+        fixture corpus or the synthetic trees of test_invariant_linter.py."""
+        sys.path.insert(0, str(CHECKER.parent))
         try:
-            import determinism_analyzer as da
+            import check_invariants
         finally:
             sys.path.pop(0)
-        with tempfile.TemporaryDirectory() as td:
-            sup = pathlib.Path(td) / "suppressions.txt"
-            sup.write_text(
-                "# comment\n"
-                "D1 src/core/foo.cpp:10 # justified: integer histogram fold\n"
-                "D2 src/core/bar.cpp:20\n"          # missing justification
-                "BOGUS src/core/baz.cpp # nope\n"   # unknown rule
-            )
-            sups, problems = da.load_suppressions(sup)
-            self.assertEqual(len(sups), 1)
-            self.assertEqual(len(problems), 2)
-            kinds = "\n".join(p.message for p in problems)
-            self.assertIn("no justification", kinds)
-            self.assertIn("malformed", kinds)
+        sources = [*sorted(FIXTURES.glob("*.cpp")), TREE_TESTS]
+        marks = set(MARK_RE.findall("\n".join(p.read_text() for p in sources)))
+        self.assertTrue(check_invariants.RULES)
+        for rid in check_invariants.RULES:
+            with self.subTest(rule=rid):
+                self.assertIn(("FLAG", rid), marks, f"{rid} has no must-flag case")
+                self.assertIn(("PASS", rid), marks, f"{rid} has no must-pass case")
 
 
 if __name__ == "__main__":
