@@ -370,6 +370,81 @@ TEST(WireCodec, HeaderLayoutIsPinned) {
   EXPECT_EQ(read_le32(frame, frame.size() - 4), crc);
 }
 
+std::string to_hex(const std::vector<std::byte>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  hex.reserve(2 * bytes.size());
+  for (const std::byte b : bytes) {
+    hex.push_back(kDigits[static_cast<unsigned>(b) >> 4]);
+    hex.push_back(kDigits[static_cast<unsigned>(b) & 0xF]);
+  }
+  return hex;
+}
+
+TEST(WireCodec, PayloadBytesArePinned) {
+  // The full frame (header, payload, CRC) of every sample_messages() entry,
+  // recorded once. Round-trip tests cannot catch a field reorder applied to
+  // encoder and decoder alike; this pin can — and a reorder would silently
+  // break every bank journal that transport_chaos --resume replays.
+  const std::vector<std::string> want = {
+      // LegMsg
+      "415032500100010025000000070000000200000005000000f0debc9a78563412010a0000000b0000"
+      "0004000000020000003d30596f",
+      // AckMsg
+      "4150325001000200100000000700000002000000f0debc9a785634128e68ebe1",
+      // NackMsg
+      "41503250010003000c000000070000000200000005000000fdaf1d99",
+      // DataMsg
+      "4150325001000400190000000700000002000000090000001032547698badcfe0300000001109e74"
+      "35",
+      // ClaimMsg
+      "415032500100050038000000110000002a0000000b0000000000000003000000000000002a000000"
+      "0000000029000000000000002b000000000000000df0fecaefbeadde90616a3f",
+      // ClaimReplyMsg
+      "4150325001000f000100000002030c5ba8",
+      // CloseMsg
+      "415032500100060004000000110000004c7d525b",
+      // CloseReplyMsg
+      "415032500100100001000000019eb1c4a0",
+      // OpenSettlementMsg
+      "4150325001000d00540000000b000000090000008813000000000000280000000000000019000000"
+      "00000000020000000000000001000000050000000300000002000000030000000400000001000000"
+      "01000000050000000100000006000000b0be3a6f",
+      // OpenReplyMsg
+      "4150325001000e0005000000011100000035e2ce88",
+      // ContractMsg
+      "4150325001000b003600000011000000419c0b0000000000000003000000000000002a0000000000"
+      "000029000000000000002b000000000000000df0fecaefbeaddef5853059",
+      // ContractAckMsg
+      "4150325001000c00040000001100000085ed704c",
+      // HelloMsg
+      "4150325001000700040000002a000000d269ba93",
+      // HelloReplyMsg
+      "41503250010008001400000009000000a5a5a5a5a5a5a5a5a086010000000000c09429d4",
+      // SetupMsg
+      "4150325001000900240000000b000000030000000100000005000000010000000200000003000000"
+      "04000000050000004292423d",
+      // SetupAckMsg
+      "4150325001000a00080000000b00000003000000912aaa08",
+      // HeartbeatMsg
+      "41503250010011000800000044443333222211115942981f",
+      // HeartbeatAckMsg
+      "41503250010012000800000044443333222211118267f963",
+      // ByeMsg
+      "415032500100130002000000429c9b23e3ef",
+      // SweepMsg
+      "415032500100140001000000018d958b54",
+      // SweepReplyMsg
+      "4150325001001500040000000d00000080af048d",
+  };
+  const std::vector<wire::WireMessage> msgs = sample_messages();
+  ASSERT_EQ(msgs.size(), want.size());
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    SCOPED_TRACE("type " + std::to_string(static_cast<int>(wire::type_of(msgs[i]))));
+    EXPECT_EQ(to_hex(encode_one(msgs[i])), want[i]);
+  }
+}
+
 TEST(WireCodec, EncodeAppendsForStreaming) {
   std::vector<std::byte> buf;
   const std::size_t first = encode(wire::CloseMsg{17}, buf);
