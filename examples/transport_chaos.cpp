@@ -199,16 +199,11 @@ class BankProcess {
       if (!coins) return wire::OpenReplyMsg{0, 0};
       const auto escrow = bank_.open_escrow(*coins);
       if (!escrow) return wire::OpenReplyMsg{0, 0};
-      std::vector<payment::PathRecord> records;
-      records.reserve(open->records.size());
-      for (const wire::WirePathRecord& r : open->records) {
-        records.push_back(payment::PathRecord{r.conn_index, r.entry, r.exit, r.forwarders});
-      }
       const payment::SettlementId sid = engine_.open(
           open->pair, *escrow,
           payment::SettlementTerms{open->forwarding_benefit_milli,
                                    open->routing_benefit_milli},
-          records, open->initiator_account, kSettlementDeadline);
+          open->records, open->initiator_account, kSettlementDeadline);
       sid_by_pair_.emplace(open->pair, sid);
       return wire::OpenReplyMsg{1, sid};
     }
@@ -519,7 +514,7 @@ class NodeProcess {
         kRoutingBenefitMilli;
     wire::OpenSettlementMsg open{
         pair, account_, escrow, kForwardingBenefitMilli, kRoutingBenefitMilli,
-        {wire::WirePathRecord{0, opt_.id, path.back(), forwarders}}};
+        {payment::PathRecord{0, opt_.id, path.back(), forwarders}}};
     const auto opened = request_retry(opt_.bank_port, open, /*attempts=*/20);
     if (!opened) return false;
     const auto* reply = std::get_if<wire::OpenReplyMsg>(&*opened);

@@ -88,6 +88,8 @@ struct PathRecord {
   net::NodeId entry = net::kInvalidNode;
   net::NodeId exit = net::kInvalidNode;
   std::vector<net::NodeId> forwarders;
+
+  friend bool operator==(const PathRecord&, const PathRecord&) = default;
 };
 
 struct SettlementTerms {

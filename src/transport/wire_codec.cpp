@@ -1,7 +1,10 @@
 #include "transport/wire_codec.hpp"
 
 #include <array>
-#include <cstring>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "transport/crc32.hpp"
 
@@ -11,37 +14,69 @@ namespace {
 
 using namespace wire;
 
-// --- Little-endian primitive writers/readers -------------------------------
+// --- The layout walker -------------------------------------------------------
+//
+// One Writer and one Reader walk a message's fields(m) list (wire.hpp).
+// Field kinds: integers (little-endian, at their declared width),
+// payment::ForwardReceipt (its receipt_words() then the MAC — the canonical
+// enumeration IS the wire layout), Bounded lists, and any type that has a
+// field list of its own (the list elements of OpenSettlementMsg).
+
+template <typename T>
+concept HasLayout = requires(T& t) { fields(t); };
+
+template <typename T>
+inline constexpr bool kIsBounded = false;
+template <typename List, std::size_t Max>
+inline constexpr bool kIsBounded<Bounded<List, Max>> = true;
+
+/// Fewest bytes one encoded T occupies (a list counts as empty): the
+/// divisor of the byte budget that bounds every list reservation.
+template <typename T>
+constexpr std::size_t min_wire_size() {
+  if constexpr (std::is_integral_v<T>) {
+    return sizeof(T);
+  } else if constexpr (std::is_same_v<T, payment::ForwardReceipt>) {
+    return 8 * (payment::kReceiptWordCount + 1);
+  } else if constexpr (kIsBounded<T>) {
+    return sizeof(std::uint32_t);
+  } else {
+    return []<typename... Field>(std::type_identity<std::tuple<Field...>>) {
+      return (min_wire_size<std::remove_cvref_t<Field>>() + ...);
+    }(std::type_identity<decltype(fields(std::declval<T&>()))>{});
+  }
+}
 
 class Writer {
  public:
   explicit Writer(std::vector<std::byte>& out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
-  void u16(std::uint16_t v) { put(v); }
-  void u32(std::uint32_t v) { put(v); }
-  void u64(std::uint64_t v) { put(v); }
-  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
-
-  void node_list(const std::vector<net::NodeId>& nodes) {
-    u32(static_cast<std::uint32_t>(nodes.size()));
-    for (const net::NodeId n : nodes) u32(n);
-  }
-
-  void receipt(const payment::ForwardReceipt& r) {
-    // The canonical enumeration (payment/receipt.hpp) IS the wire layout.
-    for (const auto w : payment::receipt_words(r)) u64(w);
-    u64(r.mac);
-  }
-
- private:
   template <typename T>
-  void put(T v) {
+    requires std::is_integral_v<T>
+  void write(T v) {
+    const auto u = static_cast<std::make_unsigned_t<T>>(v);
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
+      out_.push_back(static_cast<std::byte>((u >> (8 * i)) & 0xFF));
     }
   }
 
+  void write(const payment::ForwardReceipt& r) {
+    for (const auto w : payment::receipt_words(r)) write(w);
+    write(r.mac);
+  }
+
+  template <typename List, std::size_t Max>
+  void write(const Bounded<List, Max>& list) {
+    write(static_cast<std::uint32_t>(list.items.size()));
+    for (const auto& item : list.items) write(item);
+  }
+
+  template <HasLayout T>
+  void write(const T& m) {
+    std::apply([this](const auto&... f) { (write(f), ...); }, fields(m));
+  }
+
+ private:
   std::vector<std::byte>& out_;
 };
 
@@ -49,36 +84,44 @@ class Reader {
  public:
   explicit Reader(std::span<const std::byte> data) : data_(data) {}
 
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] bool exhausted() const noexcept { return ok_ && pos_ == data_.size(); }
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(get(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(get(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
-  std::uint64_t u64() { return get(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(get(8)); }
-
-  bool node_list(std::vector<net::NodeId>& nodes) {
-    const std::uint32_t count = u32();
-    if (!ok_ || count > kMaxWirePath * 4) {  // sanity bound: no giant allocs
-      ok_ = false;
-      return false;
-    }
-    if ((data_.size() - pos_) / 4 < count) {  // checked before reserving
-      ok_ = false;
-      return false;
-    }
-    nodes.clear();
-    nodes.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) nodes.push_back(u32());
-    return ok_;
+  template <typename T>
+    requires std::is_integral_v<T>
+  void read(T& v) {
+    v = static_cast<T>(get(sizeof(T)));
   }
 
-  payment::ForwardReceipt receipt() {
+  /// A receipt word wider than its field would not re-encode to the same
+  /// bytes; such a receipt is malformed, not truncated into range.
+  void read(payment::ForwardReceipt& r) {
     std::array<payment::crypto::u64, payment::kReceiptWordCount> words{};
-    for (auto& w : words) w = u64();
-    const payment::crypto::u64 mac = u64();
-    return payment::receipt_from_words(words, mac);
+    for (auto& w : words) read(w);
+    payment::crypto::u64 mac = 0;
+    read(mac);
+    r = payment::receipt_from_words(words, mac);
+    if (payment::receipt_words(r) != words) ok_ = false;
+  }
+
+  /// The bound and the byte budget (count x the element's minimum encoded
+  /// size must fit the unread payload) are both checked before reserving:
+  /// a hostile count cannot reserve more elements than its frame could hold.
+  template <typename T, std::size_t Max>
+  void read(const Bounded<std::vector<T>, Max>& list) {
+    std::uint32_t count = 0;
+    read(count);
+    if (!ok_ || count > Max || (data_.size() - pos_) / min_wire_size<T>() < count) {
+      ok_ = false;
+      return;
+    }
+    list.items.clear();
+    list.items.reserve(count);
+    for (std::uint32_t i = 0; i < count && ok_; ++i) read(list.items.emplace_back());
+  }
+
+  template <HasLayout T>
+  void read(T& m) {
+    std::apply([this](auto&&... f) { (read(f), ...); }, fields(m));
   }
 
  private:
@@ -100,257 +143,33 @@ class Reader {
   bool ok_ = true;
 };
 
-// --- Per-type payload layouts ----------------------------------------------
-
-void encode_payload(Writer& w, const LegMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u32(m.attempt);
-  w.u64(m.tid);
-  w.u8(m.kind);
-  w.u32(m.holder);
-  w.u32(m.next);
-  w.u32(m.forwarders);
-  w.u32(m.index);
-}
-bool decode_payload(Reader& r, LegMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.attempt = r.u32();
-  m.tid = r.u64();
-  m.kind = r.u8();
-  m.holder = r.u32();
-  m.next = r.u32();
-  m.forwarders = r.u32();
-  m.index = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const AckMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u64(m.tid);
-}
-bool decode_payload(Reader& r, AckMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.tid = r.u64();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const NackMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u32(m.attempt);
-}
-bool decode_payload(Reader& r, NackMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.attempt = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const DataMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u32(m.gen);
-  w.u64(m.seq);
-  w.u32(m.index);
-  w.u8(m.echo);
-}
-bool decode_payload(Reader& r, DataMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.gen = r.u32();
-  m.seq = r.u64();
-  m.index = r.u32();
-  m.echo = r.u8();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ClaimMsg& m) {
-  w.u32(m.sid);
-  w.u32(m.claimant);
-  w.receipt(m.receipt);
-}
-bool decode_payload(Reader& r, ClaimMsg& m) {
-  m.sid = r.u32();
-  m.claimant = r.u32();
-  m.receipt = r.receipt();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ClaimReplyMsg& m) { w.u8(m.result); }
-bool decode_payload(Reader& r, ClaimReplyMsg& m) {
-  m.result = r.u8();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const CloseMsg& m) { w.u32(m.sid); }
-bool decode_payload(Reader& r, CloseMsg& m) {
-  m.sid = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const CloseReplyMsg& m) { w.u8(m.ok); }
-bool decode_payload(Reader& r, CloseReplyMsg& m) {
-  m.ok = r.u8();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const OpenSettlementMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.initiator_account);
-  w.i64(m.escrow_milli);
-  w.i64(m.forwarding_benefit_milli);
-  w.i64(m.routing_benefit_milli);
-  w.u32(static_cast<std::uint32_t>(m.records.size()));
-  for (const WirePathRecord& rec : m.records) {
-    w.u32(rec.conn_index);
-    w.u32(rec.entry);
-    w.u32(rec.exit);
-    w.node_list(rec.forwarders);
-  }
-}
-bool decode_payload(Reader& r, OpenSettlementMsg& m) {
-  m.pair = r.u32();
-  m.initiator_account = r.u32();
-  m.escrow_milli = r.i64();
-  m.forwarding_benefit_milli = r.i64();
-  m.routing_benefit_milli = r.i64();
-  const std::uint32_t count = r.u32();
-  if (!r.ok() || count > 4096) return false;
-  m.records.clear();
-  m.records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    WirePathRecord rec;
-    rec.conn_index = r.u32();
-    rec.entry = r.u32();
-    rec.exit = r.u32();
-    if (!r.node_list(rec.forwarders)) return false;
-    m.records.push_back(std::move(rec));
-  }
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const OpenReplyMsg& m) {
-  w.u8(m.ok);
-  w.u32(m.sid);
-}
-bool decode_payload(Reader& r, OpenReplyMsg& m) {
-  m.ok = r.u8();
-  m.sid = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ContractMsg& m) {
-  w.u32(m.sid);
-  w.u16(m.bank_port);
-  w.receipt(m.receipt);
-}
-bool decode_payload(Reader& r, ContractMsg& m) {
-  m.sid = r.u32();
-  m.bank_port = r.u16();
-  m.receipt = r.receipt();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ContractAckMsg& m) { w.u32(m.sid); }
-bool decode_payload(Reader& r, ContractAckMsg& m) {
-  m.sid = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const HelloMsg& m) { w.u32(m.node); }
-bool decode_payload(Reader& r, HelloMsg& m) {
-  m.node = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const HelloReplyMsg& m) {
-  w.u32(m.account);
-  w.u64(m.mac_key);
-  w.i64(m.balance_milli);
-}
-bool decode_payload(Reader& r, HelloReplyMsg& m) {
-  m.account = r.u32();
-  m.mac_key = r.u64();
-  m.balance_milli = r.i64();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const SetupMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u32(m.hop);
-  w.node_list(m.path);
-}
-bool decode_payload(Reader& r, SetupMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.hop = r.u32();
-  if (!r.node_list(m.path)) return false;
-  return r.exhausted() && m.path.size() <= kMaxWirePath;
-}
-
-void encode_payload(Writer& w, const SetupAckMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-}
-bool decode_payload(Reader& r, SetupAckMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const HeartbeatMsg& m) { w.u64(m.nonce); }
-bool decode_payload(Reader& r, HeartbeatMsg& m) {
-  m.nonce = r.u64();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const HeartbeatAckMsg& m) { w.u64(m.nonce); }
-bool decode_payload(Reader& r, HeartbeatAckMsg& m) {
-  m.nonce = r.u64();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ByeMsg& m) { w.u16(m.port); }
-bool decode_payload(Reader& r, ByeMsg& m) {
-  m.port = r.u16();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const SweepMsg& m) { w.u8(m.write_report); }
-bool decode_payload(Reader& r, SweepMsg& m) {
-  m.write_report = r.u8();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const SweepReplyMsg& m) { w.u32(m.terminalised); }
-bool decode_payload(Reader& r, SweepReplyMsg& m) {
-  m.terminalised = r.u32();
-  return r.exhausted();
-}
-
-template <typename T>
-bool parse_into(std::span<const std::byte> payload, WireMessage& out) {
+template <typename Msg>
+DecodeResult parse(std::span<const std::byte> payload, WireMessage& out) {
   Reader r(payload);
-  T msg;
-  if (!decode_payload(r, msg)) return false;
+  Msg msg;
+  r.read(msg);
+  if (!r.exhausted()) return DecodeResult::kBadLength;
   out = std::move(msg);
-  return true;
+  return DecodeResult::kOk;
 }
 
-[[nodiscard]] std::uint32_t read_u32(std::span<const std::byte> b, std::size_t at) noexcept {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[at + i]) << (8 * i);
+/// Parse `payload` as the WireMessage alternative whose kType is `type`.
+template <std::size_t... I>
+DecodeResult parse_as(std::uint16_t type, std::span<const std::byte> payload, WireMessage& out,
+                      std::index_sequence<I...>) {
+  DecodeResult verdict = DecodeResult::kUnknownType;
+  (void)((type == static_cast<std::uint16_t>(std::variant_alternative_t<I, WireMessage>::kType) &&
+          (verdict = parse<std::variant_alternative_t<I, WireMessage>>(payload, out), true)) ||
+         ...);
+  return verdict;
+}
+
+/// The little-endian T at byte `at` of a header the caller bounds-checked.
+template <typename T>
+[[nodiscard]] T read_at(std::span<const std::byte> b, std::size_t at) {
+  T v = 0;
+  Reader(b.subspan(at, sizeof(T))).read(v);
   return v;
-}
-
-[[nodiscard]] std::uint16_t read_u16(std::span<const std::byte> b, std::size_t at) noexcept {
-  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(b[at]) |
-                                    (static_cast<std::uint16_t>(b[at + 1]) << 8));
 }
 
 }  // namespace
@@ -372,18 +191,18 @@ const char* to_string(DecodeResult r) noexcept {
 std::size_t encode(const wire::WireMessage& msg, std::vector<std::byte>& out) {
   const std::size_t start = out.size();
   Writer w(out);
-  w.u32(kWireMagic);
-  w.u16(kWireVersion);
-  w.u16(static_cast<std::uint16_t>(wire::type_of(msg)));
-  w.u32(0);  // length backpatched below
-  std::visit([&w](const auto& m) { encode_payload(w, m); }, msg);
+  w.write(kWireMagic);
+  w.write(kWireVersion);
+  w.write(static_cast<std::uint16_t>(wire::type_of(msg)));
+  w.write(std::uint32_t{0});  // length backpatched below
+  std::visit([&w](const auto& m) { w.write(m); }, msg);
   const std::size_t payload_len = out.size() - start - kHeaderSize;
   for (std::size_t i = 0; i < 4; ++i) {
     out[start + 8 + i] = static_cast<std::byte>((payload_len >> (8 * i)) & 0xFF);
   }
   const std::uint32_t crc =
       crc32(std::span<const std::byte>(out.data() + start, out.size() - start));
-  w.u32(crc);
+  w.write(crc);
   return out.size() - start;
 }
 
@@ -391,10 +210,10 @@ DecodeResult decode(std::span<const std::byte> buffer, wire::WireMessage& out,
                     std::size_t& consumed, std::size_t max_frame) {
   consumed = 0;
   if (buffer.size() < kHeaderSize) return DecodeResult::kTruncated;
-  if (read_u32(buffer, 0) != kWireMagic) return DecodeResult::kBadMagic;
-  const std::uint16_t version = read_u16(buffer, 4);
-  const std::uint16_t type = read_u16(buffer, 6);
-  const std::uint32_t length = read_u32(buffer, 8);
+  if (read_at<std::uint32_t>(buffer, 0) != kWireMagic) return DecodeResult::kBadMagic;
+  const std::uint16_t version = read_at<std::uint16_t>(buffer, 4);
+  const std::uint16_t type = read_at<std::uint16_t>(buffer, 6);
+  const std::uint32_t length = read_at<std::uint32_t>(buffer, 8);
   if (static_cast<std::size_t>(length) + kFrameOverhead > max_frame) {
     return DecodeResult::kOversize;
   }
@@ -407,7 +226,7 @@ DecodeResult decode(std::span<const std::byte> buffer, wire::WireMessage& out,
     consumed = frame_size;
     return DecodeResult::kFutureVersion;
   }
-  const std::uint32_t want = read_u32(buffer, kHeaderSize + length);
+  const std::uint32_t want = read_at<std::uint32_t>(buffer, kHeaderSize + length);
   const std::uint32_t got = crc32(buffer.subspan(0, kHeaderSize + length));
   if (want != got) {
     consumed = frame_size;
@@ -415,36 +234,8 @@ DecodeResult decode(std::span<const std::byte> buffer, wire::WireMessage& out,
   }
   consumed = frame_size;
   const std::span<const std::byte> payload = buffer.subspan(kHeaderSize, length);
-  bool parsed = false;
-  switch (static_cast<wire::MsgType>(type)) {
-    case wire::MsgType::kLeg: parsed = parse_into<LegMsg>(payload, out); break;
-    case wire::MsgType::kAck: parsed = parse_into<AckMsg>(payload, out); break;
-    case wire::MsgType::kNack: parsed = parse_into<NackMsg>(payload, out); break;
-    case wire::MsgType::kData: parsed = parse_into<DataMsg>(payload, out); break;
-    case wire::MsgType::kClaim: parsed = parse_into<ClaimMsg>(payload, out); break;
-    case wire::MsgType::kClaimReply: parsed = parse_into<ClaimReplyMsg>(payload, out); break;
-    case wire::MsgType::kClose: parsed = parse_into<CloseMsg>(payload, out); break;
-    case wire::MsgType::kCloseReply: parsed = parse_into<CloseReplyMsg>(payload, out); break;
-    case wire::MsgType::kOpenSettlement:
-      parsed = parse_into<OpenSettlementMsg>(payload, out);
-      break;
-    case wire::MsgType::kOpenReply: parsed = parse_into<OpenReplyMsg>(payload, out); break;
-    case wire::MsgType::kContract: parsed = parse_into<ContractMsg>(payload, out); break;
-    case wire::MsgType::kContractAck: parsed = parse_into<ContractAckMsg>(payload, out); break;
-    case wire::MsgType::kHello: parsed = parse_into<HelloMsg>(payload, out); break;
-    case wire::MsgType::kHelloReply: parsed = parse_into<HelloReplyMsg>(payload, out); break;
-    case wire::MsgType::kSetup: parsed = parse_into<SetupMsg>(payload, out); break;
-    case wire::MsgType::kSetupAck: parsed = parse_into<SetupAckMsg>(payload, out); break;
-    case wire::MsgType::kHeartbeat: parsed = parse_into<HeartbeatMsg>(payload, out); break;
-    case wire::MsgType::kHeartbeatAck:
-      parsed = parse_into<HeartbeatAckMsg>(payload, out);
-      break;
-    case wire::MsgType::kBye: parsed = parse_into<ByeMsg>(payload, out); break;
-    case wire::MsgType::kSweep: parsed = parse_into<SweepMsg>(payload, out); break;
-    case wire::MsgType::kSweepReply: parsed = parse_into<SweepReplyMsg>(payload, out); break;
-    default: return DecodeResult::kUnknownType;
-  }
-  return parsed ? DecodeResult::kOk : DecodeResult::kBadLength;
+  return parse_as(type, payload, out,
+                  std::make_index_sequence<std::variant_size_v<wire::WireMessage>>{});
 }
 
 }  // namespace p2panon::transport

@@ -7,13 +7,15 @@
 //   4       2     version  kWireVersion (1)
 //   6       2     type     wire::MsgType
 //   8       4     length   payload byte count
-//   12      len   payload  type-specific field layout
+//   12      len   payload  the message's field list (wire.hpp)
 //   12+len  4     crc      CRC-32 (IEEE) over bytes [0, 12+len)
 //
-// decode() classifies a frame before parsing a single payload byte, and the
-// reject path allocates nothing (pinned by tests/transport — a hostile peer
-// spraying garbage must not be able to make the receiver allocate, let
-// alone crash):
+// decode() classifies a frame before parsing a single payload byte. Every
+// list count is checked against its bound and against the unread bytes
+// before anything is reserved, so a hostile peer spraying garbage cannot
+// make the receiver allocate more than its frames back (tests/transport pin
+// zero allocations for the malformed corpus, and at most 4 bytes per frame
+// byte for every rejected mutation of a valid frame):
 //
 //   kTruncated      fewer bytes than the header, or than the declared frame
 //   kBadMagic       first four bytes are not the magic (stream is garbage —
@@ -24,7 +26,9 @@
 //                   (header layout is stable across versions by contract)
 //   kBadCrc         checksum mismatch over header + payload
 //   kUnknownType    intact frame, but no such message type at this version
-//   kBadLength      payload did not parse to exactly `length` bytes
+//   kBadLength      payload did not parse to exactly `length` bytes (a list
+//                   count broke its bound or byte budget, a receipt word
+//                   overflowed its field, or bytes were left over)
 //
 // `consumed` tells a streaming caller how many bytes the frame occupied:
 // set for every verdict that identified a complete frame (kOk, kBadCrc,

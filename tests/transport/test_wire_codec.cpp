@@ -1,10 +1,11 @@
 // Wire-codec round-trip and malformed-frame tests.
 //
 // Separate binary: like test_alloc_guard, it replaces the global allocation
-// functions with counting wrappers to pin the codec's reject path at zero
-// heap traffic — a hostile peer spraying garbage frames must not be able to
-// make the receiver allocate (let alone crash), so every verdict in the
-// malformed corpus is decoded once more inside a counted window.
+// functions with counting wrappers. A hostile peer spraying garbage frames
+// must not be able to make the receiver allocate more than the frame itself
+// could back (let alone crash): every verdict in the malformed corpus is
+// decoded once more inside a counted window and must allocate nothing, and
+// every rejected mutated frame must allocate at most 4 bytes per frame byte.
 #include "transport/crc32.hpp"
 #include "transport/wire_codec.hpp"
 
@@ -29,22 +30,24 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
-void note_allocation() {
+void note_allocation(std::size_t n) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   }
 }
 
 void* checked_malloc(std::size_t n) {
-  note_allocation();
+  note_allocation(n);
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 void* checked_aligned(std::size_t n, std::size_t align) {
-  note_allocation();
+  note_allocation(n);
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n == 0 ? 1 : n) != 0) {
     throw std::bad_alloc();
@@ -97,8 +100,8 @@ std::vector<wire::WireMessage> sample_messages() {
   msgs.push_back(wire::CloseMsg{17});
   msgs.push_back(wire::CloseReplyMsg{1});
   msgs.push_back(wire::OpenSettlementMsg{
-      11, 9, 5000, 40, 25, {wire::WirePathRecord{0, 1, 5, {2, 3, 4}},
-                            wire::WirePathRecord{1, 1, 5, {6}}}});
+      11, 9, 5000, 40, 25, {payment::PathRecord{0, 1, 5, {2, 3, 4}},
+                            payment::PathRecord{1, 1, 5, {6}}}});
   msgs.push_back(wire::OpenReplyMsg{1, 17});
   msgs.push_back(wire::ContractMsg{17, 40001, receipt});
   msgs.push_back(wire::ContractAckMsg{17});
@@ -273,7 +276,7 @@ void fill(FieldGen& g, wire::OpenSettlementMsg& m) {
   g(m.forwarding_benefit_milli);
   g(m.routing_benefit_milli);
   m.records.resize(g.length(kMaxRecords));
-  for (wire::WirePathRecord& rec : m.records) {
+  for (payment::PathRecord& rec : m.records) {
     g(rec.conn_index);
     g(rec.entry);
     g(rec.exit);
@@ -539,6 +542,20 @@ std::vector<MalformedCase> malformed_corpus() {
     corpus.push_back({"bad-length", std::move(b), DecodeResult::kBadLength, good.size() + 1});
   }
 
+  // Hostile record count: a 52-byte OpenSettlementMsg whose record count
+  // claims 4096 records but carries none. The count is within the record
+  // bound, so only the byte-budget check (count x minimum record size must
+  // fit the remaining payload) can reject it before the decoder reserves
+  // room for 4096 records.
+  {
+    std::vector<std::byte> b;
+    encode(wire::OpenSettlementMsg{11, 9, 5000, 40, 25, {}}, b);
+    write_le32(b, b.size() - 8, 4096);  // the count is the last payload field
+    fix_crc(b);
+    const std::size_t size = b.size();
+    corpus.push_back({"hostile-record-count", std::move(b), DecodeResult::kBadLength, size});
+  }
+
   return corpus;
 }
 
@@ -567,6 +584,114 @@ TEST(WireCodec, RejectPathDoesNotAllocate) {
   g_counting.store(false);
 
   EXPECT_EQ(g_allocations.load(), 0u) << "rejecting a malformed frame heap-allocated";
+}
+
+// --- Bounded mutation smoke ----------------------------------------------------
+//
+// Every sample message plus a maximum-length SetupMsg (kMaxWirePath nodes)
+// and OpenSettlementMsg (records whose forwarder lists are at their bound,
+// 4 * kMaxWirePath), each mutated exhaustively: the payload cut at
+// every byte offset, one byte appended, and a little-endian u32 overwritten
+// at every payload offset with each of a set of count-like values (around the
+// list bounds, and all ones). The CRC is fixed after every mutation, so the
+// verdict comes from the payload parser. Each frame must decode to kOk and
+// re-encode byte for byte, or be rejected as kBadLength — and a rejected
+// frame may allocate at most 4 bytes per frame byte.
+
+/// Two records keep the smoke under a second; each is as long as a record
+/// gets, and the second one makes every mutation of the first's lengths
+/// land on bytes a later field parses.
+constexpr std::uint32_t kMutatedRecords = 2;
+
+std::vector<wire::WireMessage> longest_messages() {
+  sim::rng::Stream rng(20241017);
+  const auto node = [&rng] { return static_cast<net::NodeId>(rng.next_u64()); };
+  wire::SetupMsg setup{11, 3, 1, {}};
+  for (std::size_t i = 0; i < wire::kMaxWirePath; ++i) setup.path.push_back(node());
+  wire::OpenSettlementMsg open{11, 9, 5000, 40, 25, {}};
+  for (std::uint32_t c = 0; c < kMutatedRecords; ++c) {
+    payment::PathRecord rec{c, node(), node(), {}};
+    for (std::size_t i = 0; i < 4 * wire::kMaxWirePath; ++i) rec.forwarders.push_back(node());
+    open.records.push_back(std::move(rec));
+  }
+  return {setup, open};
+}
+
+/// The frame of `payload` under the header of `frame`, length and CRC fixed.
+std::vector<std::byte> reframe(const std::vector<std::byte>& frame,
+                               std::span<const std::byte> payload) {
+  std::vector<std::byte> out(frame.begin(), frame.begin() + static_cast<long>(kHeaderSize));
+  out.insert(out.end(), payload.begin(), payload.end());
+  out.resize(out.size() + 4);
+  write_le32(out, 8, static_cast<std::uint32_t>(payload.size()));
+  fix_crc(out);
+  return out;
+}
+
+struct MutationVerdict {
+  DecodeResult result;
+  std::size_t consumed;
+  std::uint64_t allocated_bytes;
+};
+
+MutationVerdict decode_counted(const std::vector<std::byte>& frame, wire::WireMessage& out) {
+  std::size_t consumed = 0;
+  g_allocated_bytes.store(0);
+  g_counting.store(true);
+  const DecodeResult result = decode(frame, out, consumed);
+  g_counting.store(false);
+  return {result, consumed, g_allocated_bytes.load()};
+}
+
+void expect_rejected_or_round_trip(const std::vector<std::byte>& frame, const char* mutation,
+                                   std::size_t offset) {
+  wire::WireMessage out;
+  const MutationVerdict v = decode_counted(frame, out);
+  SCOPED_TRACE(std::string(mutation) + " at payload offset " + std::to_string(offset));
+  ASSERT_EQ(v.consumed, frame.size());
+  if (v.result == DecodeResult::kOk) {
+    std::vector<std::byte> again;
+    (void)encode(out, again);
+    if (again != frame) {  // compared raw: hex only for the failure message
+      FAIL() << "accepted frame re-encodes as " << to_hex(again) << ", not " << to_hex(frame);
+    }
+    return;
+  }
+  ASSERT_EQ(v.result, DecodeResult::kBadLength) << to_string(v.result);
+  ASSERT_LE(v.allocated_bytes, 4 * frame.size()) << "rejecting the frame over-allocated";
+}
+
+TEST(WireCodec, MutatedFramesAreRejectedOrRoundTrip) {
+  constexpr std::uint32_t kCounts[] = {0, 1, 64, 65, 4096, 4097, 0xFFFFFFFFu};
+  std::vector<wire::WireMessage> msgs = sample_messages();
+  for (wire::WireMessage& m : longest_messages()) msgs.push_back(std::move(m));
+
+  for (const wire::WireMessage& m : msgs) {
+    SCOPED_TRACE("type " + std::to_string(static_cast<int>(wire::type_of(m))));
+    const std::vector<std::byte> frame = encode_one(m);
+    const std::span<const std::byte> payload{frame.data() + kHeaderSize,
+                                             frame.size() - kFrameOverhead};
+
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      expect_rejected_or_round_trip(reframe(frame, payload.first(cut)), "truncate", cut);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+
+    std::vector<std::byte> longer(payload.begin(), payload.end());
+    longer.push_back(std::byte{0x5A});
+    expect_rejected_or_round_trip(reframe(frame, longer), "append", payload.size());
+    if (::testing::Test::HasFatalFailure()) return;
+
+    for (std::size_t at = 0; at + 4 <= payload.size(); ++at) {
+      for (const std::uint32_t count : kCounts) {
+        std::vector<std::byte> mutated = frame;
+        write_le32(mutated, kHeaderSize + at, count);
+        fix_crc(mutated);
+        expect_rejected_or_round_trip(mutated, "u32 overwrite", at);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 TEST(WireCodec, SkipsDamagedFrameAndDecodesTheNext) {
