@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -228,4 +230,70 @@ TEST(Probing, TruthfulOracleMatchesNoOracleBitwise) {
     return alphas;
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+TEST(Probing, NeighborReplacementRestartsTheSlot) {
+  // Final departures replace neighbours in place. The fresh neighbour starts
+  // unobserved, the estimate epoch of the owner moves, and alpha over the
+  // new D(s) still normalises. Observers registered on both sides of the
+  // estimator's own see the slot before and after it is reset.
+  sim::Simulator s;
+  OverlayConfig cfg;
+  cfg.node_count = 20;
+  cfg.degree = 4;
+  cfg.churn.session_median = sim::minutes(30.0);
+  cfg.churn.session_min = sim::minutes(5.0);
+  cfg.churn.session_max = sim::hours(4.0);
+  cfg.churn.offline_gap_mean = sim::minutes(20.0);
+  cfg.churn.departure_probability = 0.2;
+  cfg.churn.join_interarrival_mean = sim::minutes(0.5);
+  Overlay o(cfg, s, sim::rng::Stream(9));
+
+  const ProbingEstimator* est = nullptr;
+  std::uint64_t epoch_before = 0;
+  int replacements = 0;
+  o.add_neighbor_observer([&](NodeId owner, NodeId, NodeId, sim::Time) {
+    epoch_before = est->epoch(owner);
+  });
+  ProbingEstimator probing(o, ProbingConfig{sim::minutes(5.0)}, sim::rng::Stream(9).child("p"));
+  est = &probing;
+  o.add_neighbor_observer([&](NodeId owner, NodeId, NodeId fresh, sim::Time) {
+    ++replacements;
+    EXPECT_EQ(probing.observed_session_time(owner, fresh), 0.0);
+    EXPECT_GT(probing.epoch(owner), epoch_before);
+    double total = 0.0;
+    for (NodeId nb : o.neighbors(owner)) total += probing.availability(owner, nb);
+    EXPECT_NEAR(total, 1.0, 1e-9);
+  });
+  o.start();
+  s.run_until(sim::hours(6.0));
+  EXPECT_GT(replacements, 0);
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (NodeId id = 0; id < o.size(); ++id) {
+    double total = 0.0;
+    bool observed = false;
+    for (NodeId nb : o.neighbors(id)) {
+      total += probing.availability(id, nb);
+      observed = observed || probing.observed_session_time(id, nb) > 0.0;
+    }
+    if (observed) {
+      EXPECT_NEAR(total, 1.0, 1e-9);
+    }
+    mix(probing.epoch(id));
+    // Every pair, neighbours or not: a non-neighbour reads 0 once s has
+    // observations and the uniform prior before.
+    for (NodeId u = 0; u < o.size(); ++u) {
+      mix(std::bit_cast<std::uint64_t>(probing.availability(id, u)));
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  EXPECT_STREQ(hex, "f10d7cba17dd429f");
 }
