@@ -108,7 +108,6 @@ class PaperWorld {
     published_.assign(node_count_, 0);
     avail_snap_.assign(node_count_ * degree_, 0.0);
     churn_cycle_.assign(node_count_, 0);
-    probe_loop_active_.assign(node_count_, 0);
 
     // View-refresh interval R, snapped to a whole number of windows so every
     // refresh lands on a window boundary for ANY window that divides R.
@@ -226,10 +225,7 @@ class PaperWorld {
     state_.tracker[id].on_join(now);
     ++counters_[s].churn_events;
 
-    if (probe_loop_active_[id] == 0) {
-      probe_loop_active_[id] = 1;
-      post_probe(id, now + cfg_.probing.period);
-    }
+    if (probing_->wake(id)) post_probe(id, now + cfg_.probing.period);
 
     const std::uint64_t cycle = churn_cycle_[id];
     const net::ChurnConfig& churn = cfg_.overlay.churn;
@@ -266,13 +262,8 @@ class PaperWorld {
   }
 
   void probe_tick(NodeId id) {
-    if (state_.online[id] == 0) {
-      probe_loop_active_[id] = 0;  // suspend; restarts on the next join
-      return;
-    }
-    const std::uint32_t s = partition_.shard_of(id);
-    probing_->probe(id, published_);
-    post_probe(id, local_sim(s).now() + cfg_.probing.period);
+    if (!probing_->tick(id, published_)) return;
+    post_probe(id, local_sim(partition_.shard_of(id)).now() + cfg_.probing.period);
   }
 
   [[nodiscard]] std::uint64_t key_of_node(NodeId id, std::uint64_t n) const noexcept {
@@ -686,7 +677,6 @@ class PaperWorld {
   std::vector<std::vector<SettleOp>> settle_buf_;
 
   std::vector<std::uint64_t> churn_cycle_;
-  std::vector<std::uint8_t> probe_loop_active_;
   std::vector<PairState> pairs_;
   std::vector<std::vector<sim::Time>> launch_times_;
 

@@ -44,7 +44,6 @@ class World {
     published_.assign(cfg.node_count, 0);
     churn_cycle_.assign(cfg.node_count, 0);
     conn_count_.assign(cfg.node_count, 0);
-    probe_loop_active_.assign(cfg.node_count, 0);
     conn_loop_started_.assign(cfg.node_count, 0);
     pending_active_.assign(cfg.node_count, 0);
     pending_conn_.assign(cfg.node_count, 0);
@@ -125,10 +124,7 @@ class World {
     state_.tracker[id].on_join(now);
     ++counters_[s].churn_events;
 
-    if (probe_loop_active_[id] == 0) {
-      probe_loop_active_[id] = 1;
-      post(s, s, now + cfg_.probe_period, [this, id] { probe_tick(id); });
-    }
+    if (probing_->wake(id)) post(s, s, now + cfg_.probe_period, [this, id] { probe_tick(id); });
     if (conn_loop_started_[id] == 0) {
       conn_loop_started_[id] = 1;
       const double rate = 1.0 / cfg_.connection_interval_mean;
@@ -166,12 +162,8 @@ class World {
   // ---- probing ----------------------------------------------------------
 
   void probe_tick(NodeId id) {
-    if (state_.online[id] == 0) {
-      probe_loop_active_[id] = 0;  // suspend; restarts on the next join
-      return;
-    }
+    if (!probing_->tick(id, published_)) return;
     const std::uint32_t s = partition_.shard_of(id);
-    probing_->probe(id, published_);
     post(s, s, local_sim(s).now() + cfg_.probe_period, [this, id] { probe_tick(id); });
   }
 
@@ -303,7 +295,6 @@ class World {
 
   std::vector<std::uint64_t> churn_cycle_;
   std::vector<std::uint32_t> conn_count_;
-  std::vector<std::uint8_t> probe_loop_active_;
   std::vector<std::uint8_t> conn_loop_started_;
   std::vector<std::uint8_t> pending_active_;
   std::vector<std::uint64_t> pending_conn_;

@@ -1,24 +1,21 @@
-// Active-probing availability estimation (paper §2.3, after Bustamante &
-// Qiao).
+// Active-probing availability estimation (paper §2.3) on the serial engine.
 //
-// There is no centralised availability service: each peer s estimates the
-// availability of its neighbours from its own probes. At the start of every
-// probing period of length T, s checks the liveness of each u in D(s):
-//   * if u is alive, its observed session time grows: t_s(u) += T;
-//   * if u is a *new* neighbour first seen alive this period, its session
-//     time is initialised to rand(0, T) (uniform), since it may have come
-//     online anywhere within the period.
-// The availability estimate is the normalised observed session time
-//   alpha_s(u) = t_s(u) / sum_{v in D(s)} t_s(v),
-// so a neighbour with a longer observed session time has higher availability.
+// ProbingEstimator drives the one §2.3 estimator, ShardedProbing (see
+// net/sharded_probing.hpp), as a single shard over the overlay's node
+// state: overlay churn starts and suspends each node's probe loop, every
+// probe reads ground truth (or an installed fault oracle), and a neighbour
+// replacement restarts its slot. Queries are by neighbour id rather than
+// slot.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
-#include "core/flat_hash.hpp"
 #include "net/overlay.hpp"
+#include "net/sharded_probing.hpp"
+#include "net/soa.hpp"
 #include "sim/rng.hpp"
 #include "sim/types.hpp"
 
@@ -44,23 +41,28 @@ class ProbingEstimator {
   ProbingEstimator& operator=(const ProbingEstimator&) = delete;
 
   /// alpha_s(u): s's availability estimate for neighbour u, in [0, 1].
-  /// Falls back to uniform 1/|D(s)| before any session time accumulates.
-  /// O(1): the denominator sum_{v in D(s)} t_s(v) is maintained
-  /// incrementally at the two points session times mutate (probe() and
-  /// neighbour replacement) rather than re-walked per query.
-  [[nodiscard]] double availability(NodeId s, NodeId u) const;
+  /// Falls back to uniform 1/|D(s)| before any session time accumulates;
+  /// 0 for a non-neighbour after that. O(d): a scan of D(s) for u, the
+  /// denominator is cached.
+  [[nodiscard]] double availability(NodeId s, NodeId u) const {
+    return estimator_.availability(s, slot_of(s, u));
+  }
 
   /// Monotonically increasing per-node estimate epoch: bumped whenever
   /// anything alpha_s(.) depends on changes (a probe of s updating session
   /// times, or a neighbour replacement in D(s)). Equal epochs guarantee
   /// identical availability answers for s — the invalidation signal for the
   /// edge-quality cache (core/edge_quality).
-  [[nodiscard]] std::uint64_t epoch(NodeId s) const { return epoch_.at(s); }
+  [[nodiscard]] std::uint64_t epoch(NodeId s) const { return estimator_.epoch(s); }
 
-  /// Raw observed session time t_s(u) in seconds.
-  [[nodiscard]] sim::Time observed_session_time(NodeId s, NodeId u) const;
+  /// Raw observed session time t_s(u) in seconds (0 for a non-neighbour).
+  [[nodiscard]] sim::Time observed_session_time(NodeId s, NodeId u) const {
+    return estimator_.observed_session_time(s, slot_of(s, u));
+  }
 
-  [[nodiscard]] std::uint64_t probes_performed() const noexcept { return probes_; }
+  [[nodiscard]] std::uint64_t probes_performed() const noexcept {
+    return estimator_.probes_performed();
+  }
   [[nodiscard]] const ProbingConfig& config() const noexcept { return cfg_; }
 
   /// Route probe outcomes through `oracle` instead of ground truth.
@@ -69,26 +71,19 @@ class ProbingEstimator {
   void set_probe_oracle(ProbeOracle oracle) { oracle_ = std::move(oracle); }
 
  private:
-  void on_churn(NodeId node, bool online);
-  void on_neighbor_replaced(NodeId s, NodeId old_neighbor, NodeId fresh);
-  void start_probe_loop(NodeId s);
-  void probe(NodeId s);
+  /// Slot of u in D(s), or d when u is not a neighbour (rows hold no
+  /// duplicates).
+  [[nodiscard]] std::size_t slot_of(NodeId s, NodeId u) const {
+    const auto row = overlay_.neighbors(s);
+    return static_cast<std::size_t>(std::find(row.begin(), row.end(), u) - row.begin());
+  }
+  void schedule_tick(NodeId s);
 
   Overlay& overlay_;
   ProbingConfig cfg_;
-  sim::rng::Stream stream_;
+  ShardPartition partition_;  ///< one shard: every neighbour is read live
+  ShardedProbing estimator_;
   ProbeOracle oracle_;  ///< empty = ground truth (fault-free baseline)
-  /// t_s(u), keyed PackedKey::of(s, u). Entries exist only for neighbours of
-  /// s that have been observed alive at least once.
-  core::PackedFlatMap<sim::Time> session_time_;
-  /// total_[s] = sum_{v in D(s)} t_s(v), the availability() denominator.
-  /// Recomputed with the same neighbour-order walk the per-query sum used to
-  /// do — at exactly the mutation points that bump epoch_[s] — so cached and
-  /// freshly-summed answers are bit-identical.
-  std::vector<double> total_;
-  std::vector<std::uint64_t> epoch_;
-  std::vector<bool> loop_active_;
-  std::uint64_t probes_ = 0;
 };
 
 }  // namespace p2panon::net

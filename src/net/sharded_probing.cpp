@@ -4,6 +4,19 @@
 
 namespace p2panon::net {
 
+namespace {
+
+/// The window contract for a probe by s: live liveness for a same-shard
+/// neighbour, the last-barrier snapshot for a cross-shard one.
+auto window_liveness(const NodeStateSoA& state, const ShardPartition& partition, NodeId s,
+                     std::span<const std::uint8_t> published_online) {
+  return [&state, &partition, home = partition.shard_of(s), published_online](NodeId u) {
+    return partition.shard_of(u) == home ? state.online[u] != 0 : published_online[u] != 0;
+  };
+}
+
+}  // namespace
+
 ShardedProbing::ShardedProbing(const NodeStateSoA& state, const ShardPartition& partition,
                                sim::Time period, sim::rng::Stream stream)
     : state_(state),
@@ -13,40 +26,36 @@ ShardedProbing::ShardedProbing(const NodeStateSoA& state, const ShardPartition& 
       session_time_(state.size() * state.degree, kNeverObserved),
       avail_total_(state.size(), 0.0),
       probe_epoch_(state.size(), 0),
-      probes_per_shard_(partition.shard_count(), 0) {
+      probes_per_shard_(partition.shard_count(), 0),
+      loop_active_(state.size(), 0) {
   assert(period_ > 0.0);
   assert(partition_.node_count() == state_.size());
 }
 
 void ShardedProbing::probe(NodeId s, std::span<const std::uint8_t> published_online) {
-  const std::uint32_t home = partition_.shard_of(s);
-  ++probes_per_shard_[home];
-  ++probe_epoch_[s];  // session times are about to move
+  probe_with(s, window_liveness(state_, partition_, s, published_online));
+}
 
-  const auto row = state_.neighbors_of(s);
+void ShardedProbing::forget(NodeId s, std::size_t slot) {
   double* times = session_time_.data() + static_cast<std::size_t>(s) * state_.degree;
+  times[slot] = kNeverObserved;
+  // D(s) changed, so every alpha_s(.) may have: re-sum in slot order.
   double total = 0.0;
-  for (std::size_t slot = 0; slot < row.size(); ++slot) {
-    const NodeId u = row[slot];
-    // Window contract: live liveness for a same-shard neighbour, the
-    // last-barrier snapshot for a cross-shard one.
-    const bool observed_alive = partition_.shard_of(u) == home
-                                    ? state_.online[u] != 0
-                                    : published_online[u] != 0;
-    if (observed_alive) {
-      if (times[slot] >= 0.0) {
-        times[slot] += period_;
-      } else {
-        // New neighbour first observed alive: t_s(u) = rand(0, T). Child
-        // derivation is const on stream_, so concurrent shards can draw.
-        auto init_stream =
-            stream_.child("init", (static_cast<std::uint64_t>(s) << 32) | u);
-        times[slot] = init_stream.uniform(0.0, period_);
-      }
-    }
-    if (times[slot] >= 0.0) total += times[slot];
+  for (std::size_t j = 0; j < state_.degree; ++j) {
+    if (times[j] >= 0.0) total += times[j];
   }
   avail_total_[s] = total;
+  ++probe_epoch_[s];
+}
+
+bool ShardedProbing::wake(NodeId s) {
+  if (loop_active_[s] != 0) return false;
+  loop_active_[s] = 1;
+  return true;
+}
+
+bool ShardedProbing::tick(NodeId s, std::span<const std::uint8_t> published_online) {
+  return tick_with(s, window_liveness(state_, partition_, s, published_online));
 }
 
 double ShardedProbing::availability(NodeId s, std::size_t slot) const {
@@ -55,6 +64,7 @@ double ShardedProbing::availability(NodeId s, std::size_t slot) const {
     // No observations yet: uniform prior over the neighbour set.
     return state_.degree > 0 ? 1.0 / static_cast<double>(state_.degree) : 0.0;
   }
+  if (slot >= state_.degree) return 0.0;
   const double t = session_time_[static_cast<std::size_t>(s) * state_.degree + slot];
   return t < 0.0 ? 0.0 : t / total;
 }

@@ -101,6 +101,30 @@ class InvariantCheckerTrees(unittest.TestCase):
         proc = self.check_tree("R2", files)
         self.assertIn("HistoryProfile::record", proc.stdout)
 
+    def test_r2_guards_sharded_probing_in_source_and_header(self) -> None:
+        files = {rel: "" for rel in EPOCH_GUARD_FILES}
+        files["src/net/sharded_probing.cpp"] = """\
+            #include "net/sharded_probing.hpp"
+            void ShardedProbing::forget(NodeId s, std::size_t slot) {  // MUST-FLAG(R2)
+              session_time_[s * degree + slot] = kNeverObserved;
+            }
+            void ShardedProbing::restart(NodeId s, std::size_t slot) {  // MUST-PASS(R2)
+              session_time_[s * degree + slot] = kNeverObserved;
+              ++probe_epoch_[s];
+            }
+        """
+        # Out-of-class templates live in the header; they are scanned too.
+        files["src/net/sharded_probing.hpp"] = """\
+            #pragma once
+            template <class ObservedAlive>
+            void ShardedProbing::probe_with(NodeId s, ObservedAlive&& f) {  // MUST-FLAG(R2)
+              avail_total_[s] = f(s) ? 1.0 : 0.0;
+            }
+        """
+        proc = self.check_tree("R2", files)
+        self.assertIn("ShardedProbing::forget", proc.stdout)
+        self.assertIn("ShardedProbing::probe_with", proc.stdout)
+
     def test_r2_reports_missing_guard_files(self) -> None:
         proc = self.check_tree("R2", {"src/core/history.hpp": ""},
                                expect=frozenset(("R2", f, 1) for f in EPOCH_GUARD_FILES[1:]))
