@@ -67,7 +67,7 @@ double capture_share(bool use_reputation, bool collude, std::uint64_t seed) {
       reputation.observe_path(p.nodes);  // honest feedback accumulates too
       for (std::size_t i = 1; i + 1 < p.nodes.size(); ++i) {
         ++total;
-        if (overlay.node(p.nodes[i]).is_malicious()) ++captured;
+        if (overlay.state().is_malicious(p.nodes[i])) ++captured;
       }
     }
   }

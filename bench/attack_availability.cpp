@@ -57,7 +57,7 @@ double malicious_capture_fraction(double w_a, bool always_online, std::uint64_t 
           session.run_connection(builder, history, strategies, ledger, overlay, stream);
       for (std::size_t i = 1; i + 1 < path.nodes.size(); ++i) {
         ++total_instances;
-        if (overlay.node(path.nodes[i]).is_malicious()) ++malicious_instances;
+        if (overlay.state().is_malicious(path.nodes[i])) ++malicious_instances;
       }
     }
   }

@@ -89,7 +89,7 @@ struct RoutingEnv {
         probing(overlay, net::ProbingConfig{}, root.child("probing")),
         history(overlay.size()),
         quality(probing, history, core::QualityWeights{}),
-        ctx{overlay, quality, core::Contract{}, 0, 5, 39, resources} {
+        ctx{overlay.state(), overlay.links(), quality, core::Contract{}, 0, 5, 39, resources} {
     overlay.start();
     simulator.run_until(sim::hours(1.0));
     candidates = overlay.online_neighbors(0);

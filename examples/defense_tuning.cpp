@@ -84,7 +84,7 @@ Report evaluate(const Deployment& d, std::uint64_t seed) {
       analysis.observe_path(session.effective_pair(k), p.nodes);
       for (std::size_t i = 1; i + 1 < p.nodes.size(); ++i) {
         ++total;
-        if (overlay.node(p.nodes[i]).is_malicious()) ++captured;
+        if (overlay.state().is_malicious(p.nodes[i])) ++captured;
       }
     }
     rep.set_size += static_cast<double>(session.forwarder_set().size()) / pairs;

@@ -117,8 +117,8 @@ void AsyncConnectionRunner::arrive_setup(std::shared_ptr<Pending> p, net::NodeId
   const bool first_hop = holder == net::kInvalidNode;
   if (first_hop) holder = p->initiator;
 
-  RoutingContext ctx{overlay_, builder_.quality_evaluator(), p->contract, p->pair,
-                     p->conn_index, p->responder, builder_.resources()};
+  RoutingContext ctx{overlay_.state(), overlay_.links(), builder_.quality_evaluator(),
+                     p->contract, p->pair, p->conn_index, p->responder, builder_.resources()};
   const PathBuilder::HopOutcome hop = builder_.next_hop(
       ctx, holder, pred, first_hop, forwarders, *p->strategies, p->coin_stream,
       p->pick_stream);

@@ -7,8 +7,8 @@ namespace p2panon::core {
 bool CrowdsSession::path_alive(const net::Overlay& overlay) const {
   if (!have_path_) return false;
   for (std::size_t i = 1; i + 1 < current_.nodes.size(); ++i) {
-    const net::NodeView n = overlay.node(current_.nodes[i]);
-    if (!n.online || n.departed) return false;
+    const net::NodeId id = current_.nodes[i];
+    if (overlay.state().online[id] == 0 || overlay.state().departed[id] != 0) return false;
   }
   return true;
 }

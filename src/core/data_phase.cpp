@@ -122,7 +122,7 @@ void DataPhaseRunner::on_timeout(std::shared_ptr<Pending> p, std::uint32_t /*gen
   for (std::size_t i = 1; i < p->path.nodes.size(); ++i) {
     const net::NodeId v = p->path.nodes[i];
     if (overlay_.is_online(v)) continue;
-    const sim::Time left = overlay_.node(v).tracker.last_leave();
+    const sim::Time left = overlay_.state().tracker[v].last_leave();
     if (left < p->path_formed_at) continue;
     if (failed_at < 0.0 || left < failed_at) failed_at = left;
   }

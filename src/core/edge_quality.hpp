@@ -42,13 +42,18 @@ class EdgeQualityEvaluator {
   /// `suspicion` (optional) folds the timeout-driven suspect penalty into
   /// the availability term; nullptr reproduces the fault-free quality
   /// bitwise (the multiplier is then exactly 1 and never computed).
-  EdgeQualityEvaluator(const net::ProbingEstimator& probing, const HistoryStore& history,
+  EdgeQualityEvaluator(const net::ShardedProbing& probing, const HistoryStore& history,
                        QualityWeights weights,
                        const SuspicionTracker* suspicion = nullptr) noexcept
       : probing_(probing), history_(history), weights_(weights), suspicion_(suspicion) {}
+  /// Over the serial engine's estimator.
+  EdgeQualityEvaluator(const net::ProbingEstimator& probing, const HistoryStore& history,
+                       QualityWeights weights,
+                       const SuspicionTracker* suspicion = nullptr) noexcept
+      : EdgeQualityEvaluator(probing.estimator(), history, weights, suspicion) {}
 
   [[nodiscard]] const QualityWeights& weights() const noexcept { return weights_; }
-  [[nodiscard]] const net::ProbingEstimator& probing() const noexcept { return probing_; }
+  [[nodiscard]] const net::ShardedProbing& probing() const noexcept { return probing_; }
   [[nodiscard]] const HistoryStore& history() const noexcept { return history_; }
 
   /// Suspicion epoch for cache freshness: constant 0 without a tracker.
@@ -63,7 +68,7 @@ class EdgeQualityEvaluator {
                                     std::uint32_t k) const {
     if (v == responder) return 1.0;  // last edge always has quality 1
     const double sigma = history_.at(s).selectivity(pair, predecessor, v, k);
-    double alpha = probing_.availability(s, v);
+    double alpha = probing_.availability_of(s, v);
     if (suspicion_ != nullptr) alpha *= suspicion_->availability_factor(v);
     return weights_.w_selectivity * sigma + weights_.w_availability * alpha;
   }
@@ -75,7 +80,7 @@ class EdgeQualityEvaluator {
                                     std::uint32_t k) const;
 
  private:
-  const net::ProbingEstimator& probing_;
+  const net::ShardedProbing& probing_;
   const HistoryStore& history_;
   QualityWeights weights_;
   const SuspicionTracker* suspicion_;

@@ -10,7 +10,7 @@ void PayoffLedger::charge_participation(const net::Overlay& overlay, net::NodeId
   NodeLedger& l = ledgers_.at(id);
   if (!l.participated) {
     l.participated = true;
-    l.cost += overlay.node(id).participation_cost;
+    l.cost += overlay.state().participation_cost[id];
   }
 }
 
@@ -24,7 +24,7 @@ void PayoffLedger::charge_transmission(const net::Overlay& overlay, net::NodeId 
 metrics::Accumulator PayoffLedger::good_node_payoffs(const net::Overlay& overlay) const {
   metrics::Accumulator acc;
   for (net::NodeId id = 0; id < ledgers_.size(); ++id) {
-    if (overlay.node(id).is_good()) acc.add(ledgers_[id].payoff());
+    if (overlay.state().is_good(id)) acc.add(ledgers_[id].payoff());
   }
   return acc;
 }
@@ -33,7 +33,7 @@ std::vector<double> PayoffLedger::good_node_payoff_samples(const net::Overlay& o
   std::vector<double> out;
   out.reserve(ledgers_.size());
   for (net::NodeId id = 0; id < ledgers_.size(); ++id) {
-    if (overlay.node(id).is_good()) out.push_back(ledgers_[id].payoff());
+    if (overlay.state().is_good(id)) out.push_back(ledgers_[id].payoff());
   }
   return out;
 }
@@ -87,7 +87,7 @@ const BuiltPath& ConnectionSetSession::run_connection(const PathBuilder& builder
     bool dropped = false;
     for (std::size_t i = 1; i + 1 < path.nodes.size(); ++i) {
       const net::NodeId fwd = path.nodes[i];
-      if (!overlay.node(fwd).is_malicious()) continue;
+      if (!overlay.state().is_malicious(fwd)) continue;
       if (!drop_stream.bernoulli(adversary.drop_probability)) continue;
       for (std::size_t u = 1; u < i; ++u) {  // upstream forwarders paid the cost
         ledger.charge_participation(overlay, path.nodes[u]);

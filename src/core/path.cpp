@@ -9,9 +9,9 @@ std::vector<net::NodeId> PathBuilder::candidates_for(const RoutingContext& ctx,
                                                      bool first_hop,
                                                      std::uint32_t* declined) const {
   std::vector<net::NodeId> out;
-  out.reserve(overlay_.neighbors(holder).size() + 1);
-  for (net::NodeId c : overlay_.neighbors(holder)) {
-    if (c == holder || c == pred || !overlay_.appears_online(c)) continue;
+  out.reserve(nodes_.degree + 1);
+  for (net::NodeId c : nodes_.neighbors_of(holder)) {
+    if (c == holder || c == pred || !nodes_.appears_online(c)) continue;
     if (c == ctx.responder) {
       // The initiator never hands the payload straight to the responder —
       // that forfeits its anonymity (in Crowds the first hop is always a
@@ -19,7 +19,7 @@ std::vector<net::NodeId> PathBuilder::candidates_for(const RoutingContext& ctx,
       if (!first_hop) out.push_back(c);
       continue;
     }
-    if (cfg_.allow_declines && overlay_.node(c).is_good() && !would_participate(ctx, c)) {
+    if (cfg_.allow_declines && nodes_.is_good(c) && !would_participate(ctx, c)) {
       ++*declined;
       continue;
     }
@@ -55,7 +55,7 @@ PathBuilder::HopOutcome PathBuilder::next_hop(const RoutingContext& ctx, net::No
 
   if (!deliver) {
     auto candidates = candidates_for(ctx, holder, pred, first_hop, &out.declined);
-    if (candidates.empty() && pred != net::kInvalidNode && overlay_.appears_online(pred)) {
+    if (candidates.empty() && pred != net::kInvalidNode && nodes_.appears_online(pred)) {
       // Only the sender itself is available: bouncing back beats failing.
       candidates.push_back(pred);
     }
@@ -82,7 +82,7 @@ BuiltPath PathBuilder::build(net::PairId pair, std::uint32_t conn_index, net::No
                              const StrategyAssignment& strategies,
                              sim::rng::Stream& stream) const {
   assert(initiator != responder);
-  RoutingContext ctx{overlay_, quality_, contract, pair, conn_index, responder, resources_};
+  RoutingContext ctx{nodes_, links_, quality_, contract, pair, conn_index, responder, resources_};
 
   BuiltPath path;
   path.nodes.push_back(initiator);

@@ -49,13 +49,14 @@ class PathBuilder {
   /// (allocated on first use), threaded into every RoutingContext it creates.
   PathBuilder(const net::Overlay& overlay, const EdgeQualityEvaluator& quality,
               PathBuilderConfig cfg = {}) noexcept
-      : overlay_(overlay), quality_(quality), cfg_(cfg), resources_(owned_) {}
+      : PathBuilder(overlay, quality, cfg, &owned_) {}
 
   /// As above, but sharing the caller's per-replicate `shared` resources
   /// (never null), which must outlive the builder.
   PathBuilder(const net::Overlay& overlay, const EdgeQualityEvaluator& quality,
               PathBuilderConfig cfg, DecisionResources* shared) noexcept
-      : overlay_(overlay), quality_(quality), cfg_(cfg), resources_(*shared) {}
+      : nodes_(overlay.state()), links_(overlay.links()), quality_(quality), cfg_(cfg),
+        resources_(*shared) {}
 
   /// Non-copyable: a copy would alias the original's owned resources.
   PathBuilder(const PathBuilder&) = delete;
@@ -105,7 +106,8 @@ class PathBuilder {
                                                         bool first_hop,
                                                         std::uint32_t* declined) const;
 
-  const net::Overlay& overlay_;
+  const net::NodeStateSoA& nodes_;
+  const net::LinkModel& links_;
   const EdgeQualityEvaluator& quality_;
   PathBuilderConfig cfg_;
   DecisionResources owned_;

@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "core/utility.hpp"
+#include "net/overlay.hpp"
 #include "sim/rng.hpp"
 
 namespace p2panon::core {
@@ -80,15 +81,14 @@ class UtilityModelIIRouting final : public RoutingStrategy {
 class StrategyAssignment {
  public:
   StrategyAssignment(const net::Overlay& overlay, const RoutingStrategy& good_strategy) noexcept
-      : overlay_(overlay), good_(good_strategy) {}
+      : nodes_(overlay.state()), good_(good_strategy) {}
 
   [[nodiscard]] const RoutingStrategy& of(net::NodeId id) const noexcept {
-    return overlay_.node(id).is_malicious() ? static_cast<const RoutingStrategy&>(adversary_)
-                                            : good_;
+    return nodes_.is_malicious(id) ? static_cast<const RoutingStrategy&>(adversary_) : good_;
   }
 
  private:
-  const net::Overlay& overlay_;
+  const net::NodeStateSoA& nodes_;
   const RoutingStrategy& good_;
   RandomRouting adversary_;
 };

@@ -6,12 +6,12 @@ namespace p2panon::core {
 
 game::PathGameSpec SpneRouting::make_spec(const RoutingContext& ctx) {
   game::PathGameSpec spec;
-  spec.node_count = ctx.overlay.size();
+  spec.node_count = ctx.nodes.size();
   spec.responder = ctx.responder;
   spec.candidates = [&ctx](net::NodeId v) {
     std::vector<net::NodeId> out;
-    for (net::NodeId c : ctx.overlay.neighbors(v)) {
-      if (c != v && ctx.overlay.appears_online(c)) out.push_back(c);
+    for (net::NodeId c : ctx.nodes.neighbors_of(v)) {
+      if (c != v && ctx.nodes.appears_online(c)) out.push_back(c);
     }
     return out;
   };
@@ -55,8 +55,8 @@ double equilibrium_onward(const RoutingContext& ctx, net::NodeId holder,
                          transmission_cost(ctx, holder, ctx.responder));
 
   if (stages_left > 0) {
-    for (net::NodeId j : ctx.overlay.neighbors(holder)) {
-      if (j == holder || !ctx.overlay.appears_online(j) || j == ctx.responder) continue;
+    for (net::NodeId j : ctx.nodes.neighbors_of(holder)) {
+      if (j == holder || !ctx.nodes.appears_online(j) || j == ctx.responder) continue;
       const double q_ij = ctx.edge_q(holder, j, net::kInvalidNode);
       const double onward = q_ij + equilibrium_onward(ctx, j, stages_left - 1);
       const double u = ctx.contract.forwarding_benefit + onward * ctx.contract.routing_benefit() -

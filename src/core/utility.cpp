@@ -34,8 +34,8 @@ double best_onward_quality(const RoutingContext& ctx, net::NodeId from, net::Nod
 
   double best = 0.0;
   bool any = false;
-  for (net::NodeId c : ctx.overlay.neighbors(from)) {
-    if (!ctx.overlay.appears_online(c) || c == from) continue;
+  for (net::NodeId c : ctx.nodes.neighbors_of(from)) {
+    if (!ctx.nodes.appears_online(c) || c == from) continue;
     const double q = cache.get_or_compute_at(ctx.quality, facts, c, ctx.responder, ctx.conn_index);
     const double total =
         c == ctx.responder ? q : q + best_onward_quality(ctx, c, from, depth - 1);
@@ -70,8 +70,8 @@ double model2_utility(const RoutingContext& ctx, net::NodeId i, net::NodeId pred
 bool would_participate(const RoutingContext& ctx, net::NodeId j) {
   // Cheapest usable outgoing link: any online neighbour or direct delivery.
   double min_ct = transmission_cost(ctx, j, ctx.responder);
-  for (net::NodeId c : ctx.overlay.neighbors(j)) {
-    if (!ctx.overlay.appears_online(c) || c == j) continue;
+  for (net::NodeId c : ctx.nodes.neighbors_of(j)) {
+    if (!ctx.nodes.appears_online(c) || c == j) continue;
     min_ct = std::min(min_ct, transmission_cost(ctx, j, c));
   }
   return ctx.contract.forwarding_benefit > participation_cost(ctx, j) + min_ct;

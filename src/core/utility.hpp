@@ -21,13 +21,15 @@
 #include "core/contract.hpp"
 #include "core/decision_scratch.hpp"
 #include "core/edge_quality.hpp"
-#include "net/overlay.hpp"
+#include "net/link_model.hpp"
+#include "net/soa.hpp"
 
 namespace p2panon::core {
 
 /// Everything a routing decision at one hop needs to see.
 struct RoutingContext {
-  const net::Overlay& overlay;
+  const net::NodeStateSoA& nodes;
+  const net::LinkModel& links;
   const EdgeQualityEvaluator& quality;
   Contract contract;
   net::PairId pair = net::kInvalidPair;
@@ -45,13 +47,13 @@ struct RoutingContext {
 
 /// Participation cost C_p of node i (paper §2.4.1).
 [[nodiscard]] inline double participation_cost(const RoutingContext& ctx, net::NodeId i) {
-  return ctx.overlay.node(i).participation_cost;
+  return ctx.nodes.participation_cost[i];
 }
 
 /// Transmission cost C_t(i, j) of one forwarding instance (paper §2.4.1).
 [[nodiscard]] inline double transmission_cost(const RoutingContext& ctx, net::NodeId i,
                                               net::NodeId j) {
-  return ctx.overlay.links().transmission_cost(i, j);
+  return ctx.links.transmission_cost(i, j);
 }
 
 /// Utility Model I for node i (predecessor `pred`) forwarding to j.

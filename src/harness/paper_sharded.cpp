@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/edge_quality.hpp"
 #include "core/history.hpp"
 #include "harness/checkpoint.hpp"
 #include "net/link_model.hpp"
@@ -102,11 +103,13 @@ class PaperWorld {
     state_.resize(node_count_, degree_);
     probing_ = std::make_unique<net::ShardedProbing>(state_, partition_, cfg.probing.period,
                                                      stream_.child("probing"));
+    snapshot_ = std::make_unique<net::ShardedProbing>(state_, partition_, cfg.probing.period,
+                                                      stream_.child("probing"));
+    quality_ = std::make_unique<core::EdgeQualityEvaluator>(*snapshot_, history_, cfg.weights);
 
     net::sample_neighbors(state_, stream_.child("neighbors"));
 
     published_.assign(node_count_, 0);
-    avail_snap_.assign(node_count_ * degree_, 0.0);
     churn_cycle_.assign(node_count_, 0);
 
     // View-refresh interval R, snapped to a whole number of windows so every
@@ -274,7 +277,7 @@ class PaperWorld {
 
   /// Launch connection j of pair p on the owner shard. The whole path is
   /// constructed here from epoch snapshots only (published liveness,
-  /// availability snapshot, folded history), so the outcome is identical
+  /// snapshot estimator, folded history), so the outcome is identical
   /// for any K, pool size, and window dividing the refresh interval. The
   /// data-plane echo (hop posts across shards) carries no digested state.
   void launch(std::uint32_t p, std::uint32_t j) {
@@ -304,10 +307,10 @@ class PaperWorld {
     std::uint32_t want = 1;
     while (want < cfg_.ttl_hops && conn_stream.bernoulli(cfg_.p_forward)) ++want;
 
-    // Greedy walk over epoch snapshots: score w_s * sigma + w_a * alpha,
-    // candidates filtered by published liveness; deterministic tie-break on
-    // slot order. A dead end delivers early (Crowds hands the payload to
-    // the responder when no eligible successor remains).
+    // Greedy walk over epoch snapshots: score q(cur, v) through the shared
+    // evaluator, candidates filtered by published liveness; deterministic
+    // tie-break on slot order. A dead end delivers early (Crowds hands the
+    // payload to the responder when no eligible successor remains).
     std::vector<NodeId> path;
     path.reserve(want + 2);
     path.push_back(st.initiator);
@@ -315,16 +318,11 @@ class PaperWorld {
     const std::uint32_t k = j + 1;  // 1-based connection index for sigma
     for (std::uint32_t hop = 0; hop < want; ++hop) {
       const NodeId cur = path.back();
-      auto row = state_.neighbors_of(cur);
       double best_score = -1.0;
       NodeId best = net::kInvalidNode;
-      for (std::size_t slot = 0; slot < row.size(); ++slot) {
-        const NodeId v = row[slot];
+      for (const NodeId v : state_.neighbors_of(cur)) {
         if (published_[v] == 0 || v == prev || v == st.initiator || v == st.responder) continue;
-        const double sigma = history_.at(cur).selectivity(p, prev, v, k);
-        const double alpha = avail_snap_[cur * degree_ + slot];
-        const double score =
-            cfg_.weights.w_selectivity * sigma + cfg_.weights.w_availability * alpha;
+        const double score = quality_->edge_quality(cur, v, st.responder, p, prev, k);
         if (score > best_score) {
           best_score = score;
           best = v;
@@ -450,8 +448,8 @@ class PaperWorld {
   /// Epoch boundary: fold the buffered paths into the history store
   /// shard-ascending, FIFO within a shard (the store is unbounded, so its
   /// counts, and every sigma, are the same for any K), then republish
-  /// liveness and the per-edge availability snapshot. Shards only read the
-  /// store between folds.
+  /// liveness and copy the live estimates into the snapshot estimator.
+  /// Shards only read the store and the snapshot between refreshes.
   void refresh_views() {
     for (std::uint32_t s = 0; s < partition_.shard_count(); ++s) {
       for (const PendingPath& done : history_buf_[s]) {
@@ -461,10 +459,8 @@ class PaperWorld {
     }
     for (NodeId id = 0; id < node_count_; ++id) {
       published_[id] = state_.appears_online(id) ? 1 : 0;
-      for (std::size_t slot = 0; slot < degree_; ++slot) {
-        avail_snap_[id * degree_ + slot] = probing_->availability(id, slot);
-      }
     }
+    snapshot_->copy_estimates(*probing_);
   }
 
   /// Apply every buffered settlement op, source shard ascending, FIFO
@@ -668,9 +664,11 @@ class PaperWorld {
   std::unique_ptr<net::ShardedProbing> probing_;
   std::vector<PaperShardCounters> counters_;
 
-  // Barrier-merged read views (mutated only in refresh_views).
+  // Barrier-merged read views (mutated only in refresh_views). snapshot_ is
+  // probing_ as of the last refresh; quality_ scores over it and history_.
   std::vector<std::uint8_t> published_;
-  std::vector<double> avail_snap_;
+  std::unique_ptr<net::ShardedProbing> snapshot_;
+  std::unique_ptr<core::EdgeQualityEvaluator> quality_;
 
   // Per-shard write buffers (each shard appends only to its own).
   std::vector<std::vector<PendingPath>> history_buf_;
@@ -687,34 +685,32 @@ class PaperWorld {
   sim::Time duration_ = 0.0;
 };
 
-}  // namespace
-
-std::string_view ScenarioConfig::validate() const {
-  if (engine_shards <= 1) return {};
-  // Every knob below changes K = 1 results and is never read by this file.
-  // A knob leaves the list when the runner implements it.
+/// The first knob set in `c` that this runner does not implement, at any K.
+/// Every knob below changes K = 1 results and is never read by this file.
+/// A knob leaves the list when the runner implements it.
+std::string_view unimplemented_knob(const ScenarioConfig& c) {
   const ScenarioConfig d;
   const std::pair<std::string_view, bool> unimplemented[] = {
-      {"overlay.malicious_fraction", overlay.malicious_fraction != d.overlay.malicious_fraction},
-      {"overlay.malicious_always_online", overlay.malicious_always_online},
+      {"overlay.malicious_fraction", c.overlay.malicious_fraction != d.overlay.malicious_fraction},
+      {"overlay.malicious_always_online", c.overlay.malicious_always_online},
       {"overlay.churn.join_interarrival_mean",
-       overlay.churn.join_interarrival_mean != d.overlay.churn.join_interarrival_mean},
-      {"good_strategy", good_strategy != core::StrategyKind::kUtilityModelI},
-      {"termination", termination != core::TerminationPolicy::kCrowds},
-      {"cid_rotation", cid_rotation != 0},
-      {"history_capacity", history_capacity != 0},
-      {"adversary", adversary != d.adversary},
-      {"anonymity", anonymity != d.anonymity},
-      {"path_builder", path_builder != d.path_builder},
-      {"fault.delay_jitter", fault.delay_jitter != 0.0},
-      {"fault.crash_rate_per_hour", fault.crash_rate_per_hour != 0.0},
-      {"fault.probe_false_negative", fault.probe_false_negative != 0.0},
-      {"fault.partitions", !fault.partitions.empty()},
-      {"fault.bank.claim_delay_mean", fault.bank.claim_delay_mean != 0.0},
-      {"fault.bank.close_after", fault.bank.close_after != d.fault.bank.close_after},
-      {"fault.bank.claim_spread", fault.bank.claim_spread != d.fault.bank.claim_spread},
-      {"async_setup", async_setup != d.async_setup},
-      {"data_phase", data_phase != d.data_phase},
+       c.overlay.churn.join_interarrival_mean != d.overlay.churn.join_interarrival_mean},
+      {"good_strategy", c.good_strategy != core::StrategyKind::kUtilityModelI},
+      {"termination", c.termination != core::TerminationPolicy::kCrowds},
+      {"cid_rotation", c.cid_rotation != 0},
+      {"history_capacity", c.history_capacity != 0},
+      {"adversary", c.adversary != d.adversary},
+      {"anonymity", c.anonymity != d.anonymity},
+      {"path_builder", c.path_builder != d.path_builder},
+      {"fault.delay_jitter", c.fault.delay_jitter != 0.0},
+      {"fault.crash_rate_per_hour", c.fault.crash_rate_per_hour != 0.0},
+      {"fault.probe_false_negative", c.fault.probe_false_negative != 0.0},
+      {"fault.partitions", !c.fault.partitions.empty()},
+      {"fault.bank.claim_delay_mean", c.fault.bank.claim_delay_mean != 0.0},
+      {"fault.bank.close_after", c.fault.bank.close_after != d.fault.bank.close_after},
+      {"fault.bank.claim_spread", c.fault.bank.claim_spread != d.fault.bank.claim_spread},
+      {"async_setup", c.async_setup != d.async_setup},
+      {"data_phase", c.data_phase != d.data_phase},
   };
   for (const auto& [name, set] : unimplemented) {
     if (set) return name;
@@ -722,10 +718,16 @@ std::string_view ScenarioConfig::validate() const {
   return {};
 }
 
+}  // namespace
+
+std::string_view ScenarioConfig::validate() const {
+  return engine_shards <= 1 ? std::string_view{} : unimplemented_knob(*this);
+}
+
 ScenarioResult run_paper_scenario_sharded(const ScenarioConfig& cfg, parallel::ThreadPool* pool) {
   assert(cfg.engine_shards >= 1);
-  if (const std::string_view knob = cfg.validate(); !knob.empty()) {
-    throw std::invalid_argument("the K > 1 paper runner does not implement ScenarioConfig::" +
+  if (const std::string_view knob = unimplemented_knob(cfg); !knob.empty()) {
+    throw std::invalid_argument("the sharded paper runner does not implement ScenarioConfig::" +
                                 std::string(knob));
   }
   sim::ShardedSimulator engine(cfg.engine_shards, cfg.engine_window, pool);

@@ -13,9 +13,9 @@
 //     folded serially in the window-barrier hook at view-refresh epoch
 //     boundaries, so the store is a read-only merged view while shards run;
 //   * path construction reads ONLY epoch snapshots (published liveness,
-//     per-edge availability snapshot, folded history selectivity) plus
-//     static topology, so a pair's paths are identical for any K, pool
-//     size, or window length dividing the refresh interval;
+//     a snapshot estimator, folded history selectivity) plus static
+//     topology, so a pair's paths are identical for any K, pool size, or
+//     window length dividing the refresh interval;
 //   * pair settlement is batched: completed pairs enqueue their settlement
 //     ops (open -> aggregated forwarder-epoch claims -> close) into
 //     per-shard FIFO buffers, and the serial barrier hook drains the
@@ -44,7 +44,7 @@ namespace p2panon::harness {
 /// `pool` may be nullptr (shards run serially per window — identical
 /// results, by the determinism contract). ScenarioRunner::run() routes here
 /// automatically when cfg.engine_shards > 1. Throws std::invalid_argument
-/// naming the knob when cfg.validate() names one.
+/// naming the knob when cfg sets one from cfg.validate()'s list, at any K.
 [[nodiscard]] ScenarioResult run_paper_scenario_sharded(const ScenarioConfig& cfg,
                                                         parallel::ThreadPool* pool);
 

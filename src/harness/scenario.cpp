@@ -386,9 +386,9 @@ ScenarioResult ScenarioRunner::run() const {
     }
     for (const auto& [acct, amount] : outcome.report.payouts) {
       const net::NodeId owner = bank.account_owner(acct);
-      if (owner == net::kInvalidNode || !overlay.node(owner).is_good()) continue;
+      if (owner == net::kInvalidNode || !overlay.state().is_good(owner)) continue;
       const double payoff = payment::to_credits(amount) - member_cost[owner] -
-                            overlay.node(owner).participation_cost;
+                            overlay.state().participation_cost[owner];
       result.member_payoff.add(payoff);
       result.member_payoff_samples.push_back(payoff);
     }

@@ -121,8 +121,8 @@ struct ScenarioConfig {
 
   /// The first knob set away from its default that changes K = 1 results
   /// but that the K > 1 runner (harness/paper_sharded) does not implement,
-  /// or an empty name when there is none. Always empty at K = 1.
-  /// run_paper_scenario_sharded refuses configs that name one.
+  /// or an empty name when there is none. Always empty at K = 1 (the serial
+  /// runner); run_paper_scenario_sharded refuses these knobs at every K.
   [[nodiscard]] std::string_view validate() const;
 };
 

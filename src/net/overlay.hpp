@@ -54,17 +54,6 @@ class Overlay {
 
   [[nodiscard]] std::size_t size() const noexcept { return state_.size(); }
 
-  /// Row snapshot across the SoA columns; fields as of the call, `tracker`
-  /// a live reference (see NodeView).
-  [[nodiscard]] NodeView node(NodeId id) const {
-    return NodeView{id,
-                    state_.kind.at(id),
-                    state_.online[id] != 0,
-                    state_.crashed[id] != 0,
-                    state_.departed[id] != 0,
-                    state_.participation_cost[id],
-                    state_.tracker[id]};
-  }
   [[nodiscard]] bool is_online(NodeId id) const { return state_.online.at(id) != 0; }
 
   /// What the rest of the overlay *believes* about the node's liveness: a

@@ -15,7 +15,7 @@ ProbingEstimator::ProbingEstimator(Overlay& overlay, const ProbingConfig& cfg,
     if (online && estimator_.wake(node)) schedule_tick(node);
   });
   overlay_.add_neighbor_observer([this](NodeId s, NodeId, NodeId fresh, sim::Time) {
-    estimator_.forget(s, slot_of(s, fresh));
+    estimator_.forget(s, estimator_.slot_of(s, fresh));
   });
 }
 

@@ -8,8 +8,6 @@
 // slot.
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -45,7 +43,7 @@ class ProbingEstimator {
   /// 0 for a non-neighbour after that. O(d): a scan of D(s) for u, the
   /// denominator is cached.
   [[nodiscard]] double availability(NodeId s, NodeId u) const {
-    return estimator_.availability(s, slot_of(s, u));
+    return estimator_.availability_of(s, u);
   }
 
   /// Monotonically increasing per-node estimate epoch: bumped whenever
@@ -57,13 +55,15 @@ class ProbingEstimator {
 
   /// Raw observed session time t_s(u) in seconds (0 for a non-neighbour).
   [[nodiscard]] sim::Time observed_session_time(NodeId s, NodeId u) const {
-    return estimator_.observed_session_time(s, slot_of(s, u));
+    return estimator_.observed_session_time(s, estimator_.slot_of(s, u));
   }
 
   [[nodiscard]] std::uint64_t probes_performed() const noexcept {
     return estimator_.probes_performed();
   }
   [[nodiscard]] const ProbingConfig& config() const noexcept { return cfg_; }
+  /// The estimator this driver feeds, addressed by neighbour slot.
+  [[nodiscard]] const ShardedProbing& estimator() const noexcept { return estimator_; }
 
   /// Route probe outcomes through `oracle` instead of ground truth.
   /// Install before any probing period elapses (estimates made under the
@@ -71,12 +71,6 @@ class ProbingEstimator {
   void set_probe_oracle(ProbeOracle oracle) { oracle_ = std::move(oracle); }
 
  private:
-  /// Slot of u in D(s), or d when u is not a neighbour (rows hold no
-  /// duplicates).
-  [[nodiscard]] std::size_t slot_of(NodeId s, NodeId u) const {
-    const auto row = overlay_.neighbors(s);
-    return static_cast<std::size_t>(std::find(row.begin(), row.end(), u) - row.begin());
-  }
   void schedule_tick(NodeId s);
 
   Overlay& overlay_;

@@ -32,6 +32,13 @@ ShardedProbing::ShardedProbing(const NodeStateSoA& state, const ShardPartition& 
   assert(partition_.node_count() == state_.size());
 }
 
+void ShardedProbing::copy_estimates(const ShardedProbing& live) {
+  assert(&live.state_ == &state_);
+  session_time_ = live.session_time_;
+  avail_total_ = live.avail_total_;
+  probe_epoch_ = live.probe_epoch_;
+}
+
 void ShardedProbing::probe(NodeId s, std::span<const std::uint8_t> published_online) {
   probe_with(s, window_liveness(state_, partition_, s, published_online));
 }

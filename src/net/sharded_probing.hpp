@@ -36,6 +36,7 @@
 // answers for s — the invalidation signal for the edge-quality caches.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -60,6 +61,11 @@ class ShardedProbing {
 
   ShardedProbing(const ShardedProbing&) = delete;
   ShardedProbing& operator=(const ShardedProbing&) = delete;
+
+  /// Take `live`'s session times, denominators and epochs (same node state):
+  /// every answer equals `live`'s as of this call. A copy that never probes
+  /// is a frozen snapshot for readers that must not see in-window probes.
+  void copy_estimates(const ShardedProbing& live);
 
   /// One probing period for node s: walk D(s) once, accumulate session time
   /// for neighbours observed alive, refresh the cached denominator. Must be
@@ -91,6 +97,17 @@ class ShardedProbing {
   /// before any observation; 0 for a never-observed neighbour once any
   /// other accumulated, and for slot == d (not a neighbour).
   [[nodiscard]] double availability(NodeId s, std::size_t slot) const;
+
+  /// Slot of u in D(s), or d when u is not a neighbour (rows hold no
+  /// duplicates). O(d).
+  [[nodiscard]] std::size_t slot_of(NodeId s, NodeId u) const {
+    const auto row = state_.neighbors_of(s);
+    return static_cast<std::size_t>(std::find(row.begin(), row.end(), u) - row.begin());
+  }
+  /// alpha_s(u) addressed by neighbour id.
+  [[nodiscard]] double availability_of(NodeId s, NodeId u) const {
+    return availability(s, slot_of(s, u));
+  }
 
   [[nodiscard]] std::uint64_t epoch(NodeId s) const { return probe_epoch_[s]; }
   /// t_s(u) in seconds by slot; 0 before the first sighting and for

@@ -30,25 +30,24 @@ namespace p2panon::net {
 /// breaking anonymity, not income (§2.4).
 enum class NodeKind : std::uint8_t { kGood, kMalicious };
 
-/// Columnar node state. Field semantics are identical to the former
-/// `struct Node` (see NodeView below for the per-field contracts); only the
-/// layout changed. The neighbour table is CSR with a fixed stride of
-/// `degree` — entries are replaced in place (never removed) when a
-/// neighbour departs for good, so the stride is an invariant.
+/// Columnar node state, one column per field. The neighbour table is CSR
+/// with a fixed stride of `degree` — entries are replaced in place (never
+/// removed) when a neighbour departs for good, so the stride is an
+/// invariant.
 struct NodeStateSoA {
   std::size_t degree = 0;
 
   std::vector<NodeKind> kind;
   std::vector<std::uint8_t> online;
   std::vector<std::uint8_t> crashed;
-  std::vector<std::uint8_t> departed;
+  std::vector<std::uint8_t> departed;  ///< final departure happened; never returns
   /// Session epoch for pending leave events: bumped whenever a session ends
   /// or begins outside the normal churn draw flow (crash, recovery, forced
   /// offline), so a leave scheduled for a dead session cannot fire into a
   /// later one. Never bumped on the ordinary join/leave path, which keeps
   /// fault-free runs bitwise identical.
   std::vector<std::uint64_t> leave_epoch;
-  std::vector<double> participation_cost;
+  std::vector<double> participation_cost;  ///< C_p (paper §2.4.1)
   /// Ground-truth availability bookkeeping (Rhea et al. definition).
   std::vector<AvailabilityTracker> tracker;
   /// Fixed-stride CSR neighbour table, size() * degree entries.
@@ -95,24 +94,6 @@ struct NodeStateSoA {
 /// row. The single site shared by the serial overlay and both sharded
 /// runners, so all three build the same graph from the same stream.
 void sample_neighbors(NodeStateSoA& state, sim::rng::Stream stream);
-
-/// A cheap value-type snapshot of one node's row across the columns, shaped
-/// like the former `struct Node` so call sites keep reading `n.online`,
-/// `n.participation_cost`, `n.is_good()` unchanged. Plain fields are copies
-/// taken at the call; `tracker` stays a reference into the column (the
-/// availability query needs the live history).
-struct NodeView {
-  NodeId id;
-  NodeKind kind;
-  bool online;
-  bool crashed;
-  bool departed;   ///< final departure happened; never returns
-  double participation_cost;  ///< C_p (paper §2.4.1)
-  const AvailabilityTracker& tracker;
-
-  [[nodiscard]] bool is_good() const noexcept { return kind == NodeKind::kGood; }
-  [[nodiscard]] bool is_malicious() const noexcept { return kind == NodeKind::kMalicious; }
-};
 
 /// Contiguous node-id partition into K shards: shard s owns
 /// [range(s).begin, range(s).end). Remainder nodes go to the low shards so

@@ -32,7 +32,6 @@ CHECKER = REPO / "tools" / "lint" / "check_invariants.py"
 # classes and therefore produce no findings of their own).
 EPOCH_GUARD_FILES = (
     "src/core/history.hpp", "src/core/history.cpp",
-    "src/net/probing.hpp", "src/net/probing.cpp",
     "src/core/suspicion.hpp", "src/core/suspicion.cpp",
     "src/net/sharded_probing.hpp", "src/net/sharded_probing.cpp",
 )
@@ -124,6 +123,30 @@ class InvariantCheckerTrees(unittest.TestCase):
         proc = self.check_tree("R2", files)
         self.assertIn("ShardedProbing::forget", proc.stdout)
         self.assertIn("ShardedProbing::probe_with", proc.stdout)
+
+    def test_r2_reports_a_guard_row_naming_a_missing_member(self) -> None:
+        # A row listing a member its class no longer has checks nothing for
+        # it; the self-check reports the row at the class declaration.
+        files = {rel: "" for rel in EPOCH_GUARD_FILES}
+        files["src/net/sharded_probing.hpp"] = """\
+            #pragma once
+            class ShardedProbing {  // MUST-FLAG(R2): avail_total_ was renamed away
+             private:
+              std::vector<double> session_time_;
+              std::vector<double> denominator_;
+              std::vector<std::uint64_t> probe_epoch_;
+            };
+        """
+        files["src/core/suspicion.hpp"] = """\
+            #pragma once
+            class SuspicionTracker {  // MUST-PASS(R2): every guarded member is declared
+             private:
+              std::vector<std::uint32_t> counts_;
+              std::uint64_t epoch_ = 0;
+            };
+        """
+        proc = self.check_tree("R2", files)
+        self.assertIn("EPOCH_GUARDS row ShardedProbing guards avail_total_", proc.stdout)
 
     def test_r2_reports_missing_guard_files(self) -> None:
         proc = self.check_tree("R2", {"src/core/history.hpp": ""},

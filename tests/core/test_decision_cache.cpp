@@ -110,7 +110,7 @@ struct CacheWorld : StableWorld {
   }
 
   [[nodiscard]] RoutingContext context(DecisionResources& res) const {
-    return RoutingContext{overlay, quality, Contract{}, 0, 6, 19, res};
+    return RoutingContext{overlay.state(), overlay.links(), quality, Contract{}, 0, 6, 19, res};
   }
 };
 
@@ -119,8 +119,8 @@ struct CacheWorld : StableWorld {
 double plain_onward(const RoutingContext& ctx, NodeId from, NodeId pred, std::uint32_t depth) {
   if (depth == 0 || from == ctx.responder) return 0.0;
   double best = 1.0;  // direct delivery to the responder is always available
-  for (NodeId c : ctx.overlay.neighbors(from)) {
-    if (!ctx.overlay.appears_online(c) || c == from) continue;
+  for (NodeId c : ctx.nodes.neighbors_of(from)) {
+    if (!ctx.nodes.appears_online(c) || c == from) continue;
     const double q =
         ctx.quality.edge_quality(from, c, ctx.responder, ctx.pair, pred, ctx.conn_index);
     best = std::max(best, c == ctx.responder ? q : q + plain_onward(ctx, c, from, depth - 1));

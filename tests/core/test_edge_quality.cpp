@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "fixtures.hpp"
+#include "net/sharded_probing.hpp"
+#include "net/soa.hpp"
+#include "sim/rng.hpp"
 
 using namespace p2panon;
 using namespace p2panon::core;
@@ -80,6 +83,41 @@ TEST_F(EdgeQualityTest, PathQualitySumsEdges) {
 TEST_F(EdgeQualityTest, DirectPathQualityIsOne) {
   const std::vector<NodeId> path{0, 19};
   EXPECT_DOUBLE_EQ(world.quality.path_quality(path, 4, 1), 1.0);
+}
+
+TEST(EdgeQualityEvaluator, ScoresOverASlotAddressedEstimator) {
+  // N = 5, d = 2 with D(s) = [s+1, s+2] mod 5, one shard: no overlay, no
+  // serial driver, just the columns and the estimator.
+  net::NodeStateSoA state;
+  state.resize(5, 2);
+  for (NodeId id = 0; id < 5; ++id) {
+    state.neighbors_of(id)[0] = (id + 1) % 5;
+    state.neighbors_of(id)[1] = (id + 2) % 5;
+    state.online[id] = 1;
+  }
+  const net::ShardPartition partition(5, 1);
+  net::ShardedProbing probing(state, partition, 300.0, sim::rng::Stream(3));
+  // Node 2 is down for 0's first probe, so 0's two slots end up with
+  // different, non-uniform availabilities.
+  state.online[2] = 0;
+  probing.probe(0, state.online);
+  state.online[2] = 1;
+  probing.probe(0, state.online);
+  ASSERT_NE(probing.availability(0, 0), probing.availability(0, 1));
+
+  HistoryStore history(5);
+  history.at(0).record({7, 1, net::kInvalidNode, 1});
+  const QualityWeights w{0.3, 0.7};
+  const EdgeQualityEvaluator eval(probing, history, w);
+  for (const NodeId v : state.neighbors_of(0)) {
+    SCOPED_TRACE(v);
+    const double sigma = history.at(0).selectivity(7, net::kInvalidNode, v, 2);
+    const double alpha = probing.availability(0, probing.slot_of(0, v));
+    EXPECT_EQ(eval.edge_quality(0, v, 4, 7, net::kInvalidNode, 2),
+              w.w_selectivity * sigma + w.w_availability * alpha);
+  }
+  EXPECT_GT(history.at(0).selectivity(7, net::kInvalidNode, 1, 2), 0.0);
+  EXPECT_EQ(eval.edge_quality(0, 2, 2, 7, net::kInvalidNode, 2), 1.0) << "responder edge";
 }
 
 TEST(QualityWeights, Validation) {

@@ -56,7 +56,8 @@ TEST_P(QualityWeightSweep, Model1UtilityMonotoneInQuality) {
   // Model-I utility whenever P_r > 0 — the alignment property Eq. 1 is
   // built for. We synthesise the comparison via history manipulation.
   DecisionResources resources;
-  RoutingContext ctx{world.overlay, quality, Contract{}, 6, 5, 19, resources};
+  RoutingContext ctx{world.overlay.state(), world.overlay.links(), quality, Contract{}, 6, 5, 19,
+                     resources};
   const NodeId s = 1;
   const auto nbs = world.overlay.neighbors(s);
   ASSERT_GE(nbs.size(), 2u);
@@ -78,7 +79,8 @@ TEST_P(QualityWeightSweep, Model1UtilityMonotoneInQuality) {
 
 TEST_P(QualityWeightSweep, Model2AtLeastModel1ForInteriorHops) {
   DecisionResources resources;
-  RoutingContext ctx{world.overlay, quality, Contract{}, 6, 1, 19, resources};
+  RoutingContext ctx{world.overlay.state(), world.overlay.links(), quality, Contract{}, 6, 1, 19,
+                     resources};
   for (NodeId j : world.overlay.neighbors(0)) {
     if (j == 19) continue;
     EXPECT_GE(model2_utility(ctx, 0, net::kInvalidNode, j, 3) + 1e-12,

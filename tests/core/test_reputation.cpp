@@ -104,7 +104,8 @@ TEST(ReputationRouting, PicksHighestScoredCandidate) {
 
   ReputationRouting routing(rep);
   DecisionResources resources;
-  RoutingContext ctx{world.overlay, world.quality, Contract{}, 1, 1, 19, resources};
+  RoutingContext ctx{world.overlay.state(), world.overlay.links(), world.quality, Contract{}, 1, 1,
+                     19, resources};
   auto stream = world.root.child("rep");
   const HopChoice c = routing.choose(ctx, 0, net::kInvalidNode, candidates, stream);
   EXPECT_EQ(c.next, favoured);

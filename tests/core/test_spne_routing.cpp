@@ -17,7 +17,8 @@ class SpneRoutingTest : public ::testing::Test {
   void SetUp() override {
     world.warmup();
     ctx = std::make_unique<RoutingContext>(
-        RoutingContext{world.overlay, world.quality, Contract{}, 2, 3, kResponder, resources});
+        RoutingContext{world.overlay.state(), world.overlay.links(), world.quality, Contract{},
+                       2, 3, kResponder, resources});
   }
 
   static constexpr NodeId kResponder = 19;

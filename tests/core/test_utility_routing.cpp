@@ -15,7 +15,8 @@ class UtilityTest : public ::testing::Test {
   void SetUp() override {
     world.warmup();
     ctx = std::make_unique<RoutingContext>(
-        RoutingContext{world.overlay, world.quality, Contract{}, 4, 1, kResponder, resources});
+        RoutingContext{world.overlay.state(), world.overlay.links(), world.quality, Contract{},
+                       4, 1, kResponder, resources});
   }
 
   static constexpr NodeId kResponder = 19;
@@ -202,7 +203,7 @@ TEST_F(RoutingTest, StrategyAssignmentRoutesMaliciousRandomly) {
   UtilityModelIRouting good;
   StrategyAssignment assign(bad.overlay, good);
   for (NodeId id = 0; id < bad.overlay.size(); ++id) {
-    if (bad.overlay.node(id).is_malicious()) {
+    if (bad.overlay.state().is_malicious(id)) {
       EXPECT_EQ(assign.of(id).name(), "random");
     } else {
       EXPECT_EQ(assign.of(id).name(), "utility-model-1");

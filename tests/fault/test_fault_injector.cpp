@@ -142,7 +142,7 @@ TEST(FaultInjector, CrashesAreSilentAndRecoveriesAnnounced) {
   bool some_recorded_leave = false;
   for (NodeId v = 0; v < o.size(); ++v) {
     if (f.last_crash_time(v) >= 0.0) {
-      EXPECT_GE(o.node(v).tracker.last_leave(), 0.0);
+      EXPECT_GE(o.state().tracker[v].last_leave(), 0.0);
       some_recorded_leave = true;
     }
   }

@@ -296,20 +296,24 @@ TEST(PaperSharded, RejectsUnimplementedKnobs) {
       {"data_phase.max_reformations", "data_phase",
        [](ScenarioConfig& c) { c.data_phase.max_reformations = 2; }},
   };
+  const auto expect_refused = [](const ScenarioConfig& cfg, const Row& row) {
+    try {
+      (void)run_paper_scenario_sharded(cfg, nullptr);
+      ADD_FAILURE() << "the runner accepted " << row.field << " at K = " << cfg.engine_shards;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(row.refused_as), std::string::npos) << e.what();
+    }
+  };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.field);
     ScenarioConfig cfg = small_config();
     cfg.engine_shards = 4;
     row.set(cfg);
     EXPECT_EQ(cfg.validate(), row.refused_as);
-    try {
-      (void)run_paper_scenario_sharded(cfg, nullptr);
-      ADD_FAILURE() << "the runner accepted " << row.field;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(row.refused_as), std::string::npos) << e.what();
-    }
+    expect_refused(cfg, row);
     cfg.engine_shards = 1;  // the serial runner implements every knob
     EXPECT_EQ(cfg.validate(), "");
+    expect_refused(cfg, row);  // a direct call to this runner still does not
   }
 }
 

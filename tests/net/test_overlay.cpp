@@ -161,9 +161,9 @@ TEST(Overlay, DepartedNeighborsReplaced) {
   // No surviving node keeps a departed neighbour (unless no candidate
   // existed, which cannot happen with 40 nodes and this horizon).
   for (NodeId id = 0; id < o.size(); ++id) {
-    if (o.node(id).departed) continue;
+    if (o.state().departed[id] != 0) continue;
     for (NodeId nb : o.neighbors(id)) {
-      EXPECT_FALSE(o.node(nb).departed)
+      EXPECT_FALSE(o.state().departed[nb] != 0)
           << "node " << id << " still lists departed neighbour " << nb;
     }
   }
@@ -211,7 +211,7 @@ TEST(Overlay, CrashIsSilentButGroundTruthSeesIt) {
   EXPECT_EQ(notifications, 0) << "a silent crash must not notify observers";
   EXPECT_FALSE(o.is_online(victim));
   EXPECT_TRUE(o.appears_online(victim)) << "nobody was told, so it still appears up";
-  EXPECT_DOUBLE_EQ(o.node(victim).tracker.last_leave(), s.now());
+  EXPECT_DOUBLE_EQ(o.state().tracker[victim].last_leave(), s.now());
 
   // Crashing again is a no-op; recovery rejoins visibly.
   EXPECT_FALSE(o.crash(victim));
@@ -261,9 +261,9 @@ TEST(Overlay, CrashedNodeSkipsItsPendingGracefulLeave) {
   // consistent: it can only go offline through announced churn now.
   bool crashed_state_seen = false;
   o.add_churn_observer([&](NodeId id, bool, sim::Time) {
-    crashed_state_seen = crashed_state_seen || o.node(id).crashed;
+    crashed_state_seen = crashed_state_seen || o.state().crashed[id] != 0;
   });
   s.run_until(s.now() + sim::hours(48.0));
   EXPECT_FALSE(crashed_state_seen);
-  EXPECT_FALSE(o.node(victim).crashed);
+  EXPECT_FALSE(o.state().crashed[victim] != 0);
 }

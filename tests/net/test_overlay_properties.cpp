@@ -71,13 +71,13 @@ TEST_P(OverlayProperties, DepartedNodesStayGone) {
   const auto departed_then = [&] {
     std::set<NodeId> out;
     for (NodeId id = 0; id < overlay_.size(); ++id) {
-      if (overlay_.node(id).departed) out.insert(id);
+      if (overlay_.state().departed[id] != 0) out.insert(id);
     }
     return out;
   }();
   simulator_.run_until(simulator_.now() + sim::hours(12.0));
   for (NodeId id : departed_then) {
-    EXPECT_TRUE(overlay_.node(id).departed);
+    EXPECT_TRUE(overlay_.state().departed[id] != 0);
     EXPECT_FALSE(overlay_.is_online(id));
   }
 }
@@ -85,7 +85,7 @@ TEST_P(OverlayProperties, DepartedNodesStayGone) {
 TEST_P(OverlayProperties, OnlineNodesAreNotDeparted) {
   run();
   for (NodeId id : overlay_.online_nodes()) {
-    EXPECT_FALSE(overlay_.node(id).departed);
+    EXPECT_FALSE(overlay_.state().departed[id] != 0);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <vector>
 
@@ -135,4 +136,61 @@ TEST(ShardedProbing, UniformPriorBeforeAnyObservation) {
   probing.probe(0, f.published);
   EXPECT_DOUBLE_EQ(probing.availability(0, 0), 1.0);
   EXPECT_EQ(probing.availability(0, 3), 0.0);
+}
+
+TEST(ShardedProbing, CopyEstimatesFreezesASnapshot) {
+  Fixture f;
+  ShardedProbing live(f.state, f.partition, kPeriod, sim::rng::Stream(5));
+  ShardedProbing snapshot(f.state, f.partition, kPeriod, sim::rng::Stream(5));
+  // Node 3 stays down and node 5 is never probed, so the copy covers
+  // unobserved slots and an untouched uniform prior too.
+  for (NodeId id = 0; id < 6; ++id) f.state.online[id] = id == 3 ? 0 : 1;
+  f.published = f.state.online;
+  for (int round = 0; round < 3; ++round) {
+    for (NodeId id = 0; id < 5; ++id) live.probe(id, f.published);
+  }
+  snapshot.copy_estimates(live);
+
+  const auto bits = [](double x) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+  };
+  std::vector<std::uint64_t> alpha;
+  std::vector<std::uint64_t> session;
+  std::vector<std::uint64_t> epochs;
+  for (NodeId id = 0; id < 6; ++id) {
+    EXPECT_EQ(snapshot.epoch(id), live.epoch(id));
+    epochs.push_back(snapshot.epoch(id));
+    for (std::size_t slot = 0; slot < 3; ++slot) {
+      EXPECT_EQ(bits(snapshot.availability(id, slot)), bits(live.availability(id, slot)));
+      EXPECT_EQ(bits(snapshot.observed_session_time(id, slot)),
+                bits(live.observed_session_time(id, slot)));
+      alpha.push_back(bits(snapshot.availability(id, slot)));
+      session.push_back(bits(snapshot.observed_session_time(id, slot)));
+    }
+  }
+
+  // The live estimator moves on; the copy does not.
+  f.state.online[3] = 1;
+  f.state.online[1] = 0;
+  f.published = f.state.online;
+  for (NodeId id = 0; id < 6; ++id) live.probe(id, f.published);
+  bool live_moved = false;
+  for (NodeId id = 0; id < 6; ++id) {
+    EXPECT_GT(live.epoch(id), epochs[id]);
+    EXPECT_EQ(snapshot.epoch(id), epochs[id]);
+    for (std::size_t slot = 0; slot < 3; ++slot) {
+      live_moved = live_moved || bits(live.availability(id, slot)) != alpha[id * 3 + slot];
+      EXPECT_EQ(bits(snapshot.availability(id, slot)), alpha[id * 3 + slot]);
+      EXPECT_EQ(bits(snapshot.observed_session_time(id, slot)), session[id * 3 + slot]);
+    }
+  }
+  EXPECT_TRUE(live_moved);
+  EXPECT_EQ(snapshot.probes_performed(), 0u);
+
+  // D(0) = [1, 4, 2]: 3 is not a neighbour, so its slot is d.
+  EXPECT_EQ(snapshot.slot_of(0, 4), 1u);
+  EXPECT_EQ(snapshot.slot_of(0, 3), 3u);
+  EXPECT_EQ(snapshot.availability_of(0, 3), 0.0);
 }

@@ -10,11 +10,13 @@ express. Each is addressable by id through ``--rules``:
 R2 epoch contract
     The decision stack caches edge qualities and memoised lookahead values,
     invalidated only by comparing monotone epochs published by
-    ``core::HistoryProfile``, ``net::ProbingEstimator``,
-    ``core::SuspicionTracker`` and ``net::ShardedProbing``. Any non-const
-    out-of-class member definition of a guarded class whose body touches
-    guarded state must also bump the epoch, or a cache serves stale values
-    while every unit test of the class still passes.
+    ``core::HistoryProfile``, ``core::SuspicionTracker`` and
+    ``net::ShardedProbing``. Any non-const out-of-class member definition
+    of a guarded class whose body touches guarded state must also bump the
+    epoch, or a cache serves stale values while every unit test of the
+    class still passes. A guard row whose files declare its class must name
+    each guarded member somewhere in those files; a name that occurs in
+    none of them guards nothing, and the row is reported.
 
 R3 clean tree
     No ``build*`` trees, ``compile_commands.json`` or CTest bookkeeping may
@@ -786,9 +788,6 @@ EPOCH_GUARDS = [
     {"cls": "HistoryProfile",
      "files": ("src/core/history.hpp", "src/core/history.cpp"),
      "state": ("ring_", "head_", "counts_"), "epoch": EPOCH_RE},
-    {"cls": "ProbingEstimator",
-     "files": ("src/net/probing.hpp", "src/net/probing.cpp"),
-     "state": ("session_time_", "total_"), "epoch": EPOCH_RE},
     {"cls": "SuspicionTracker",
      "files": ("src/core/suspicion.hpp", "src/core/suspicion.cpp"),
      "state": ("counts_",), "epoch": EPOCH_RE},
@@ -824,7 +823,22 @@ def check_epoch_contract(files: List[SourceFile], ctx: Context) -> Iterator[Find
     for guard in EPOCH_GUARDS:
         cls = guard["cls"]
         state_res = [re.compile(rf"\b{re.escape(f)}\b") for f in guard["state"]]
-        for sf in (by_scope[rel] for rel in guard["files"] if rel in by_scope):
+        row = [by_scope[rel] for rel in guard["files"] if rel in by_scope]
+        # Self-check: a member the row guards must exist in the class, or
+        # the row checks nothing for it. Rows whose files declare no class
+        # body (stub trees) have nothing to compare against.
+        dead = [f for f, r in zip(guard["state"], state_res)
+                if not any(r.search(sf.stripped) for sf in row)]
+        decl_re = re.compile(rf"\b(?:class|struct)\s+{cls}\b[^;{{}}]*\{{")
+        for sf in row:
+            decl = decl_re.search(sf.stripped)
+            if dead and decl:
+                yield Finding(
+                    "R2", sf.real, line_of(sf.stripped, decl.start()),
+                    f"EPOCH_GUARDS row {cls} guards {', '.join(dead)}, which occur in none "
+                    f"of its files ({', '.join(guard['files'])}); the row checks nothing "
+                    f"for them. Update the row in tools/lint/check_invariants.py")
+        for sf in row:
             s = sf.stripped
             for name, header, start, end, is_const in iter_method_definitions(s, cls):
                 if is_const or name in (cls, f"~{cls}"):
