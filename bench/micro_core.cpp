@@ -4,9 +4,8 @@
 // measured here to show it is nanoseconds at d = 5), probing updates,
 // payment settlement, and parallel replication scaling. BM_EventQueueHold
 // times the queue in a shard's steady state (pop one, schedule one). The
-// decision rows run the one decision stack (edge-quality cache + memo
-// arena); the BM_EdgeQuality / BM_EdgeQualityCached pair times the cache's
-// miss and hit paths.
+// decision rows run the one decision stack (memo arena); BM_EdgeQuality
+// times one edge-quality evaluation.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -81,7 +80,7 @@ void BM_EventQueueHold(benchmark::State& state) {
 BENCHMARK(BM_EventQueueHold)->Arg(1024)->Arg(131072);
 
 /// Shared environment for routing-decision microbenches; `ctx` carries the
-/// per-replicate DecisionResources (edge-quality cache + memo arena).
+/// per-replicate DecisionResources (memo arena).
 struct RoutingEnv {
   RoutingEnv()
       : root(7),
@@ -94,7 +93,7 @@ struct RoutingEnv {
     simulator.run_until(sim::hours(1.0));
     candidates = overlay.online_neighbors(0);
     if (candidates.empty()) candidates.push_back(1);
-    // Stored history makes selectivity (and hence the cache's
+    // Stored history makes selectivity (and hence the lookahead memo's
     // canonicalisation) non-trivial. Steady state after an hour of simulated
     // operation has hundreds of recorded connections spread over many
     // pairs, so populate accordingly: a few paths for the benched pair
@@ -180,16 +179,6 @@ void BM_EdgeQuality(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EdgeQuality);
-
-void BM_EdgeQualityCached(benchmark::State& state) {
-  RoutingEnv& env = routing_env();
-  const net::NodeId v = env.candidates.front();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        env.resources.edge_cache.get_or_compute(env.quality, 0, v, 39, 0, net::kInvalidNode, 5));
-  }
-}
-BENCHMARK(BM_EdgeQualityCached);
 
 /// Mixed hit/miss probe set mirroring what per-hop decisions ask of one
 /// node's profile: same pair, varying predecessor/successor ids.

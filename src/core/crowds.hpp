@@ -42,7 +42,7 @@ class CrowdsSession {
   /// history, charges costs, and updates the forwarder set exactly like
   /// ConnectionSetSession does for per-connection routing. Re-formation
   /// routes through `builder`, so it shares the builder's per-replicate
-  /// DecisionResources (edge-quality cache + memo arena) when attached.
+  /// DecisionResources (decision memo arena) when attached.
   const BuiltPath& run_connection(const PathBuilder& builder, HistoryStore& history,
                                   const StrategyAssignment& strategies, PayoffLedger& ledger,
                                   const net::Overlay& overlay, sim::rng::Stream& stream);

@@ -1,8 +1,7 @@
 // Per-replicate decision resources: the reusable memo arena behind the
-// Utility-Model-II bounded lookahead and the SPNE backward induction, plus
-// the epoch-invalidated edge-quality cache (core/edge_quality). Every
-// RoutingContext carries one: edge qualities always go through the cache,
-// subproblem values through the memo while a DecisionScope is open.
+// Utility-Model-II bounded lookahead and the SPNE backward induction. Every
+// RoutingContext carries one: subproblem values go through the memo while a
+// DecisionScope is open.
 //
 // One hop decision = one RoutingStrategy::choose call. The world (overlay
 // liveness, history, probing estimates) is frozen for its duration — the
@@ -20,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/edge_quality.hpp"
 #include "core/flat_hash.hpp"
 
 namespace p2panon::core {
@@ -96,10 +94,9 @@ class DecisionScratch {
 
 /// Everything one replicate's decision stack shares across hop decisions.
 /// Owned by a PathBuilder (or by a test or bench) and threaded through
-/// RoutingContext. Construction allocates nothing: the cache and the memo
-/// size their tables on first use.
+/// RoutingContext. Construction allocates nothing: the memo sizes its table
+/// on first use.
 struct DecisionResources {
-  EdgeQualityCache edge_cache;
   DecisionScratch scratch;
 };
 

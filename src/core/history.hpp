@@ -15,9 +15,10 @@
 // second O(1)-maintained map of per-(pair, predecessor) denominators — the
 // total number of stored entries for that pair/position. A zero denominator
 // proves sigma(s, v) == 0 for *every* successor v, which lets the
-// edge-quality cache and the memoised lookahead collapse predecessor-
-// distinct states that are numerically identical (see core/edge_quality and
-// core/decision_scratch).
+// memoised lookahead collapse predecessor-distinct states that are
+// numerically identical (see core/utility and core/decision_scratch), and
+// a denominator of at most k - 1 bounds sigma by 1 (see
+// EdgeQualityEvaluator::edges_at_most_direct).
 //
 // Every mutation (record, FIFO eviction, clear) bumps a monotonically
 // increasing epoch; caches that snapshot derived quantities compare epochs

@@ -45,8 +45,8 @@ struct PathBuilderConfig {
 
 class PathBuilder {
  public:
-  /// The builder owns its edge-quality cache and decision memo arena
-  /// (allocated on first use), threaded into every RoutingContext it creates.
+  /// The builder owns its decision memo arena (allocated on first use),
+  /// threaded into every RoutingContext it creates.
   PathBuilder(const net::Overlay& overlay, const EdgeQualityEvaluator& quality,
               PathBuilderConfig cfg = {}) noexcept
       : PathBuilder(overlay, quality, cfg, &owned_) {}

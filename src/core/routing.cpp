@@ -2,6 +2,7 @@
 #include "core/spne_routing.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace p2panon::core {
 
@@ -74,6 +75,11 @@ std::unique_ptr<RoutingStrategy> make_strategy(StrategyKind kind, std::uint32_t 
     case StrategyKind::kUtilityModelI:
       return std::make_unique<UtilityModelIRouting>();
     case StrategyKind::kUtilityModelII:
+      // Model II's horizon counts the edge i -> j itself, so it has no
+      // zero form (model2_utility_with_q asserts depth >= 1); SPNE's has.
+      if (lookahead_depth == 0) {
+        throw std::invalid_argument("utility-model-2 needs lookahead_depth >= 1, got 0");
+      }
       return std::make_unique<UtilityModelIIRouting>(lookahead_depth);
     case StrategyKind::kSpne:
       return std::make_unique<SpneRouting>(lookahead_depth);

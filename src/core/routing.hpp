@@ -98,6 +98,7 @@ class StrategyAssignment {
 /// core/spne_routing.hpp).
 enum class StrategyKind { kRandom, kUtilityModelI, kUtilityModelII, kSpne };
 
+/// Throws std::invalid_argument for kUtilityModelII with lookahead_depth 0.
 [[nodiscard]] std::unique_ptr<RoutingStrategy> make_strategy(StrategyKind kind,
                                                              std::uint32_t lookahead_depth = 3);
 

@@ -7,9 +7,8 @@
 // quality: each unresolved timeout halves trust (factor = penalty^count),
 // each successfully-confirmed path restores half of it. The tracker
 // publishes a monotone epoch with the same contract as HistoryProfile /
-// ProbingEstimator, so the edge-quality cache can fold suspicion into its
-// freshness check; without a tracker the epoch is constant 0 and cached
-// behaviour is bitwise identical to the pre-fault baseline.
+// ProbingEstimator; without a tracker edge quality is bitwise identical to
+// the pre-fault baseline.
 #pragma once
 
 #include <cstdint>

@@ -35,13 +35,12 @@ struct RoutingContext {
   net::PairId pair = net::kInvalidPair;
   std::uint32_t conn_index = 1;  ///< k, 1-based
   net::NodeId responder = net::kInvalidNode;
-  /// The per-replicate edge-quality cache + memo arena of this decision.
+  /// The per-replicate memo arena of this decision.
   DecisionResources& resources;
 
-  /// q(s, v) for this decision, through the edge-quality cache (a hit
-  /// returns the double the evaluator produced, so it is bitwise the same).
+  /// q(s, v) for this decision.
   [[nodiscard]] double edge_q(net::NodeId s, net::NodeId v, net::NodeId pred) const {
-    return resources.edge_cache.get_or_compute(quality, s, v, responder, pair, pred, conn_index);
+    return quality.edge_quality(s, v, responder, pair, pred, conn_index);
   }
 };
 
@@ -69,13 +68,16 @@ struct RoutingContext {
 /// Quality (sum of edge qualities) of the best onward path of at most
 /// `depth` edges starting at node `from` (predecessor `pred`), stopping
 /// early when the responder is reached. Exhaustive search over online
-/// neighbours; cost O(d^depth), fine for d ~ 5 and depth <= 4. Edge
-/// qualities come from ctx.resources' cache; while a DecisionScope is open
-/// on ctx.resources, subproblems are also memoised per
-/// (from, canonical predecessor, depth) — predecessors with no stored
-/// history at `from` collapse to one canonical key because sigma is
-/// exactly 0 toward every successor — turning the d^depth tree into at
-/// most nodes x depth distinct evaluations per decision.
+/// neighbours; cost O(d^depth), fine for d ~ 5 and depth <= 4. At depth 1
+/// the answer is exactly 1.0 (direct delivery), found without scoring an
+/// edge, whenever EdgeQualityEvaluator::edges_at_most_direct holds for
+/// `from`: the search then scores depth - 1 levels of edges plus the
+/// direct edge. While a DecisionScope is open on ctx.resources,
+/// subproblems are also memoised per (from, canonical predecessor, depth)
+/// — predecessors with no stored history at `from` collapse to one
+/// canonical key because sigma is exactly 0 toward every successor —
+/// turning the d^depth tree into at most nodes x depth distinct
+/// evaluations per decision.
 [[nodiscard]] double best_onward_quality(const RoutingContext& ctx, net::NodeId from,
                                          net::NodeId pred, std::uint32_t depth);
 

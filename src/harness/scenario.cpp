@@ -61,7 +61,7 @@ ScenarioResult ScenarioRunner::run() const {
 
   core::EdgeQualityEvaluator quality(probing, history, cfg.weights,
                                      suspicion ? &*suspicion : nullptr);
-  // The builder owns the replicate's edge-quality cache + memo arena.
+  // The builder owns the replicate's decision memo arena.
   core::PathBuilder builder(overlay, quality, cfg.path_builder);
   core::PayoffLedger ledger(overlay.size());
 

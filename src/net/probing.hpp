@@ -49,8 +49,7 @@ class ProbingEstimator {
   /// Monotonically increasing per-node estimate epoch: bumped whenever
   /// anything alpha_s(.) depends on changes (a probe of s updating session
   /// times, or a neighbour replacement in D(s)). Equal epochs guarantee
-  /// identical availability answers for s — the invalidation signal for the
-  /// edge-quality cache (core/edge_quality).
+  /// identical availability answers for s.
   [[nodiscard]] std::uint64_t epoch(NodeId s) const { return estimator_.epoch(s); }
 
   /// Raw observed session time t_s(u) in seconds (0 for a non-neighbour).

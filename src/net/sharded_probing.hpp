@@ -33,7 +33,7 @@
 // Epoch contract: probe_epoch_[s] is bumped by every mutation that any
 // alpha_s(.) depends on — a probe sweep of s, or a neighbour slot of s
 // restarted by forget(). Equal epochs guarantee bit-identical availability
-// answers for s — the invalidation signal for the edge-quality caches.
+// answers for s.
 #pragma once
 
 #include <algorithm>

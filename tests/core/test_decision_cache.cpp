@@ -1,10 +1,11 @@
-// The decision stack's caching layers must be *invisible* except in cost:
-// the edge-quality cache, the memoised lookahead and the lazy SPNE solver
-// return doubles bitwise identical to independent references that call
-// EdgeQualityEvaluator::edge_quality directly — a plain lookahead recursion
-// local to this file and game::BackwardInductionSolver over
-// SpneRouting::make_spec. These tests pin that contract, plus the
-// epoch-invalidation and generation-isolation mechanics that make it safe.
+// The decision stack's shortcuts must be *invisible* except in cost: the
+// memoised lookahead (with its direct-delivery bound at the last level) and
+// the lazy SPNE solver return doubles bitwise identical to independent
+// references that call EdgeQualityEvaluator::edge_quality directly — a
+// plain lookahead recursion local to this file and
+// game::BackwardInductionSolver over SpneRouting::make_spec. These tests pin
+// that contract, in worlds where the bound holds and where it fails, plus
+// the generation isolation that makes the memo safe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "core/flat_hash.hpp"
 #include "core/game.hpp"
 #include "core/spne_routing.hpp"
+#include "core/suspicion.hpp"
 #include "core/utility.hpp"
 #include "fixtures.hpp"
 
@@ -99,7 +101,14 @@ namespace {
 
 /// Warmed world with recorded history so selectivity is non-trivial.
 struct CacheWorld : StableWorld {
-  CacheWorld() : StableWorld(/*seed=*/11) {
+  /// `first_neighbour_only`: every probe sees only the prober's first
+  /// neighbour alive, so alpha_s(D(s)[0]) == 1 for every s — including the
+  /// edge a -> b whose selectivity the recorded paths drive to 1 at k = 6.
+  explicit CacheWorld(bool first_neighbour_only = false) : StableWorld(/*seed=*/11) {
+    if (first_neighbour_only) {
+      probing.set_probe_oracle(
+          [this](NodeId s, NodeId u) { return u == overlay.neighbors(s)[0]; });
+    }
     warmup();
     // Record a few paths for pair 0 so some (pred, succ) counts are > 0.
     for (std::uint32_t k = 1; k <= 5; ++k) {
@@ -126,6 +135,31 @@ double plain_onward(const RoutingContext& ctx, NodeId from, NodeId pred, std::ui
     best = std::max(best, c == ctx.responder ? q : q + plain_onward(ctx, c, from, depth - 1));
   }
   return best;
+}
+
+/// best_onward_quality against plain_onward, bitwise, for every (from, pred)
+/// at depths 1-4 under `quality` at connection k; returns the largest
+/// depth-1 value seen (above 1.0 only when the loop behind the bound ran).
+double check_lookahead_against_plain(const CacheWorld& w, const EdgeQualityEvaluator& quality,
+                                     std::uint32_t k) {
+  DecisionResources res;
+  const RoutingContext ctx{w.overlay.state(), w.overlay.links(), quality, Contract{}, 0, k, 19,
+                           res};
+  double top = 0.0;
+  for (NodeId from = 0; from < w.overlay.size(); ++from) {
+    for (NodeId p = 0; p <= w.overlay.size(); ++p) {
+      const NodeId pred = p == w.overlay.size() ? kInvalidNode : p;
+      for (std::uint32_t depth = 1; depth <= 4; ++depth) {
+        const double want = plain_onward(ctx, from, pred, depth);
+        DecisionScope scope(res);
+        const double got = best_onward_quality(ctx, from, pred, depth);
+        EXPECT_EQ(want, got) << "from=" << from << " pred=" << pred << " depth=" << depth
+                             << " k=" << k;
+        if (depth == 1) top = std::max(top, got);
+      }
+    }
+  }
+  return top;
 }
 
 /// Reference SPNE hop: the best response restricted to `candidates` over
@@ -157,65 +191,6 @@ HopChoice eager_spne_choice(const RoutingContext& ctx, std::uint32_t stages, Nod
 }
 
 }  // namespace
-
-TEST(EdgeQualityCache, HitsReturnBitwiseIdenticalValues) {
-  CacheWorld w;
-  EdgeQualityCache cache;
-  for (int round = 0; round < 3; ++round) {
-    for (NodeId s = 0; s < w.overlay.size(); ++s) {
-      for (NodeId v : w.overlay.neighbors(s)) {
-        for (NodeId pred : {kInvalidNode, NodeId{0}, v}) {
-          const double direct = w.quality.edge_quality(s, v, 19, 0, pred, 6);
-          const double cached = cache.get_or_compute(w.quality, s, v, 19, 0, pred, 6);
-          EXPECT_EQ(direct, cached) << "s=" << s << " v=" << v << " pred=" << pred;
-        }
-      }
-    }
-  }
-  EXPECT_GT(cache.hits(), cache.misses()) << "repeat rounds should be served from cache";
-}
-
-TEST(EdgeQualityCache, HistoryEpochInvalidates) {
-  CacheWorld w;
-  EdgeQualityCache cache;
-  const NodeId s = w.overlay.neighbors(0)[0];
-  const NodeId v = w.overlay.neighbors(s)[0];
-  const double before = cache.get_or_compute(w.quality, s, v, 19, 0, 0, 6);
-  EXPECT_EQ(before, w.quality.edge_quality(s, v, 19, 0, 0, 6));
-  // New history at s changes selectivity; the stale cached value must not
-  // come back.
-  w.history.record_path(0, 6, {0, s, v, 19});
-  const double after = cache.get_or_compute(w.quality, s, v, 19, 0, 0, 6);
-  EXPECT_EQ(after, w.quality.edge_quality(s, v, 19, 0, 0, 6));
-  EXPECT_NE(before, after);
-}
-
-TEST(EdgeQualityCache, ProbingEpochInvalidates) {
-  CacheWorld w;
-  EdgeQualityCache cache;
-  const NodeId s = 0;
-  const NodeId v = w.overlay.neighbors(s)[0];
-  const double before = cache.get_or_compute(w.quality, s, v, 19, 1, kInvalidNode, 2);
-  // Let more probe periods elapse: availability estimates move, epochs bump.
-  w.simulator.run_until(w.simulator.now() + p2ptest::sim::hours(1.0));
-  const double fresh = w.quality.edge_quality(s, v, 19, 1, kInvalidNode, 2);
-  EXPECT_EQ(cache.get_or_compute(w.quality, s, v, 19, 1, kInvalidNode, 2), fresh);
-  (void)before;
-}
-
-TEST(EdgeQualityCache, ConnectionIndexRespected) {
-  CacheWorld w;
-  EdgeQualityCache cache;
-  const NodeId s = w.overlay.neighbors(0)[0];
-  const NodeId v = w.overlay.neighbors(s)[0];
-  // (pair 0, pred 0) has stored history at s, so sigma depends on k and the
-  // cache must not serve k=6 answers for k=11.
-  const double k6 = cache.get_or_compute(w.quality, s, v, 19, 0, 0, 6);
-  const double k11 = cache.get_or_compute(w.quality, s, v, 19, 0, 0, 11);
-  EXPECT_EQ(k6, w.quality.edge_quality(s, v, 19, 0, 0, 6));
-  EXPECT_EQ(k11, w.quality.edge_quality(s, v, 19, 0, 0, 11));
-  EXPECT_NE(k6, k11);
-}
 
 TEST(Lookahead, MemoisedMatchesPlainBitwise) {
   CacheWorld w;
@@ -249,6 +224,59 @@ TEST(Lookahead, Model2UtilityMatchesBitwise) {
       EXPECT_EQ(want, got) << "i=" << i << " j=" << j;
     }
   }
+}
+
+TEST(Lookahead, LastLevelIsDirectDeliveryUnderPaperWeights) {
+  // w_s + w_a = 1 and the recorded history keeps sigma <= 1 at k = 1 and at
+  // k >= 6, so depth 1 is exactly the quality-1 direct edge everywhere.
+  CacheWorld w;
+  for (std::uint32_t k : {1u, 6u, 11u}) {
+    DecisionResources res;
+    const RoutingContext ctx{w.overlay.state(), w.overlay.links(), w.quality, Contract{}, 0, k,
+                             19, res};
+    for (NodeId from = 0; from < w.overlay.size(); ++from) {
+      if (from == ctx.responder) continue;
+      for (NodeId p = 0; p <= w.overlay.size(); ++p) {
+        const NodeId pred = p == w.overlay.size() ? kInvalidNode : p;
+        EXPECT_EQ(best_onward_quality(ctx, from, pred, 1), 1.0)
+            << "from=" << from << " pred=" << pred << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Lookahead, FallbackMatchesPlainWhenWeightsSumAboveOne) {
+  CacheWorld w(/*first_neighbour_only=*/true);
+  const EdgeQualityEvaluator quality(w.probing, w.history, QualityWeights{0.75, 0.5});
+  EXPECT_GT(check_lookahead_against_plain(w, quality, 6), 1.0);
+}
+
+TEST(Lookahead, FallbackMatchesPlainWithNegativeWeight) {
+  CacheWorld w;
+  const EdgeQualityEvaluator quality(w.probing, w.history, QualityWeights{3.0, -2.0});
+  EXPECT_GT(check_lookahead_against_plain(w, quality, 6), 1.0);
+}
+
+TEST(Lookahead, FallbackMatchesPlainWhenSelectivityExceedsOne) {
+  // (pair 0, pred 0, succ b) is stored five times at a: more than k - 1 = 2.
+  CacheWorld w;
+  EXPECT_GT(check_lookahead_against_plain(w, w.quality, 3), 1.0);
+  // One entry too many at k = 5: sigma = 5/4 scores above 1 once
+  // alpha_a(b) = 1.
+  CacheWorld skewed(/*first_neighbour_only=*/true);
+  EXPECT_GT(check_lookahead_against_plain(skewed, skewed.quality, 5), 1.0);
+}
+
+TEST(Lookahead, MatchesPlainUnderSuspicion) {
+  CacheWorld w;
+  SuspicionTracker suspicion(w.overlay.size());
+  for (NodeId v = 0; v < w.overlay.size(); v += 3) {
+    suspicion.record_timeout(v);
+    if (v % 2 == 0) suspicion.record_timeout(v);
+  }
+  const EdgeQualityEvaluator quality(w.probing, w.history, QualityWeights{}, &suspicion);
+  EXPECT_EQ(check_lookahead_against_plain(w, quality, 6), 1.0);  // the bound holds
+  EXPECT_GT(check_lookahead_against_plain(w, quality, 3), 1.0);  // sigma > 1: fallback
 }
 
 TEST(Spne, LazySolverMatchesEagerBitwise) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/routing.hpp"
 #include "core/utility.hpp"
 #include "fixtures.hpp"
@@ -216,4 +219,15 @@ TEST(StrategyFactory, MakesAllKinds) {
   EXPECT_EQ(make_strategy(StrategyKind::kUtilityModelI)->name(), "utility-model-1");
   EXPECT_EQ(make_strategy(StrategyKind::kUtilityModelII)->name(), "utility-model-2");
   EXPECT_EQ(strategy_name(StrategyKind::kUtilityModelII), "utility-model-2");
+}
+
+TEST(StrategyFactory, ModelTwoRejectsZeroLookahead) {
+  EXPECT_THROW((void)make_strategy(StrategyKind::kUtilityModelII, 0), std::invalid_argument);
+  try {
+    (void)make_strategy(StrategyKind::kUtilityModelII, 0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("lookahead_depth"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(make_strategy(StrategyKind::kUtilityModelII, 1)->name(), "utility-model-2");
+  EXPECT_EQ(make_strategy(StrategyKind::kSpne, 0)->name(), "spne");  // zero stages is valid
 }

@@ -70,7 +70,7 @@ ScenarioConfig pinned_fault_config() {
 
 // SPNE routing on the paper-default shape: every good node plays the
 // lazy backward-induction solver (three stages) against adversaries, so the
-// equilibrium memo and the edge-quality cache carry every hop decision.
+// equilibrium memo carries every hop decision.
 ScenarioConfig pinned_spne_config() {
   ScenarioConfig cfg = paper_default_config(61);
   cfg.good_strategy = core::StrategyKind::kSpne;

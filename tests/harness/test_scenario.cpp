@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace p2panon;
 using namespace p2panon::harness;
 
@@ -31,6 +33,13 @@ TEST(Scenario, PaperDefaultsMatchSectionThree) {
   EXPECT_DOUBLE_EQ(cfg.p_f_hi, 100.0);
   EXPECT_DOUBLE_EQ(cfg.weights.w_selectivity, 0.5);
   EXPECT_DOUBLE_EQ(cfg.overlay.churn.session_median, sim::minutes(60.0));
+}
+
+TEST(Scenario, ModelTwoWithZeroLookaheadThrows) {
+  ScenarioConfig cfg = small_config();
+  cfg.good_strategy = core::StrategyKind::kUtilityModelII;
+  cfg.lookahead_depth = 0;
+  EXPECT_THROW((void)ScenarioRunner(cfg).run(), std::invalid_argument);
 }
 
 TEST(Scenario, RunsAllConnections) {

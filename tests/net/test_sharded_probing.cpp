@@ -194,3 +194,37 @@ TEST(ShardedProbing, CopyEstimatesFreezesASnapshot) {
   EXPECT_EQ(snapshot.slot_of(0, 3), 3u);
   EXPECT_EQ(snapshot.availability_of(0, 3), 0.0);
 }
+
+TEST(ShardedProbing, AvailabilityStaysInUnitInterval) {
+  // Edge quality's direct-delivery bound relies on alpha_s(.) <= 1: the
+  // denominator is a left-to-right sum of the row's non-negative session
+  // times, so it is at least each of them. Random liveness, probes, forgets
+  // and snapshot copies must never produce an answer outside [0, 1].
+  Fixture f;
+  ShardedProbing live(f.state, f.partition, kPeriod, sim::rng::Stream(6));
+  ShardedProbing snapshot(f.state, f.partition, kPeriod, sim::rng::Stream(6));
+  sim::rng::Stream draws(7);
+  const auto expect_unit = [](const ShardedProbing& p, const char* which) {
+    for (NodeId id = 0; id < 6; ++id) {
+      for (std::size_t j = 0; j <= 3; ++j) {
+        const double a = p.availability(id, j);
+        EXPECT_GE(a, 0.0) << which << " node " << id << " slot " << j;
+        EXPECT_LE(a, 1.0) << which << " node " << id << " slot " << j;
+      }
+    }
+  };
+  for (int round = 0; round < 400; ++round) {
+    for (NodeId id = 0; id < 6; ++id) {
+      f.state.online[id] = draws.next_double() < 0.7 ? 1 : 0;
+      f.published[id] = draws.next_double() < 0.7 ? 1 : 0;
+    }
+    const auto s = static_cast<NodeId>(draws.below(6));
+    live.probe(s, f.published);
+    if (draws.next_double() < 0.2) live.forget(s, static_cast<std::size_t>(draws.below(3)));
+    if (round % 25 == 0) {
+      snapshot.copy_estimates(live);
+      expect_unit(snapshot, "snapshot");
+    }
+    expect_unit(live, "live");
+  }
+}

@@ -8,13 +8,13 @@ rare interleaving hits them. These rules guard what generic tools cannot
 express. Each is addressable by id through ``--rules``:
 
 R2 epoch contract
-    The decision stack caches edge qualities and memoised lookahead values,
-    invalidated only by comparing monotone epochs published by
     ``core::HistoryProfile``, ``core::SuspicionTracker`` and
-    ``net::ShardedProbing``. Any non-const out-of-class member definition
-    of a guarded class whose body touches guarded state must also bump the
-    epoch, or a cache serves stale values while every unit test of the
-    class still passes. A guard row whose files declare its class must name
+    ``net::ShardedProbing`` publish monotone epochs: equal epochs promise
+    identical answers, and the sharded scenario digest folds the probing
+    epochs. Any non-const out-of-class member definition of a guarded class
+    whose body touches guarded state must also bump the epoch, or a reader
+    that compares epochs trusts values that moved while every unit test of
+    the class still passes. A guard row whose files declare its class must name
     each guarded member somewhere in those files; a name that occurs in
     none of them guards nothing, and the row is reported.
 
@@ -791,8 +791,8 @@ EPOCH_GUARDS = [
     {"cls": "SuspicionTracker",
      "files": ("src/core/suspicion.hpp", "src/core/suspicion.cpp"),
      "state": ("counts_",), "epoch": EPOCH_RE},
-    # The sharded probing estimator publishes per-node epochs consumed by
-    # ShardedEdgeQuality — same contract, SoA form.
+    # The sharded probing estimator publishes per-node epochs — same
+    # contract, SoA form.
     {"cls": "ShardedProbing",
      "files": ("src/net/sharded_probing.hpp", "src/net/sharded_probing.cpp"),
      "state": ("session_time_", "avail_total_"),
@@ -850,9 +850,8 @@ def check_epoch_contract(files: List[SourceFile], ctx: Context) -> Iterator[Find
                     "R2", sf.real, line_of(s, header),
                     f"{cls}::{name} mutates guarded state "
                     f"({', '.join(guard['state'])}) without bumping the monotone epoch; "
-                    f"stale-epoch caches (core/edge_quality, core/decision_scratch) would "
-                    f"serve corrupt values. Bump the epoch or annotate the definition "
-                    f"with // lint-exempt(epoch): <reason>")
+                    f"equal epochs would no longer promise equal answers. Bump the epoch "
+                    f"or annotate the definition with // lint-exempt(epoch): <reason>")
 
 
 # --------------------------------------------------------------------------
