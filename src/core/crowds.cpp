@@ -35,7 +35,7 @@ const BuiltPath& CrowdsSession::run_connection(const PathBuilder& builder,
   for (std::size_t i = 1; i + 1 < current_.nodes.size(); ++i) {
     ledger.charge_participation(overlay, current_.nodes[i]);
     ledger.charge_transmission(overlay, current_.nodes[i], current_.nodes[i + 1]);
-    forwarder_set_.insert(current_.nodes[i]);
+    insert_sorted(forwarder_set_, current_.nodes[i]);
   }
   total_path_length_ += current_.forwarder_count();
   return current_;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/incentive.hpp"
@@ -52,7 +51,9 @@ class CrowdsSession {
   [[nodiscard]] std::uint32_t reformations() const noexcept {
     return formations_ > 0 ? formations_ - 1 : 0;
   }
-  [[nodiscard]] const std::unordered_set<net::NodeId>& forwarder_set() const noexcept {
+  /// Distinct forwarders across all connections so far, Q, in ascending
+  /// node order (as ConnectionSetSession::forwarder_set()).
+  [[nodiscard]] const std::vector<net::NodeId>& forwarder_set() const noexcept {
     return forwarder_set_;
   }
   [[nodiscard]] double average_path_length() const noexcept;
@@ -73,7 +74,7 @@ class CrowdsSession {
   std::uint32_t connections_ = 0;
   std::uint32_t formations_ = 0;
   std::size_t total_path_length_ = 0;
-  std::unordered_set<net::NodeId> forwarder_set_;
+  std::vector<net::NodeId> forwarder_set_;  ///< ascending
 };
 
 }  // namespace p2panon::core

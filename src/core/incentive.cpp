@@ -126,10 +126,10 @@ const BuiltPath& ConnectionSetSession::adopt_connection(BuiltPath path, HistoryS
     if (i > 0) {  // `from` is a forwarder
       ledger.charge_participation(overlay, from);
       ledger.charge_transmission(overlay, from, to);
-      forwarder_set_.insert(from);
+      insert_sorted(forwarder_set_, from);
     }
     ++edges;
-    if (seen_edges_.insert({from, to}).second) ++new_edges;
+    if (insert_sorted(seen_edges_, std::uint64_t{from} << 32 | to)) ++new_edges;
   }
   new_edge_fraction_.push_back(edges > 0 ? static_cast<double>(new_edges) /
                                                static_cast<double>(edges)
@@ -213,6 +213,7 @@ PreparedSettlement ConnectionSetSession::open_settlement(payment::Bank& bank,
   payment::SettlementTerms terms{p_f, p_r};
 
   PreparedSettlement prep;
+  prep.claims.reserve(total_instances);
   prep.sid = engine.open(pair_, *escrow, terms, records, refund_acct, deadline);
   prep.escrow_in = committed;
 

@@ -9,10 +9,8 @@
 // forwarder is paid m * P_f + P_r / ||pi||.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "core/path.hpp"
@@ -22,6 +20,16 @@
 #include "payment/settlement.hpp"
 
 namespace p2panon::core {
+
+/// Insert `value` into the ascending, duplicate-free `values`. Returns false
+/// when it was already there.
+template <class T>
+bool insert_sorted(std::vector<T>& values, T value) {
+  const auto it = std::lower_bound(values.begin(), values.end(), value);
+  if (it != values.end() && *it == value) return false;
+  values.insert(it, value);
+  return true;
+}
 
 /// Per-node running account of benefits and costs, in credit units (doubles;
 /// the payment subsystem underneath accounts in exact milli-credits).
@@ -164,8 +172,9 @@ class ConnectionSetSession {
   [[nodiscard]] bool settled() const noexcept { return settled_; }
   [[nodiscard]] const std::vector<BuiltPath>& paths() const noexcept { return paths_; }
 
-  /// Distinct forwarders across all connections so far: Q = U_i F_i.
-  [[nodiscard]] const std::unordered_set<net::NodeId>& forwarder_set() const noexcept {
+  /// Distinct forwarders across all connections so far, Q = U_i F_i, in
+  /// ascending node order.
+  [[nodiscard]] const std::vector<net::NodeId>& forwarder_set() const noexcept {
     return forwarder_set_;
   }
 
@@ -200,9 +209,10 @@ class ConnectionSetSession {
   Contract contract_;
 
   std::vector<BuiltPath> paths_;
-  std::unordered_set<net::NodeId> forwarder_set_;
-  /// Directed edges seen on any completed path of this set.
-  std::set<std::pair<net::NodeId, net::NodeId>> seen_edges_;
+  std::vector<net::NodeId> forwarder_set_;  ///< ascending
+  /// Directed edges seen on any completed path of this set, packed as
+  /// from << 32 | to, ascending.
+  std::vector<std::uint64_t> seen_edges_;
   std::vector<double> new_edge_fraction_;
   std::uint64_t reformations_ = 0;
   bool settled_ = false;

@@ -343,7 +343,8 @@ ScenarioResult ScenarioRunner::run() const {
     }
   }
 
-  std::vector<double> member_cost;  // NodeId-indexed, re-zeroed per pair
+  // NodeId-indexed; each pair zeroes the entries its paths touched after use.
+  std::vector<double> member_cost(overlay.size(), 0.0);
   for (std::size_t pi = 0; pi < plans.size(); ++pi) {
     core::ConnectionSetSession& session = *plans[pi].session;
     const core::SettleOutcome& outcome = outcomes[pi];
@@ -377,7 +378,6 @@ ScenarioResult ScenarioRunner::run() const {
     // Membership payoff: for every good member of this pair's forwarder set,
     // its settlement payout (m*P_f + routing share) minus the transmission
     // costs of its instances within the set and its participation cost.
-    member_cost.assign(overlay.size(), 0.0);
     for (const core::BuiltPath& p : session.paths()) {
       for (std::size_t i = 1; i + 1 < p.nodes.size(); ++i) {
         member_cost[p.nodes[i]] +=
@@ -391,6 +391,9 @@ ScenarioResult ScenarioRunner::run() const {
                             overlay.state().participation_cost[owner];
       result.member_payoff.add(payoff);
       result.member_payoff_samples.push_back(payoff);
+    }
+    for (const core::BuiltPath& p : session.paths()) {
+      for (std::size_t i = 1; i + 1 < p.nodes.size(); ++i) member_cost[p.nodes[i]] = 0.0;
     }
   }
 

@@ -3,9 +3,20 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <unordered_set>
+#include <utility>
 
 namespace p2panon::payment {
+
+namespace {
+
+/// Number of distinct values in `values` (sorts it).
+template <class T>
+std::size_t count_distinct(std::vector<T>& values) {
+  std::sort(values.begin(), values.end());
+  return static_cast<std::size_t>(std::unique(values.begin(), values.end()) - values.begin());
+}
+
+}  // namespace
 
 SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, SettlementTerms terms,
                                     const std::vector<PathRecord>& records,
@@ -18,21 +29,38 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
   s.refund_account = refund_account;
   s.deadline = deadline;
 
-  std::unordered_set<net::NodeId> distinct;
-  std::unordered_set<std::uint32_t> conns;
+  std::size_t instances = 0;
+  for (const PathRecord& rec : records) instances += rec.forwarders.size();
+  std::vector<net::NodeId> forwarders;
+  std::vector<std::uint32_t> conns;
+  forwarders.reserve(instances);
+  conns.reserve(records.size());
+  s.hops.reserve(instances);
   for (const PathRecord& rec : records) {
-    conns.insert(rec.conn_index);
+    conns.push_back(rec.conn_index);
     net::NodeId pred = rec.entry;
     for (std::size_t i = 0; i < rec.forwarders.size(); ++i) {
       const net::NodeId fwd = rec.forwarders[i];
       const net::NodeId succ = i + 1 < rec.forwarders.size() ? rec.forwarders[i + 1] : rec.exit;
-      ++s.valid_hops[{rec.conn_index, fwd, pred, succ}];
-      distinct.insert(fwd);
+      s.hops.push_back(Hop{HopKey{rec.conn_index, fwd, pred, succ}, 1, 0});
+      forwarders.push_back(fwd);
       pred = fwd;
     }
   }
-  s.set_size = distinct.size();
-  s.completed_connections = conns.size();
+  // Sort, then merge repeats of one hop into its multiplicity.
+  std::sort(s.hops.begin(), s.hops.end(),
+            [](const Hop& a, const Hop& b) { return a.key < b.key; });
+  std::size_t merged = 0;
+  for (const Hop& hop : s.hops) {
+    if (merged > 0 && s.hops[merged - 1].key == hop.key) {
+      ++s.hops[merged - 1].multiplicity;
+    } else {
+      s.hops[merged++] = hop;
+    }
+  }
+  s.hops.resize(merged);
+  s.set_size = count_distinct(forwarders);
+  s.completed_connections = count_distinct(conns);
 
   const auto id = static_cast<SettlementId>(settlements_.size());
   settlements_.push_back(std::move(s));
@@ -103,10 +131,11 @@ ClaimResult SettlementEngine::submit_checked(SettlementId id, AccountId claimant
     ++claims_rejected_;
     return ClaimResult::kBadMac;
   }
-  const auto hop = std::make_tuple(receipt.conn_index, receipt.forwarder, receipt.predecessor,
-                                   receipt.successor);
-  auto valid_it = s.valid_hops.find(hop);
-  if (valid_it == s.valid_hops.end()) {
+  const HopKey key{receipt.conn_index, receipt.forwarder, receipt.predecessor,
+                   receipt.successor};
+  const auto hop = std::lower_bound(s.hops.begin(), s.hops.end(), key,
+                                    [](const Hop& h, const HopKey& k) { return h.key < k; });
+  if (hop == s.hops.end() || hop->key != key) {
     ++s.rejected;
     ++claims_rejected_;
     return ClaimResult::kNotOnPath;  // over-claim
@@ -114,25 +143,54 @@ ClaimResult SettlementEngine::submit_checked(SettlementId id, AccountId claimant
   // A re-formed set settles under a fresh settlement with the same pair id;
   // a receipt already redeemed under a sibling settlement is a replay even
   // though this settlement has never seen it.
-  const auto redeemed_it = redeemed_.find(receipt.mac);
-  if (redeemed_it != redeemed_.end() && redeemed_it->second != id) {
+  RedeemedSlot& redeemed = redeemed_slot(receipt.mac);
+  if (redeemed.settlement != kNoSettlement && redeemed.settlement != id) {
     ++s.rejected;
     ++claims_rejected_;
     ++cross_settlement_replays_;
     return ClaimResult::kDuplicate;
   }
-  std::size_t& used = s.seen_claims[hop];
-  if (used >= valid_it->second) {
+  if (hop->used >= hop->multiplicity) {
     ++s.rejected;
     ++claims_rejected_;
     return ClaimResult::kDuplicate;  // replay beyond the hop's multiplicity
   }
-  ++used;
-  ++s.accepted_instances[claimant];
+  ++hop->used;
+  auto entry = std::lower_bound(
+      s.claimants.begin(), s.claimants.end(), claimant,
+      [](const ClaimantInstances& c, AccountId account) { return c.account < account; });
+  if (entry == s.claimants.end() || entry->account != claimant) {
+    entry = s.claimants.insert(entry, ClaimantInstances{claimant, 0});
+  }
+  ++entry->instances;
   ++claims_accepted_;
-  redeemed_.emplace(receipt.mac, id);
+  if (redeemed.settlement == kNoSettlement) {
+    redeemed = RedeemedSlot{receipt.mac, id};
+    ++redeemed_count_;
+  }
   if (s.state == SettlementState::kOpen) s.state = SettlementState::kClaiming;
   return ClaimResult::kAccepted;
+}
+
+SettlementEngine::RedeemedSlot& SettlementEngine::redeemed_slot(crypto::u64 mac) {
+  const auto probe = [this](crypto::u64 key) -> RedeemedSlot& {
+    const std::size_t mask = redeemed_.size() - 1;
+    // Fibonacci hashing: the multiply carries every low bit of the digest
+    // upward, and the bits from 32 up pick the home slot.
+    for (std::size_t i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;;
+         i = (i + 1) & mask) {
+      RedeemedSlot& slot = redeemed_[i];
+      if (slot.settlement == kNoSettlement || slot.mac == key) return slot;
+    }
+  };
+  if ((redeemed_count_ + 1) * 4 > redeemed_.size() * 3) {
+    std::vector<RedeemedSlot> old = std::exchange(
+        redeemed_, std::vector<RedeemedSlot>(std::max<std::size_t>(64, 2 * redeemed_.size())));
+    for (const RedeemedSlot& slot : old) {
+      if (slot.settlement != kNoSettlement) probe(slot.mac) = slot;
+    }
+  }
+  return probe(mac);
 }
 
 const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementState outcome) {
@@ -146,16 +204,7 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
   report.rejected_claims = s.rejected;
   report.outcome = outcome;
   report.completed_connections = s.completed_connections;
-  report.pro_rata = outcome == SettlementState::kAbandoned && !s.accepted_instances.empty();
-
-  // Deterministic payout order: ascending account id.
-  std::vector<AccountId> claimants;
-  claimants.reserve(s.accepted_instances.size());
-  for (const auto& [acct, m] : s.accepted_instances) {
-    (void)m;
-    claimants.push_back(acct);
-  }
-  std::sort(claimants.begin(), claimants.end());
+  report.pro_rata = outcome == SettlementState::kAbandoned && !s.claimants.empty();
 
   // Routing benefit splits over the *recorded* forwarder-set size ||pi|| —
   // for an abandoned set that is the realized set of its completed
@@ -166,9 +215,10 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
   const std::vector<Amount> shares =
       s.set_size > 0 ? split_evenly(s.terms.routing_benefit, s.set_size) : std::vector<Amount>{};
 
+  // Payout order: ascending account id, the order claimants is kept in.
   std::size_t share_idx = 0;
-  for (AccountId acct : claimants) {
-    const auto m = static_cast<Amount>(s.accepted_instances.at(acct));
+  for (const auto& [acct, instances] : s.claimants) {
+    const auto m = static_cast<Amount>(instances);
     Amount due = m * s.terms.forwarding_benefit;
     if (share_idx < shares.size()) due += shares[share_idx++];
     const bool ok = bank_.escrow_pay(s.escrow, acct, due);
@@ -201,8 +251,8 @@ const SettlementReport& SettlementEngine::close(SettlementId id) {
 const SettlementReport& SettlementEngine::abandon(SettlementId id) {
   Settlement& s = settlements_.at(id);
   if (is_terminal(s.state)) return *s.report;  // first-wins
-  return finalize(id, s.accepted_instances.empty() ? SettlementState::kExpired
-                                                   : SettlementState::kAbandoned);
+  return finalize(id, s.claimants.empty() ? SettlementState::kExpired
+                                          : SettlementState::kAbandoned);
 }
 
 std::size_t SettlementEngine::expire_due(sim::Time now) {
@@ -211,8 +261,8 @@ std::size_t SettlementEngine::expire_due(sim::Time now) {
     Settlement& s = settlements_[id];
     if (is_terminal(s.state)) continue;  // first-wins
     if (s.deadline < 0.0 || now < s.deadline) continue;
-    finalize(id, s.accepted_instances.empty() ? SettlementState::kExpired
-                                              : SettlementState::kAbandoned);
+    finalize(id, s.claimants.empty() ? SettlementState::kExpired
+                                      : SettlementState::kAbandoned);
     ++terminalised;
   }
   return terminalised;
@@ -249,10 +299,9 @@ std::size_t SettlementEngine::forwarder_set_size(SettlementId id) const {
 
 std::vector<crypto::u64> SettlementEngine::redeemed_macs() const {
   std::vector<crypto::u64> macs;
-  macs.reserve(redeemed_.size());
-  for (const auto& [mac, id] : redeemed_) {
-    (void)id;
-    macs.push_back(mac);
+  macs.reserve(redeemed_count_);
+  for (const RedeemedSlot& slot : redeemed_) {
+    if (slot.settlement != kNoSettlement) macs.push_back(slot.mac);
   }
   std::sort(macs.begin(), macs.end());
   return macs;

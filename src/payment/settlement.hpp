@@ -40,12 +40,11 @@
 // close can delay forwarders' payment until the deadline, never void it.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "payment/bank.hpp"
@@ -196,7 +195,7 @@ class SettlementEngine {
   [[nodiscard]] std::size_t settlement_count() const noexcept { return settlements_.size(); }
 
   /// Sorted copy of every receipt digest this engine has redeemed. Sorted so
-  /// consumers never observe the hash map's iteration order; used by the
+  /// consumers never observe the hash table's slot order; used by the
   /// sharded plane's merge reconciliation to assert that no receipt was
   /// redeemed by two bank partitions.
   [[nodiscard]] std::vector<crypto::u64> redeemed_macs() const;
@@ -215,6 +214,32 @@ class SettlementEngine {
   }
 
  private:
+  /// One validated hop: (conn_index, forwarder, predecessor, successor).
+  struct HopKey {
+    std::uint32_t conn_index = 0;
+    net::NodeId forwarder = net::kInvalidNode;
+    net::NodeId predecessor = net::kInvalidNode;
+    net::NodeId successor = net::kInvalidNode;
+
+    friend auto operator<=>(const HopKey&, const HopKey&) = default;
+  };
+
+  struct Hop {
+    HopKey key;
+    /// Positions the hop occupies on the validated paths: a node may occupy
+    /// several positions on one path, and in degenerate cycles even with
+    /// identical neighbours.
+    std::uint32_t multiplicity = 0;
+    /// Claims already accepted against the hop (replay guard, bounded by
+    /// the multiplicity).
+    std::uint32_t used = 0;
+  };
+
+  struct ClaimantInstances {
+    AccountId account = kInvalidAccount;
+    std::size_t instances = 0;  ///< accepted (deduped) forwarding instances
+  };
+
   struct Settlement {
     net::PairId pair = net::kInvalidPair;
     EscrowId escrow = 0;
@@ -222,21 +247,24 @@ class SettlementEngine {
     AccountId refund_account = kInvalidAccount;
     SettlementState state = SettlementState::kOpen;
     sim::Time deadline = kNoSettlementDeadline;
-    /// (conn_index, forwarder, predecessor, successor) -> multiplicity on
-    /// the validated paths (a node may occupy several positions on one path,
-    /// and in degenerate cycles even with identical neighbours).
-    std::map<std::tuple<std::uint32_t, net::NodeId, net::NodeId, net::NodeId>, std::size_t>
-        valid_hops;
+    /// The validated hops, sorted by key with repeats merged into one entry
+    /// (built once in open(), searched with lower_bound per claim).
+    std::vector<Hop> hops;
     std::size_t set_size = 0;  ///< distinct forwarders in records
     std::size_t completed_connections = 0;  ///< distinct conn_index in records
-    /// Accepted (deduped) instances per claimant account.
-    std::unordered_map<AccountId, std::size_t> accepted_instances;
-    /// Claims already accepted per hop tuple (replay guard, bounded by the
-    /// hop's multiplicity).
-    std::map<std::tuple<std::uint32_t, net::NodeId, net::NodeId, net::NodeId>, std::size_t>
-        seen_claims;
+    /// Accounts with at least one accepted claim, in ascending account order
+    /// — the order finalize() pays them in.
+    std::vector<ClaimantInstances> claimants;
     std::size_t rejected = 0;
     std::optional<SettlementReport> report;  ///< set on terminalisation
+  };
+
+  /// One slot of the redeemed-receipt table; `settlement == kNoSettlement`
+  /// marks it empty.
+  static constexpr SettlementId kNoSettlement = ~SettlementId{0};
+  struct RedeemedSlot {
+    crypto::u64 mac = 0;
+    SettlementId settlement = kNoSettlement;
   };
 
   /// The one place money moves: pays verified claims, refunds the rest,
@@ -249,13 +277,20 @@ class SettlementEngine {
   ClaimResult submit_checked(SettlementId id, AccountId claimant, net::NodeId claimant_owner,
                              const ForwardReceipt& receipt, bool mac_ok);
 
+  /// The redeemed-table slot holding `mac`, or the empty slot it would be
+  /// inserted into. The table grows first, so the reference stays valid
+  /// through one insertion.
+  RedeemedSlot& redeemed_slot(crypto::u64 mac);
+
   std::vector<Settlement> settlements_;
   /// Per-receipt MAC verdicts of the current batch (reused across batches so
   /// steady-state batch submission does not allocate).
   std::vector<std::uint8_t> mac_scratch_;
   /// Receipt digest -> settlement that redeemed it (cross-settlement replay
-  /// guard for re-formed sets sharing a pair id).
-  std::unordered_map<crypto::u64, SettlementId> redeemed_;
+  /// guard for re-formed sets sharing a pair id): open addressing with
+  /// linear probing over a power-of-two slot array kept at most 3/4 full.
+  std::vector<RedeemedSlot> redeemed_;
+  std::size_t redeemed_count_ = 0;
   Bank& bank_;
   std::uint64_t claims_accepted_ = 0;
   std::uint64_t claims_rejected_ = 0;
