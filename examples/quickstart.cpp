@@ -6,10 +6,8 @@
 // a runnable version of the paper's Figures 1-2 walkthrough.
 //
 //   ./quickstart [seed]
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
-#include <vector>
 
 #include "core/edge_quality.hpp"
 #include "core/incentive.hpp"
@@ -90,10 +88,7 @@ int main(int argc, char** argv) {
             << out.report.refunded << " milli-credits refunded\n";
 
   std::cout << "\nper-forwarder payoffs (benefit - cost):\n";
-  std::vector<net::NodeId> forwarders(session.forwarder_set().begin(),
-                                      session.forwarder_set().end());
-  std::sort(forwarders.begin(), forwarders.end());
-  for (net::NodeId id : forwarders) {
+  for (net::NodeId id : session.forwarder_set()) {  // ascending node order
     std::cout << "  node " << id << ": " << ledger.at(id).payoff() << " credits over "
               << ledger.at(id).forwarding_instances << " instances\n";
   }
