@@ -89,8 +89,7 @@ BrowseOutcome browse(core::StrategyKind kind, std::uint64_t seed) {
         observer.observe(overlay.online_nodes());
       }
     }
-    const core::SettleOutcome settled =
-        session.settle(bank, engine, ledger, overlay, settle_stream);
+    const core::SettleOutcome settled = session.settle(bank, engine, ledger, settle_stream);
     out.forwarder_set += static_cast<double>(settled.forwarder_set_size) / 3.0;
     out.payments += settled.initiator_spend;
     out.reformed += session.reformations();

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   // settlement with its validated path records, forwarders claim with MAC'd
   // receipts, the bank pays m*P_f + P_r/||pi|| each.
   auto settle_stream = root.child("settle");
-  const core::SettleOutcome out = session.settle(bank, engine, ledger, overlay, settle_stream);
+  const core::SettleOutcome out = session.settle(bank, engine, ledger, settle_stream);
 
   std::cout << "\nsettled: ||pi|| = " << out.forwarder_set_size
             << ", avg path length L = " << session.average_path_length()

@@ -1,14 +1,13 @@
 // Packed-key open-addressing hash table for the per-hop decision stack.
 //
 // The routing hot path indexes small fixed-width composite keys —
-// (pair, predecessor, successor) history counts, (s, v, pair, pred) edge
-// qualities, (from, pred, depth) lookahead states. A node-based
-// std::map/unordered_map pays an allocation plus pointer chases per probe;
-// this table packs each composite key into 128 bits and resolves lookups
-// with linear probing over one contiguous slot array, so the steady-state
-// cost of a hit is a single cache line. Erase uses backward-shift deletion
-// (no tombstones), keeping probe sequences short under the record/evict
-// churn of bounded history profiles.
+// (pair, predecessor, successor) history counts and (from, pred, depth)
+// lookahead states. A node-based std::map/unordered_map pays an allocation
+// plus pointer chases per probe; this table packs each composite key into
+// 128 bits and resolves lookups with linear probing over one contiguous
+// slot array, so the steady-state cost of a hit is a single cache line.
+// Erase uses backward-shift deletion (no tombstones), keeping probe
+// sequences short under the record/evict churn of bounded history profiles.
 #pragma once
 
 #include <cassert>
@@ -41,12 +40,12 @@ struct PackedKey {
   return z ^ (z >> 31);
 }
 
-/// Two-multiply mixing for the *lossy* lookup structures (edge-quality
-/// cache, decision scratch), whose slot index comes from the HIGH bits
-/// (multiplicative hashing concentrates entropy there — callers shift, not
-/// mask). A collision in those structures costs a recomputation, never a
-/// wrong answer, so the shorter dependency chain wins on the hot path. The
-/// exact PackedFlatMap keeps the avalanche hash above.
+/// Two-multiply mixing for the *lossy* decision-scratch memo, whose slot
+/// index comes from the HIGH bits (multiplicative hashing concentrates
+/// entropy there — callers shift, not mask). A collision there costs a
+/// recomputation, never a wrong answer, so the shorter dependency chain
+/// wins on the hot path. The exact PackedFlatMap keeps the avalanche hash
+/// above.
 [[nodiscard]] constexpr std::uint64_t hash_packed_key_fast(PackedKey k) noexcept {
   return (k.lo ^ (k.hi * 0xD1B54A32D192ED03ULL)) * 0x9E3779B97F4A7C15ULL;
 }

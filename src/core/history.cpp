@@ -4,7 +4,6 @@
 
 namespace p2panon::core {
 
-// lint-exempt(epoch): private helper reachable only from record(), which bumps
 void HistoryProfile::remove_from_index(const HistoryEntry& entry) {
   std::uint32_t* c = counts_.find(edge_key(entry.pair, entry.predecessor, entry.successor));
   assert(c != nullptr && *c > 0);
@@ -25,7 +24,6 @@ void HistoryProfile::record(const HistoryEntry& entry) {
   }
   ++counts_.get_or_insert(edge_key(entry.pair, entry.predecessor, entry.successor));
   ++counts_.get_or_insert(position_key(entry.pair, entry.predecessor));
-  ++epoch_;
 }
 
 std::vector<HistoryEntry> HistoryProfile::entries() const {
@@ -59,7 +57,6 @@ void HistoryProfile::clear() {
   ring_.clear();
   head_ = 0;
   counts_.clear();
-  ++epoch_;
 }
 
 HistoryStore::HistoryStore(std::size_t node_count, std::size_t per_node_capacity) {

@@ -19,10 +19,6 @@
 // numerically identical (see core/utility and core/decision_scratch), and
 // a denominator of at most k - 1 bounds sigma by 1 (see
 // EdgeQualityEvaluator::edges_at_most_direct).
-//
-// Every mutation (record, FIFO eviction, clear) bumps a monotonically
-// increasing epoch; caches that snapshot derived quantities compare epochs
-// to self-invalidate instead of subscribing to callbacks.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +66,6 @@ class HistoryProfile {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   void clear();
 
-  /// Monotonically increasing mutation counter: bumped by every record
-  /// (including its FIFO eviction, if any) and by clear(). Equal epochs
-  /// guarantee identical selectivity answers.
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-
   /// Stored entries in FIFO order (oldest first). Returns a snapshot by
   /// value: the backing store is a ring buffer, so entries are not
   /// contiguous in eviction order once the window wraps. Cold path (tests,
@@ -96,7 +87,6 @@ class HistoryProfile {
   void remove_from_index(const HistoryEntry& entry);
 
   std::size_t capacity_;
-  std::uint64_t epoch_ = 0;
   /// Ring buffer: grows like a plain vector until `capacity_` entries are
   /// stored (head_ == 0, FIFO order is index order); once full, ring_[head_]
   /// is the oldest entry and each record overwrites it in place.

@@ -257,8 +257,7 @@ SettleOutcome ConnectionSetSession::finalize_settlement(const payment::Bank& ban
 
 SettleOutcome ConnectionSetSession::settle(payment::Bank& bank,
                                            payment::SettlementEngine& engine,
-                                           PayoffLedger& ledger, const net::Overlay& overlay,
-                                           sim::rng::Stream& stream) {
+                                           PayoffLedger& ledger, sim::rng::Stream& stream) {
   const PreparedSettlement prep =
       open_settlement(bank, engine, stream, payment::kNoSettlementDeadline);
 
@@ -271,7 +270,6 @@ SettleOutcome ConnectionSetSession::settle(payment::Bank& bank,
   }
 
   engine.close(prep.sid);
-  (void)overlay;
   return finalize_settlement(bank, engine, ledger, prep.sid);
 }
 

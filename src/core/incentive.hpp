@@ -131,8 +131,7 @@ class ConnectionSetSession {
   /// synchronous composition of open_settlement + every claim + close +
   /// finalize_settlement, with identical bank traffic and stream draws.
   SettleOutcome settle(payment::Bank& bank, payment::SettlementEngine& engine,
-                       PayoffLedger& ledger, const net::Overlay& overlay,
-                       sim::rng::Stream& stream);
+                       PayoffLedger& ledger, sim::rng::Stream& stream);
 
   // --- Crash-tolerant settlement lifecycle (fault-mode wiring). ---
 

@@ -12,14 +12,10 @@ SuspicionTracker::SuspicionTracker(std::size_t node_count, double penalty)
 void SuspicionTracker::record_timeout(net::NodeId suspect) {
   auto& c = counts_.at(suspect);
   if (c < kMaxCount) ++c;
-  ++epoch_;
 }
 
 void SuspicionTracker::record_success(net::NodeId node) {
-  auto& c = counts_.at(node);
-  if (c == 0) return;
-  c >>= 1;
-  ++epoch_;
+  counts_.at(node) >>= 1;
 }
 
 double SuspicionTracker::availability_factor(net::NodeId v) const {

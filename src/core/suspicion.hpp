@@ -5,10 +5,8 @@
 // hops time out. SuspicionTracker turns those timeouts into a per-node
 // multiplicative penalty on the probed availability estimate used by edge
 // quality: each unresolved timeout halves trust (factor = penalty^count),
-// each successfully-confirmed path restores half of it. The tracker
-// publishes a monotone epoch with the same contract as HistoryProfile /
-// ProbingEstimator; without a tracker edge quality is bitwise identical to
-// the pre-fault baseline.
+// each successfully-confirmed path restores half of it. Without a tracker
+// edge quality is bitwise identical to the pre-fault baseline.
 #pragma once
 
 #include <cstdint>
@@ -34,18 +32,12 @@ class SuspicionTracker {
 
   [[nodiscard]] std::uint32_t count(net::NodeId v) const { return counts_.at(v); }
 
-  /// Monotone epoch over all suspicion state; bumped by every mutation that
-  /// can change an availability_factor answer (cache-invalidation signal,
-  /// same contract as HistoryProfile::epoch()).
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-
  private:
   /// Counts saturate here; the factor floor penalty^16 is already ~1e-5.
   static constexpr std::uint32_t kMaxCount = 16;
 
   std::vector<std::uint32_t> counts_;
   double penalty_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace p2panon::core

@@ -37,10 +37,6 @@ struct alignas(64) PaperShardCounters {
   std::uint64_t connections_failed = 0;  ///< initiator/responder down or hop lost
   std::uint64_t no_candidate = 0;        ///< walk steps with no eligible successor
   std::uint64_t hops_recorded = 0;       ///< forwarder instances on completed paths
-  /// Data-plane deliveries. Cross-shard hops are delivered at window-clamped
-  /// times and may still be in flight at the horizon, so this counter is
-  /// window-dependent and MUST stay out of the digest.
-  std::uint64_t hops_delivered = 0;
 };
 
 /// One (I, R) pair's lifecycle, owned by the initiator's shard.
@@ -212,8 +208,9 @@ class PaperWorld {
       }
       if (!times.empty()) horizon = std::max(horizon, times.back());
     }
-    // Tail: claim deadline plus an hour of slack for the data-plane echo,
-    // then snap UP to a refresh boundary.
+    // Tail: claim deadline plus one hour, then snap UP to a refresh boundary.
+    // The digest folds availability at duration_ and the refresh grid is
+    // anchored to it, so this tail is part of every pinned answer.
     const sim::Time tail = horizon + cfg_.fault.bank.claim_deadline + sim::hours(1.0);
     duration_ = std::ceil(tail / refresh_interval_) * refresh_interval_;
   }
@@ -348,7 +345,6 @@ class PaperWorld {
         }
       }
     }
-    post_data_plane(p, path, s, now, delivered_edges);
     if (delivered_edges < path.size() - 1) {
       ++counters_[s].connections_failed;
       finish_if_last(p, j, now);
@@ -422,24 +418,6 @@ class PaperWorld {
                        fault_stream.bernoulli(cfg_.fault.bank.initiator_crash);
     if (!st.close_skipped) {
       settle_buf_[s].push_back(SettleOp{SettleOp::Kind::kClose, p, {}});
-    }
-  }
-
-  /// Data-plane echo: one post per delivered edge, landing on the receiving
-  /// node's shard, plus an ack back to the initiator's shard. Engine load
-  /// and cross-shard traffic only — never touches digested state.
-  void post_data_plane(std::uint32_t p, const std::vector<NodeId>& path, std::uint32_t src,
-                       sim::Time now, std::size_t delivered_edges) {
-    sim::Time at = now;
-    for (std::size_t e = 0; e < delivered_edges; ++e) {
-      at += links_.transfer_time(path[e], path[e + 1]);
-      const std::uint32_t dst = partition_.shard_of(path[e + 1]);
-      engine_.post(src, dst, at, [this, dst] { ++counters_[dst].hops_delivered; });
-    }
-    if (delivered_edges == path.size() - 1) {
-      const std::uint32_t home = owner_shard(p);
-      engine_.post(src, home, at + links_.transfer_time(path.front(), path.back()),
-                   [this, home] { ++counters_[home].hops_delivered; });
     }
   }
 
@@ -571,10 +549,10 @@ class PaperWorld {
   /// Order-invariant end-state fingerprint. Covered: per-pair settlement
   /// outcomes, per-node churn/probing end state, folded history totals,
   /// merged per-account balance deltas, per-shard model counters, plane
-  /// money totals. Excluded by design: hops_delivered and every cross-shard
-  /// engine counter (window-dependent), escrow/settlement/audit-seq ids and
-  /// coin signatures (op-order-dependent), history/probing epoch counters
-  /// driven by barrier cadence.
+  /// money totals. Excluded by design: every engine counter
+  /// (window-dependent), escrow/settlement/audit-seq ids and coin signatures
+  /// (op-order-dependent), and the probing epoch counter, which is driven by
+  /// barrier cadence.
   [[nodiscard]] std::uint64_t digest(const payment::PlaneReconciliation& rec) const {
     std::uint64_t h = fnv1a_init();
     for (std::uint32_t p = 0; p < pairs_.size(); ++p) {

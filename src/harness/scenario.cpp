@@ -266,7 +266,7 @@ ScenarioResult ScenarioRunner::run() const {
   outcomes.reserve(plans.size());
   if (!bank_mode) {
     for (PairPlan& plan : plans) {
-      outcomes.push_back(plan.session->settle(bank, engine, ledger, overlay, settle_stream));
+      outcomes.push_back(plan.session->settle(bank, engine, ledger, settle_stream));
     }
   } else {
     // Event-driven settlement lifecycle: every escrow is funded and opened

@@ -69,40 +69,8 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
 
 ClaimResult SettlementEngine::submit_claim(SettlementId id, AccountId claimant,
                                            const ForwardReceipt& receipt) {
-  const crypto::u64 key = bank_.account_mac_key(claimant);
-  ForwardReceipt check = receipt;
-  check.mac = 0;
-  return submit_checked(id, claimant, bank_.account_owner(claimant), receipt,
-                        receipt_mac(key, check) == receipt.mac);
-}
-
-SettlementEngine::ClaimBatchResult SettlementEngine::submit_claim_batch(
-    SettlementId id, AccountId claimant, std::span<const ForwardReceipt> receipts) {
-  // Batched MAC verification: one key fetch, one streaming pass over the
-  // whole batch, no ledger state touched until every verdict is in.
-  const crypto::u64 key = bank_.account_mac_key(claimant);
-  const net::NodeId owner = bank_.account_owner(claimant);
-  mac_scratch_.assign(receipts.size(), 0);
-  for (std::size_t i = 0; i < receipts.size(); ++i) {
-    ForwardReceipt check = receipts[i];
-    check.mac = 0;
-    mac_scratch_[i] = receipt_mac(key, check) == receipts[i].mac ? 1 : 0;
-  }
-  ClaimBatchResult out;
-  for (std::size_t i = 0; i < receipts.size(); ++i) {
-    const ClaimResult r = submit_checked(id, claimant, owner, receipts[i], mac_scratch_[i] != 0);
-    if (r == ClaimResult::kAccepted) {
-      ++out.accepted;
-    } else {
-      ++out.rejected;
-    }
-  }
-  return out;
-}
-
-ClaimResult SettlementEngine::submit_checked(SettlementId id, AccountId claimant,
-                                             net::NodeId claimant_owner,
-                                             const ForwardReceipt& receipt, bool mac_ok) {
+  const crypto::u64 mac_key = bank_.account_mac_key(claimant);
+  const net::NodeId claimant_owner = bank_.account_owner(claimant);
   if (id >= settlements_.size()) return ClaimResult::kUnknownSettlement;
   Settlement& s = settlements_[id];
   if (is_terminal(s.state)) {
@@ -126,7 +94,9 @@ ClaimResult SettlementEngine::submit_checked(SettlementId id, AccountId claimant
     return ClaimResult::kWrongClaimant;
   }
   // MAC must verify under the claimant's registered key.
-  if (!mac_ok) {
+  ForwardReceipt unsealed = receipt;
+  unsealed.mac = 0;
+  if (receipt_mac(mac_key, unsealed) != receipt.mac) {
     ++s.rejected;
     ++claims_rejected_;
     return ClaimResult::kBadMac;
@@ -170,6 +140,19 @@ ClaimResult SettlementEngine::submit_checked(SettlementId id, AccountId claimant
   }
   if (s.state == SettlementState::kOpen) s.state = SettlementState::kClaiming;
   return ClaimResult::kAccepted;
+}
+
+SettlementEngine::ClaimBatchResult SettlementEngine::submit_claim_batch(
+    SettlementId id, AccountId claimant, std::span<const ForwardReceipt> receipts) {
+  ClaimBatchResult out;
+  for (const ForwardReceipt& receipt : receipts) {
+    if (submit_claim(id, claimant, receipt) == ClaimResult::kAccepted) {
+      ++out.accepted;
+    } else {
+      ++out.rejected;
+    }
+  }
+  return out;
 }
 
 SettlementEngine::RedeemedSlot& SettlementEngine::redeemed_slot(crypto::u64 mac) {
@@ -216,6 +199,7 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
       s.set_size > 0 ? split_evenly(s.terms.routing_benefit, s.set_size) : std::vector<Amount>{};
 
   // Payout order: ascending account id, the order claimants is kept in.
+  report.payouts.reserve(s.claimants.size());
   std::size_t share_idx = 0;
   for (const auto& [acct, instances] : s.claimants) {
     const auto m = static_cast<Amount>(instances);
@@ -225,7 +209,7 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
     assert(ok && "escrow underfunded for verified claims");
     if (ok) {
       report.paid_out += due;
-      report.payouts[acct] += due;
+      report.payouts.emplace_back(acct, due);
       report.accepted_claims += static_cast<std::size_t>(m);
     }
   }

@@ -42,9 +42,9 @@
 
 #include <compare>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "payment/bank.hpp"
@@ -118,10 +118,10 @@ struct SettlementReport {
   /// the partial (completed-connections-only) record set.
   bool pro_rata = false;
   std::size_t completed_connections = 0;  ///< distinct conn_index in records
-  /// Per-account payout, for auditing. Ordered so consumers that fold the
-  /// payouts into floating-point sums iterate in ascending account order
-  /// without sorting first.
-  std::map<AccountId, Amount> payouts;
+  /// Per-account payout, for auditing: one entry per paid account, in
+  /// ascending account order, so consumers that fold the payouts into
+  /// floating-point sums need not sort first.
+  std::vector<std::pair<AccountId, Amount>> payouts;
 };
 
 class SettlementEngine {
@@ -150,14 +150,9 @@ class SettlementEngine {
   };
 
   /// Batched claim submission: one claimant redeems many receipts against
-  /// one settlement. The claimant's registered key and owner are fetched
-  /// once and every receipt's MAC is verified in a single streaming pass
-  /// before any ledger state is touched; the verified receipts then flow
-  /// through the normal path-validation/replay machinery. The outcome is
-  /// identical to submitting each receipt through submit_claim in order
-  /// (pinned by tests/payment/test_sharded_settlement.cpp) — the batch form
-  /// exists so a sharded settlement plane can amortise verification over
-  /// forwarder-epoch aggregates instead of paying it per claim.
+  /// one settlement, each through submit_claim in order (the outcome is
+  /// pinned by tests/payment/test_sharded_settlement.cpp). The sharded
+  /// settlement plane submits its forwarder-epoch aggregates this way.
   ClaimBatchResult submit_claim_batch(SettlementId id, AccountId claimant,
                                       std::span<const ForwardReceipt> receipts);
 
@@ -271,21 +266,12 @@ class SettlementEngine {
   /// stamps the terminal state. Callers must have first-wins-checked.
   const SettlementReport& finalize(SettlementId id, SettlementState outcome);
 
-  /// Shared claim path with the claimant's owner identity and MAC verdict
-  /// precomputed (submit_claim computes them inline; submit_claim_batch
-  /// hoists them out of the per-receipt loop).
-  ClaimResult submit_checked(SettlementId id, AccountId claimant, net::NodeId claimant_owner,
-                             const ForwardReceipt& receipt, bool mac_ok);
-
   /// The redeemed-table slot holding `mac`, or the empty slot it would be
   /// inserted into. The table grows first, so the reference stays valid
   /// through one insertion.
   RedeemedSlot& redeemed_slot(crypto::u64 mac);
 
   std::vector<Settlement> settlements_;
-  /// Per-receipt MAC verdicts of the current batch (reused across batches so
-  /// steady-state batch submission does not allocate).
-  std::vector<std::uint8_t> mac_scratch_;
   /// Receipt digest -> settlement that redeemed it (cross-settlement replay
   /// guard for re-formed sets sharing a pair id): open addressing with
   /// linear probing over a power-of-two slot array kept at most 3/4 full.

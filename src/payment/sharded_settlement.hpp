@@ -30,9 +30,9 @@
 // Claims arrive as forwarder-epoch *aggregates* (Ersoy et al.'s
 // transaction-batching idea): all receipts one forwarder accrued for one
 // settlement during one view-refresh epoch travel as a single
-// AggregatedClaim under one aggregate MAC. The partition engine verifies
-// the batch MACs in one streaming pass (SettlementEngine::submit_claim_batch)
-// instead of interleaving a key fetch + MAC + ledger walk per claim.
+// AggregatedClaim under one aggregate MAC. The partition engine then
+// redeems the aggregate's receipts in order through
+// SettlementEngine::submit_claim_batch.
 //
 // Replay safety across partitions: routing by settlement key means sibling
 // settlements of one logical set always land on the same partition, where

@@ -30,11 +30,7 @@ CHECKER = REPO / "tools" / "lint" / "check_invariants.py"
 # R2 checks every configured guard and reports missing guard files, so
 # synthetic trees must stub the full guarded set (empty files define no
 # classes and therefore produce no findings of their own).
-EPOCH_GUARD_FILES = (
-    "src/core/history.hpp", "src/core/history.cpp",
-    "src/core/suspicion.hpp", "src/core/suspicion.cpp",
-    "src/net/sharded_probing.hpp", "src/net/sharded_probing.cpp",
-)
+EPOCH_GUARD_FILES = ("src/net/sharded_probing.hpp", "src/net/sharded_probing.cpp")
 
 MUST_FLAG_RE = re.compile(r"MUST-FLAG\((\w+)\)")
 
@@ -83,22 +79,22 @@ class InvariantCheckerTrees(unittest.TestCase):
 
     def test_r2_flags_unbumped_epoch_mutation(self) -> None:
         files = {rel: "" for rel in EPOCH_GUARD_FILES}
-        files["src/core/history.cpp"] = """\
-            #include "core/history.hpp"
-            void HistoryProfile::record(int v) {  // MUST-FLAG(R2)
-              ring_[head_] = v;        // mutates guarded state, no epoch bump
+        files["src/net/sharded_probing.cpp"] = """\
+            #include "net/sharded_probing.hpp"
+            void ShardedProbing::observe(NodeId s, double t) {  // MUST-FLAG(R2)
+              session_time_[s] = t;    // mutates guarded state, no epoch bump
             }
-            void HistoryProfile::reset() {  // MUST-PASS(R2): bumps the epoch
-              head_ = 0;
-              ++epoch_;
+            void ShardedProbing::reset(NodeId s) {  // MUST-PASS(R2): bumps the epoch
+              avail_total_[s] = 0.0;
+              probe_epoch_[s] += 1;
             }
-            // lint-exempt(epoch): scratch mirror, not published to caches
-            void HistoryProfile::mirror(int v) {  // MUST-PASS(R2)
-              ring_[0] = v;
+            // lint-exempt(epoch): scratch mirror, not published to readers
+            void ShardedProbing::mirror(NodeId s) {  // MUST-PASS(R2)
+              avail_total_[s] = 0.0;
             }
         """
         proc = self.check_tree("R2", files)
-        self.assertIn("HistoryProfile::record", proc.stdout)
+        self.assertIn("ShardedProbing::observe", proc.stdout)
 
     def test_r2_guards_sharded_probing_in_source_and_header(self) -> None:
         files = {rel: "" for rel in EPOCH_GUARD_FILES}
@@ -137,19 +133,25 @@ class InvariantCheckerTrees(unittest.TestCase):
               std::vector<std::uint64_t> probe_epoch_;
             };
         """
-        files["src/core/suspicion.hpp"] = """\
-            #pragma once
-            class SuspicionTracker {  // MUST-PASS(R2): every guarded member is declared
-             private:
-              std::vector<std::uint32_t> counts_;
-              std::uint64_t epoch_ = 0;
-            };
-        """
         proc = self.check_tree("R2", files)
         self.assertIn("EPOCH_GUARDS row ShardedProbing guards avail_total_", proc.stdout)
+        # A member named only in the source file still counts as present.
+        files["src/net/sharded_probing.cpp"] = """\
+            #include "net/sharded_probing.hpp"
+            double ShardedProbing::total(NodeId s) const { return avail_total_[s]; }
+        """
+        files["src/net/sharded_probing.hpp"] = """\
+            #pragma once
+            class ShardedProbing {  // MUST-PASS(R2): every guarded member is named
+             private:
+              std::vector<double> session_time_;
+              std::vector<std::uint64_t> probe_epoch_;
+            };
+        """
+        self.check_tree("R2", files)
 
     def test_r2_reports_missing_guard_files(self) -> None:
-        proc = self.check_tree("R2", {"src/core/history.hpp": ""},
+        proc = self.check_tree("R2", {"src/net/sharded_probing.hpp": ""},
                                expect=frozenset(("R2", f, 1) for f in EPOCH_GUARD_FILES[1:]))
         self.assertIn("guarded file missing", proc.stdout)
 

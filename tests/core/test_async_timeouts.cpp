@@ -75,7 +75,6 @@ TEST(AsyncTimeouts, AckTimeoutsFeedSuspicion) {
   AsyncConfig acfg;
   acfg.max_attempts = 4;
   (void)h.establish(world, acfg, 1, &faults, &suspicion);
-  EXPECT_GT(suspicion.epoch(), 0u);
   std::uint32_t total = 0;
   for (NodeId v = 0; v < world.overlay.size(); ++v) total += suspicion.count(v);
   EXPECT_EQ(total, 4u) << "one suspect recorded per timed-out attempt";

@@ -112,7 +112,7 @@ TEST(CidRotation, SettlementStillBalancesWithRotation) {
   }
   const payment::Amount before = bank.total_money() + bank.outstanding_coin_value();
   auto settle_stream = world.root.child("settle");
-  const SettleOutcome out = session.settle(bank, engine, ledger, world.overlay, settle_stream);
+  const SettleOutcome out = session.settle(bank, engine, ledger, settle_stream);
   EXPECT_EQ(bank.total_money() + bank.outstanding_coin_value(), before);
   EXPECT_EQ(out.report.paid_out + out.report.refunded, out.report.escrow_in);
   EXPECT_GT(out.report.accepted_claims, 0u);

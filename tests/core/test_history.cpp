@@ -147,28 +147,3 @@ TEST(HistoryProfile, PositionCountTracksEviction) {
   EXPECT_EQ(h.position_count(1, 11), 0u);
 }
 
-TEST(HistoryProfile, EpochBumpsOnEveryMutation) {
-  HistoryProfile h(2);
-  const std::uint64_t e0 = h.epoch();
-  h.record({1, 1, 10, 20});
-  const std::uint64_t e1 = h.epoch();
-  EXPECT_GT(e1, e0);
-  h.record({1, 2, 10, 21});
-  const std::uint64_t e2 = h.epoch();
-  EXPECT_GT(e2, e1);
-  h.record({1, 3, 10, 22});  // record + FIFO eviction
-  const std::uint64_t e3 = h.epoch();
-  EXPECT_GT(e3, e2);
-  h.clear();
-  EXPECT_GT(h.epoch(), e3);
-}
-
-TEST(HistoryProfile, EpochStableAcrossReads) {
-  HistoryProfile h;
-  h.record({1, 1, 10, 20});
-  const std::uint64_t e = h.epoch();
-  (void)h.count(1, 10, 20);
-  (void)h.position_count(1, 10);
-  (void)h.selectivity(1, 10, 20, 5);
-  EXPECT_EQ(h.epoch(), e);
-}

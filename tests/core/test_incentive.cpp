@@ -122,7 +122,7 @@ TEST_F(IncentiveTest, SettleCreditsForwardersExactly) {
   for (const BuiltPath& p : session->paths()) total_instances += p.forwarder_count();
 
   auto stream = world.root.child("settle");
-  const SettleOutcome out = session->settle(bank, engine, ledger, world.overlay, stream);
+  const SettleOutcome out = session->settle(bank, engine, ledger, stream);
 
   // All receipts accepted: paid == instances * P_f + P_r (all shares claimed
   // since every recorded forwarder claims).
@@ -139,7 +139,7 @@ TEST_F(IncentiveTest, SettlePayoffMatchesLedgerBenefits) {
   PayoffLedger ledger(world.overlay.size());
   auto session = run_set(StrategyKind::kUtilityModelI, 4, ledger);
   auto stream = world.root.child("settle2");
-  const SettleOutcome out = session->settle(bank, engine, ledger, world.overlay, stream);
+  const SettleOutcome out = session->settle(bank, engine, ledger, stream);
 
   double credited = 0;
   for (NodeId id = 0; id < world.overlay.size(); ++id) credited += ledger.at(id).benefit;
@@ -151,7 +151,7 @@ TEST_F(IncentiveTest, SettleConservesBankMoney) {
   auto session = run_set(StrategyKind::kUtilityModelII, 6, ledger);
   const payment::Amount before = bank.total_money() + bank.outstanding_coin_value();
   auto stream = world.root.child("settle3");
-  session->settle(bank, engine, ledger, world.overlay, stream);
+  session->settle(bank, engine, ledger, stream);
   EXPECT_EQ(bank.total_money() + bank.outstanding_coin_value(), before);
 }
 
@@ -160,7 +160,7 @@ TEST_F(IncentiveTest, InitiatorPaysWhatForwardersReceive) {
   auto session = run_set(StrategyKind::kUtilityModelI, 4, ledger);
   const payment::Amount init_before = bank.balance(bank.account_of(kInitiator));
   auto stream = world.root.child("settle4");
-  const SettleOutcome out = session->settle(bank, engine, ledger, world.overlay, stream);
+  const SettleOutcome out = session->settle(bank, engine, ledger, stream);
   const payment::Amount init_after = bank.balance(bank.account_of(kInitiator));
   // Initiator account decreased by exactly committed - 0 (refund goes to a
   // pseudonymous account, so out-of-pocket = escrow_in - refund only if the
@@ -208,7 +208,7 @@ TEST_F(IncentiveTest, SettleWithZeroConnectionsRefundsRoutingBenefit) {
   PayoffLedger ledger(world.overlay.size());
   ConnectionSetSession session(kPair, kInitiator, kResponder, Contract{});
   auto stream = world.root.child("settle-empty");
-  const SettleOutcome out = session.settle(bank, engine, ledger, world.overlay, stream);
+  const SettleOutcome out = session.settle(bank, engine, ledger, stream);
   EXPECT_EQ(out.forwarder_set_size, 0u);
   EXPECT_EQ(out.report.paid_out, 0);
   EXPECT_EQ(out.report.refunded, out.report.escrow_in);
@@ -227,7 +227,7 @@ TEST_F(IncentiveTest, DirectOnlyConnectionsSettleCleanly) {
     EXPECT_EQ(p.forwarder_count(), 0u);
   }
   auto stream = world.root.child("settle-direct");
-  const SettleOutcome out = session->settle(bank, engine, ledger, world.overlay, stream);
+  const SettleOutcome out = session->settle(bank, engine, ledger, stream);
   EXPECT_EQ(out.report.paid_out, 0);
   EXPECT_EQ(out.report.refunded, out.report.escrow_in);
 }
@@ -298,7 +298,7 @@ TEST_F(IncentiveTest, AdoptedSessionStatisticsMatchSetReference) {
     }
 
     auto stream = world.root.child("adopt-settle", rotation);
-    const SettleOutcome out = session.settle(bank, engine, ledger, world.overlay, stream);
+    const SettleOutcome out = session.settle(bank, engine, ledger, stream);
     EXPECT_EQ(out.forwarder_set_size, forwarders.size());
     EXPECT_EQ(out.report.forwarder_set_size, forwarders.size());
     EXPECT_EQ(out.report.accepted_claims, instances);

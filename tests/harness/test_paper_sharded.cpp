@@ -156,6 +156,8 @@ TEST(PaperSharded, ConservesAndReconcilesAtFourShards) {
   EXPECT_EQ(r.claims_rejected, 0u);
   EXPECT_EQ(r.settlement_escrow_milli, r.settlement_paid_milli + r.settlement_refunded_milli);
   EXPECT_GT(r.engine_window_barriers, 0u);
+  // Every event stays on its owner shard; settlement ops ride the barrier.
+  EXPECT_EQ(r.engine_cross_shard_messages, 0u);
 }
 
 TEST(PaperSharded, FaultModeReconcilesAtFourShards) {

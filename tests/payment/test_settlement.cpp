@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "payment/token.hpp"
 
 using namespace p2panon::payment;
@@ -9,6 +11,14 @@ namespace rng = p2panon::sim::rng;
 using p2panon::net::NodeId;
 
 namespace {
+
+/// The payout `report` made to `acct`; throws like std::map::at if none.
+Amount payout_of(const SettlementReport& report, AccountId acct) {
+  for (const auto& [paid_to, amount] : report.payouts) {
+    if (paid_to == acct) return amount;
+  }
+  throw std::out_of_range("no payout to this account");
+}
 
 /// Fixture: bank with accounts for nodes 0..4, node 0 the initiator; one
 /// funded escrow; a settlement over two recorded paths:
@@ -83,9 +93,9 @@ TEST_F(SettlementTest, FullSettlementPaysMPfPlusShares) {
   // splits over ||pi|| = 3 as [6667, 6667, 6666] (largest remainder), paid
   // in ascending account order.
   const Amount share = p_r_ / 3;  // 6666
-  EXPECT_EQ(report.payouts.at(accounts_[1]), 2 * p_f_ + share + 1);
-  EXPECT_EQ(report.payouts.at(accounts_[2]), p_f_ + share + 1);
-  EXPECT_EQ(report.payouts.at(accounts_[3]), p_f_ + share);
+  EXPECT_EQ(payout_of(report, accounts_[1]), 2 * p_f_ + share + 1);
+  EXPECT_EQ(payout_of(report, accounts_[2]), p_f_ + share + 1);
+  EXPECT_EQ(payout_of(report, accounts_[3]), p_f_ + share);
   EXPECT_EQ(report.paid_out + report.refunded, report.escrow_in);
   EXPECT_EQ(report.refunded, 0);  // everything claimed
   EXPECT_EQ(report.accepted_claims, 4u);
@@ -141,7 +151,7 @@ TEST_F(SettlementTest, UnclaimedSharesRefundedNotRedistributed) {
 
   // Node 1 gets its 2*P_f plus exactly ONE routing share of P_r/||pi||
   // (the first largest-remainder share, 6667 of 20000/3).
-  EXPECT_EQ(report.payouts.at(accounts_[1]), 2 * p_f_ + p_r_ / 3 + 1);
+  EXPECT_EQ(payout_of(report, accounts_[1]), 2 * p_f_ + p_r_ / 3 + 1);
   // The rest (2 unclaimed P_f instances + 2 routing shares) is refunded.
   EXPECT_EQ(report.paid_out + report.refunded, report.escrow_in);
   EXPECT_GT(report.refunded, 0);
@@ -210,8 +220,8 @@ TEST(SettlementRepeatedForwarder, NodeOnTwoPositionsOfOnePath) {
   const auto& report = engine.close(sid);
   EXPECT_EQ(report.accepted_claims, 3u);
   // Node 1: 2 instances + one routing share (of 2).
-  EXPECT_EQ(report.payouts.at(acct[1]), 2 * p_f + p_r / 2);
-  EXPECT_EQ(report.payouts.at(acct[2]), p_f + p_r / 2);
+  EXPECT_EQ(payout_of(report, acct[1]), 2 * p_f + p_r / 2);
+  EXPECT_EQ(payout_of(report, acct[2]), p_f + p_r / 2);
 }
 
 // --- Crash-tolerant lifecycle (state machine, deadlines, replay guards). ---
@@ -244,7 +254,7 @@ TEST_F(SettlementTest, AbandonWithClaimsPaysProRata) {
   EXPECT_TRUE(report.pro_rata);
   // The one verified instance pays m*P_f + its routing share; the rest of
   // the escrow goes back to the initiator's refund account.
-  EXPECT_EQ(report.payouts.at(accounts_[1]), p_f_ + p_r_ / 3 + 1);
+  EXPECT_EQ(payout_of(report, accounts_[1]), p_f_ + p_r_ / 3 + 1);
   EXPECT_EQ(report.paid_out + report.refunded, report.escrow_in);
   EXPECT_EQ(bank_.balance(refund_), report.refunded);
   EXPECT_EQ(bank_.total_money() + bank_.outstanding_coin_value(), before);

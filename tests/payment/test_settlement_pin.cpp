@@ -399,7 +399,7 @@ class PinWorld {
     if (!m.terminal) {
       m.terminal = true;
       ++cover_.outcomes[outcome];
-      std::map<AccountId, Amount> payouts;
+      std::vector<std::pair<AccountId, Amount>> payouts;
       const std::vector<Amount> shares = split_evenly(m.p_r, m.set_size);
       std::size_t share = 0;
       std::size_t claims = 0;
@@ -407,7 +407,7 @@ class PinWorld {
       for (const auto& [acct, instances] : m.instances) {
         Amount due = static_cast<Amount>(instances) * m.p_f;
         if (share < shares.size()) due += shares[share++];
-        payouts[acct] = due;
+        payouts.emplace_back(acct, due);
         paid += due;
         claims += instances;
       }

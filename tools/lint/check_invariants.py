@@ -2,19 +2,18 @@
 """Project invariant checker: one lexer, one rule registry, one waiver syntax.
 
 Every figure in EXPERIMENTS.md assumes that replaying a seed replays the run
-bit for bit, and several runtime contracts (cache epochs, first-wins
+bit for bit, and several runtime contracts (published epochs, first-wins
 settlement transitions, shard ownership) are invisible to unit tests until a
 rare interleaving hits them. These rules guard what generic tools cannot
 express. Each is addressable by id through ``--rules``:
 
 R2 epoch contract
-    ``core::HistoryProfile``, ``core::SuspicionTracker`` and
-    ``net::ShardedProbing`` publish monotone epochs: equal epochs promise
-    identical answers, and the sharded scenario digest folds the probing
-    epochs. Any non-const out-of-class member definition of a guarded class
-    whose body touches guarded state must also bump the epoch, or a reader
-    that compares epochs trusts values that moved while every unit test of
-    the class still passes. A guard row whose files declare its class must name
+    ``net::ShardedProbing`` publishes monotone per-node epochs: equal epochs
+    promise identical availability answers, and the sharded scenario digest
+    folds them. Any non-const out-of-class member definition of a guarded
+    class whose body touches guarded state must also bump the epoch, or a
+    reader that compares epochs trusts values that moved while every unit
+    test of the class still passes. A guard row whose files declare its class must name
     each guarded member somewhere in those files; a name that occurs in
     none of them guards nothing, and the row is reported.
 
@@ -783,16 +782,8 @@ def in_owner_context(stripped: str, blocks: List[Block], pos: int) -> bool:
 # R2 — epoch contract
 # --------------------------------------------------------------------------
 
-EPOCH_RE = re.compile(r"(\+\+\s*epoch_|epoch_\s*(\[[^]]*\]\s*)?(\+\+|\+=|=))")
 EPOCH_GUARDS = [
-    {"cls": "HistoryProfile",
-     "files": ("src/core/history.hpp", "src/core/history.cpp"),
-     "state": ("ring_", "head_", "counts_"), "epoch": EPOCH_RE},
-    {"cls": "SuspicionTracker",
-     "files": ("src/core/suspicion.hpp", "src/core/suspicion.cpp"),
-     "state": ("counts_",), "epoch": EPOCH_RE},
-    # The sharded probing estimator publishes per-node epochs — same
-    # contract, SoA form.
+    # The sharded probing estimator publishes per-node epochs (SoA form).
     {"cls": "ShardedProbing",
      "files": ("src/net/sharded_probing.hpp", "src/net/sharded_probing.cpp"),
      "state": ("session_time_", "avail_total_"),
