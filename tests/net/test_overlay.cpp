@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <set>
 
 #include "sim/simulator.hpp"
@@ -266,4 +268,80 @@ TEST(Overlay, CrashedNodeSkipsItsPendingGracefulLeave) {
   s.run_until(s.now() + sim::hours(48.0));
   EXPECT_FALSE(crashed_state_seen);
   EXPECT_FALSE(o.state().crashed[victim] != 0);
+}
+
+namespace {
+
+/// FNV-1a over 64-bit words, byte by byte (little end first).
+struct Fnv {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  void operator()(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  }
+};
+
+/// Every hour, brings the three lowest-id finally-departed nodes back
+/// (force_online clears `departed`), so the pin also covers resurrection:
+/// a resurrected node is a replacement candidate again and can depart again.
+struct Resurrector {
+  Overlay& overlay;
+  sim::Simulator& sim;
+  std::uint64_t resurrected = 0;
+
+  void tick() {
+    int budget = 3;
+    for (NodeId id = 0; id < overlay.size() && budget > 0; ++id) {
+      if (overlay.state().departed[id] == 0) continue;
+      overlay.force_online(id);
+      ++resurrected;
+      --budget;
+    }
+    sim.schedule_in(sim::hours(1.0), [this] { tick(); });
+  }
+};
+
+}  // namespace
+
+// Pins the whole neighbour-replacement sequence of a churn-heavy day: every
+// NeighborObserver call (owner, old, fresh, time bits) in firing order and
+// the final neighbour rows fold into one FNV-1a digest. Any change in which
+// owners are visited, in what order, or which replacement each one draws
+// moves the hex.
+TEST(Overlay, ReplacementSequenceIsPinned) {
+  sim::Simulator s;
+  OverlayConfig cfg;
+  cfg.node_count = 500;
+  cfg.degree = 10;
+  cfg.churn.departure_probability = 0.3;
+  cfg.churn.session_median = sim::minutes(10.0);
+  Overlay o(cfg, s, sim::rng::Stream(2718));
+
+  Fnv fold;
+  std::uint64_t replacements = 0;
+  o.add_neighbor_observer([&](NodeId owner, NodeId old_nb, NodeId fresh, sim::Time when) {
+    fold(owner);
+    fold(old_nb);
+    fold(fresh);
+    fold(std::bit_cast<std::uint64_t>(when));
+    ++replacements;
+  });
+  Resurrector res{o, s};
+  s.schedule_at(sim::hours(1.0), [&res] { res.tick(); });
+  o.start();
+  s.run_until(sim::hours(24.0));
+
+  for (NodeId id = 0; id < o.size(); ++id) {
+    for (NodeId nb : o.neighbors(id)) fold(nb);
+  }
+  fold(o.churn_events());
+
+  EXPECT_GT(replacements, 1000u);
+  EXPECT_GT(res.resurrected, 20u);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(fold.h));
+  EXPECT_STREQ(hex, "e6c5a674033c1b35") << replacements << " replacements, "
+                                         << res.resurrected << " resurrections";
 }
