@@ -30,6 +30,11 @@ Overlay::Overlay(const OverlayConfig& cfg, sim::Simulator& simulator, sim::rng::
 
   // Each node randomly selects d distinct neighbours (paper §3).
   sample_neighbors(state_, stream.child("neighbors"));
+  owners_.resize(cfg.node_count);
+  for (NodeId s = 0; s < cfg.node_count; ++s) {
+    for (NodeId nb : state_.neighbors_of(s)) owners_[nb].push_back(s);
+  }
+  live_ = LiveIds(state_.departed);
 }
 
 void Overlay::start() {
@@ -80,7 +85,7 @@ void Overlay::do_leave(NodeId id, std::uint64_t leave_epoch) {
   notify_churn(id, false);
 
   if (churn_.is_final_departure()) {
-    state_.departed[id] = 1;
+    set_departed(id, true);
     replace_departed_neighbor(id);
     return;
   }
@@ -90,7 +95,7 @@ void Overlay::do_leave(NodeId id, std::uint64_t leave_epoch) {
 
 void Overlay::force_online(NodeId id) {
   if (state_.online.at(id) != 0) return;
-  state_.departed[id] = 0;
+  set_departed(id, false);
   if (state_.crashed[id] != 0) {
     state_.crashed[id] = 0;
     ++state_.leave_epoch[id];
@@ -136,35 +141,47 @@ void Overlay::recover(NodeId id) {
   schedule_leave(id);
 }
 
+void Overlay::set_departed(NodeId id, bool departed) {
+  state_.departed[id] = departed ? 1 : 0;
+  live_.set(id, !departed);
+}
+
 void Overlay::replace_departed_neighbor(NodeId departed) {
-  for (NodeId s = 0; s < state_.size(); ++s) {
-    if (s == departed) continue;
-    for (NodeId& nb : state_.neighbors_of(s)) {
-      if (nb == departed) {
-        const NodeId fresh = pick_replacement(s, departed);
-        if (fresh == kInvalidNode) continue;  // nobody suitable; keep stale entry
-        nb = fresh;
-        for (const auto& obs : neighbor_observers_) obs(s, departed, fresh, sim_.now());
-      }
+  // Visit the owners in ascending id order, the order of a scan over all
+  // rows, so observers (the probing estimator's forget) see the same
+  // sequence. An owner left without a candidate keeps the stale entry and
+  // stays indexed under `departed`.
+  std::vector<NodeId> owners = std::move(owners_[departed]);
+  owners_[departed].clear();
+  std::sort(owners.begin(), owners.end());
+  for (NodeId s : owners) {
+    const auto row = state_.neighbors_of(s);
+    const auto slot = std::find(row.begin(), row.end(), departed);
+    assert(slot != row.end());
+    const NodeId fresh = pick_replacement(s, departed);
+    if (fresh == kInvalidNode) {
+      owners_[departed].push_back(s);
+      continue;
     }
+    *slot = fresh;
+    owners_[fresh].push_back(s);
+    for (const auto& obs : neighbor_observers_) obs(s, departed, fresh, sim_.now());
   }
 }
 
 NodeId Overlay::pick_replacement(NodeId owner, NodeId departed) {
   // Candidates: any non-departed node that is not the owner, not the departed
-  // neighbour, and not already in D(owner).
+  // neighbour, and not already in D(owner). The draw indexes their ascending
+  // list, which the order-statistic select reaches without building it.
   const auto own_row = state_.neighbors_of(owner);
-  std::vector<NodeId> candidates;
-  candidates.reserve(state_.size());
-  for (NodeId c = 0; c < state_.size(); ++c) {
-    if (c == owner || c == departed || state_.departed[c] != 0) continue;
-    if (std::find(own_row.begin(), own_row.end(), c) != own_row.end()) continue;
-    candidates.push_back(c);
-  }
-  if (candidates.empty()) return kInvalidNode;
+  excluded_.assign(own_row.begin(), own_row.end());
+  excluded_.push_back(owner);
+  excluded_.push_back(departed);
+  const std::size_t count = live_.count_outside(excluded_);
+  if (count == 0) return kInvalidNode;
   auto pick_stream = stream_.child("replacement", (static_cast<std::uint64_t>(owner) << 32) ^
                                                       churn_event_count_);
-  return candidates[pick_stream.below(candidates.size())];
+  return live_.select_outside(pick_stream.below(count), excluded_);
 }
 
 void Overlay::notify_churn(NodeId id, bool online) {

@@ -15,6 +15,7 @@
 #include "net/churn.hpp"
 #include "net/ids.hpp"
 #include "net/link_model.hpp"
+#include "net/live_ids.hpp"
 #include "net/soa.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -122,6 +123,7 @@ class Overlay {
   void do_join(NodeId id);
   void do_leave(NodeId id, std::uint64_t leave_epoch);
   void schedule_leave(NodeId id);
+  void set_departed(NodeId id, bool departed);
   void replace_departed_neighbor(NodeId departed);
   [[nodiscard]] NodeId pick_replacement(NodeId owner, NodeId departed);
   void notify_churn(NodeId id, bool online);
@@ -132,6 +134,12 @@ class Overlay {
   ChurnProcess churn_;
   LinkModel links_;
   NodeStateSoA state_;
+  /// Reverse neighbour index: owners_[v] holds every s with v in D(s), in
+  /// no particular order. Written only where a row entry changes.
+  std::vector<std::vector<NodeId>> owners_;
+  /// Order statistics over the ids with departed == 0.
+  LiveIds live_;
+  std::vector<NodeId> excluded_;  ///< pick_replacement scratch
   std::vector<ChurnObserver> churn_observers_;
   std::vector<NeighborObserver> neighbor_observers_;
   std::uint64_t churn_event_count_ = 0;
