@@ -74,12 +74,18 @@ double model2_utility(const RoutingContext& ctx, net::NodeId i, net::NodeId pred
 
 bool would_participate(const RoutingContext& ctx, net::NodeId j) {
   // Cheapest usable outgoing link: any online neighbour or direct delivery.
+  // The minimum is at most the direct cost and C_p + x rounds monotonically
+  // in x, so when direct delivery already clears the bar the scan cannot
+  // change the answer.
+  const double p_f = ctx.contract.forwarding_benefit;
+  const double c_p = participation_cost(ctx, j);
   double min_ct = transmission_cost(ctx, j, ctx.responder);
+  if (p_f > c_p + min_ct) return true;
   for (net::NodeId c : ctx.nodes.neighbors_of(j)) {
     if (!ctx.nodes.appears_online(c) || c == j) continue;
     min_ct = std::min(min_ct, transmission_cost(ctx, j, c));
   }
-  return ctx.contract.forwarding_benefit > participation_cost(ctx, j) + min_ct;
+  return p_f > c_p + min_ct;
 }
 
 }  // namespace p2panon::core

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -104,6 +105,48 @@ TEST_F(UtilityTest, WouldNotParticipateWhenBenefitBelowCost) {
     if (j == kResponder) continue;
     EXPECT_FALSE(would_participate(poor, j));
   }
+}
+
+namespace {
+
+/// would_participate without its early return: the full minimum over direct
+/// delivery and every believed-online neighbour.
+bool participates_by_full_scan(const RoutingContext& ctx, NodeId j) {
+  double min_ct = transmission_cost(ctx, j, ctx.responder);
+  for (NodeId c : ctx.nodes.neighbors_of(j)) {
+    if (!ctx.nodes.appears_online(c) || c == j) continue;
+    min_ct = std::min(min_ct, transmission_cost(ctx, j, c));
+  }
+  return ctx.contract.forwarding_benefit > participation_cost(ctx, j) + min_ct;
+}
+
+}  // namespace
+
+TEST_F(UtilityTest, WouldParticipateEqualsFullScan) {
+  // P_f is drawn just around C_p + C_t (C_p = 10, C_t in [0.1, 1]) so all
+  // three outcomes occur: accepted on the direct link alone, accepted only
+  // through a cheaper neighbour link, and declined. Some nodes are taken
+  // offline so the scan's liveness filter matters too.
+  sim::rng::Stream stream(31);
+  for (NodeId id = 0; id < world.overlay.size(); ++id) {
+    if (id != kResponder && stream.bernoulli(0.3)) world.overlay.force_offline(id);
+  }
+  std::size_t direct = 0, via_neighbour = 0, declined = 0;
+  RoutingContext probe = *ctx;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const auto j = static_cast<NodeId>(stream.below(world.overlay.size()));
+    if (j == kResponder) continue;
+    probe.contract.forwarding_benefit = stream.uniform(9.9, 11.2);
+    const bool expected = participates_by_full_scan(probe, j);
+    ASSERT_EQ(would_participate(probe, j), expected)
+        << "j " << j << " P_f " << probe.contract.forwarding_benefit;
+    const bool by_direct = probe.contract.forwarding_benefit >
+                           participation_cost(probe, j) + transmission_cost(probe, j, kResponder);
+    (by_direct ? direct : expected ? via_neighbour : declined) += 1;
+  }
+  EXPECT_GT(direct, 0u);
+  EXPECT_GT(via_neighbour, 0u);
+  EXPECT_GT(declined, 0u);
 }
 
 // ---------------------------------------------------------------------------
