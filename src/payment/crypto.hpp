@@ -26,8 +26,62 @@ using u64 = std::uint64_t;
   return static_cast<u64>((static_cast<__uint128_t>(a) * b) % m);
 }
 
-/// (base ^ exp) mod m.
+/// Montgomery arithmetic modulo an odd m with 1 < m < 2^63 and R = 2^64:
+/// each product costs two 64x64 multiplies and no division. The bound on m
+/// keeps T + q*m below 2^128 in reduce().
+class Montgomery {
+ public:
+  constexpr explicit Montgomery(u64 m) noexcept : m_(m) {
+    // Newton's iteration doubles the correct low bits of m^-1 mod 2^64 each
+    // step; m is its own inverse mod 8, so five steps reach 64 bits.
+    u64 inv = m;
+    for (int i = 0; i < 5; ++i) inv *= 2 - m * inv;
+    neg_inv_ = ~inv + 1;
+    one_ = (~m + 1) % m;  // R mod m
+    r2_ = static_cast<u64>((static_cast<__uint128_t>(one_) * one_) % m);
+  }
+
+  /// x -> x*R mod m.
+  [[nodiscard]] constexpr u64 to(u64 x) const noexcept {
+    return reduce(static_cast<__uint128_t>(x % m_) * r2_);
+  }
+  /// x*R mod m -> x.
+  [[nodiscard]] constexpr u64 from(u64 x) const noexcept { return reduce(x); }
+  [[nodiscard]] constexpr u64 mul(u64 a, u64 b) const noexcept {
+    return reduce(static_cast<__uint128_t>(a) * b);
+  }
+  /// 1 in Montgomery form.
+  [[nodiscard]] constexpr u64 one() const noexcept { return one_; }
+
+ private:
+  /// REDC: T*R^-1 mod m for T < m*R.
+  [[nodiscard]] constexpr u64 reduce(__uint128_t t) const noexcept {
+    const u64 q = static_cast<u64>(t) * neg_inv_;
+    const u64 r = static_cast<u64>((t + static_cast<__uint128_t>(q) * m_) >> 64);
+    return r >= m_ ? r - m_ : r;
+  }
+
+  u64 m_;
+  u64 neg_inv_ = 0;  ///< -m^-1 mod 2^64
+  u64 one_ = 0;
+  u64 r2_ = 0;  ///< R^2 mod m
+};
+
+/// (base ^ exp) mod m. Odd moduli in (1, 2^63) — every RSA modulus here —
+/// square and multiply in Montgomery form; the others use the 128-bit `%`
+/// ladder. Both return the same canonical residue.
 [[nodiscard]] constexpr u64 powmod(u64 base, u64 exp, u64 m) noexcept {
+  if ((m & 1) != 0 && m > 1 && m < (u64{1} << 63)) {
+    const Montgomery mont(m);
+    u64 result = mont.one();
+    u64 b = mont.to(base);
+    while (exp > 0) {
+      if (exp & 1) result = mont.mul(result, b);
+      b = mont.mul(b, b);
+      exp >>= 1;
+    }
+    return mont.from(result);
+  }
   u64 result = 1 % m;
   base %= m;
   while (exp > 0) {

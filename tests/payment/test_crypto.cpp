@@ -34,6 +34,57 @@ TEST(ModArith, PowmodFermat) {
   }
 }
 
+namespace {
+
+/// The plain square-and-multiply ladder with a 128-bit `%` per product.
+u64 powmod_by_division(u64 base, u64 exp, u64 m) {
+  u64 result = 1 % m;
+  base %= m;
+  while (exp > 0) {
+    if (exp & 1) result = static_cast<u64>((static_cast<__uint128_t>(result) * base) % m);
+    base = static_cast<u64>((static_cast<__uint128_t>(base) * base) % m);
+    exp >>= 1;
+  }
+  return result;
+}
+
+/// A uniform value of `bits` random bits (top bit set when bits > 0).
+u64 random_width(rng::Stream& stream, unsigned bits) {
+  if (bits == 0) return 0;
+  const u64 v = stream.next_u64() >> (64 - bits);
+  return v | (u64{1} << (bits - 1));
+}
+
+}  // namespace
+
+TEST(ModArith, MontgomeryPowmodMatchesDivisionLadder) {
+  // Odd moduli of every width from 2 to 63 bits take the Montgomery path;
+  // bases are full 64-bit values (reduced first) and exponents of every
+  // width. The edges: the smallest odd modulus, the largest odd modulus
+  // below 2^63, one even modulus and m = 1 (both on the ladder).
+  rng::Stream stream(0x5eed);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const auto bits = static_cast<unsigned>(2 + stream.below(62));
+    const u64 m = random_width(stream, bits) | 1;
+    const u64 base = stream.next_u64();
+    const u64 exp = random_width(stream, static_cast<unsigned>(stream.below(65)));
+    if (powmod(base, exp, m) != powmod_by_division(base, exp, m)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  for (u64 m : {u64{3}, (u64{1} << 63) - 25, (u64{1} << 62) + 2, u64{1}}) {
+    for (int i = 0; i < 2000; ++i) {
+      const u64 base = stream.next_u64();
+      const u64 exp = stream.next_u64() >> stream.below(64);
+      ASSERT_EQ(powmod(base, exp, m), powmod_by_division(base, exp, m))
+          << "m " << m << " base " << base << " exp " << exp;
+    }
+    EXPECT_EQ(powmod(m - 1, 0, m), 1 % m);
+    EXPECT_EQ(powmod(0, 5, m), 0u);
+  }
+}
+
 TEST(ModArith, ModinvRoundTrip) {
   const u64 m = 1000000007ULL;
   for (u64 a : {2ULL, 3ULL, 65537ULL, 999999999ULL}) {
