@@ -21,7 +21,6 @@ LiveIds::LiveIds(std::span<const std::uint8_t> departed)
     tree_[i] += live_[i - 1];
     if (i + lowbit(i) <= n) tree_[i + lowbit(i)] += tree_[i];
   }
-  top_bit_ = n == 0 ? 0 : std::bit_floor(n);
 }
 
 void LiveIds::set(NodeId id, bool live) {
@@ -47,7 +46,7 @@ NodeId LiveIds::select(std::size_t k) const noexcept {
   // Descend to the largest prefix length whose live count is <= k; the id
   // right after that prefix is the k-th live id.
   std::size_t pos = 0;
-  for (std::size_t step = top_bit_; step > 0; step >>= 1) {
+  for (std::size_t step = std::bit_floor(live_.size()); step > 0; step >>= 1) {
     if (pos + step < tree_.size() && tree_[pos + step] <= k) {
       pos += step;
       k -= tree_[pos];

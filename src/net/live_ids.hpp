@@ -50,7 +50,6 @@ class LiveIds {
   std::vector<std::uint8_t> live_;
   std::vector<std::uint32_t> tree_;  ///< 1-based Fenwick sums over live_
   std::size_t count_ = 0;
-  std::size_t top_bit_ = 0;  ///< largest power of two <= live_.size()
 };
 
 }  // namespace p2panon::net

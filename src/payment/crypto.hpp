@@ -26,6 +26,8 @@ using u64 = std::uint64_t;
   return static_cast<u64>((static_cast<__uint128_t>(a) * b) % m);
 }
 
+namespace detail {
+
 /// Montgomery arithmetic modulo an odd m with 1 < m < 2^63 and R = 2^64:
 /// each product costs two 64x64 multiplies and no division. The bound on m
 /// keeps T + q*m below 2^128 in reduce().
@@ -67,12 +69,14 @@ class Montgomery {
   u64 r2_ = 0;  ///< R^2 mod m
 };
 
+}  // namespace detail
+
 /// (base ^ exp) mod m. Odd moduli in (1, 2^63) — every RSA modulus here —
 /// square and multiply in Montgomery form; the others use the 128-bit `%`
 /// ladder. Both return the same canonical residue.
 [[nodiscard]] constexpr u64 powmod(u64 base, u64 exp, u64 m) noexcept {
   if ((m & 1) != 0 && m > 1 && m < (u64{1} << 63)) {
-    const Montgomery mont(m);
+    const detail::Montgomery mont(m);
     u64 result = mont.one();
     u64 b = mont.to(base);
     while (exp > 0) {
