@@ -29,7 +29,7 @@ using u64 = std::uint64_t;
 namespace detail {
 
 /// Montgomery arithmetic modulo an odd m with 1 < m < 2^63 and R = 2^64:
-/// each product costs two 64x64 multiplies and no division. The bound on m
+/// each product costs three 64-bit multiplies and no division. The bound on m
 /// keeps T + q*m below 2^128 in reduce().
 class Montgomery {
  public:
