@@ -299,6 +299,30 @@ TEST(ConfigFingerprint, EveryResultChangingKnobChangesIt) {
   }
 }
 
+TEST(ConfigFingerprint, ValuesArePinned) {
+  // Checkpoints written by an earlier build resume only while the
+  // fingerprint of an unchanged config stays bit for bit the same.
+  ScenarioConfig paper = paper_default_config(1);
+
+  ScenarioConfig faults = paper_default_config(3);
+  faults.fault.link_loss = 0.05;
+  faults.fault.partitions = {fault::PartitionWindow{600.0, 1200.0},
+                             fault::PartitionWindow{3600.0, 4500.0}};
+  faults.fault.bank.lifecycle = true;
+  faults.fault.bank.claim_loss = 0.1;
+  faults.fault.bank.initiator_crash = 0.2;
+  faults.fault.bank.forwarder_crash = 0.05;
+
+  ScenarioConfig sharded = paper_default_config(7);
+  sharded.engine_shards = 4;
+  sharded.bank_partitions = 3;
+  sharded.view_refresh = 600.0;
+
+  EXPECT_EQ(config_fingerprint(paper), 0x8bf45f0c175b8440ULL);
+  EXPECT_EQ(config_fingerprint(faults), 0x5812809659bfe770ULL);
+  EXPECT_EQ(config_fingerprint(sharded), 0x00602adc7885eb9eULL);
+}
+
 TEST(AdaptiveRunner, AdaptiveStopsEarlyOnTightCell) {
   AdaptiveConfig cfg;
   cfg.adaptive = true;
