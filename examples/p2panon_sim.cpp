@@ -8,10 +8,13 @@
 //
 // Prints the headline metrics (forwarder set, path quality, payoffs with
 // 95% CIs, latency, conservation check) and optionally appends a CSV row.
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "harness/replicate.hpp"
@@ -67,8 +70,32 @@ struct Args {
     }
     return argv[++i];
   }
-  double next_double(const char* flag) { return std::strtod(next_value(flag), nullptr); }
-  long next_long(const char* flag) { return std::strtol(next_value(flag), nullptr, 10); }
+  void refuse(const char* flag, const char* value, const char* want) {
+    std::cerr << "invalid value for " << flag << ": '" << value << "' (want " << want << ")\n";
+    ok = false;
+  }
+  /// A number with no trailing characters.
+  double next_double(const char* flag) {
+    const char* v = next_value(flag);
+    char* end = nullptr;
+    const double x = std::strtod(v, &end);
+    if (end == v || *end != '\0') refuse(flag, v, "a number");
+    return x;
+  }
+  /// A count: decimal digits only (no sign), within T's range.
+  template <class T>
+  T next_count(const char* flag) {
+    const char* v = next_value(flag);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v, &end, 10);
+    if (std::isdigit(static_cast<unsigned char>(*v)) == 0 || *end != '\0' || errno == ERANGE ||
+        n > std::numeric_limits<T>::max()) {
+      refuse(flag, v, "a non-negative integer");
+      return 0;
+    }
+    return static_cast<T>(n);
+  }
 };
 
 }  // namespace
@@ -86,9 +113,9 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 0;
     } else if (std::strcmp(a, "--nodes") == 0) {
-      cfg.overlay.node_count = static_cast<std::size_t>(args.next_long(a));
+      cfg.overlay.node_count = args.next_count<std::size_t>(a);
     } else if (std::strcmp(a, "--degree") == 0) {
-      cfg.overlay.degree = static_cast<std::size_t>(args.next_long(a));
+      cfg.overlay.degree = args.next_count<std::size_t>(a);
     } else if (std::strcmp(a, "--malicious") == 0) {
       cfg.overlay.malicious_fraction = args.next_double(a);
     } else if (std::strcmp(a, "--always-online") == 0) {
@@ -96,9 +123,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--session-median") == 0) {
       cfg.overlay.churn.session_median = sim::minutes(args.next_double(a));
     } else if (std::strcmp(a, "--pairs") == 0) {
-      cfg.pair_count = static_cast<std::size_t>(args.next_long(a));
+      cfg.pair_count = args.next_count<std::size_t>(a);
     } else if (std::strcmp(a, "--connections") == 0) {
-      cfg.connections_per_pair = static_cast<std::uint32_t>(args.next_long(a));
+      cfg.connections_per_pair = args.next_count<std::uint32_t>(a);
     } else if (std::strcmp(a, "--zipf") == 0) {
       cfg.responder_zipf = args.next_double(a);
     } else if (std::strcmp(a, "--strategy") == 0) {
@@ -127,17 +154,17 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--p-forward") == 0) {
       cfg.p_forward = args.next_double(a);
     } else if (std::strcmp(a, "--ttl") == 0) {
-      cfg.ttl_hops = static_cast<std::uint32_t>(args.next_long(a));
+      cfg.ttl_hops = args.next_count<std::uint32_t>(a);
     } else if (std::strcmp(a, "--cid-rotation") == 0) {
-      cfg.cid_rotation = static_cast<std::uint32_t>(args.next_long(a));
+      cfg.cid_rotation = args.next_count<std::uint32_t>(a);
     } else if (std::strcmp(a, "--drop") == 0) {
       cfg.adversary.drop_probability = args.next_double(a);
     } else if (std::strcmp(a, "--seed") == 0) {
-      cfg.seed = static_cast<std::uint64_t>(args.next_long(a));
+      cfg.seed = args.next_count<std::uint64_t>(a);
     } else if (std::strcmp(a, "--replicates") == 0) {
-      replicates = static_cast<std::size_t>(args.next_long(a));
+      replicates = args.next_count<std::size_t>(a);
     } else if (std::strcmp(a, "--threads") == 0) {
-      threads = static_cast<std::size_t>(args.next_long(a));
+      threads = args.next_count<std::size_t>(a);
     } else if (std::strcmp(a, "--csv") == 0) {
       csv_path = args.next_value(a);
     } else {
@@ -146,10 +173,12 @@ int main(int argc, char** argv) {
     }
   }
   if (!args.ok) return 2;
-  if (cfg.overlay.node_count < 2 || cfg.overlay.degree >= cfg.overlay.node_count ||
-      cfg.overlay.malicious_fraction < 0.0 || cfg.overlay.malicious_fraction > 1.0 ||
-      replicates == 0) {
-    std::cerr << "invalid configuration (see --help)\n";
+  if (const std::string err = cfg.validate(); !err.empty()) {
+    std::cerr << err << '\n';
+    return 2;
+  }
+  if (replicates == 0) {
+    std::cerr << "--replicates must be at least 1\n";
     return 2;
   }
 

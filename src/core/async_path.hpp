@@ -64,7 +64,6 @@ struct AsyncConfig {
   /// Hard ceiling on one attempt's duration; 0 disables. A safety net for
   /// pathological delay jitter — ack timers catch ordinary failures first.
   sim::Time attempt_deadline = 0.0;
-  bool operator==(const AsyncConfig&) const = default;
 };
 
 struct AsyncResult {

@@ -39,7 +39,6 @@ struct DataPhaseConfig {
   sim::Time ack_timeout_slack = 1.0;
   /// Give up on the connection after this many successful re-formations.
   std::uint32_t max_reformations = 8;
-  bool operator==(const DataPhaseConfig&) const = default;
 };
 
 struct DataPhaseResult {

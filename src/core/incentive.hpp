@@ -73,7 +73,6 @@ class PayoffLedger {
 struct AdversaryModel {
   double drop_probability = 0.0;  ///< per-connection drop chance at a malicious hop
   std::uint32_t max_retries = 8;  ///< reformation attempts before giving up
-  bool operator==(const AdversaryModel&) const = default;
 };
 
 struct SettleOutcome {

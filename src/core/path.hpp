@@ -40,7 +40,6 @@ struct PathBuilderConfig {
   std::uint32_t max_forwarders = 64;
   /// Honour participation declines (Prop. 3 utility test at each candidate).
   bool allow_declines = true;
-  bool operator==(const PathBuilderConfig&) const = default;
 };
 
 class PathBuilder {

@@ -37,6 +37,7 @@ namespace p2panon::fault {
 struct PartitionWindow {
   sim::Time start = 0.0;
   sim::Time end = 0.0;
+  bool operator==(const PartitionWindow&) const = default;
 };
 
 /// Bank-facing faults for the settlement lifecycle (robustness PR 5). These

@@ -663,50 +663,12 @@ class PaperWorld {
   sim::Time duration_ = 0.0;
 };
 
-/// The first knob set in `c` that this runner does not implement, at any K.
-/// Every knob below changes K = 1 results and is never read by this file.
-/// A knob leaves the list when the runner implements it.
-std::string_view unimplemented_knob(const ScenarioConfig& c) {
-  const ScenarioConfig d;
-  const std::pair<std::string_view, bool> unimplemented[] = {
-      {"overlay.malicious_fraction", c.overlay.malicious_fraction != d.overlay.malicious_fraction},
-      {"overlay.malicious_always_online", c.overlay.malicious_always_online},
-      {"overlay.churn.join_interarrival_mean",
-       c.overlay.churn.join_interarrival_mean != d.overlay.churn.join_interarrival_mean},
-      {"good_strategy", c.good_strategy != core::StrategyKind::kUtilityModelI},
-      {"termination", c.termination != core::TerminationPolicy::kCrowds},
-      {"cid_rotation", c.cid_rotation != 0},
-      {"history_capacity", c.history_capacity != 0},
-      {"adversary", c.adversary != d.adversary},
-      {"anonymity", c.anonymity != d.anonymity},
-      {"path_builder", c.path_builder != d.path_builder},
-      {"fault.delay_jitter", c.fault.delay_jitter != 0.0},
-      {"fault.crash_rate_per_hour", c.fault.crash_rate_per_hour != 0.0},
-      {"fault.probe_false_negative", c.fault.probe_false_negative != 0.0},
-      {"fault.partitions", !c.fault.partitions.empty()},
-      {"fault.bank.claim_delay_mean", c.fault.bank.claim_delay_mean != 0.0},
-      {"fault.bank.close_after", c.fault.bank.close_after != d.fault.bank.close_after},
-      {"fault.bank.claim_spread", c.fault.bank.claim_spread != d.fault.bank.claim_spread},
-      {"async_setup", c.async_setup != d.async_setup},
-      {"data_phase", c.data_phase != d.data_phase},
-  };
-  for (const auto& [name, set] : unimplemented) {
-    if (set) return name;
-  }
-  return {};
-}
-
 }  // namespace
-
-std::string_view ScenarioConfig::validate() const {
-  return engine_shards <= 1 ? std::string_view{} : unimplemented_knob(*this);
-}
 
 ScenarioResult run_paper_scenario_sharded(const ScenarioConfig& cfg, parallel::ThreadPool* pool) {
   assert(cfg.engine_shards >= 1);
-  if (const std::string_view knob = unimplemented_knob(cfg); !knob.empty()) {
-    throw std::invalid_argument("the sharded paper runner does not implement ScenarioConfig::" +
-                                std::string(knob));
+  if (std::string err = cfg.validate(/*sharded_runner=*/true); !err.empty()) {
+    throw std::invalid_argument(err);
   }
   sim::ShardedSimulator engine(cfg.engine_shards, cfg.engine_window, pool);
   PaperWorld world(cfg, engine);

@@ -44,7 +44,7 @@ namespace p2panon::harness {
 /// `pool` may be nullptr (shards run serially per window — identical
 /// results, by the determinism contract). ScenarioRunner::run() routes here
 /// automatically when cfg.engine_shards > 1. Throws std::invalid_argument
-/// naming the knob when cfg sets one from cfg.validate()'s list, at any K.
+/// with cfg.validate(/*sharded_runner=*/true)'s message, at any K.
 [[nodiscard]] ScenarioResult run_paper_scenario_sharded(const ScenarioConfig& cfg,
                                                         parallel::ThreadPool* pool);
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "harness/checkpoint.hpp"
 
@@ -147,86 +149,19 @@ ReplicatedResult run_replicated(const ScenarioConfig& base, std::size_t replicat
 
 std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept {
   std::uint64_t h = fnv1a_init();
-  const auto mix_u = [&](std::uint64_t v) { h = fnv1a_mix(h, v); };
-  const auto mix_d = [&](double v) { h = fnv1a_double(h, v); };
-
-  mix_u(cfg.seed);
-  mix_u(cfg.overlay.node_count);
-  mix_u(cfg.overlay.degree);
-  mix_d(cfg.overlay.malicious_fraction);
-  mix_u(cfg.overlay.malicious_always_online ? 1 : 0);
-  mix_d(cfg.overlay.participation_cost);
-  mix_d(cfg.overlay.churn.join_interarrival_mean);
-  mix_d(cfg.overlay.churn.session_median);
-  mix_d(cfg.overlay.churn.session_min);
-  mix_d(cfg.overlay.churn.session_max);
-  mix_d(cfg.overlay.churn.offline_gap_mean);
-  mix_d(cfg.overlay.churn.departure_probability);
-  mix_d(cfg.overlay.link.bandwidth_lo);
-  mix_d(cfg.overlay.link.bandwidth_hi);
-  mix_d(cfg.overlay.link.cost_scale);
-  mix_d(cfg.overlay.link.payload_size);
-  mix_d(cfg.overlay.link.propagation_delay);
-  mix_d(cfg.probing.period);
-  mix_d(cfg.weights.w_selectivity);
-  mix_d(cfg.weights.w_availability);
-  mix_u(static_cast<std::uint64_t>(cfg.good_strategy));
-  mix_u(cfg.lookahead_depth);
-  mix_u(cfg.pair_count);
-  mix_u(cfg.connections_per_pair);
-  mix_d(cfg.responder_zipf);
-  mix_u(cfg.cid_rotation);
-  mix_d(cfg.p_f_lo);
-  mix_d(cfg.p_f_hi);
-  mix_d(cfg.tau);
-  mix_u(static_cast<std::uint64_t>(cfg.termination));
-  mix_d(cfg.p_forward);
-  mix_u(cfg.ttl_hops);
-  mix_d(cfg.warmup);
-  mix_d(cfg.pair_start_window);
-  mix_d(cfg.connection_interval_mean);
-  mix_d(cfg.adversary.drop_probability);
-  mix_u(cfg.adversary.max_retries);
-  mix_u(cfg.history_capacity);
-  mix_d(cfg.fault.link_loss);
-  mix_d(cfg.fault.delay_jitter);
-  mix_d(cfg.fault.crash_rate_per_hour);
-  mix_d(cfg.fault.crash_recovery_mean);
-  mix_d(cfg.fault.probe_false_negative);
-  mix_u(cfg.fault.partitions.size());
-  for (const fault::PartitionWindow& w : cfg.fault.partitions) {
-    mix_d(w.start);
-    mix_d(w.end);
-  }
-  mix_u(cfg.fault.bank.lifecycle ? 1 : 0);
-  mix_d(cfg.fault.bank.claim_loss);
-  mix_d(cfg.fault.bank.claim_delay_mean);
-  mix_d(cfg.fault.bank.initiator_crash);
-  mix_d(cfg.fault.bank.forwarder_crash);
-  mix_d(cfg.fault.bank.claim_deadline);
-  mix_d(cfg.fault.bank.close_after);
-  mix_d(cfg.fault.bank.claim_spread);
-  mix_d(cfg.async_setup.backoff_base);
-  mix_d(cfg.async_setup.backoff_cap);
-  mix_d(cfg.async_setup.backoff_jitter);
-  mix_u(cfg.async_setup.max_attempts);
-  mix_d(cfg.async_setup.ack_timeout_factor);
-  mix_d(cfg.async_setup.ack_timeout_slack);
-  mix_d(cfg.async_setup.attempt_deadline);
-  mix_d(cfg.data_phase.duration);
-  mix_d(cfg.data_phase.keepalive_interval);
-  mix_d(cfg.data_phase.ack_timeout_factor);
-  mix_d(cfg.data_phase.ack_timeout_slack);
-  mix_u(cfg.data_phase.max_reformations);
-  mix_u(static_cast<std::uint64_t>(cfg.anonymity.form));
-  mix_d(cfg.anonymity.scale);
-  mix_d(cfg.anonymity.lambda);
-  mix_u(cfg.path_builder.max_forwarders);
-  mix_u(cfg.path_builder.allow_declines ? 1 : 0);
-  mix_d(cfg.engine_window);
-  mix_u(cfg.engine_shards);
-  mix_u(cfg.bank_partitions);
-  mix_d(cfg.view_refresh);
+  for_each_config_field(cfg, [&h](std::string_view, const auto& leaf, Runners) {
+    using T = std::remove_cvref_t<decltype(leaf)>;
+    if constexpr (std::is_same_v<T, double>) {
+      h = fnv1a_double(h, leaf);
+    } else if constexpr (std::is_same_v<T, std::vector<fault::PartitionWindow>>) {
+      h = fnv1a_mix(h, leaf.size());
+      for (const fault::PartitionWindow& w : leaf) {
+        h = fnv1a_double(fnv1a_double(h, w.start), w.end);
+      }
+    } else {  // integers, flags and enumerators mix as their integer value
+      h = fnv1a_mix(h, static_cast<std::uint64_t>(leaf));
+    }
+  });
   return h;
 }
 

@@ -213,9 +213,9 @@ struct AdaptiveReplicatedResult {
   std::vector<metrics::ConfidenceInterval> intervals;
 };
 
-/// FNV-1a fingerprint over every scenario knob that changes replicate
-/// results. A checkpoint written under a different fingerprint is discarded
-/// on resume, never silently merged.
+/// FNV-1a fingerprint over every leaf of the for_each_config_field table, in
+/// table order. A checkpoint written under a different fingerprint is
+/// discarded on resume, never silently merged.
 [[nodiscard]] std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept;
 
 /// run_replicated under the options of `adaptive` (see run_batches).

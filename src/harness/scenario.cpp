@@ -1,9 +1,16 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
+#include <any>
 #include <cassert>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "core/edge_quality.hpp"
 #include "core/path.hpp"
@@ -18,21 +25,66 @@ namespace p2panon::harness {
 ScenarioConfig paper_default_config(std::uint64_t seed) {
   ScenarioConfig cfg;
   cfg.seed = seed;
-  cfg.overlay.node_count = 40;
-  cfg.overlay.degree = 5;
-  cfg.overlay.malicious_fraction = 0.0;
-  cfg.overlay.churn.session_median = sim::minutes(60.0);
-  cfg.pair_count = 100;
-  cfg.connections_per_pair = 20;
-  cfg.p_f_lo = 50.0;
-  cfg.p_f_hi = 100.0;
-  cfg.tau = 2.0;
   return cfg;
+}
+
+namespace {
+
+/// "ScenarioConfig::<field> = <value> must be <rule>".
+template <class T>
+std::string out_of_range(std::string_view field, T value, std::string_view rule) {
+  std::ostringstream msg;
+  msg << "ScenarioConfig::" << field << " = " << value << " must be " << rule;
+  return msg.str();
+}
+
+/// The first Runners::kSerialOnly leaf of `c` that differs from
+/// ScenarioConfig{}, or an empty name. `defaults` holds the default of every
+/// leaf in table order, so the walk over `c` meets each at its own index.
+std::string_view serial_only_knob(const ScenarioConfig& c) {
+  static const std::vector<std::any> defaults = [] {
+    const ScenarioConfig d;
+    std::vector<std::any> out;
+    for_each_config_field(d, [&out](std::string_view, const auto& leaf, Runners) {
+      out.emplace_back(leaf);
+    });
+    return out;
+  }();
+  std::string_view knob;
+  std::size_t i = 0;
+  for_each_config_field(c, [&](std::string_view name, const auto& leaf, Runners runners) {
+    using T = std::remove_cvref_t<decltype(leaf)>;
+    const T& dflt = std::any_cast<const T&>(defaults[i++]);
+    if (knob.empty() && runners == Runners::kSerialOnly && leaf != dflt) knob = name;
+  });
+  return knob;
+}
+
+}  // namespace
+
+std::string ScenarioConfig::validate(bool sharded_runner) const {
+  const std::size_t n = overlay.node_count;
+  if (n < 2) return out_of_range("overlay.node_count", n, "at least 2");
+  if (overlay.degree < 1 || overlay.degree >= n) {
+    return out_of_range("overlay.degree", overlay.degree,
+                        "in [1, overlay.node_count = " + std::to_string(n) + ")");
+  }
+  // Written as !(in range) so that NaN is refused too.
+  const double f = overlay.malicious_fraction;
+  if (!(f >= 0.0 && f <= 1.0)) return out_of_range("overlay.malicious_fraction", f, "in [0, 1]");
+  if (!(tau >= 0.0)) return out_of_range("tau", tau, "at least 0");
+  if (!(p_forward >= 0.0 && p_forward <= 1.0)) {
+    return out_of_range("p_forward", p_forward, "in [0, 1]");
+  }
+  const std::string_view knob = sharded_runner ? serial_only_knob(*this) : std::string_view{};
+  if (knob.empty()) return {};
+  return "the sharded paper runner does not implement ScenarioConfig::" + std::string(knob);
 }
 
 ScenarioResult ScenarioRunner::run() const {
   const ScenarioConfig& cfg = cfg_;
   if (cfg.engine_shards > 1) return run_paper_scenario_sharded(cfg, nullptr);
+  if (std::string err = cfg.validate(); !err.empty()) throw std::invalid_argument(err);
   sim::rng::Stream root(cfg.seed);
   sim::Simulator simulator;
   net::Overlay overlay(cfg.overlay, simulator, root.child("overlay"));

@@ -9,7 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/async_path.hpp"
@@ -78,10 +79,9 @@ struct ScenarioConfig {
   std::size_t history_capacity = 0;  ///< per-node entries; 0 = unbounded
 
   /// Fault model. Default-constructed (all-off) leaves the scenario on the
-  /// omniscient synchronous path — bitwise identical to the pre-fault
-  /// implementation. Any enabled fault switches connection setup to the
-  /// timeout-driven AsyncConnectionRunner and adds a keepalive data phase
-  /// per connection.
+  /// omniscient synchronous path. Any enabled fault switches connection
+  /// setup to the timeout-driven AsyncConnectionRunner and adds a keepalive
+  /// data phase per connection.
   fault::FaultConfig fault;
   core::AsyncConfig async_setup;    ///< setup timeouts/backoff (fault mode)
   core::DataPhaseConfig data_phase; ///< keepalive phase knobs (fault mode)
@@ -119,12 +119,131 @@ struct ScenarioConfig {
   /// Single-valued; see TransportBackend. Read by nothing.
   TransportBackend transport = TransportBackend::kSim;
 
-  /// The first knob set away from its default that changes K = 1 results
-  /// but that the K > 1 runner (harness/paper_sharded) does not implement,
-  /// or an empty name when there is none. Always empty at K = 1 (the serial
-  /// runner); run_paper_scenario_sharded refuses these knobs at every K.
-  [[nodiscard]] std::string_view validate() const;
+  /// Empty when the runner runs this config as written, else a message
+  /// naming the first field out of range (any K) or, for the K > 1 runner,
+  /// the first kSerialOnly leaf (see for_each_config_field) that differs
+  /// from ScenarioConfig{}. Both runners throw std::invalid_argument with it.
+  [[nodiscard]] std::string validate() const { return validate(engine_shards > 1); }
+  [[nodiscard]] std::string validate(bool sharded_runner) const;
 };
+
+/// Which runners implement a config leaf; the K > 1 runner refuses a
+/// kSerialOnly leaf set away from its default.
+enum class Runners : std::uint8_t { kBoth, kSerialOnly };
+
+/// The ScenarioConfig field table: calls `visit(dotted_name, leaf, runners)`
+/// once per leaf of `cfg`, depth first in declaration order. The checkpoint
+/// fingerprint, validate() and the tests walk it. Each struct is unpacked
+/// with a structured binding, so a member added without a row stops the
+/// build. `transport` is bound but not visited: it has one value, nothing
+/// reads it, and no fingerprint ever mixed it.
+template <class Cfg, class Visit>
+void for_each_config_field(Cfg& cfg, Visit&& visit) {
+  static_assert(std::is_same_v<std::remove_const_t<Cfg>, ScenarioConfig>);
+  constexpr Runners kBoth = Runners::kBoth;
+  constexpr Runners kSerialOnly = Runners::kSerialOnly;
+  auto& [seed, overlay, probing, weights, good_strategy, lookahead_depth, pair_count,
+         connections_per_pair, responder_zipf, cid_rotation, p_f_lo, p_f_hi, tau, termination,
+         p_forward, ttl_hops, warmup, pair_start_window, connection_interval_mean, adversary,
+         history_capacity, fault, async_setup, data_phase, anonymity, path_builder,
+         engine_window, engine_shards, bank_partitions, view_refresh, transport] = cfg;
+  auto& [node_count, degree, malicious_fraction, malicious_always_online, participation_cost,
+         churn, link] = overlay;
+  auto& [join_interarrival_mean, session_median, session_min, session_max, offline_gap_mean,
+         departure_probability] = churn;
+  auto& [bandwidth_lo, bandwidth_hi, cost_scale, payload_size, propagation_delay] = link;
+  auto& [period] = probing;
+  auto& [w_selectivity, w_availability] = weights;
+  auto& [drop_probability, max_retries] = adversary;
+  auto& [link_loss, delay_jitter, crash_rate_per_hour, crash_recovery_mean, probe_false_negative,
+         partitions, bank] = fault;
+  auto& [lifecycle, claim_loss, claim_delay_mean, initiator_crash, forwarder_crash,
+         claim_deadline, close_after, claim_spread] = bank;
+  auto& [backoff_base, backoff_cap, backoff_jitter, max_attempts, ack_timeout_factor,
+         ack_timeout_slack, attempt_deadline] = async_setup;
+  auto& [duration, keepalive_interval, phase_ack_timeout_factor, phase_ack_timeout_slack,
+         max_reformations] = data_phase;
+  auto& [form, scale, lambda] = anonymity;
+  auto& [max_forwarders, allow_declines] = path_builder;
+
+  visit("seed", seed, kBoth);
+  visit("overlay.node_count", node_count, kBoth);
+  visit("overlay.degree", degree, kBoth);
+  visit("overlay.malicious_fraction", malicious_fraction, kSerialOnly);
+  visit("overlay.malicious_always_online", malicious_always_online, kSerialOnly);
+  visit("overlay.participation_cost", participation_cost, kBoth);
+  visit("overlay.churn.join_interarrival_mean", join_interarrival_mean, kSerialOnly);
+  visit("overlay.churn.session_median", session_median, kBoth);
+  visit("overlay.churn.session_min", session_min, kBoth);
+  visit("overlay.churn.session_max", session_max, kBoth);
+  visit("overlay.churn.offline_gap_mean", offline_gap_mean, kBoth);
+  visit("overlay.churn.departure_probability", departure_probability, kBoth);
+  visit("overlay.link.bandwidth_lo", bandwidth_lo, kBoth);
+  visit("overlay.link.bandwidth_hi", bandwidth_hi, kBoth);
+  visit("overlay.link.cost_scale", cost_scale, kBoth);
+  visit("overlay.link.payload_size", payload_size, kBoth);
+  visit("overlay.link.propagation_delay", propagation_delay, kBoth);
+  visit("probing.period", period, kBoth);
+  visit("weights.w_selectivity", w_selectivity, kBoth);
+  visit("weights.w_availability", w_availability, kBoth);
+  visit("good_strategy", good_strategy, kSerialOnly);
+  // Unread at K > 1, but it changes nothing while good_strategy (the only
+  // way to select Model II) is refused there.
+  visit("lookahead_depth", lookahead_depth, kBoth);
+  visit("pair_count", pair_count, kBoth);
+  visit("connections_per_pair", connections_per_pair, kBoth);
+  visit("responder_zipf", responder_zipf, kBoth);
+  visit("cid_rotation", cid_rotation, kSerialOnly);
+  visit("p_f_lo", p_f_lo, kBoth);
+  visit("p_f_hi", p_f_hi, kBoth);
+  visit("tau", tau, kBoth);
+  visit("termination", termination, kSerialOnly);
+  visit("p_forward", p_forward, kBoth);
+  visit("ttl_hops", ttl_hops, kBoth);
+  visit("warmup", warmup, kBoth);
+  visit("pair_start_window", pair_start_window, kBoth);
+  visit("connection_interval_mean", connection_interval_mean, kBoth);
+  visit("adversary.drop_probability", drop_probability, kSerialOnly);
+  visit("adversary.max_retries", max_retries, kSerialOnly);
+  visit("history_capacity", history_capacity, kSerialOnly);
+  visit("fault.link_loss", link_loss, kBoth);
+  visit("fault.delay_jitter", delay_jitter, kSerialOnly);
+  visit("fault.crash_rate_per_hour", crash_rate_per_hour, kSerialOnly);
+  // Unread at K > 1, but it changes nothing while crash_rate_per_hour (the
+  // only source of crashes to recover from) is refused there.
+  visit("fault.crash_recovery_mean", crash_recovery_mean, kBoth);
+  visit("fault.probe_false_negative", probe_false_negative, kSerialOnly);
+  visit("fault.partitions", partitions, kSerialOnly);
+  visit("fault.bank.lifecycle", lifecycle, kBoth);
+  visit("fault.bank.claim_loss", claim_loss, kBoth);
+  visit("fault.bank.claim_delay_mean", claim_delay_mean, kSerialOnly);
+  visit("fault.bank.initiator_crash", initiator_crash, kBoth);
+  visit("fault.bank.forwarder_crash", forwarder_crash, kBoth);
+  visit("fault.bank.claim_deadline", claim_deadline, kBoth);
+  visit("fault.bank.close_after", close_after, kSerialOnly);
+  visit("fault.bank.claim_spread", claim_spread, kSerialOnly);
+  visit("async_setup.backoff_base", backoff_base, kSerialOnly);
+  visit("async_setup.backoff_cap", backoff_cap, kSerialOnly);
+  visit("async_setup.backoff_jitter", backoff_jitter, kSerialOnly);
+  visit("async_setup.max_attempts", max_attempts, kSerialOnly);
+  visit("async_setup.ack_timeout_factor", ack_timeout_factor, kSerialOnly);
+  visit("async_setup.ack_timeout_slack", ack_timeout_slack, kSerialOnly);
+  visit("async_setup.attempt_deadline", attempt_deadline, kSerialOnly);
+  visit("data_phase.duration", duration, kSerialOnly);
+  visit("data_phase.keepalive_interval", keepalive_interval, kSerialOnly);
+  visit("data_phase.ack_timeout_factor", phase_ack_timeout_factor, kSerialOnly);
+  visit("data_phase.ack_timeout_slack", phase_ack_timeout_slack, kSerialOnly);
+  visit("data_phase.max_reformations", max_reformations, kSerialOnly);
+  visit("anonymity.form", form, kSerialOnly);
+  visit("anonymity.scale", scale, kSerialOnly);
+  visit("anonymity.lambda", lambda, kSerialOnly);
+  visit("path_builder.max_forwarders", max_forwarders, kSerialOnly);
+  visit("path_builder.allow_declines", allow_declines, kSerialOnly);
+  visit("engine_window", engine_window, kBoth);
+  visit("engine_shards", engine_shards, kBoth);
+  visit("bank_partitions", bank_partitions, kBoth);
+  visit("view_refresh", view_refresh, kBoth);
+}
 
 /// Everything the benches and EXPERIMENTS.md need from one replicate.
 struct ScenarioResult {
@@ -255,8 +374,9 @@ class ScenarioRunner {
   ScenarioConfig cfg_;
 };
 
-/// Paper-§3 defaults: N = 40, d = 5, 100 pairs, 20 connections each,
-/// P_f ~ U[50, 100], w_s = w_a = 0.5, Pareto sessions with median 60 min.
+/// ScenarioConfig{} with `seed`: the member defaults are the paper's §3 setup
+/// (N = 40, d = 5, 100 pairs, 20 connections each, P_f ~ U[50, 100], tau = 2,
+/// w_s = w_a = 0.5, Pareto sessions with median 60 min).
 [[nodiscard]] ScenarioConfig paper_default_config(std::uint64_t seed = 1);
 
 }  // namespace p2panon::harness

@@ -40,7 +40,6 @@ struct AnonymityValuation {
   AnonymityFunctional form = AnonymityFunctional::kExponentialDecay;
   double scale = 10000.0;  // value of perfect anonymity (forwarder set -> 0)
   double lambda = 20.0;    // decay scale in forwarder-set-size units
-  bool operator==(const AnonymityValuation&) const = default;
 
   /// Evaluate A(set_size).
   [[nodiscard]] double operator()(double set_size) const noexcept;

@@ -1,0 +1,47 @@
+// One-leaf-at-a-time walk over the ScenarioConfig field table
+// (harness::for_each_config_field) for the fingerprint and refusal tests.
+#pragma once
+
+#include <cstddef>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <type_traits>
+
+#include "harness/scenario.hpp"
+
+namespace p2panon::harness_test {
+
+struct ConfigLeaf {
+  std::string name;
+  harness::Runners runners;
+};
+
+/// Gives leaf `index` (table order) of `cfg` a value it does not hold and
+/// returns the leaf, or nullopt past the last one. Values stay inside
+/// validate()'s ranges: a flag flips, an enumerator swaps between the first
+/// two, an integer grows by one, a real halves (0 becomes 0.5) and the
+/// partition list gains a window.
+inline std::optional<ConfigLeaf> change_leaf(harness::ScenarioConfig& cfg, std::size_t index) {
+  std::optional<ConfigLeaf> changed;
+  std::size_t i = 0;
+  harness::for_each_config_field(cfg, [&](std::string_view name, auto& leaf, auto runners) {
+    if (i++ != index) return;
+    changed = ConfigLeaf{std::string(name), runners};
+    using T = std::remove_cvref_t<decltype(leaf)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      leaf = !leaf;
+    } else if constexpr (std::is_enum_v<T>) {
+      leaf = static_cast<T>(leaf == T{} ? 1 : 0);
+    } else if constexpr (std::is_integral_v<T>) {
+      ++leaf;
+    } else if constexpr (std::is_same_v<T, double>) {
+      leaf = leaf == 0.0 ? 0.5 : leaf / 2.0;
+    } else {
+      leaf.push_back({600.0, 1200.0});
+    }
+  });
+  return changed;
+}
+
+}  // namespace p2panon::harness_test

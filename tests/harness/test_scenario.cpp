@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 using namespace p2panon;
 using namespace p2panon::harness;
@@ -40,6 +44,45 @@ TEST(Scenario, ModelTwoWithZeroLookaheadThrows) {
   cfg.good_strategy = core::StrategyKind::kUtilityModelII;
   cfg.lookahead_depth = 0;
   EXPECT_THROW((void)ScenarioRunner(cfg).run(), std::invalid_argument);
+}
+
+TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
+  // Each case breaks one range check: validate() names the field, and both
+  // runners throw that message before building anything.
+  const std::pair<const char*, void (*)(ScenarioConfig&)> cases[] = {
+      {"overlay.node_count", [](ScenarioConfig& c) { c.overlay.node_count = 1; }},
+      {"overlay.degree", [](ScenarioConfig& c) { c.overlay.degree = 0; }},
+      {"overlay.degree", [](ScenarioConfig& c) { c.overlay.degree = c.overlay.node_count; }},
+      {"overlay.malicious_fraction", [](ScenarioConfig& c) { c.overlay.malicious_fraction = -0.1; }},
+      {"overlay.malicious_fraction", [](ScenarioConfig& c) { c.overlay.malicious_fraction = 1.5; }},
+      {"tau", [](ScenarioConfig& c) { c.tau = -1.0; }},
+      {"tau", [](ScenarioConfig& c) { c.tau = std::nan(""); }},
+      {"p_forward", [](ScenarioConfig& c) { c.p_forward = 2.0; }},
+      {"p_forward", [](ScenarioConfig& c) { c.p_forward = -0.5; }},
+  };
+  for (const auto& [field, set] : cases) {
+    for (const std::uint32_t shards : {1u, 4u}) {
+      ScenarioConfig cfg = small_config();
+      cfg.engine_shards = shards;
+      set(cfg);
+      const std::string err = cfg.validate();
+      EXPECT_EQ(err.rfind(std::string("ScenarioConfig::") + field + " = ", 0), 0u) << err;
+      try {
+        (void)ScenarioRunner(cfg).run();
+        ADD_FAILURE() << field << " ran at K = " << shards;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(e.what(), err);
+      }
+    }
+  }
+  // The bounds themselves are in range.
+  ScenarioConfig edge = small_config();
+  edge.overlay.node_count = 2;
+  edge.overlay.degree = 1;
+  edge.overlay.malicious_fraction = 1.0;
+  edge.tau = 0.0;
+  edge.p_forward = 0.0;
+  EXPECT_EQ(edge.validate(), "");
 }
 
 TEST(Scenario, RunsAllConnections) {
