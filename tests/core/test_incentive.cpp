@@ -202,6 +202,29 @@ TEST_F(IncentiveTest, PayoffLedgerGoodNodeFilters) {
   EXPECT_EQ(ledger.good_node_payoff_samples(mixed.overlay).size(), acc.count());
 }
 
+TEST_F(IncentiveTest, ReformedSetUnderOnePairSettlesOnOneEngine) {
+  // A pair re-forms its connection set: a second session under the same
+  // pair id settles on the same engine after the first, and its connection
+  // 1 repeats the first set's connection 1 hop for hop. Each set's receipts
+  // belong to its own settlement, so every honest claim of both sets is
+  // accepted and both settle in full.
+  PayoffLedger ledger(world.overlay.size());
+  for (std::uint64_t set = 0; set < 2; ++set) {
+    ConnectionSetSession session(kPair, kInitiator, kResponder, Contract{});
+    BuiltPath path;
+    path.nodes = {kInitiator, 3, 5, kResponder};
+    session.adopt_connection(path, world.history, ledger, world.overlay);
+    auto stream = world.root.child("reformed-set", set);
+    const SettleOutcome out = session.settle(bank, engine, ledger, stream);
+    EXPECT_EQ(out.report.accepted_claims, 2u) << "set " << set;
+    EXPECT_EQ(out.report.rejected_claims, 0u) << "set " << set;
+    EXPECT_EQ(out.report.payouts.size(), 2u) << "set " << set;
+  }
+  EXPECT_EQ(engine.settlement_count(), 2u);
+  EXPECT_EQ(engine.claims_accepted(), 4u);
+  EXPECT_EQ(engine.claims_rejected(), 0u);
+}
+
 TEST_F(IncentiveTest, SettleWithZeroConnectionsRefundsRoutingBenefit) {
   // A connection set that never ran: the commitment is P_r alone, nobody
   // can claim, and everything returns to the (pseudonymous) refund account.
