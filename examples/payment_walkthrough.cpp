@@ -81,7 +81,7 @@ int main() {
                     : "?!")
             << '\n';
   // (d) Forgery: node 3 MACs a fake hop with a guessed key.
-  ForwardReceipt forged{9, 1, 3, 0, 4, 0xDEADBEEF};
+  ForwardReceipt forged{9, 0, 1, 3, 0, 4, 0xDEADBEEF};
   std::cout << "forgery (bad MAC)                  -> "
             << (engine.submit_claim(sid, acct[3], forged) == ClaimResult::kBadMac
                     ? "rejected (bad MAC)"

@@ -212,9 +212,14 @@ PreparedSettlement ConnectionSetSession::open_settlement(payment::Bank& bank,
   const payment::AccountId refund_acct = bank.open_pseudonymous_account();
   payment::SettlementTerms terms{p_f, p_r};
 
+  // The set's nonce: the first sequence of the pair this engine has not
+  // settled, so a re-formed set of the same pair binds its receipts to its
+  // own settlement.
+  const std::uint32_t set_seq = engine.next_set_seq(pair_);
   PreparedSettlement prep;
   prep.claims.reserve(total_instances);
-  prep.sid = engine.open(pair_, *escrow, terms, records, refund_acct, deadline);
+  prep.sid = engine.open(pair_, *escrow, terms, records, refund_acct, deadline, set_seq);
+  assert(prep.sid != payment::kNoSettlement);
   prep.escrow_in = committed;
 
   // --- Forwarder side: every forwarder holds one MAC'd receipt per
@@ -229,7 +234,7 @@ PreparedSettlement ConnectionSetSession::open_settlement(payment::Bank& bank,
       assert(acct != payment::kInvalidAccount);
       prep.claims.push_back(ClaimSubmission{
           acct, payment::make_receipt(bank.account_mac_key(acct), pair_, j + 1, fwd,
-                                      p.nodes[i - 1], p.nodes[i + 1])});
+                                      p.nodes[i - 1], p.nodes[i + 1], set_seq)});
     }
   }
   return prep;

@@ -151,7 +151,9 @@ class ConnectionSetSession {
   /// paths — the escrow was committed before outcomes were known), open the
   /// settlement with the *completed* records and `deadline`, and assemble
   /// the receipts every forwarder holds (completed or not; the bank's
-  /// records decide what verifies). Marks the session settled.
+  /// records decide what verifies). The settlement and the receipts take
+  /// the pair's next unused set sequence on `engine` (next_set_seq), so
+  /// sessions of one pair settle side by side. Marks the session settled.
   PreparedSettlement open_settlement(payment::Bank& bank, payment::SettlementEngine& engine,
                                      sim::rng::Stream& stream, sim::Time deadline);
 

@@ -31,23 +31,23 @@ AccountId Bank::account_of(net::NodeId owner) const {
   return it == by_owner_.end() ? kInvalidAccount : it->second;
 }
 
-const crypto::RsaPublicKey& Bank::denomination_key(Amount denom) {
+const crypto::RsaKeyPair& Bank::key_pair(Amount denom) {
   assert(denom > 0);
   auto it = denom_keys_.find(denom);
   if (it == denom_keys_.end()) {
     auto key_stream = stream_.child("denom-key", static_cast<crypto::u64>(denom));
     it = denom_keys_.emplace(denom, crypto::generate_keypair(key_stream)).first;
   }
-  return it->second.pub;
+  return it->second;
 }
+
+const crypto::RsaPublicKey& Bank::denomination_key(Amount denom) { return key_pair(denom).pub; }
 
 std::optional<crypto::u64> Bank::withdraw_blind(AccountId id, Amount denom,
                                                 crypto::u64 blinded_message) {
   Account& acct = accounts_.at(id);
   if (denom <= 0 || acct.balance < denom) return std::nullopt;
-  // Ensure the denomination key exists (also validates denom).
-  [[maybe_unused]] const auto& key = denomination_key(denom);
-  const crypto::RsaKeyPair& kp = denom_keys_.at(denom);
+  const crypto::RsaKeyPair& kp = key_pair(denom);
   if (blinded_message >= kp.pub.n) return std::nullopt;
   acct.balance -= denom;
   outstanding_ += denom;
@@ -55,20 +55,11 @@ std::optional<crypto::u64> Bank::withdraw_blind(AccountId id, Amount denom,
   return crypto::rsa_sign(kp, blinded_message);
 }
 
-bool Bank::is_spent(const Coin& c) const {
-  return spent_.count(crypto::digest({c.serial, static_cast<crypto::u64>(c.denomination)})) != 0;
-}
-
-void Bank::mark_spent(const Coin& c) {
-  spent_.insert(crypto::digest({c.serial, static_cast<crypto::u64>(c.denomination)}));
-}
-
 DepositResult Bank::deposit_coin(AccountId id, const Coin& coin) {
   auto it = denom_keys_.find(coin.denomination);
   if (it == denom_keys_.end()) return DepositResult::kUnknownDenomination;
   if (!coin.verify(it->second.pub)) return DepositResult::kBadSignature;
-  if (is_spent(coin)) return DepositResult::kDoubleSpend;
-  mark_spent(coin);
+  if (!spent_.insert(spent_key(coin))) return DepositResult::kDoubleSpend;
   accounts_.at(id).balance += coin.denomination;
   outstanding_ -= coin.denomination;
   journal(TxKind::kDeposit, id, 0, coin.denomination);
@@ -83,7 +74,7 @@ std::optional<EscrowId> Bank::open_escrow(const std::vector<Coin>& funding) {
     auto it = denom_keys_.find(c.denomination);
     if (it == denom_keys_.end()) return std::nullopt;
     if (!c.verify(it->second.pub)) return std::nullopt;
-    if (is_spent(c)) return std::nullopt;
+    if (spent_.contains(spent_key(c))) return std::nullopt;
     total += c.denomination;
   }
   // Reject duplicate coins within the batch itself.
@@ -95,7 +86,7 @@ std::optional<EscrowId> Bank::open_escrow(const std::vector<Coin>& funding) {
       }
     }
   }
-  for (const Coin& c : funding) mark_spent(c);
+  for (const Coin& c : funding) spent_.insert(spent_key(c));
   outstanding_ -= total;
   const auto id = static_cast<EscrowId>(escrows_.size());
   escrows_.push_back(total);
@@ -124,10 +115,6 @@ bool Bank::escrow_refund(EscrowId id, AccountId to, Amount amount) {
   journal(TxKind::kEscrowRefund, to, id, amount);
   return true;
 }
-
-crypto::u64 Bank::account_mac_key(AccountId id) const { return accounts_.at(id).mac_key; }
-
-net::NodeId Bank::account_owner(AccountId id) const { return accounts_.at(id).owner; }
 
 Amount Bank::total_money() const {
   Amount total = 0;

@@ -12,12 +12,12 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/ids.hpp"
 #include "payment/audit.hpp"
 #include "payment/crypto.hpp"
+#include "payment/flat_set.hpp"
 #include "payment/money.hpp"
 #include "payment/token.hpp"
 #include "sim/rng.hpp"
@@ -86,10 +86,12 @@ class Bank {
   bool escrow_refund(EscrowId id, AccountId to, Amount amount);
 
   /// MAC key registered for an account (bank-internal verification helper).
-  [[nodiscard]] crypto::u64 account_mac_key(AccountId id) const;
+  [[nodiscard]] crypto::u64 account_mac_key(AccountId id) const {
+    return accounts_.at(id).mac_key;
+  }
 
   /// Network identity bound to an account; kInvalidNode for pseudonymous.
-  [[nodiscard]] net::NodeId account_owner(AccountId id) const;
+  [[nodiscard]] net::NodeId account_owner(AccountId id) const { return accounts_.at(id).owner; }
 
   /// Total money in existence (accounts + escrows). Conserved by every
   /// operation except withdraw (burns into coins) and deposit (re-mints);
@@ -116,15 +118,20 @@ class Bank {
     crypto::u64 mac_key = 0;
   };
 
-  [[nodiscard]] bool is_spent(const Coin& c) const;
-  void mark_spent(const Coin& c);
+  /// The denomination's key pair, generated on first use.
+  [[nodiscard]] const crypto::RsaKeyPair& key_pair(Amount denom);
+
+  /// A coin's spent-ledger key: its serial and denomination, mixed.
+  [[nodiscard]] static crypto::u64 spent_key(const Coin& c) noexcept {
+    return sim::rng::mix64(c.serial ^ sim::rng::mix64(static_cast<crypto::u64>(c.denomination)));
+  }
 
   sim::rng::Stream stream_;
   std::vector<Account> accounts_;
   std::unordered_map<net::NodeId, AccountId> by_owner_;
   std::map<Amount, crypto::RsaKeyPair> denom_keys_;
-  /// Spent-coin ledger keyed by (serial, denomination) digest.
-  std::unordered_set<crypto::u64> spent_;
+  /// Spent-coin ledger keyed by spent_key().
+  FlatKeySet spent_;
   std::vector<Amount> escrows_;
   Amount outstanding_ = 0;
   AuditLog* audit_ = nullptr;

@@ -3,10 +3,18 @@
 // The paper's payment mechanism (described only in its technical report)
 // needs blind signatures for unlinkable e-cash, message digests and MACs for
 // path receipts. We implement RSA blind signatures over 64-bit moduli
-// (two ~31-bit primes) and FNV-based digests/MACs. Key sizes are TOY — the
-// point of this substrate is protocol structure (blinding, unlinkability,
+// (two ~31-bit primes), FNV-1a digests, and a keyed MAC that chains one
+// SplitMix64 finaliser per 64-bit word. Key sizes are TOY — the point of
+// this substrate is protocol structure (blinding, unlinkability,
 // double-spend ledgers, receipt verification), not cryptographic strength;
 // see DESIGN.md §1.3.
+//
+// The RSA arithmetic takes exact shortcuts only. A key carries the
+// Montgomery contexts of its moduli, built once in generate_keypair; signing
+// runs on the CRT over the kept primes p and q; blinding inverts with a
+// division-free binary extended GCD. A signature and an inverse are unique
+// residues, so each result equals the textbook division ladder bit for bit
+// (tests/payment/test_crypto.cpp checks all three against it).
 #pragma once
 
 #include <array>
@@ -26,13 +34,14 @@ using u64 = std::uint64_t;
   return static_cast<u64>((static_cast<__uint128_t>(a) * b) % m);
 }
 
-namespace detail {
-
 /// Montgomery arithmetic modulo an odd m with 1 < m < 2^63 and R = 2^64:
 /// each product costs three 64-bit multiplies and no division. The bound on m
-/// keeps T + q*m below 2^128 in reduce().
+/// keeps T + q*m below 2^128 in reduce(). Only the constructor divides, so a
+/// context built once serves every later product modulo m.
 class Montgomery {
  public:
+  constexpr Montgomery() noexcept = default;
+
   constexpr explicit Montgomery(u64 m) noexcept : m_(m) {
     // Newton's iteration doubles the correct low bits of m^-1 mod 2^64 each
     // step; m is its own inverse mod 8, so five steps reach 64 bits.
@@ -43,17 +52,28 @@ class Montgomery {
     r2_ = static_cast<u64>((static_cast<__uint128_t>(one_) * one_) % m);
   }
 
-  /// x -> x*R mod m.
+  /// The modulus; 0 for a default-constructed (unusable) context.
+  [[nodiscard]] constexpr u64 modulus() const noexcept { return m_; }
+
+  /// x -> x*R mod m, for any 64-bit x: x * R^2 < m * R, so REDC needs no
+  /// prior reduction of x.
   [[nodiscard]] constexpr u64 to(u64 x) const noexcept {
-    return reduce(static_cast<__uint128_t>(x % m_) * r2_);
+    return reduce(static_cast<__uint128_t>(x) * r2_);
   }
   /// x*R mod m -> x.
   [[nodiscard]] constexpr u64 from(u64 x) const noexcept { return reduce(x); }
+  /// Product in Montgomery form: (a*R)(b*R) -> a*b*R.
   [[nodiscard]] constexpr u64 mul(u64 a, u64 b) const noexcept {
     return reduce(static_cast<__uint128_t>(a) * b);
   }
+  /// Plain (a * b) mod m for a, b < m: two REDCs instead of a 128-bit `%`.
+  [[nodiscard]] constexpr u64 mulmod(u64 a, u64 b) const noexcept {
+    return reduce(static_cast<__uint128_t>(reduce(static_cast<__uint128_t>(a) * b)) * r2_);
+  }
   /// 1 in Montgomery form.
   [[nodiscard]] constexpr u64 one() const noexcept { return one_; }
+
+  friend constexpr bool operator==(const Montgomery&, const Montgomery&) = default;
 
  private:
   /// REDC: T*R^-1 mod m for T < m*R.
@@ -63,29 +83,36 @@ class Montgomery {
     return r >= m_ ? r - m_ : r;
   }
 
-  u64 m_;
+  u64 m_ = 0;
   u64 neg_inv_ = 0;  ///< -m^-1 mod 2^64
   u64 one_ = 0;
   u64 r2_ = 0;  ///< R^2 mod m
 };
 
-}  // namespace detail
+/// True when `m` can take a Montgomery context: odd and in (1, 2^63).
+[[nodiscard]] constexpr bool montgomery_modulus(u64 m) noexcept {
+  return (m & 1) != 0 && m > 1 && m < (u64{1} << 63);
+}
+
+/// (base ^ exp) mod ctx.modulus() by square and multiply in Montgomery form;
+/// the canonical residue.
+[[nodiscard]] constexpr u64 powmod(const Montgomery& ctx, u64 base, u64 exp) noexcept {
+  u64 result = ctx.one();
+  u64 b = ctx.to(base);
+  while (exp > 0) {
+    if (exp & 1) result = ctx.mul(result, b);
+    b = ctx.mul(b, b);
+    exp >>= 1;
+  }
+  return ctx.from(result);
+}
 
 /// (base ^ exp) mod m. Odd moduli in (1, 2^63) — every RSA modulus here —
-/// square and multiply in Montgomery form; the others use the 128-bit `%`
-/// ladder. Both return the same canonical residue.
+/// go through a Montgomery context built for this one call; the others use
+/// the 128-bit `%` ladder. Both return the same canonical residue. Callers
+/// that reuse a modulus keep its context and call the overload above.
 [[nodiscard]] constexpr u64 powmod(u64 base, u64 exp, u64 m) noexcept {
-  if ((m & 1) != 0 && m > 1 && m < (u64{1} << 63)) {
-    const detail::Montgomery mont(m);
-    u64 result = mont.one();
-    u64 b = mont.to(base);
-    while (exp > 0) {
-      if (exp & 1) result = mont.mul(result, b);
-      b = mont.mul(b, b);
-      exp >>= 1;
-    }
-    return mont.from(result);
-  }
+  if (montgomery_modulus(m)) return powmod(Montgomery(m), base, exp);
   u64 result = 1 % m;
   base %= m;
   while (exp > 0) {
@@ -105,7 +132,10 @@ class Montgomery {
   return a;
 }
 
-/// Modular inverse of a mod m; nullopt when gcd(a, m) != 1.
+/// Modular inverse of a mod m; nullopt when gcd(a, m) != 1. Odd m in
+/// (1, 2^63) — every RSA modulus and prime — runs a binary extended GCD with
+/// no division; other m (phi in generate_keypair) run extended Euclid. The
+/// inverse is unique in [0, m), so both give the same answer.
 [[nodiscard]] std::optional<u64> modinv(u64 a, u64 m) noexcept;
 
 /// Deterministic Miller-Rabin, exact for all 64-bit inputs.
@@ -130,17 +160,24 @@ inline constexpr u64 kFnvInit = 0xCBF29CE484222325ULL;
   return h;
 }
 
-/// FNV-1a over a sequence of 64-bit words; the digest/MAC primitive.
+/// FNV-1a over a sequence of 64-bit words: coin messages and unkeyed folds.
 [[nodiscard]] constexpr u64 digest(std::initializer_list<u64> words) noexcept {
   return digest_more(kFnvInit, {words.begin(), words.size()});
 }
 
-/// Keyed MAC: digest with the secret key mixed in first and last
-/// (sponge-ish sandwich; toy-strength like the rest).
+/// Continue a keyed MAC chain from state `h` over more 64-bit words: one
+/// SplitMix64 finaliser per word, with the key added after each. A MAC over
+/// a word list assembled piecewise (e.g. the sharded plane's aggregate over
+/// receipt_words()) chains through this and equals one flat mac() call.
+[[nodiscard]] constexpr u64 mac_more(u64 key, u64 h, std::span<const u64> words) noexcept {
+  for (u64 w : words) h = sim::rng::mix64(h ^ w) + key;
+  return h;
+}
+
+/// Keyed MAC: the chain above started from the key itself (toy-strength
+/// like the rest: mix64 is a bijection, so the key is what hides the chain).
 [[nodiscard]] constexpr u64 mac(u64 key, std::span<const u64> words) noexcept {
-  u64 h = digest({key});
-  for (u64 w : words) h = digest({h, w});
-  return digest({h, key});
+  return mac_more(key, key, words);
 }
 
 [[nodiscard]] constexpr u64 mac(u64 key, std::initializer_list<u64> words) noexcept {
@@ -150,20 +187,36 @@ inline constexpr u64 kFnvInit = 0xCBF29CE484222325ULL;
 struct RsaPublicKey {
   u64 n = 0;  ///< modulus
   u64 e = 0;  ///< public exponent
+  /// Montgomery context of n, built by generate_keypair. A key assembled by
+  /// hand may leave it empty; ctx() then builds one per call.
+  Montgomery mont;
 
   [[nodiscard]] bool valid() const noexcept { return n > 1 && e > 1; }
+  /// True when the cached context is the one for n.
+  [[nodiscard]] bool has_ctx() const noexcept { return mont.modulus() == n; }
   friend bool operator==(const RsaPublicKey&, const RsaPublicKey&) = default;
 };
 
+/// The private key in CRT form: d plus the primes, d mod (p-1), d mod (q-1)
+/// and q^-1 mod p, with a Montgomery context per prime.
 struct RsaKeyPair {
   RsaPublicKey pub;
   u64 d = 0;  ///< private exponent
+  u64 p = 0;  ///< first prime; 0 on a hand-built key (rsa_sign then uses d)
+  u64 q = 0;  ///< second prime
+  u64 dp = 0;     ///< d mod (p-1)
+  u64 dq = 0;     ///< d mod (q-1)
+  u64 q_inv = 0;  ///< q^-1 mod p, in Montgomery form mod p
+  Montgomery mont_p;
+  Montgomery mont_q;
 };
 
 /// Generate an RSA keypair with two ~31-bit primes drawn from the stream.
 [[nodiscard]] RsaKeyPair generate_keypair(sim::rng::Stream& stream) noexcept;
 
-/// Sign (raw RSA: m^d mod n). Message must be < n.
+/// Sign (raw RSA: m^d mod n). Message must be < n. Runs the two half-size
+/// exponentiations of the CRT interleaved and recombines them (Garner); the
+/// result is the unique residue m^d mod n.
 [[nodiscard]] u64 rsa_sign(const RsaKeyPair& key, u64 message) noexcept;
 
 /// Verify sig^e mod n == message.

@@ -1,6 +1,7 @@
 #include "payment/settlement.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <map>
 #include <utility>
@@ -20,10 +21,13 @@ std::size_t count_distinct(std::vector<T>& values) {
 
 SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, SettlementTerms terms,
                                     const std::vector<PathRecord>& records,
-                                    AccountId refund_account, sim::Time deadline) {
+                                    AccountId refund_account, sim::Time deadline,
+                                    std::uint32_t set_seq) {
   assert(terms.forwarding_benefit >= 0 && terms.routing_benefit >= 0);
+  const SettlementNonce nonce = settlement_nonce(pair, set_seq);
+  if (!nonces_.insert(nonce)) return kNoSettlement;  // one settlement per nonce
   Settlement s;
-  s.pair = pair;
+  s.nonce = nonce;
   s.escrow = escrow;
   s.terms = terms;
   s.refund_account = refund_account;
@@ -31,40 +35,65 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
 
   std::size_t instances = 0;
   for (const PathRecord& rec : records) instances += rec.forwarders.size();
-  std::vector<net::NodeId> forwarders;
-  std::vector<std::uint32_t> conns;
-  forwarders.reserve(instances);
-  conns.reserve(records.size());
   s.hops.reserve(instances);
+  s.forwarders.reserve(instances);
+  s.hop_slots.assign(std::bit_ceil(std::max<std::size_t>(2, 2 * instances)), 0);
+  // The forwarders get a temporary index of the same shape: slot holds the
+  // forwarder's index + 1.
+  std::vector<std::uint32_t> forwarder_slots(s.hop_slots.size(), 0);
+  const std::size_t mask = forwarder_slots.size() - 1;
+  std::vector<std::uint32_t> conns;
+  conns.reserve(records.size());
   for (const PathRecord& rec : records) {
     conns.push_back(rec.conn_index);
     net::NodeId pred = rec.entry;
     for (std::size_t i = 0; i < rec.forwarders.size(); ++i) {
       const net::NodeId fwd = rec.forwarders[i];
       const net::NodeId succ = i + 1 < rec.forwarders.size() ? rec.forwarders[i + 1] : rec.exit;
-      s.hops.push_back(Hop{HopKey{rec.conn_index, fwd, pred, succ}, 1, 0});
-      forwarders.push_back(fwd);
+      std::size_t f = sim::rng::mix64(fwd) & mask;
+      while (forwarder_slots[f] != 0 && s.forwarders[forwarder_slots[f] - 1].node != fwd) {
+        f = (f + 1) & mask;
+      }
+      if (forwarder_slots[f] == 0) {
+        s.forwarders.push_back(ForwarderTally{fwd});
+        forwarder_slots[f] = static_cast<std::uint32_t>(s.forwarders.size());
+      }
+      const std::uint64_t where = std::uint64_t{fwd} << 32 | rec.conn_index;
+      const std::uint64_t link = std::uint64_t{pred} << 32 | succ;
+      std::uint32_t& slot = hop_slot(s, where, link);
+      if (slot != 0) {
+        ++s.hops[slot - 1].multiplicity;  // a repeat of one hop
+      } else {
+        s.hops.push_back(Hop{where, link, 1, 0, forwarder_slots[f] - 1});
+        slot = static_cast<std::uint32_t>(s.hops.size());
+      }
       pred = fwd;
     }
   }
-  // Sort, then merge repeats of one hop into its multiplicity.
-  std::sort(s.hops.begin(), s.hops.end(),
-            [](const Hop& a, const Hop& b) { return a.key < b.key; });
-  std::size_t merged = 0;
-  for (const Hop& hop : s.hops) {
-    if (merged > 0 && s.hops[merged - 1].key == hop.key) {
-      ++s.hops[merged - 1].multiplicity;
-    } else {
-      s.hops[merged++] = hop;
-    }
-  }
-  s.hops.resize(merged);
-  s.set_size = count_distinct(forwarders);
+  s.set_size = s.forwarders.size();
   s.completed_connections = count_distinct(conns);
 
   const auto id = static_cast<SettlementId>(settlements_.size());
   settlements_.push_back(std::move(s));
   return id;
+}
+
+std::uint32_t& SettlementEngine::hop_slot(Settlement& s, std::uint64_t where,
+                                          std::uint64_t link) {
+  const std::size_t mask = s.hop_slots.size() - 1;
+  for (std::size_t i = sim::rng::mix64(where ^ link * 0x9E3779B97F4A7C15ULL) & mask;;
+       i = (i + 1) & mask) {
+    std::uint32_t& slot = s.hop_slots[i];
+    if (slot == 0) return slot;
+    const Hop& hop = s.hops[slot - 1];
+    if (hop.where == where && hop.link == link) return slot;
+  }
+}
+
+std::uint32_t SettlementEngine::next_set_seq(net::PairId pair) const {
+  std::uint32_t seq = 0;
+  while (has_nonce(settlement_nonce(pair, seq))) ++seq;
+  return seq;
 }
 
 ClaimResult SettlementEngine::submit_claim(SettlementId id, AccountId claimant,
@@ -73,71 +102,45 @@ ClaimResult SettlementEngine::submit_claim(SettlementId id, AccountId claimant,
   const net::NodeId claimant_owner = bank_.account_owner(claimant);
   if (id >= settlements_.size()) return ClaimResult::kUnknownSettlement;
   Settlement& s = settlements_[id];
+  const auto reject = [&](ClaimResult verdict) {
+    ++s.rejected;
+    ++claims_rejected_;
+    return verdict;
+  };
   if (is_terminal(s.state)) {
     // First-wins: money already moved; a late or replayed claim must see a
     // hard terminal refusal, never a payout.
-    ++s.rejected;
-    ++claims_rejected_;
     ++claims_after_terminal_;
-    return ClaimResult::kNotOpen;
+    return reject(ClaimResult::kNotOpen);
   }
-  if (receipt.pair != s.pair) {
-    ++s.rejected;
-    ++claims_rejected_;
-    return ClaimResult::kUnknownSettlement;
+  if (receipt.nonce() != s.nonce) {
+    // Bound to another settlement; when it names this pair, it is a receipt
+    // of a sibling set (a re-formed set settles under its own nonce).
+    if (receipt.pair == static_cast<net::PairId>(s.nonce)) ++cross_settlement_replays_;
+    return reject(ClaimResult::kUnknownSettlement);
   }
   // The claimant must be the account bound to the forwarder named in the
-  // receipt — you cannot redeem someone else's receipt.
-  if (claimant_owner != receipt.forwarder) {
-    ++s.rejected;
-    ++claims_rejected_;
-    return ClaimResult::kWrongClaimant;
+  // receipt — you cannot redeem someone else's receipt, and a pseudonymous
+  // account is bound to no forwarder. So one forwarder has one claimant.
+  if (claimant_owner != receipt.forwarder || claimant_owner == net::kInvalidNode) {
+    return reject(ClaimResult::kWrongClaimant);
   }
   // MAC must verify under the claimant's registered key.
-  ForwardReceipt unsealed = receipt;
-  unsealed.mac = 0;
-  if (receipt_mac(mac_key, unsealed) != receipt.mac) {
-    ++s.rejected;
-    ++claims_rejected_;
-    return ClaimResult::kBadMac;
+  if (receipt_mac(mac_key, receipt) != receipt.mac) return reject(ClaimResult::kBadMac);
+  const std::uint32_t slot =
+      hop_slot(s, std::uint64_t{receipt.forwarder} << 32 | receipt.conn_index,
+               std::uint64_t{receipt.predecessor} << 32 | receipt.successor);
+  if (slot == 0) return reject(ClaimResult::kNotOnPath);  // over-claim
+  Hop& hop = s.hops[slot - 1];
+  if (hop.used >= hop.multiplicity) {
+    return reject(ClaimResult::kDuplicate);  // replay beyond the hop's multiplicity
   }
-  const HopKey key{receipt.conn_index, receipt.forwarder, receipt.predecessor,
-                   receipt.successor};
-  const auto hop = std::lower_bound(s.hops.begin(), s.hops.end(), key,
-                                    [](const Hop& h, const HopKey& k) { return h.key < k; });
-  if (hop == s.hops.end() || hop->key != key) {
-    ++s.rejected;
-    ++claims_rejected_;
-    return ClaimResult::kNotOnPath;  // over-claim
-  }
-  // A re-formed set settles under a fresh settlement with the same pair id;
-  // a receipt already redeemed under a sibling settlement is a replay even
-  // though this settlement has never seen it.
-  RedeemedSlot& redeemed = redeemed_slot(receipt.mac);
-  if (redeemed.settlement != kNoSettlement && redeemed.settlement != id) {
-    ++s.rejected;
-    ++claims_rejected_;
-    ++cross_settlement_replays_;
-    return ClaimResult::kDuplicate;
-  }
-  if (hop->used >= hop->multiplicity) {
-    ++s.rejected;
-    ++claims_rejected_;
-    return ClaimResult::kDuplicate;  // replay beyond the hop's multiplicity
-  }
-  ++hop->used;
-  auto entry = std::lower_bound(
-      s.claimants.begin(), s.claimants.end(), claimant,
-      [](const ClaimantInstances& c, AccountId account) { return c.account < account; });
-  if (entry == s.claimants.end() || entry->account != claimant) {
-    entry = s.claimants.insert(entry, ClaimantInstances{claimant, 0});
-  }
-  ++entry->instances;
+  ++hop.used;
+  ForwarderTally& tally = s.forwarders[hop.forwarder];
+  tally.claimant = claimant;
+  ++tally.instances;
+  ++s.accepted;
   ++claims_accepted_;
-  if (redeemed.settlement == kNoSettlement) {
-    redeemed = RedeemedSlot{receipt.mac, id};
-    ++redeemed_count_;
-  }
   if (s.state == SettlementState::kOpen) s.state = SettlementState::kClaiming;
   return ClaimResult::kAccepted;
 }
@@ -155,27 +158,6 @@ SettlementEngine::ClaimBatchResult SettlementEngine::submit_claim_batch(
   return out;
 }
 
-SettlementEngine::RedeemedSlot& SettlementEngine::redeemed_slot(crypto::u64 mac) {
-  const auto probe = [this](crypto::u64 key) -> RedeemedSlot& {
-    const std::size_t mask = redeemed_.size() - 1;
-    // Fibonacci hashing: the multiply carries every low bit of the digest
-    // upward, and the bits from 32 up pick the home slot.
-    for (std::size_t i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;;
-         i = (i + 1) & mask) {
-      RedeemedSlot& slot = redeemed_[i];
-      if (slot.settlement == kNoSettlement || slot.mac == key) return slot;
-    }
-  };
-  if ((redeemed_count_ + 1) * 4 > redeemed_.size() * 3) {
-    std::vector<RedeemedSlot> old = std::exchange(
-        redeemed_, std::vector<RedeemedSlot>(std::max<std::size_t>(64, 2 * redeemed_.size())));
-    for (const RedeemedSlot& slot : old) {
-      if (slot.settlement != kNoSettlement) probe(slot.mac) = slot;
-    }
-  }
-  return probe(mac);
-}
-
 const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementState outcome) {
   Settlement& s = settlements_[id];
   assert(!is_terminal(s.state) && "finalize on a terminal settlement");
@@ -187,7 +169,7 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
   report.rejected_claims = s.rejected;
   report.outcome = outcome;
   report.completed_connections = s.completed_connections;
-  report.pro_rata = outcome == SettlementState::kAbandoned && !s.claimants.empty();
+  report.pro_rata = outcome == SettlementState::kAbandoned && s.accepted > 0;
 
   // Routing benefit splits over the *recorded* forwarder-set size ||pi|| —
   // for an abandoned set that is the realized set of its completed
@@ -198,11 +180,15 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
   const std::vector<Amount> shares =
       s.set_size > 0 ? split_evenly(s.terms.routing_benefit, s.set_size) : std::vector<Amount>{};
 
-  // Payout order: ascending account id, the order claimants is kept in.
-  report.payouts.reserve(s.claimants.size());
+  // Payout order: ascending account id.
+  std::vector<std::pair<AccountId, Amount>> instances;
+  for (const ForwarderTally& f : s.forwarders) {
+    if (f.instances > 0) instances.emplace_back(f.claimant, f.instances);
+  }
+  std::sort(instances.begin(), instances.end());
+  report.payouts.reserve(instances.size());
   std::size_t share_idx = 0;
-  for (const auto& [acct, instances] : s.claimants) {
-    const auto m = static_cast<Amount>(instances);
+  for (const auto& [acct, m] : instances) {
     Amount due = m * s.terms.forwarding_benefit;
     if (share_idx < shares.size()) due += shares[share_idx++];
     const bool ok = bank_.escrow_pay(s.escrow, acct, due);
@@ -223,6 +209,10 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
 
   s.state = outcome;
   s.report = std::move(report);
+  // No claim reaches a terminal settlement's hops again.
+  s.hops = std::vector<Hop>{};
+  s.hop_slots = std::vector<std::uint32_t>{};
+  s.forwarders = std::vector<ForwarderTally>{};
   return *s.report;
 }
 
@@ -235,8 +225,8 @@ const SettlementReport& SettlementEngine::close(SettlementId id) {
 const SettlementReport& SettlementEngine::abandon(SettlementId id) {
   Settlement& s = settlements_.at(id);
   if (is_terminal(s.state)) return *s.report;  // first-wins
-  return finalize(id, s.claimants.empty() ? SettlementState::kExpired
-                                          : SettlementState::kAbandoned);
+  return finalize(id, s.accepted == 0 ? SettlementState::kExpired
+                                      : SettlementState::kAbandoned);
 }
 
 std::size_t SettlementEngine::expire_due(sim::Time now) {
@@ -245,8 +235,8 @@ std::size_t SettlementEngine::expire_due(sim::Time now) {
     Settlement& s = settlements_[id];
     if (is_terminal(s.state)) continue;  // first-wins
     if (s.deadline < 0.0 || now < s.deadline) continue;
-    finalize(id, s.claimants.empty() ? SettlementState::kExpired
-                                      : SettlementState::kAbandoned);
+    finalize(id, s.accepted == 0 ? SettlementState::kExpired
+                                  : SettlementState::kAbandoned);
     ++terminalised;
   }
   return terminalised;
@@ -279,16 +269,6 @@ std::size_t SettlementEngine::open_settlements() const noexcept {
 
 std::size_t SettlementEngine::forwarder_set_size(SettlementId id) const {
   return settlements_.at(id).set_size;
-}
-
-std::vector<crypto::u64> SettlementEngine::redeemed_macs() const {
-  std::vector<crypto::u64> macs;
-  macs.reserve(redeemed_count_);
-  for (const RedeemedSlot& slot : redeemed_) {
-    if (slot.settlement != kNoSettlement) macs.push_back(slot.mac);
-  }
-  std::sort(macs.begin(), macs.end());
-  return macs;
 }
 
 PartitionAudit audit_settlements(const Bank& bank, const AuditLog& journal,

@@ -12,10 +12,12 @@
 //      are excluded at the source rather than over-claimed.
 //   2. Forwarders submit claims: their account plus their receipts.
 //   3. The engine verifies each receipt's MAC under the claimant's
-//      registered key, rejects receipts that do not match the initiator's
-//      path records (over-claims), and dedupes replays — both within one
-//      settlement and across settlements of the same connection set (a
-//      re-formed set must not pay one receipt twice).
+//      registered key, rejects receipts bound to another settlement (each
+//      settlement records the nonce its receipts carry, and a nonce opens at
+//      most one settlement), rejects receipts that do not match the
+//      initiator's path records (over-claims), and dedupes replays within
+//      the settlement: a hop pays at most as many claims as the records
+//      list it.
 //   4. The settlement terminates exactly once (first-wins; replayed or
 //      racing bank messages are no-ops):
 //
@@ -33,14 +35,14 @@
 //      settlement with zero verified claims refunds the whole escrow.
 //
 // Cheating handled: forged MACs, over-claims (receipts for hops not on any
-// validated path), replayed receipts (same or sibling settlement), claims
+// validated path), replayed receipts (same settlement, or a sibling set's
+// receipt under another nonce), claims
 // against the wrong account, claims raced past close/abandon, and initiator
 // payment refusal (impossible by construction — the escrow was funded
 // before any forwarding happened). An initiator crash between funding and
 // close can delay forwarders' payment until the deadline, never void it.
 #pragma once
 
-#include <compare>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -54,6 +56,10 @@
 namespace p2panon::payment {
 
 using SettlementId = std::uint32_t;
+
+/// What open() returns when it refuses: the nonce already has a settlement.
+/// Every lookup treats it as unknown.
+inline constexpr SettlementId kNoSettlement = ~SettlementId{0};
 
 /// Settlements opened without a deadline never expire (the pre-fault
 /// synchronous pipeline closes them in the same step it opens them).
@@ -101,8 +107,8 @@ enum class ClaimResult {
   kBadMac,          ///< MAC does not verify under the claimant's key
   kWrongClaimant,   ///< receipt names a different forwarder than the account
   kNotOnPath,       ///< over-claim: hop absent from the validated records
-  kDuplicate,       ///< replayed receipt (same settlement or a sibling's)
-  kUnknownSettlement,
+  kDuplicate,       ///< replayed receipt beyond the hop's multiplicity
+  kUnknownSettlement,  ///< no such settlement, or the receipt's nonce is another's
   kNotOpen,         ///< settlement already closed/abandoned/expired
 };
 
@@ -131,15 +137,24 @@ class SettlementEngine {
   SettlementEngine(const SettlementEngine&) = delete;
   SettlementEngine& operator=(const SettlementEngine&) = delete;
 
-  /// Open a settlement for connection-set `pair` against `escrow`. The path
+  /// Open a settlement for set `set_seq` of connection-set `pair` against
+  /// `escrow`; it accepts only receipts carrying that nonce. The path
   /// records are the initiator's validated paths (completed connections
   /// only); `refund_account` receives whatever the escrow does not pay out.
   /// A non-negative `deadline` arms the crash-tolerant lifecycle: once the
   /// simulator clock reaches it, expire_due() terminalises the settlement
-  /// without the initiator.
+  /// without the initiator. Returns kNoSettlement, leaving the escrow
+  /// untouched, when the nonce already opened a settlement.
   SettlementId open(net::PairId pair, EscrowId escrow, SettlementTerms terms,
                     const std::vector<PathRecord>& records, AccountId refund_account,
-                    sim::Time deadline = kNoSettlementDeadline);
+                    sim::Time deadline = kNoSettlementDeadline, std::uint32_t set_seq = 0);
+
+  /// The lowest set sequence of `pair` with no settlement yet: what a set
+  /// of `pair` about to settle binds its receipts to.
+  [[nodiscard]] std::uint32_t next_set_seq(net::PairId pair) const;
+
+  /// True when `nonce` already opened a settlement here.
+  [[nodiscard]] bool has_nonce(SettlementNonce nonce) const { return nonces_.contains(nonce); }
 
   /// Submit one receipt as a claim by `claimant`.
   ClaimResult submit_claim(SettlementId id, AccountId claimant, const ForwardReceipt& receipt);
@@ -189,11 +204,8 @@ class SettlementEngine {
   /// Number of settlements ever opened (terminal or not).
   [[nodiscard]] std::size_t settlement_count() const noexcept { return settlements_.size(); }
 
-  /// Sorted copy of every receipt digest this engine has redeemed. Sorted so
-  /// consumers never observe the hash table's slot order; used by the
-  /// sharded plane's merge reconciliation to assert that no receipt was
-  /// redeemed by two bank partitions.
-  [[nodiscard]] std::vector<crypto::u64> redeemed_macs() const;
+  /// The nonce settlement `id` was opened under.
+  [[nodiscard]] SettlementNonce nonce(SettlementId id) const { return settlements_.at(id).nonce; }
 
   // --- Engine-wide counters (for the chaos-sweep conservation audit).
   [[nodiscard]] std::uint64_t claims_accepted() const noexcept { return claims_accepted_; }
@@ -203,24 +215,18 @@ class SettlementEngine {
   [[nodiscard]] std::uint64_t claims_after_terminal() const noexcept {
     return claims_after_terminal_;
   }
-  /// Receipts replayed against a sibling settlement of the same set.
+  /// Receipts of one set of a pair claimed against another set's
+  /// settlement (refused as kUnknownSettlement).
   [[nodiscard]] std::uint64_t cross_settlement_replays() const noexcept {
     return cross_settlement_replays_;
   }
 
  private:
-  /// One validated hop: (conn_index, forwarder, predecessor, successor).
-  struct HopKey {
-    std::uint32_t conn_index = 0;
-    net::NodeId forwarder = net::kInvalidNode;
-    net::NodeId predecessor = net::kInvalidNode;
-    net::NodeId successor = net::kInvalidNode;
-
-    friend auto operator<=>(const HopKey&, const HopKey&) = default;
-  };
-
+  /// One distinct validated hop: `where` is forwarder << 32 | conn_index
+  /// and `link` predecessor << 32 | successor.
   struct Hop {
-    HopKey key;
+    std::uint64_t where = 0;
+    std::uint64_t link = 0;
     /// Positions the hop occupies on the validated paths: a node may occupy
     /// several positions on one path, and in degenerate cycles even with
     /// identical neighbours.
@@ -228,55 +234,53 @@ class SettlementEngine {
     /// Claims already accepted against the hop (replay guard, bounded by
     /// the multiplicity).
     std::uint32_t used = 0;
+    /// Index of the hop's forwarder in Settlement::forwarders.
+    std::uint32_t forwarder = 0;
   };
 
-  struct ClaimantInstances {
-    AccountId account = kInvalidAccount;
-    std::size_t instances = 0;  ///< accepted (deduped) forwarding instances
+  /// One distinct forwarder of the records and the claims it won.
+  struct ForwarderTally {
+    net::NodeId node = net::kInvalidNode;
+    /// The account bound to `node`, once it claimed; a forwarder has one
+    /// (submit_claim refuses pseudonymous claimants).
+    AccountId claimant = kInvalidAccount;
+    std::uint32_t instances = 0;  ///< accepted claims over its hops: m
   };
 
   struct Settlement {
-    net::PairId pair = net::kInvalidPair;
+    SettlementNonce nonce = 0;
     EscrowId escrow = 0;
     SettlementTerms terms;
     AccountId refund_account = kInvalidAccount;
     SettlementState state = SettlementState::kOpen;
     sim::Time deadline = kNoSettlementDeadline;
-    /// The validated hops, sorted by key with repeats merged into one entry
-    /// (built once in open(), searched with lower_bound per claim).
+    /// The validated hops, one entry per distinct hop in record order. This
+    /// and the two vectors below are built once in open() and released at
+    /// terminalisation.
     std::vector<Hop> hops;
-    std::size_t set_size = 0;  ///< distinct forwarders in records
+    /// Open-addressed index of `hops`: a power-of-two slot array at most
+    /// half full, each slot a hop's index + 1 (0 is empty).
+    std::vector<std::uint32_t> hop_slots;
+    /// The distinct forwarders, in record order.
+    std::vector<ForwarderTally> forwarders;
+    std::size_t set_size = 0;  ///< distinct forwarders in records: ||pi||
     std::size_t completed_connections = 0;  ///< distinct conn_index in records
-    /// Accounts with at least one accepted claim, in ascending account order
-    /// — the order finalize() pays them in.
-    std::vector<ClaimantInstances> claimants;
+    std::size_t accepted = 0;
     std::size_t rejected = 0;
     std::optional<SettlementReport> report;  ///< set on terminalisation
   };
 
-  /// One slot of the redeemed-receipt table; `settlement == kNoSettlement`
-  /// marks it empty.
-  static constexpr SettlementId kNoSettlement = ~SettlementId{0};
-  struct RedeemedSlot {
-    crypto::u64 mac = 0;
-    SettlementId settlement = kNoSettlement;
-  };
+  /// The slot of `s.hop_slots` holding hop (where, link), or the empty slot
+  /// where it would go.
+  static std::uint32_t& hop_slot(Settlement& s, std::uint64_t where, std::uint64_t link);
 
   /// The one place money moves: pays verified claims, refunds the rest,
   /// stamps the terminal state. Callers must have first-wins-checked.
   const SettlementReport& finalize(SettlementId id, SettlementState outcome);
 
-  /// The redeemed-table slot holding `mac`, or the empty slot it would be
-  /// inserted into. The table grows first, so the reference stays valid
-  /// through one insertion.
-  RedeemedSlot& redeemed_slot(crypto::u64 mac);
-
   std::vector<Settlement> settlements_;
-  /// Receipt digest -> settlement that redeemed it (cross-settlement replay
-  /// guard for re-formed sets sharing a pair id): open addressing with
-  /// linear probing over a power-of-two slot array kept at most 3/4 full.
-  std::vector<RedeemedSlot> redeemed_;
-  std::size_t redeemed_count_ = 0;
+  /// Every nonce that opened a settlement.
+  FlatKeySet nonces_;
   Bank& bank_;
   std::uint64_t claims_accepted_ = 0;
   std::uint64_t claims_rejected_ = 0;

@@ -8,21 +8,16 @@ namespace p2panon::payment {
 
 crypto::u64 aggregated_claim_mac(crypto::u64 key, SettlementKey settlement,
                                  const AggregatedClaim& claim) noexcept {
-  // Chained toy MAC: the key sandwiches a digest fold over the batch
-  // identity (settlement, claimant, epoch, count) and every receipt field,
-  // including the per-receipt MACs — reordering, dropping, or splicing a
-  // receipt changes the aggregate.
-  crypto::u64 h = crypto::digest({key, settlement, claim.claimant, claim.epoch,
-                                  static_cast<crypto::u64>(claim.receipts.size())});
+  // One keyed MAC chain over the batch identity (settlement, claimant,
+  // epoch, count) and every receipt's canonical words (receipt_words) and
+  // MAC — reordering, dropping, or splicing a receipt changes the aggregate.
+  crypto::u64 h = crypto::mac(key, {settlement, claim.claimant, claim.epoch,
+                                    static_cast<crypto::u64>(claim.receipts.size())});
   for (const ForwardReceipt& r : claim.receipts) {
-    // Byte-identical to one flat digest({h, fields..., mac}) call, but the
-    // field list comes from the canonical enumeration (receipt_words), so
-    // this digest cannot drift from the receipt MAC or the wire codec.
-    crypto::u64 x = crypto::digest_more(crypto::kFnvInit, std::array<crypto::u64, 1>{h});
-    x = crypto::digest_more(x, receipt_words(r));
-    h = crypto::digest_more(x, std::array<crypto::u64, 1>{r.mac});
+    h = crypto::mac_more(key, h, receipt_words(r));
+    h = crypto::mac_more(key, h, std::array<crypto::u64, 1>{r.mac});
   }
-  return crypto::digest({h, key});
+  return h;
 }
 
 void seal_aggregated_claim(crypto::u64 key, SettlementKey settlement, AggregatedClaim& claim) {
@@ -65,6 +60,9 @@ std::optional<SettlementHandle> ShardedSettlementPlane::open_settlement(
   const std::uint32_t b = partition_of(key);
   BankPartition& part = *parts_[b];
   const AccountId acct = account_of(initiator);
+  // The pair's first set settles here; a second open would be refused, so
+  // refuse it before any coin moves.
+  if (part.engine.has_nonce(settlement_nonce(pair))) return std::nullopt;
   // Wallet randomness keyed by the settlement, not by arrival order: the
   // coin blinding of settlement X is the same whether it funds first or
   // last, which keeps the plane's money flow order-invariant.
@@ -75,6 +73,7 @@ std::optional<SettlementHandle> ShardedSettlementPlane::open_settlement(
   assert(escrow.has_value() && "freshly withdrawn coins must fund an escrow");
   if (!escrow.has_value()) return std::nullopt;
   const SettlementId id = part.engine.open(pair, *escrow, terms, records, acct, deadline);
+  assert(id != kNoSettlement);
   return SettlementHandle{b, id, *escrow};
 }
 
@@ -90,7 +89,7 @@ ClaimBatchOutcome ShardedSettlementPlane::submit_aggregated_claim(SettlementKey 
       aggregated_claim_mac(part.bank.account_mac_key(claim.claimant), key, check);
   if (expected != claim.aggregate_mac) {
     // Reject-all: a tampered batch never reaches the engine, so none of its
-    // receipts can probe the redeemed-MAC map.
+    // receipts can probe the settlement's hops.
     ++aggregates_refused_;
     out.aggregate_mac_ok = false;
     out.rejected = claim.receipts.size();
@@ -133,7 +132,7 @@ PlaneReconciliation ShardedSettlementPlane::reconcile() const {
   rec.partitions.reserve(parts_.size());
 
   Amount initial_sum = 0;
-  std::vector<crypto::u64> all_macs;
+  std::vector<SettlementNonce> all_nonces;
 
   for (const auto& part_ptr : parts_) {
     const BankPartition& part = *part_ptr;
@@ -152,21 +151,22 @@ PlaneReconciliation ShardedSettlementPlane::reconcile() const {
     rec.claims_after_terminal += part.engine.claims_after_terminal();
     initial_sum += part.initial_total;
 
-    // Each engine's redeemed set is internally unique (map keys); collect
-    // the sorted per-partition sets for the global uniqueness merge.
-    std::vector<crypto::u64> macs = part.engine.redeemed_macs();
-    all_macs.insert(all_macs.end(), macs.begin(), macs.end());
+    // Each engine opens a nonce at most once; collect every partition's
+    // nonces for the global uniqueness merge.
+    for (SettlementId id = 0; id < part.engine.settlement_count(); ++id) {
+      all_nonces.push_back(part.engine.nonce(id));
+    }
 
     rec.partitions.push_back(audit);
   }
 
   rec.global_conserved = total_money() == initial_sum;
 
-  // Deterministic merge: any digest redeemed by two partitions shows up as
-  // an adjacent duplicate in the sorted union.
-  std::sort(all_macs.begin(), all_macs.end());
-  for (std::size_t i = 1; i < all_macs.size(); ++i) {
-    if (all_macs[i] == all_macs[i - 1]) ++rec.cross_partition_replays;
+  // Deterministic merge: a nonce opened by two partitions shows up as an
+  // adjacent duplicate in the sorted union.
+  std::sort(all_nonces.begin(), all_nonces.end());
+  for (std::size_t i = 1; i < all_nonces.size(); ++i) {
+    if (all_nonces[i] == all_nonces[i - 1]) ++rec.cross_partition_replays;
   }
   return rec;
 }

@@ -1,12 +1,12 @@
 // Sharded settlement plane: the bank partitioned for throughput.
 //
 // At millions of users one SettlementEngine serialises everything behind a
-// single redeemed-MAC map and one audit journal. This plane shards the
+// single nonce ledger and one audit journal. This plane shards the
 // payment substrate by *settlement*: every logical settlement carries a
 // 64-bit SettlementKey, and mix(key) % B routes it to one of B independent
 // bank partitions. Each partition is a full vertical slice — its own Bank,
 // its own SettlementEngine (the PR 5 escrow lifecycle state machine,
-// unchanged), its own redeemed-MAC map, its own append-only audit journal —
+// unchanged), its own nonce ledger, its own append-only audit journal —
 // so partitions never share mutable state and the barrier-batch hook can
 // drain per-shard op buffers against them without locks.
 //
@@ -34,14 +34,15 @@
 // redeems the aggregate's receipts in order through
 // SettlementEngine::submit_claim_batch.
 //
-// Replay safety across partitions: routing by settlement key means sibling
-// settlements of one logical set always land on the same partition, where
-// the engine's redeemed-MAC map rejects cross-settlement replays exactly as
-// at B = 1. A receipt smuggled to a *different* partition (bypassing the
-// routed entry points — see lint rule R8) is outside any single engine's
-// view; the deterministic merge reconciliation catches it by asserting
-// global uniqueness over the union of all partitions' sorted redeemed-MAC
-// sets (tests/payment/test_sharded_settlement.cpp pins the negative path).
+// Replay safety across partitions: a receipt is bound to its settlement's
+// nonce, and routing by settlement key puts that settlement on one
+// partition, whose engine pays each recorded hop at most its multiplicity
+// and refuses a second open of the nonce. A settlement smuggled onto a
+// *different* partition (bypassing the routed entry points — see lint rule
+// R8) is outside any single engine's view; the deterministic merge
+// reconciliation catches it by asserting that no nonce opened a settlement
+// on two partitions (tests/payment/test_sharded_settlement.cpp pins the
+// negative path).
 //
 // Mutation discipline (lint rule R8, tools/lint/check_invariants.py):
 // model/bench code must mutate partitions only through the plane's routed
@@ -119,8 +120,8 @@ struct PlaneReconciliation {
   /// audit_settlements() of each partition, ascending partition order.
   std::vector<PartitionAudit> partitions;
   bool global_conserved = false;  ///< sum of merged balances + escrows + coins unchanged
-  /// Receipt digests redeemed by more than one partition — a cross-partition
-  /// replay that slipped past the per-engine maps. Zero on any honest run.
+  /// Settlement nonces opened on more than one partition — a receipt bound
+  /// to one could be redeemed on each. Zero on any honest run.
   std::uint64_t cross_partition_replays = 0;
   Amount escrow_milli = 0;
   Amount paid_milli = 0;
@@ -171,7 +172,8 @@ class ShardedSettlementPlane {
   /// Fund an escrow of `escrow_amount` from the initiator's account in the
   /// owning partition (blind withdrawal keyed by the settlement key, so coin
   /// blinding is independent of arrival order) and open the settlement
-  /// against it. Returns nullopt on insufficient funds.
+  /// against it under the pair's first nonce. Returns nullopt on
+  /// insufficient funds, or when that nonce already settled here.
   std::optional<SettlementHandle> open_settlement(SettlementKey key, net::PairId pair,
                                                   net::NodeId initiator, Amount escrow_amount,
                                                   SettlementTerms terms,
@@ -215,7 +217,7 @@ class ShardedSettlementPlane {
 
   /// The deterministic merge pass: the C1–C5 audit (audit_settlements) per
   /// partition in ascending order, then the global fold (merged
-  /// conservation, cross-partition redeemed-MAC uniqueness). Pure read-only.
+  /// conservation, cross-partition nonce uniqueness). Pure read-only.
   [[nodiscard]] PlaneReconciliation reconcile() const;
 
  private:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 using namespace p2panon::payment::crypto;
@@ -85,6 +86,87 @@ TEST(ModArith, MontgomeryPowmodMatchesDivisionLadder) {
   }
 }
 
+TEST(ModArith, CachedContextPowmodMatchesDivisionLadder) {
+  // One context per modulus serves many exponentiations and products, as a
+  // denomination key's does; every result equals the division ladder's.
+  rng::Stream stream(0xc0de);
+  for (int k = 0; k < 2000; ++k) {
+    const auto bits = static_cast<unsigned>(2 + stream.below(62));
+    const u64 m = random_width(stream, bits) | 1;
+    const Montgomery ctx(m);
+    ASSERT_EQ(ctx.modulus(), m);
+    for (int i = 0; i < 50; ++i) {
+      const u64 base = stream.next_u64();
+      const u64 exp = random_width(stream, static_cast<unsigned>(stream.below(65)));
+      ASSERT_EQ(powmod(ctx, base, exp), powmod_by_division(base, exp, m))
+          << "m " << m << " base " << base << " exp " << exp;
+      const u64 a = base % m;
+      const u64 b = stream.next_u64() % m;
+      ASSERT_EQ(ctx.mulmod(a, b), mulmod(a, b, m)) << "m " << m << " a " << a << " b " << b;
+    }
+  }
+}
+
+namespace {
+
+/// The extended Euclid on 128-bit intermediates that modinv ran for every
+/// modulus before the binary extended GCD.
+std::optional<u64> modinv_by_euclid(u64 a, u64 m) {
+  __int128 t = 0, new_t = 1;
+  __int128 r = m, new_r = a % m;
+  while (new_r != 0) {
+    const __int128 q = r / new_r;
+    const __int128 tmp_t = t - q * new_t;
+    t = new_t;
+    new_t = tmp_t;
+    const __int128 tmp_r = r - q * new_r;
+    r = new_r;
+    new_r = tmp_r;
+  }
+  if (r != 1) return std::nullopt;
+  if (t < 0) t += m;
+  return static_cast<u64>(t);
+}
+
+}  // namespace
+
+TEST(ModArith, BinaryModinvMatchesEuclid) {
+  rng::Stream stream(0x1a7);
+  std::size_t mismatches = 0;
+  std::size_t invertible = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    const auto bits = static_cast<unsigned>(2 + stream.below(63));
+    const u64 m = random_width(stream, bits) | (stream.bernoulli(0.9) ? 1 : 0);
+    const u64 a = stream.bernoulli(0.1) ? stream.next_u64() : stream.next_u64() % m;
+    const auto want = modinv_by_euclid(a, m);
+    if (modinv(a, m) != want) ++mismatches;
+    invertible += want.has_value();
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(invertible, 100'000u);  // both outcomes ran in bulk
+
+  // Edges: a in {0, 1, m-1}; non-invertible a (a multiple of a factor of
+  // m); moduli near 2^63 on both sides, the largest odd 64-bit value, the
+  // smallest moduli and even moduli (the Euclid branch).
+  const u64 big = u64{1} << 63;
+  for (u64 m : {u64{1}, u64{2}, u64{3}, u64{9}, u64{15}, u64{1000000007}, big - 25, big - 1,
+                big + 1, big + 3, ~u64{0}, ~u64{0} - 58, u64{3} * 1000000007,
+                u64{2147483647} * 2147483629}) {
+    for (u64 a : {u64{0}, u64{1}, u64{2}, m - 1, m, m + 1, u64{3}, u64{6}, u64{2147483647},
+                  u64{1000000007} * 2, ~u64{0}}) {
+      EXPECT_EQ(modinv(a, m), modinv_by_euclid(a, m)) << "a " << a << " m " << m;
+    }
+    for (int i = 0; i < 2000; ++i) {
+      const u64 a = stream.next_u64();
+      ASSERT_EQ(modinv(a, m), modinv_by_euclid(a, m)) << "a " << a << " m " << m;
+    }
+  }
+  EXPECT_FALSE(modinv(3 * 5, 3 * 1000000007ULL).has_value());
+  EXPECT_FALSE(modinv(2147483647ULL * 7, 2147483647ULL * 2147483629ULL).has_value());
+  EXPECT_EQ(modinv(1, big - 25), 1u);
+  EXPECT_EQ(modinv(big - 26, big - 25), big - 26);  // (m-1)^2 = 1
+}
+
 TEST(ModArith, ModinvRoundTrip) {
   const u64 m = 1000000007ULL;
   for (u64 a : {2ULL, 3ULL, 65537ULL, 999999999ULL}) {
@@ -107,6 +189,16 @@ TEST(Primality, KnownPrimesAndComposites) {
                 2147483647ULL * 2147483647ULL}) {
     EXPECT_FALSE(is_prime(c)) << c;
   }
+}
+
+TEST(Primality, WideCandidatesTakeTheDivisionLadder) {
+  // At 2^63 and above no Montgomery context exists; Miller-Rabin runs on
+  // the 128-bit `%` ladder and stays exact.
+  EXPECT_TRUE(is_prime(18446744073709551557ULL));   // 2^64 - 59, the largest
+  EXPECT_TRUE(is_prime(9223372036854775837ULL));    // the first above 2^63
+  EXPECT_FALSE(is_prime(9223372036854775835ULL));   // divisible by 5
+  EXPECT_FALSE(is_prime(4294967291ULL * 4294967279ULL));  // two 32-bit primes
+  EXPECT_TRUE(is_prime(9223372036854775783ULL));    // the last below 2^63
 }
 
 TEST(Primality, NextPrimeIsPrimeAndGeq) {
@@ -137,6 +229,45 @@ TEST(Rsa, KeypairSignVerifyRoundTrip) {
   for (u64 m : {u64{1}, u64{42}, kp.pub.n - 1, kp.pub.n / 2}) {
     const u64 sig = rsa_sign(kp, m);
     EXPECT_TRUE(rsa_verify(kp.pub, m, sig));
+  }
+}
+
+TEST(Rsa, CrtSignMatchesPlainPowmod) {
+  // CRT signing returns the unique residue m^d mod n: across many keys and
+  // messages it equals the plain exponentiation and the division ladder,
+  // and so does every CRT edge — m = 0, 1, n-1 and multiples of p or q,
+  // where one half of the CRT is 0.
+  rng::Stream stream(0x5167);
+  std::size_t mismatches = 0;
+  for (int k = 0; k < 2000; ++k) {
+    auto key_stream = stream.child("key", static_cast<u64>(k));
+    const RsaKeyPair kp = generate_keypair(key_stream);
+    ASSERT_EQ(kp.p * kp.q, kp.pub.n);
+    ASSERT_TRUE(kp.pub.has_ctx());
+    for (int i = 0; i < 20; ++i) {
+      const u64 m = stream.next_u64() % kp.pub.n;
+      if (rsa_sign(kp, m) != powmod(m, kp.d, kp.pub.n)) ++mismatches;
+    }
+    for (u64 m : {u64{0}, u64{1}, kp.pub.n - 1, kp.p, kp.q, kp.p * 2, kp.q * (kp.p - 1)}) {
+      ASSERT_EQ(rsa_sign(kp, m), powmod_by_division(m, kp.d, kp.pub.n))
+          << "key " << k << " m " << m;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  // A key assembled by hand keeps no primes or context; signing and
+  // verifying fall back to the plain path.
+  auto key_stream = stream.child("hand-built");
+  const RsaKeyPair full = generate_keypair(key_stream);
+  RsaKeyPair bare;
+  bare.pub.n = full.pub.n;
+  bare.pub.e = full.pub.e;
+  bare.d = full.d;
+  EXPECT_FALSE(bare.pub.has_ctx());
+  for (int i = 0; i < 100; ++i) {
+    const u64 m = stream.next_u64() % full.pub.n;
+    EXPECT_EQ(rsa_sign(bare, m), rsa_sign(full, m));
+    EXPECT_TRUE(rsa_verify(bare.pub, m, rsa_sign(full, m)));
   }
 }
 

@@ -301,8 +301,9 @@ TEST_F(SettlementTest, NoDeadlineNeverExpires) {
 
 TEST_F(SettlementTest, ReplayedReceiptAcrossTwoSettlementsRejected) {
   // The set re-forms: a sibling settlement for the same pair covers the same
-  // connection 1. A receipt redeemed under the first settlement is a replay
-  // against the second even though the second has never seen it.
+  // connection 1 under the pair's next set sequence. A receipt of the first
+  // set is bound to the first settlement's nonce, so the sibling refuses it
+  // even though the hop is on its records.
   const ForwardReceipt r = receipt_for(1, 1, 0, 2);
   EXPECT_EQ(engine_.submit_claim(sid_, accounts_[1], r), ClaimResult::kAccepted);
   engine_.close(sid_);
@@ -312,15 +313,67 @@ TEST_F(SettlementTest, ReplayedReceiptAcrossTwoSettlementsRejected) {
   ASSERT_TRUE(coins.has_value());
   auto escrow = bank_.open_escrow(*coins);
   ASSERT_TRUE(escrow.has_value());
+  ASSERT_EQ(engine_.next_set_seq(kPair), 1u);
   const SettlementId sibling =
       engine_.open(kPair, *escrow, SettlementTerms{p_f_, p_r_}, {PathRecord{1, 0, 4, {1, 2}}},
-                   bank_.open_pseudonymous_account());
+                   bank_.open_pseudonymous_account(), kNoSettlementDeadline, 1);
+  ASSERT_NE(sibling, kNoSettlement);
 
-  EXPECT_EQ(engine_.submit_claim(sibling, accounts_[1], r), ClaimResult::kDuplicate);
+  EXPECT_EQ(engine_.submit_claim(sibling, accounts_[1], r), ClaimResult::kUnknownSettlement);
   EXPECT_EQ(engine_.cross_settlement_replays(), 1u);
-  // An instance the first settlement never paid is still claimable here.
-  EXPECT_EQ(engine_.submit_claim(sibling, accounts_[2], receipt_for(2, 1, 1, 4)),
+  // The same hop under the sibling's own nonce is a different receipt, and
+  // an instance the first settlement never paid is claimable here too.
+  EXPECT_EQ(engine_.submit_claim(sibling, accounts_[1],
+                                 make_receipt(bank_.account_mac_key(accounts_[1]), kPair, 1, 1,
+                                              0, 2, /*set_seq=*/1)),
             ClaimResult::kAccepted);
+  EXPECT_EQ(engine_.submit_claim(sibling, accounts_[2],
+                                 make_receipt(bank_.account_mac_key(accounts_[2]), kPair, 1, 2,
+                                              1, 4, /*set_seq=*/1)),
+            ClaimResult::kAccepted);
+}
+
+TEST_F(SettlementTest, ClaimUnderAnotherSetsNonceRejected) {
+  // A valid MAC over the right hop and pair, but for set 1 of the pair: this
+  // settlement is set 0, so the receipt belongs to another settlement.
+  const ForwardReceipt r =
+      make_receipt(bank_.account_mac_key(accounts_[1]), kPair, 1, 1, 0, 2, /*set_seq=*/1);
+  EXPECT_EQ(engine_.submit_claim(sid_, accounts_[1], r), ClaimResult::kUnknownSettlement);
+  EXPECT_EQ(engine_.cross_settlement_replays(), 1u);
+  EXPECT_EQ(engine_.claims_rejected(), 1u);
+  EXPECT_EQ(engine_.state(sid_), SettlementState::kOpen);
+}
+
+TEST_F(SettlementTest, OpenUnderUsedNonceRefused) {
+  EXPECT_EQ(engine_.nonce(sid_), settlement_nonce(kPair));
+  EXPECT_TRUE(engine_.has_nonce(settlement_nonce(kPair)));
+  Wallet wallet(bank_, accounts_[0], rng::Stream(9).child("w3"));
+  auto coins = wallet.withdraw(p_f_ + p_r_);
+  ASSERT_TRUE(coins.has_value());
+  auto escrow = bank_.open_escrow(*coins);
+  ASSERT_TRUE(escrow.has_value());
+  // Set 0 of the pair is taken: refused, and nothing about the engine or
+  // the escrow moves.
+  EXPECT_EQ(engine_.open(kPair, *escrow, SettlementTerms{p_f_, p_r_},
+                         {PathRecord{1, 0, 4, {1}}}, refund_),
+            kNoSettlement);
+  EXPECT_EQ(engine_.settlement_count(), 1u);
+  EXPECT_EQ(bank_.escrow_balance(*escrow), p_f_ + p_r_);
+  EXPECT_EQ(engine_.submit_claim(kNoSettlement, accounts_[1], receipt_for(1, 1, 0, 2)),
+            ClaimResult::kUnknownSettlement);
+  // The next sequence opens; then it is taken as well.
+  ASSERT_EQ(engine_.next_set_seq(kPair), 1u);
+  const SettlementId second = engine_.open(kPair, *escrow, SettlementTerms{p_f_, p_r_},
+                                           {PathRecord{1, 0, 4, {1}}}, refund_,
+                                           kNoSettlementDeadline, 1);
+  EXPECT_EQ(second, 1u);
+  EXPECT_EQ(engine_.nonce(second), settlement_nonce(kPair, 1));
+  EXPECT_EQ(engine_.next_set_seq(kPair), 2u);
+  EXPECT_EQ(engine_.open(kPair, *escrow, SettlementTerms{p_f_, p_r_}, {}, refund_,
+                         kNoSettlementDeadline, 1),
+            kNoSettlement);
+  // Another pair's first set is still free.
+  EXPECT_EQ(engine_.next_set_seq(kPair + 1), 0u);
 }
 
 TEST(SettlementDeadline, ExpireDueSweepsOnlyPastDeadlines) {

@@ -2,8 +2,9 @@
 // SettlementEngine. The sequences mix honest claims, hops of multiplicity 2
 // (a node on several positions of one path with identical neighbours),
 // replays within a settlement and under a sibling settlement of the same
-// pair, stolen / forged / over-claimed / wrong-pair receipts, batched
-// claims, and claims raced past close, abandon and the deadline sweep.
+// pair (each sibling is a later set sequence, so its nonce differs),
+// stolen / forged / over-claimed / wrong-pair receipts, batched claims, and
+// claims raced past close, abandon and the deadline sweep.
 //
 // Three checks run together:
 //   * a small std::map reference model predicts every claim verdict, every
@@ -11,9 +12,9 @@
 //   * the C1–C5 money audit runs after every operation. C2 and the
 //     terminal-only half of C3 are expected open mid-run; C1, C4, C5 and
 //     each report's escrow_in == paid + refunded must hold throughout;
-//   * every verdict, every report field, the engine counters and
-//     redeemed_macs() fold into one committed FNV-1a digest, so any change
-//     in verdict, payout order or amount moves the pin.
+//   * every verdict, every report field, the engine counters and every
+//     settlement's nonce fold into one committed FNV-1a digest, so any
+//     change in verdict, payout order or amount moves the pin.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -49,6 +50,7 @@ using Hop = std::tuple<std::uint32_t, NodeId, NodeId, NodeId>;
 /// The reference model of one settlement.
 struct ModelSettlement {
   std::size_t pair_index = 0;
+  std::uint32_t set_seq = 0;  ///< earlier settlements of the same pair
   std::vector<PathRecord> records;
   std::vector<Hop> hops;  ///< every recorded hop in path order, repeats kept
   std::map<Hop, std::size_t> multiplicity;
@@ -188,7 +190,10 @@ class PinWorld {
     const PairSpec& pair = kPairs[m.pair_index];
     const ModelSettlement* sibling = nullptr;
     for (const ModelSettlement& s : model_) {
-      if (s.pair_index == m.pair_index) sibling = &s;
+      if (s.pair_index == m.pair_index) {
+        sibling = &s;
+        ++m.set_seq;
+      }
     }
     // A re-formed set re-submits its sibling's records: every receipt of the
     // sibling is on this settlement's paths too.
@@ -226,8 +231,8 @@ class PinWorld {
     const auto escrow = bank_.open_escrow(*coins);
     ASSERT_TRUE(escrow.has_value());
     const AccountId refund = bank_.open_pseudonymous_account();
-    const SettlementId sid =
-        engine_.open(pair.id, *escrow, {m.p_f, m.p_r}, m.records, refund, m.deadline);
+    const SettlementId sid = engine_.open(pair.id, *escrow, {m.p_f, m.p_r}, m.records, refund,
+                                          m.deadline, m.set_seq);
     EXPECT_EQ(sid, model_.size());
     EXPECT_EQ(engine_.forwarder_set_size(sid), m.set_size);
     EXPECT_EQ(engine_.state(sid), SettlementState::kOpen);
@@ -236,9 +241,12 @@ class PinWorld {
     model_.push_back(std::move(m));
   }
 
+  /// A receipt for `hop` under `pair` and the set sequence of `sid`.
   Claim receipt_claim(SettlementId sid, PairId pair, const Hop& hop) {
     const auto& [conn, fwd, pred, succ] = hop;
-    return Claim{sid, fwd, make_receipt(bank_.account_mac_key(fwd), pair, conn, fwd, pred, succ)};
+    return Claim{sid, fwd,
+                 make_receipt(bank_.account_mac_key(fwd), pair, conn, fwd, pred, succ,
+                              model_[sid].set_seq)};
   }
 
   /// An honest receipt for a recorded hop of `sid` (an over-claim when the
@@ -294,7 +302,6 @@ class PinWorld {
                     c.receipt.successor};
       if (++m.used[hop] == 2) ++cover_.multiplicity_two_accepts;
       ++m.instances[c.claimant];
-      redeemed_.emplace(c.receipt.mac, c.sid);
       ++accepted_;
     } else {
       ++m.rejected;
@@ -306,21 +313,20 @@ class PinWorld {
 
   ClaimResult model_verdict(const ModelSettlement& m, const Claim& c) {
     if (m.terminal) return ClaimResult::kNotOpen;
-    if (c.receipt.pair != kPairs[m.pair_index].id) return ClaimResult::kUnknownSettlement;
+    const PairId pair = kPairs[m.pair_index].id;
+    if (c.receipt.pair != pair || c.receipt.set_seq != m.set_seq) {
+      if (c.receipt.pair == pair) ++cross_replays_;  // a sibling set's receipt
+      return ClaimResult::kUnknownSettlement;
+    }
     if (c.claimant != c.receipt.forwarder) return ClaimResult::kWrongClaimant;
-    const ForwardReceipt expect =
-        make_receipt(bank_.account_mac_key(c.claimant), c.receipt.pair, c.receipt.conn_index,
-                     c.receipt.forwarder, c.receipt.predecessor, c.receipt.successor);
+    const ForwardReceipt expect = make_receipt(
+        bank_.account_mac_key(c.claimant), c.receipt.pair, c.receipt.conn_index,
+        c.receipt.forwarder, c.receipt.predecessor, c.receipt.successor, c.receipt.set_seq);
     if (expect.mac != c.receipt.mac) return ClaimResult::kBadMac;
     const Hop hop{c.receipt.conn_index, c.receipt.forwarder, c.receipt.predecessor,
                   c.receipt.successor};
     const auto valid = m.multiplicity.find(hop);
     if (valid == m.multiplicity.end()) return ClaimResult::kNotOnPath;
-    const auto redeemed = redeemed_.find(c.receipt.mac);
-    if (redeemed != redeemed_.end() && redeemed->second != c.sid) {
-      ++cross_replays_;
-      return ClaimResult::kDuplicate;
-    }
     const auto used = m.used.find(hop);
     if (used != m.used.end() && used->second >= valid->second) return ClaimResult::kDuplicate;
     return ClaimResult::kAccepted;
@@ -483,12 +489,11 @@ class PinWorld {
     fold_(engine_.claims_after_terminal());
     fold_(engine_.cross_settlement_replays());
 
-    std::vector<crypto::u64> expected_macs;
-    for (const auto& [mac, sid] : redeemed_) expected_macs.push_back(mac);
-    const std::vector<crypto::u64> macs = engine_.redeemed_macs();
-    EXPECT_EQ(macs, expected_macs);
-    fold_(macs.size());
-    for (crypto::u64 mac : macs) fold_(mac);
+    for (SettlementId sid = 0; sid < model_.size(); ++sid) {
+      const ModelSettlement& m = model_[sid];
+      EXPECT_EQ(engine_.nonce(sid), settlement_nonce(kPairs[m.pair_index].id, m.set_seq));
+      fold_(engine_.nonce(sid));
+    }
   }
 
   AuditLog journal_;
@@ -502,7 +507,6 @@ class PinWorld {
 
   std::vector<ModelSettlement> model_;
   std::vector<Claim> submitted_;
-  std::map<crypto::u64, SettlementId> redeemed_;
   std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t after_terminal_ = 0;
@@ -533,5 +537,5 @@ TEST(SettlementPin, VerdictsReportsAndRedeemedDigestsArePinned) {
 
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(fold.h));
-  EXPECT_STREQ(hex, "fd7d65a87bc0ec0e");
+  EXPECT_STREQ(hex, "e76edcc89d99bdd7");
 }
