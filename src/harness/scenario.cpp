@@ -65,6 +65,9 @@ std::string_view serial_only_knob(const ScenarioConfig& c) {
 std::string ScenarioConfig::validate(bool sharded_runner) const {
   const std::size_t n = overlay.node_count;
   if (n < 2) return out_of_range("overlay.node_count", n, "at least 2");
+  if (sharded_runner && n < 4) {
+    return out_of_range("overlay.node_count", n, "at least 4 for the sharded paper runner");
+  }
   if (overlay.degree < 1 || overlay.degree >= n) {
     return out_of_range("overlay.degree", overlay.degree,
                         "in [1, overlay.node_count = " + std::to_string(n) + ")");

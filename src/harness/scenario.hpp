@@ -120,9 +120,10 @@ struct ScenarioConfig {
   TransportBackend transport = TransportBackend::kSim;
 
   /// Empty when the runner runs this config as written, else a message
-  /// naming the first field out of range (any K) or, for the K > 1 runner,
-  /// the first kSerialOnly leaf (see for_each_config_field) that differs
-  /// from ScenarioConfig{}. Both runners throw std::invalid_argument with it.
+  /// naming the first field out of range (any K; the K > 1 runner also needs
+  /// overlay.node_count >= 4) or, for the K > 1 runner, the first
+  /// kSerialOnly leaf (see for_each_config_field) that differs from
+  /// ScenarioConfig{}. Both runners throw std::invalid_argument with it.
   [[nodiscard]] std::string validate() const { return validate(engine_shards > 1); }
   [[nodiscard]] std::string validate(bool sharded_runner) const;
 };

@@ -265,6 +265,31 @@ TEST(PaperSharded, RejectsUnimplementedKnobs) {
   EXPECT_EQ(refused, 33u);
 }
 
+TEST(PaperSharded, RejectsFewerThanFourNodes) {
+  // The K > 1 runner needs four nodes (PaperWorld asserts it). Three nodes
+  // of degree 2 pass the range checks every runner shares, so validate()
+  // must refuse them for this runner, by field name, before PaperWorld is
+  // built; the serial runner still accepts them.
+  ScenarioConfig cfg = small_config();
+  cfg.overlay.node_count = 3;
+  cfg.overlay.degree = 2;
+  cfg.engine_shards = 2;
+  const std::string refusal =
+      "ScenarioConfig::overlay.node_count = 3 must be at least 4 for the sharded paper runner";
+  EXPECT_EQ(cfg.validate(), refusal);
+  try {
+    (void)run_paper_scenario_sharded(cfg, nullptr);
+    ADD_FAILURE() << "the runner accepted overlay.node_count = 3";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), refusal);
+  }
+  cfg.overlay.node_count = 4;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.overlay.node_count = 3;
+  cfg.engine_shards = 1;
+  EXPECT_EQ(cfg.validate(), "");
+}
+
 TEST(PaperSharded, AcceptsImplementedConfigs) {
   // Paper defaults and both BENCH_full_scenario cell shapes
   // (scale_full_scenario cell_config); the tests above run their own
