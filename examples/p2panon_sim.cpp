@@ -8,6 +8,7 @@
 //
 // Prints the headline metrics (forwarder set, path quality, payoffs with
 // 95% CIs, latency, conservation check) and optionally appends a CSV row.
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include "harness/replicate.hpp"
 #include "harness/table.hpp"
@@ -50,9 +52,16 @@ void usage(const char* prog) {
       << "run control:\n"
       << "  --seed S           base seed (default 1)\n"
       << "  --replicates R     Monte-Carlo replicates (default 8)\n"
-      << "  --threads T        worker threads (default: hardware)\n"
+      << "  --threads T        worker threads (default: hardware; at most 4 per\n"
+      << "                     hardware thread)\n"
       << "  --csv FILE         append one CSV result row to FILE\n"
       << "  --help             this text\n";
+}
+
+/// Most worker threads --threads accepts: a small multiple of the hardware
+/// threads, so a mistyped count cannot ask for thousands of OS threads.
+std::size_t max_threads() {
+  return 4 * static_cast<std::size_t>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 /// Tiny argv reader: value-taking options pull the next token.
@@ -165,6 +174,10 @@ int main(int argc, char** argv) {
       replicates = args.next_count<std::size_t>(a);
     } else if (std::strcmp(a, "--threads") == 0) {
       threads = args.next_count<std::size_t>(a);
+      if (args.ok && threads > max_threads()) {
+        const std::string want = "at most " + std::to_string(max_threads());
+        args.refuse(a, argv[args.i], want.c_str());
+      }
     } else if (std::strcmp(a, "--csv") == 0) {
       csv_path = args.next_value(a);
     } else {
