@@ -4,6 +4,7 @@
     tools/bench/perfbench_row.py --repo DIR [--repo DIR2] --runs N [--seed S]
                                  [--workload W ...] [--note TEXT]
     tools/bench/perfbench_row.py --check
+    tools/bench/perfbench_row.py --compare
 
 Each --repo is a git checkout holding perfbench/run.py. The script runs every
 workload N times per checkout at its default length; with two or more
@@ -16,6 +17,11 @@ recorded reference fingerprints with no failed check.
 
 --check validates every row of the file against that schema, prints each
 violation and exits non-zero if there is any.
+
+--compare prints, per workload and end-to-end metric, the median of the
+last two rows (the earlier one first), the relative change, and whether the
+change exceeds the earlier row's interquartile range. It only prints: the
+exit status is 0 whatever the numbers say.
 """
 
 from __future__ import annotations
@@ -158,6 +164,28 @@ def check(path: Path) -> list[str]:
     return errors
 
 
+def compare(path: Path) -> list[str]:
+    """The --compare report of the file's last two rows, one line each."""
+    rows = json.loads(path.read_text()).get("rows", [])
+    if len(rows) < 2:
+        return [f"{path.name}: fewer than two rows, nothing to compare"]
+    old, new = rows[-2], rows[-1]
+    lines = [f"{path.name}: {old['commit']} ({old['pairs']} runs) -> "
+             f"{new['commit']} ({new['pairs']} runs), medians"]
+    for w in WORKLOADS:
+        if w not in old["workloads"] or w not in new["workloads"]:
+            continue
+        for m, unit in METRICS.items():
+            a, b = old["workloads"][w][m], new["workloads"][w][m]
+            change = (f"{100.0 * (b['median'] - a['median']) / a['median']:+7.1f}%"
+                      if a["median"] else "    n/a")
+            iqr = a["q3"] - a["q1"]
+            beyond = "beyond" if abs(b["median"] - a["median"]) > iqr else "within"
+            lines.append(f"  {w:17s} {m:17s} {a['median']:11.4g} -> {b['median']:11.4g} {unit:4s}"
+                         f" {change}  ({beyond} the earlier IQR {iqr:.3g})")
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repo", action="append", type=Path, default=[],
@@ -168,7 +196,13 @@ def main() -> int:
     ap.add_argument("--note", default="", help="free text stored with each row")
     ap.add_argument("--out", type=Path, default=DEFAULT_OUT)
     ap.add_argument("--check", action="store_true", help="validate the file and exit")
+    ap.add_argument("--compare", action="store_true",
+                    help="print the median change between the last two rows and exit")
     args = ap.parse_args()
+
+    if args.compare:
+        print("\n".join(compare(args.out)))
+        return 0
 
     if args.check:
         errors = check(args.out)
