@@ -376,6 +376,18 @@ TEST_F(SettlementTest, OpenUnderUsedNonceRefused) {
   EXPECT_EQ(engine_.next_set_seq(kPair + 1), 0u);
 }
 
+TEST(ReceiptMac, ValuesArePinned) {
+  // One hop's receipt under sets 0 and 1 of one pair, MAC'd under a fixed
+  // key: five keyed mix64 steps over the words (pair | set_seq << 32,
+  // conn_index, forwarder, predecessor, successor). The values were computed
+  // apart from this code; a change to crypto::mac or to receipt_words()
+  // moves them.
+  constexpr p2panon::payment::crypto::u64 kKey = 0x0123456789ABCDEFULL;
+  EXPECT_EQ(make_receipt(kKey, 42, 3, 7, 6, 8).mac, 0x8658BA48C093FEC8ULL);
+  EXPECT_EQ(make_receipt(kKey, 42, 3, 7, 6, 8, /*set_seq=*/1).mac, 0xD94C71FD027A0732ULL);
+  static_assert(make_receipt(kKey, 42, 3, 7, 6, 8).nonce() == 42);
+}
+
 TEST(SettlementDeadline, ExpireDueSweepsOnlyPastDeadlines) {
   Bank bank(rng::Stream(30).child("bank"));
   SettlementEngine engine(bank);

@@ -174,6 +174,20 @@ TEST_F(PlaneTest, ConservationPerPartitionAndGlobally) {
   (void)h2;
 }
 
+TEST(AggregatedClaimMac, ValueIsPinned) {
+  // Two receipts of one forwarder in one epoch of settlement 11, sealed
+  // under a fixed key: one mix64 chain over (settlement, claimant, epoch,
+  // count) and then each receipt's words and MAC. The value was computed
+  // apart from this code.
+  constexpr p2panon::payment::crypto::u64 kKey = 0xF00D;
+  AggregatedClaim claim;
+  claim.claimant = 3;
+  claim.epoch = 2;
+  claim.receipts = {make_receipt(kKey, 11, 1, 3, 0, 4), make_receipt(kKey, 11, 2, 3, 1, 5)};
+  seal_aggregated_claim(kKey, 11, claim);
+  EXPECT_EQ(claim.aggregate_mac, 0xC28572CF892FB6FBULL);
+}
+
 TEST_F(PlaneTest, ForgedAggregateMacRefusedBeforeEngine) {
   const SettlementKey key = 21;
   auto handle = plane_.open_settlement(key, static_cast<PairId>(key), 0, 4 * p_f_ + p_r_,
