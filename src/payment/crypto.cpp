@@ -74,7 +74,8 @@ std::optional<u64> modinv(u64 a, u64 m) noexcept {
 
 bool is_prime(u64 n) noexcept {
   if (n < 2) return false;
-  for (u64 p : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL, 19ULL, 23ULL, 29ULL, 31ULL, 37ULL}) {
+  for (u64 p : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL, 19ULL, 23ULL, 29ULL, 31ULL, 37ULL, 41ULL,
+                43ULL, 47ULL, 53ULL, 59ULL, 61ULL}) {
     if (n % p == 0) return n == p;
   }
   u64 d = n - 1;
@@ -83,13 +84,18 @@ bool is_prime(u64 n) noexcept {
     d >>= 1;
     ++s;
   }
-  // These witnesses make Miller-Rabin deterministic for all n < 3.3e24.
-  // Every candidate generate_keypair tries is below 2^63, where one
-  // Montgomery context serves all twelve witnesses.
+  // Deterministic witness sets: {2, 7, 61} is exact below 4,759,123,141,
+  // which holds every ~31-bit key prime; the twelve primes to 37 are exact
+  // for all n < 3.3e24. Every candidate is above 61 here, so no witness is
+  // a multiple of n. Below 2^63 one Montgomery context serves them all.
+  static constexpr std::array<u64, 3> kSmallWitnesses{2, 7, 61};
+  static constexpr std::array<u64, 12> kWitnesses{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+  const std::span<const u64> witnesses =
+      n < 4759123141ULL ? std::span<const u64>{kSmallWitnesses} : std::span<const u64>{kWitnesses};
   const bool mont = montgomery_modulus(n);
   const Montgomery ctx = mont ? Montgomery(n) : Montgomery();
-  for (u64 a : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL, 19ULL, 23ULL, 29ULL, 31ULL, 37ULL}) {
-    u64 x = mont ? powmod(ctx, a, d) : powmod(a, d, n);  // n > 37, so a < n
+  for (const u64 a : witnesses) {
+    u64 x = mont ? powmod(ctx, a, d) : powmod(a, d, n);
     if (x == 1 || x == n - 1) continue;
     bool composite = true;
     for (int i = 0; i < s - 1; ++i) {
@@ -131,8 +137,8 @@ RsaKeyPair generate_keypair(sim::rng::Stream& stream) noexcept {
     kp.q = q;
     kp.dp = *d % (p - 1);
     kp.dq = *d % (q - 1);
-    kp.mont_p = Montgomery(p);
-    kp.mont_q = Montgomery(q);
+    kp.mont_p = Montgomery32(p);
+    kp.mont_q = Montgomery32(q);
     kp.q_inv = kp.mont_p.to(*modinv(q, p));  // distinct primes: invertible
     return kp;
   }
@@ -142,17 +148,19 @@ u64 rsa_sign(const RsaKeyPair& key, u64 message) noexcept {
   assert(message < key.pub.n);
   if (key.p == 0) return powmod(message, key.d, key.pub.n);
   // m^dp mod p and m^dq mod q, one ladder each, run side by side so the two
-  // dependency chains overlap. The exponent bits select with masks, not
-  // branches: they are secret-shaped and unpredictable.
-  const Montgomery& mp = key.mont_p;
-  const Montgomery& mq = key.mont_q;
+  // dependency chains overlap. An exponent bit picks the factor (the base
+  // power or 1) with a mask, off the result's chain: the bits are
+  // unpredictable, and a branch or a select after the product would sit
+  // on it.
+  const Montgomery32& mp = key.mont_p;
+  const Montgomery32& mq = key.mont_q;
   u64 rp = mp.one(), rq = mq.one();
   u64 bp = mp.to(message), bq = mq.to(message);
   for (u64 ep = key.dp, eq = key.dq; (ep | eq) != 0; ep >>= 1, eq >>= 1) {
-    const u64 tp = mp.mul(rp, bp);
-    const u64 tq = mq.mul(rq, bq);
-    rp ^= (tp ^ rp) & (u64{0} - (ep & 1));
-    rq ^= (tq ^ rq) & (u64{0} - (eq & 1));
+    const u64 take_p = u64{0} - (ep & 1);
+    const u64 take_q = u64{0} - (eq & 1);
+    rp = mp.mul(rp, (bp & take_p) | (mp.one() & ~take_p));
+    rq = mq.mul(rq, (bq & take_q) | (mq.one() & ~take_q));
     bp = mp.mul(bp, bp);
     bq = mq.mul(bq, bq);
   }

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <set>
+#include <vector>
 
 using namespace p2panon::payment::crypto;
 namespace rng = p2panon::sim::rng;
@@ -189,6 +190,43 @@ TEST(Primality, KnownPrimesAndComposites) {
                 2147483647ULL * 2147483647ULL}) {
     EXPECT_FALSE(is_prime(c)) << c;
   }
+}
+
+TEST(Primality, MatchesTrialDivision) {
+  // Below 4,759,123,141 is_prime runs the witness set {2, 7, 61}; above it
+  // the twelve primes to 37. Random candidates on both sides, and the
+  // boundary itself (48781 * 97561, the first strong pseudoprime to all of
+  // 2, 7 and 61), agree with trial division by every prime below 2^17.
+  std::vector<u64> primes;
+  std::vector<bool> composite(1 << 17, false);
+  for (u64 i = 2; i < composite.size(); ++i) {
+    if (composite[i]) continue;
+    primes.push_back(i);
+    for (u64 j = i * i; j < composite.size(); j += i) composite[j] = true;
+  }
+  const auto by_division = [&primes](u64 n) {
+    if (n < 2) return false;
+    for (const u64 p : primes) {
+      if (p * p > n) return true;
+      if (n % p == 0) return n == p;
+    }
+    return true;
+  };
+  EXPECT_FALSE(is_prime(4759123141ULL));
+  rng::Stream stream(0x9e1);
+  std::size_t mismatches = 0;
+  std::size_t found = 0;
+  for (int i = 0; i < 60'000; ++i) {
+    const u64 n = stream.below(u64{1} << 34) | (i % 2 == 0 ? 1 : 0);
+    const bool want = by_division(n);
+    if (is_prime(n) != want) ++mismatches;
+    found += want;
+  }
+  for (u64 n = 4759123141ULL - 2000; n < 4759123141ULL + 2000; ++n) {
+    if (is_prime(n) != by_division(n)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(found, 1000u);
 }
 
 TEST(Primality, WideCandidatesTakeTheDivisionLadder) {
