@@ -125,8 +125,10 @@ Amount Bank::total_money() const {
 
 std::optional<std::vector<Coin>> Wallet::withdraw(Amount total) {
   assert(total >= 0);
+  const std::vector<Amount> denoms = decompose_amount(total);
   std::vector<Coin> coins;
-  for (Amount denom : decompose_amount(total)) {
+  coins.reserve(denoms.size());
+  for (Amount denom : denoms) {
     const crypto::RsaPublicKey& key = bank_.denomination_key(denom);
     Coin c;
     c.denomination = denom;
@@ -144,7 +146,7 @@ std::optional<std::vector<Coin>> Wallet::withdraw(Amount total) {
       return std::nullopt;
     }
     c.signature = crypto::unblind(key, *blind_sig, blinding);
-    assert(c.verify(key));
+    assert(crypto::rsa_verify(key, msg, c.signature));  // c.verify(key), message reused
     coins.push_back(c);
   }
   return coins;

@@ -177,25 +177,31 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
   // forwarders that never claimed are refunded to the initiator, never
   // redistributed (otherwise claimants would profit from suppressing other
   // nodes' claims).
-  const std::vector<Amount> shares =
-      s.set_size > 0 ? split_evenly(s.terms.routing_benefit, s.set_size) : std::vector<Amount>{};
+  // The shares are split_evenly(P_r, ||pi||): the first P_r mod ||pi||
+  // shares carry one unit more. Every payee is a recorded forwarder, so
+  // no more than ||pi|| shares are handed out.
+  const auto set_size = static_cast<Amount>(s.set_size);
+  const Amount share = set_size > 0 ? s.terms.routing_benefit / set_size : 0;
+  const Amount larger_shares = s.terms.routing_benefit - share * set_size;
 
-  // Payout order: ascending account id.
-  std::vector<std::pair<AccountId, Amount>> instances;
-  for (const ForwarderTally& f : s.forwarders) {
-    if (f.instances > 0) instances.emplace_back(f.claimant, f.instances);
-  }
-  std::sort(instances.begin(), instances.end());
-  report.payouts.reserve(instances.size());
-  std::size_t share_idx = 0;
-  for (const auto& [acct, m] : instances) {
-    Amount due = m * s.terms.forwarding_benefit;
-    if (share_idx < shares.size()) due += shares[share_idx++];
-    const bool ok = bank_.escrow_pay(s.escrow, acct, due);
+  // Payout order: ascending account id. The paid tallies move to the front
+  // and sort there (the tallies are released below).
+  const auto paid_end = std::remove_if(s.forwarders.begin(), s.forwarders.end(),
+                                       [](const ForwarderTally& f) { return f.instances == 0; });
+  std::sort(s.forwarders.begin(), paid_end, [](const ForwarderTally& a, const ForwarderTally& b) {
+    return a.claimant < b.claimant;
+  });
+  report.payouts.reserve(static_cast<std::size_t>(paid_end - s.forwarders.begin()));
+  Amount share_idx = 0;
+  for (auto f = s.forwarders.begin(); f != paid_end; ++f) {
+    const auto m = static_cast<Amount>(f->instances);
+    const Amount due =
+        m * s.terms.forwarding_benefit + share + (share_idx++ < larger_shares ? 1 : 0);
+    const bool ok = bank_.escrow_pay(s.escrow, f->claimant, due);
     assert(ok && "escrow underfunded for verified claims");
     if (ok) {
       report.paid_out += due;
-      report.payouts.emplace_back(acct, due);
+      report.payouts.emplace_back(f->claimant, due);
       report.accepted_claims += static_cast<std::size_t>(m);
     }
   }
