@@ -37,8 +37,8 @@
 // schedule the reconciliation pass asserts C1-C5 *per bank partition* (each
 // partition is an independent money universe: conserved, all settlements
 // terminal, escrows drained, journal replay + payouts match, expired
-// refunds) AND globally after the merge (merged conservation, no receipt
-// redeemed by two partitions). Any violation names the schedule and exits
+// refunds) AND globally after the merge (merged conservation, no settlement
+// nonce opened on two partitions). Any violation names the schedule and exits
 // non-zero.
 //
 // Summary counters are written atomically to BENCH_chaos_settlement.json
@@ -263,7 +263,7 @@ std::vector<double> run_plane_schedule(std::uint64_t seed, std::size_t index) {
   }
   if (!rec.global_conserved) fail("C1 (global): merged balances not conserved", UINT32_MAX);
   if (rec.cross_partition_replays != 0) {
-    fail("C4 (global): a receipt was redeemed by two partitions", UINT32_MAX);
+    fail("C4 (global): a settlement nonce was opened on two partitions", UINT32_MAX);
   }
   if (rec.expired > 0 && closed == kSettlements) {
     fail("C5 (global): expiries reported on an all-closed schedule", UINT32_MAX);

@@ -37,7 +37,7 @@
 //
 // Receipt-bearing messages serialise payment::ForwardReceipt through
 // receipt_words() — the same canonical field enumeration the MAC and the
-// sharded settlement plane's aggregate digest walk — so the wire image and
+// sharded settlement plane's aggregate MAC walk — so the wire image and
 // the in-memory struct cannot drift (see payment/receipt.hpp).
 #pragma once
 

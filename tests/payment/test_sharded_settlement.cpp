@@ -2,7 +2,7 @@
 // batched claim submission is outcome-identical to sequential submit_claim,
 // every bank partition conserves money independently AND the merged view
 // conserves globally, a forged aggregate MAC refuses the whole batch before
-// the engine sees it, and a receipt redeemed by two different bank
+// the engine sees it, and a settlement nonce opened on two different bank
 // partitions — impossible through the routed entry points — is caught by
 // the merge reconciliation's cross-partition uniqueness check.
 #include "payment/sharded_settlement.hpp"
@@ -234,9 +234,10 @@ TEST_F(PlaneTest, ExpiredSettlementRefundsAndReconciles) {
 TEST_F(PlaneTest, CrossPartitionReplayCaughtByReconciliation) {
   // Route pair 11 to its home partition honestly, then smuggle one of its
   // receipts into a *different* partition's engine by bypassing the routed
-  // entry points. Each engine's redeemed-MAC map is partition-local, so the
-  // smuggled copy is accepted there — only the merge reconciliation's
-  // global-uniqueness pass can catch it, and must.
+  // entry points. Each engine's nonce ledger is partition-local, so the
+  // foreign engine opens the pair's nonce again and accepts the smuggled
+  // copy — only the merge reconciliation's global nonce-uniqueness pass
+  // can catch it, and must.
   const SettlementKey key = 11;
   const SettlementHandle home = settle_pair(key);
   const std::uint32_t other = (home.partition + 1) % kPartitions;

@@ -44,7 +44,7 @@ R7 atomic artifacts
 R8 bank-partition ownership
     In ``src/``, ``bench/`` and ``examples/``, ``partition(...).engine.*()``
     and ``partition(...).bank.*()`` bypass the settlement plane's key
-    routing, aggregate-MAC verification and the owning engine's replay map.
+    routing, aggregate-MAC verification and the owning engine's nonce ledger.
     Mutations go through the plane's routed entry points; reads belong on
     ``partition_view(...)``, which the rule deliberately does not match.
 
@@ -1005,7 +1005,7 @@ def check_bank_partition_ownership(files: List[SourceFile], ctx: Context) -> Ite
                 "R8", sf.real, line_of(sf.stripped, m.start()),
                 "direct partition(...).engine/bank access bypasses the settlement "
                 "plane's routed entry points (key routing, aggregate-MAC "
-                "verification, the owning engine's replay map); a receipt redeemed "
+                "verification, the owning engine's nonce ledger); a settlement opened "
                 "this way is invisible until the merge reconciliation. Use "
                 "open_settlement / submit_aggregated_claim / close_settlement / "
                 "expire_due (reads: partition_view), or annotate the site with "
