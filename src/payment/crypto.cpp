@@ -137,8 +137,8 @@ RsaKeyPair generate_keypair(sim::rng::Stream& stream) noexcept {
     kp.q = q;
     kp.dp = *d % (p - 1);
     kp.dq = *d % (q - 1);
-    kp.mont_p = Montgomery32(p);
-    kp.mont_q = Montgomery32(q);
+    kp.mont_p = Montgomery(p);
+    kp.mont_q = Montgomery(q);
     kp.q_inv = kp.mont_p.to(*modinv(q, p));  // distinct primes: invertible
     return kp;
   }
@@ -152,8 +152,8 @@ u64 rsa_sign(const RsaKeyPair& key, u64 message) noexcept {
   // power or 1) with a mask, off the result's chain: the bits are
   // unpredictable, and a branch or a select after the product would sit
   // on it.
-  const Montgomery32& mp = key.mont_p;
-  const Montgomery32& mq = key.mont_q;
+  const Montgomery& mp = key.mont_p;
+  const Montgomery& mq = key.mont_q;
   u64 rp = mp.one(), rq = mq.one();
   u64 bp = mp.to(message), bq = mq.to(message);
   for (u64 ep = key.dp, eq = key.dq; (ep | eq) != 0; ep >>= 1, eq >>= 1) {

@@ -89,43 +89,6 @@ class Montgomery {
   u64 r2_ = 0;  ///< R^2 mod m
 };
 
-/// Half-width Montgomery arithmetic modulo an odd m < 2^31 with R = 2^32:
-/// every product is one 64-bit multiply, so the CRT halves of a signature
-/// (two ~31-bit primes) run on single-word multiplies.
-class Montgomery32 {
- public:
-  constexpr Montgomery32() noexcept = default;
-
-  constexpr explicit Montgomery32(u64 m) noexcept : m_(m) {
-    auto inv = static_cast<std::uint32_t>(m);  // Newton, as above: 3 -> 48 bits
-    for (int i = 0; i < 4; ++i) inv *= 2 - static_cast<std::uint32_t>(m) * inv;
-    neg_inv_ = ~inv + 1;
-    r1_ = (u64{1} << 32) % m;
-    r3_ = r1_ * r1_ % m * r1_ % m;
-  }
-
-  /// x -> x*R mod m for x < m * 2^32 — every message below n = p*q, since
-  /// the other prime is below 2^32. Two REDCs: x*R^-1, then times R^3.
-  [[nodiscard]] constexpr u64 to(u64 x) const noexcept { return mul(reduce(x), r3_); }
-  [[nodiscard]] constexpr u64 from(u64 x) const noexcept { return reduce(x); }
-  /// Product in Montgomery form, for a, b < m.
-  [[nodiscard]] constexpr u64 mul(u64 a, u64 b) const noexcept { return reduce(a * b); }
-  [[nodiscard]] constexpr u64 one() const noexcept { return r1_; }
-
- private:
-  /// REDC: T*R^-1 mod m for T < m*R; m < 2^31 keeps T + q*m below 2^64.
-  [[nodiscard]] constexpr u64 reduce(u64 t) const noexcept {
-    const std::uint32_t q = static_cast<std::uint32_t>(t) * neg_inv_;
-    const u64 r = (t + static_cast<u64>(q) * m_) >> 32;
-    return r >= m_ ? r - m_ : r;
-  }
-
-  u64 m_ = 0;
-  std::uint32_t neg_inv_ = 0;  ///< -m^-1 mod 2^32
-  u64 r1_ = 0;                 ///< R mod m
-  u64 r3_ = 0;                 ///< R^3 mod m
-};
-
 /// True when `m` can take a Montgomery context: odd and in (1, 2^63).
 [[nodiscard]] constexpr bool montgomery_modulus(u64 m) noexcept {
   return (m & 1) != 0 && m > 1 && m < (u64{1} << 63);
@@ -234,9 +197,8 @@ struct RsaPublicKey {
   friend bool operator==(const RsaPublicKey&, const RsaPublicKey&) = default;
 };
 
-/// The private key in CRT form: d plus the primes (each below 2^31, as
-/// generate_keypair draws them), d mod (p-1), d mod (q-1) and q^-1 mod p,
-/// with a half-width Montgomery context per prime.
+/// The private key in CRT form: d plus the primes, d mod (p-1), d mod (q-1)
+/// and q^-1 mod p, with a Montgomery context per prime.
 struct RsaKeyPair {
   RsaPublicKey pub;
   u64 d = 0;  ///< private exponent
@@ -245,8 +207,8 @@ struct RsaKeyPair {
   u64 dp = 0;     ///< d mod (p-1)
   u64 dq = 0;     ///< d mod (q-1)
   u64 q_inv = 0;  ///< q^-1 mod p, in Montgomery form mod p
-  Montgomery32 mont_p;
-  Montgomery32 mont_q;
+  Montgomery mont_p;
+  Montgomery mont_q;
 };
 
 /// Generate an RSA keypair with two ~31-bit primes drawn from the stream.
