@@ -188,7 +188,8 @@ struct RsaPublicKey {
   u64 n = 0;  ///< modulus
   u64 e = 0;  ///< public exponent
   /// Montgomery context of n, built by generate_keypair. A key assembled by
-  /// hand may leave it empty; ctx() then builds one per call.
+  /// hand may leave it empty; the functions below then take the per-call
+  /// powmod / mulmod path.
   Montgomery mont;
 
   [[nodiscard]] bool valid() const noexcept { return n > 1 && e > 1; }
