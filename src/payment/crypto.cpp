@@ -146,7 +146,6 @@ RsaKeyPair generate_keypair(sim::rng::Stream& stream) noexcept {
 
 u64 rsa_sign(const RsaKeyPair& key, u64 message) noexcept {
   assert(message < key.pub.n);
-  if (key.p == 0) return powmod(message, key.d, key.pub.n);
   // m^dp mod p and m^dq mod q, one ladder each, run side by side so the two
   // dependency chains overlap. An exponent bit picks the factor (the base
   // power or 1) with a mask, off the result's chain: the bits are
@@ -175,29 +174,26 @@ u64 rsa_sign(const RsaKeyPair& key, u64 message) noexcept {
 
 bool rsa_verify(const RsaPublicKey& key, u64 message, u64 signature) noexcept {
   if (!key.valid() || message >= key.n || signature >= key.n) return false;
-  const u64 lifted = key.has_ctx() ? powmod(key.mont, signature, key.e)
-                                   : powmod(signature, key.e, key.n);
-  return lifted == message;
+  assert(key.mont.modulus() == key.n);
+  return powmod(key.mont, signature, key.e) == message;
 }
 
 Blinding blind(const RsaPublicKey& key, u64 message, sim::rng::Stream& stream) noexcept {
-  assert(key.valid() && message < key.n);
+  assert(key.valid() && message < key.n && key.mont.modulus() == key.n);
   for (;;) {
     const u64 r = stream.next_u64() % key.n;
     if (r < 2) continue;
     const auto inv = modinv(r, key.n);
     if (!inv) continue;  // r shares a factor with n (astronomically unlikely)
     Blinding b;
-    b.blinded_message = key.has_ctx()
-                            ? key.mont.mulmod(message, powmod(key.mont, r, key.e))
-                            : mulmod(message, powmod(r, key.e, key.n), key.n);
+    b.blinded_message = key.mont.mulmod(message, powmod(key.mont, r, key.e));
     b.unblinder = *inv;
     return b;
   }
 }
 
 u64 unblind(const RsaPublicKey& key, u64 blind_signature, const Blinding& blinding) noexcept {
-  if (!key.has_ctx()) return mulmod(blind_signature, blinding.unblinder, key.n);
+  assert(key.mont.modulus() == key.n);
   return key.mont.mulmod(blind_signature, blinding.unblinder);
 }
 

@@ -187,14 +187,11 @@ inline constexpr u64 kFnvInit = 0xCBF29CE484222325ULL;
 struct RsaPublicKey {
   u64 n = 0;  ///< modulus
   u64 e = 0;  ///< public exponent
-  /// Montgomery context of n, built by generate_keypair. A key assembled by
-  /// hand may leave it empty; the functions below then take the per-call
-  /// powmod / mulmod path.
+  /// Montgomery context of n, built by generate_keypair (every key comes
+  /// from there; the functions below assert that the context is n's).
   Montgomery mont;
 
   [[nodiscard]] bool valid() const noexcept { return n > 1 && e > 1; }
-  /// True when the cached context is the one for n.
-  [[nodiscard]] bool has_ctx() const noexcept { return mont.modulus() == n; }
   friend bool operator==(const RsaPublicKey&, const RsaPublicKey&) = default;
 };
 
@@ -203,7 +200,7 @@ struct RsaPublicKey {
 struct RsaKeyPair {
   RsaPublicKey pub;
   u64 d = 0;  ///< private exponent
-  u64 p = 0;  ///< first prime; 0 on a hand-built key (rsa_sign then uses d)
+  u64 p = 0;  ///< first prime
   u64 q = 0;  ///< second prime
   u64 dp = 0;     ///< d mod (p-1)
   u64 dq = 0;     ///< d mod (q-1)
