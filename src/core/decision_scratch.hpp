@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/flat_hash.hpp"
+#include "sim/flat_hash.hpp"
 
 namespace p2panon::core {
 
@@ -44,10 +44,10 @@ class DecisionScratch {
   /// is frozen); recursive evaluators must check this before lookup/store.
   [[nodiscard]] bool armed() const noexcept { return armed_; }
 
-  [[nodiscard]] bool lookup(PackedKey key, double* out) const noexcept {
+  [[nodiscard]] bool lookup(sim::PackedKey key, double* out) const noexcept {
     const std::size_t mask = slots_.size() - 1;
     const std::size_t home =
-        static_cast<std::size_t>(hash_packed_key_fast(key) >> (64 - kLog2Slots));
+        static_cast<std::size_t>(sim::hash_packed_key_fast(key) >> (64 - kLog2Slots));
     for (std::size_t p = 0; p < kProbes; ++p) {
       const Slot& s = slots_[(home + p) & mask];
       if (s.generation == generation_ && s.key == key) {
@@ -58,10 +58,10 @@ class DecisionScratch {
     return false;
   }
 
-  void store(PackedKey key, double value) noexcept {
+  void store(sim::PackedKey key, double value) noexcept {
     const std::size_t mask = slots_.size() - 1;
     const std::size_t home =
-        static_cast<std::size_t>(hash_packed_key_fast(key) >> (64 - kLog2Slots));
+        static_cast<std::size_t>(sim::hash_packed_key_fast(key) >> (64 - kLog2Slots));
     std::size_t victim = home;
     for (std::size_t p = 0; p < kProbes; ++p) {
       const std::size_t i = (home + p) & mask;
@@ -79,7 +79,7 @@ class DecisionScratch {
 
  private:
   struct Slot {
-    PackedKey key;
+    sim::PackedKey key;
     std::uint64_t generation = 0;  // 0 never matches: generation_ starts at 1
     double value = 0.0;
   };

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/flat_hash.hpp"
+#include "sim/flat_hash.hpp"
 #include "net/ids.hpp"
 
 namespace p2panon::core {
@@ -73,15 +73,15 @@ class HistoryProfile {
   [[nodiscard]] std::vector<HistoryEntry> entries() const;
 
  private:
-  [[nodiscard]] static PackedKey edge_key(net::PairId pair, net::NodeId predecessor,
-                                          net::NodeId successor) noexcept {
-    return PackedKey::of(pair, predecessor, successor);
+  [[nodiscard]] static sim::PackedKey edge_key(net::PairId pair, net::NodeId predecessor,
+                                               net::NodeId successor) noexcept {
+    return sim::PackedKey::of(pair, predecessor, successor);
   }
-  [[nodiscard]] static PackedKey position_key(net::PairId pair,
-                                              net::NodeId predecessor) noexcept {
+  [[nodiscard]] static sim::PackedKey position_key(net::PairId pair,
+                                                   net::NodeId predecessor) noexcept {
     // Disambiguated from edge keys by the successor slot no real edge uses:
     // kInvalidNode never appears as a stored successor.
-    return PackedKey::of(pair, predecessor, net::kInvalidNode, 1);
+    return sim::PackedKey::of(pair, predecessor, net::kInvalidNode, 1);
   }
 
   void remove_from_index(const HistoryEntry& entry);
@@ -94,7 +94,7 @@ class HistoryProfile {
   std::size_t head_ = 0;
   /// Edge-key -> multiplicity, position-key -> denominator; one table keeps
   /// both so a record touches a single allocation-free index.
-  PackedFlatMap<std::uint32_t> counts_;
+  sim::PackedFlatMap<std::uint32_t> counts_;
 };
 
 /// History profiles for all nodes of an overlay, indexed by node id.

@@ -44,7 +44,7 @@ double equilibrium_onward(const RoutingContext& ctx, net::NodeId holder,
   if (holder == ctx.responder) return 0.0;
 
   DecisionScratch& scratch = ctx.resources.scratch;
-  const PackedKey key = PackedKey::of(holder, stages_left, 0, kScratchEquilibrium);
+  const sim::PackedKey key = sim::PackedKey::of(holder, stages_left, 0, kScratchEquilibrium);
   double cached = 0.0;
   if (scratch.lookup(key, &cached)) return cached;
 

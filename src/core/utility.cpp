@@ -33,7 +33,7 @@ double best_onward_quality(const RoutingContext& ctx, net::NodeId from, net::Nod
   // value bitwise.
   DecisionScratch& scratch = ctx.resources.scratch;
   const net::NodeId canonical = at_position == 0 ? net::kInvalidNode : pred;
-  const PackedKey key = PackedKey::of(from, canonical, depth, kScratchLookahead);
+  const sim::PackedKey key = sim::PackedKey::of(from, canonical, depth, kScratchLookahead);
   double cached = 0.0;
   if (scratch.armed() && scratch.lookup(key, &cached)) return cached;
 

@@ -59,7 +59,7 @@ DepositResult Bank::deposit_coin(AccountId id, const Coin& coin) {
   auto it = denom_keys_.find(coin.denomination);
   if (it == denom_keys_.end()) return DepositResult::kUnknownDenomination;
   if (!coin.verify(it->second.pub)) return DepositResult::kBadSignature;
-  if (!spent_.insert(spent_key(coin))) return DepositResult::kDoubleSpend;
+  if (!spent_.insert(spent_key(coin)).second) return DepositResult::kDoubleSpend;
   accounts_.at(id).balance += coin.denomination;
   outstanding_ -= coin.denomination;
   journal(TxKind::kDeposit, id, 0, coin.denomination);

@@ -17,9 +17,9 @@
 #include "net/ids.hpp"
 #include "payment/audit.hpp"
 #include "payment/crypto.hpp"
-#include "payment/flat_set.hpp"
 #include "payment/money.hpp"
 #include "payment/token.hpp"
+#include "sim/flat_hash.hpp"
 #include "sim/rng.hpp"
 
 namespace p2panon::payment {
@@ -121,17 +121,17 @@ class Bank {
   /// The denomination's key pair, generated on first use.
   [[nodiscard]] const crypto::RsaKeyPair& key_pair(Amount denom);
 
-  /// A coin's spent-ledger key: its serial and denomination, mixed.
-  [[nodiscard]] static crypto::u64 spent_key(const Coin& c) noexcept {
-    return sim::rng::mix64(c.serial ^ sim::rng::mix64(static_cast<crypto::u64>(c.denomination)));
+  /// A coin's spent-ledger key: its serial and denomination.
+  [[nodiscard]] static sim::PackedKey spent_key(const Coin& c) noexcept {
+    return sim::PackedKey{c.serial, static_cast<std::uint64_t>(c.denomination)};
   }
 
   sim::rng::Stream stream_;
   std::vector<Account> accounts_;
   std::unordered_map<net::NodeId, AccountId> by_owner_;
   std::map<Amount, crypto::RsaKeyPair> denom_keys_;
-  /// Spent-coin ledger keyed by spent_key().
-  FlatKeySet spent_;
+  /// Spent-coin ledger keyed by spent_key() (a set: the value is unused).
+  sim::PackedFlatMap<bool> spent_;
   std::vector<Amount> escrows_;
   Amount outstanding_ = 0;
   AuditLog* audit_ = nullptr;

@@ -1,7 +1,6 @@
 #include "payment/settlement.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <map>
 #include <utility>
@@ -25,7 +24,7 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
                                     std::uint32_t set_seq) {
   assert(terms.forwarding_benefit >= 0 && terms.routing_benefit >= 0);
   const SettlementNonce nonce = settlement_nonce(pair, set_seq);
-  if (!nonces_.insert(nonce)) return kNoSettlement;  // one settlement per nonce
+  if (!nonces_.insert(sim::PackedKey{nonce}).second) return kNoSettlement;  // one per nonce
   Settlement s;
   s.nonce = nonce;
   s.escrow = escrow;
@@ -36,12 +35,11 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
   std::size_t instances = 0;
   for (const PathRecord& rec : records) instances += rec.forwarders.size();
   s.hops.reserve(instances);
+  s.hop_index.reserve(2 * instances);  // at most half full: short claim probes
   s.forwarders.reserve(instances);
-  s.hop_slots.assign(std::bit_ceil(std::max<std::size_t>(2, 2 * instances)), 0);
-  // The forwarders get a temporary index of the same shape: slot holds the
-  // forwarder's index + 1.
-  std::vector<std::uint32_t> forwarder_slots(s.hop_slots.size(), 0);
-  const std::size_t mask = forwarder_slots.size() - 1;
+  // node -> index into s.forwarders, for this build only.
+  sim::PackedFlatMap<std::uint32_t> forwarder_index;
+  forwarder_index.reserve(instances);
   std::vector<std::uint32_t> conns;
   conns.reserve(records.size());
   for (const PathRecord& rec : records) {
@@ -50,22 +48,17 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
     for (std::size_t i = 0; i < rec.forwarders.size(); ++i) {
       const net::NodeId fwd = rec.forwarders[i];
       const net::NodeId succ = i + 1 < rec.forwarders.size() ? rec.forwarders[i + 1] : rec.exit;
-      std::size_t f = sim::rng::mix64(fwd) & mask;
-      while (forwarder_slots[f] != 0 && s.forwarders[forwarder_slots[f] - 1].node != fwd) {
-        f = (f + 1) & mask;
-      }
-      if (forwarder_slots[f] == 0) {
+      auto [forwarder, new_forwarder] = forwarder_index.insert(sim::PackedKey::of(fwd, 0));
+      if (new_forwarder) {
+        forwarder = static_cast<std::uint32_t>(s.forwarders.size());
         s.forwarders.push_back(ForwarderTally{fwd});
-        forwarder_slots[f] = static_cast<std::uint32_t>(s.forwarders.size());
       }
-      const std::uint64_t where = std::uint64_t{fwd} << 32 | rec.conn_index;
-      const std::uint64_t link = std::uint64_t{pred} << 32 | succ;
-      std::uint32_t& slot = hop_slot(s, where, link);
-      if (slot != 0) {
-        ++s.hops[slot - 1].multiplicity;  // a repeat of one hop
+      auto [hop, new_hop] = s.hop_index.insert(hop_key(fwd, rec.conn_index, pred, succ));
+      if (new_hop) {
+        hop = static_cast<std::uint32_t>(s.hops.size());
+        s.hops.push_back(Hop{1, 0, forwarder});
       } else {
-        s.hops.push_back(Hop{where, link, 1, 0, forwarder_slots[f] - 1});
-        slot = static_cast<std::uint32_t>(s.hops.size());
+        ++s.hops[hop].multiplicity;  // a repeat of one hop
       }
       pred = fwd;
     }
@@ -76,18 +69,6 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
   const auto id = static_cast<SettlementId>(settlements_.size());
   settlements_.push_back(std::move(s));
   return id;
-}
-
-std::uint32_t& SettlementEngine::hop_slot(Settlement& s, std::uint64_t where,
-                                          std::uint64_t link) {
-  const std::size_t mask = s.hop_slots.size() - 1;
-  for (std::size_t i = sim::rng::mix64(where ^ link * 0x9E3779B97F4A7C15ULL) & mask;;
-       i = (i + 1) & mask) {
-    std::uint32_t& slot = s.hop_slots[i];
-    if (slot == 0) return slot;
-    const Hop& hop = s.hops[slot - 1];
-    if (hop.where == where && hop.link == link) return slot;
-  }
 }
 
 std::uint32_t SettlementEngine::next_set_seq(net::PairId pair) const {
@@ -113,25 +94,28 @@ ClaimResult SettlementEngine::submit_claim(SettlementId id, AccountId claimant,
     ++claims_after_terminal_;
     return reject(ClaimResult::kNotOpen);
   }
-  if (receipt.nonce() != s.nonce) {
-    // Bound to another settlement; when it names this pair, it is a receipt
-    // of a sibling set (a re-formed set settles under its own nonce).
-    if (receipt.pair == static_cast<net::PairId>(s.nonce)) ++cross_settlement_replays_;
-    return reject(ClaimResult::kUnknownSettlement);
-  }
   // The claimant must be the account bound to the forwarder named in the
   // receipt — you cannot redeem someone else's receipt, and a pseudonymous
   // account is bound to no forwarder. So one forwarder has one claimant.
-  if (claimant_owner != receipt.forwarder || claimant_owner == net::kInvalidNode) {
-    return reject(ClaimResult::kWrongClaimant);
+  const bool right_claimant =
+      claimant_owner == receipt.forwarder && claimant_owner != net::kInvalidNode;
+  if (receipt.nonce() != s.nonce) {
+    // Bound to another settlement; when an authentic receipt names this
+    // pair, it is a sibling set's (a re-formed set settles under its own
+    // nonce).
+    if (receipt.pair == static_cast<net::PairId>(s.nonce) && right_claimant &&
+        receipt_mac(mac_key, receipt) == receipt.mac) {
+      ++cross_settlement_replays_;
+    }
+    return reject(ClaimResult::kUnknownSettlement);
   }
+  if (!right_claimant) return reject(ClaimResult::kWrongClaimant);
   // MAC must verify under the claimant's registered key.
   if (receipt_mac(mac_key, receipt) != receipt.mac) return reject(ClaimResult::kBadMac);
-  const std::uint32_t slot =
-      hop_slot(s, std::uint64_t{receipt.forwarder} << 32 | receipt.conn_index,
-               std::uint64_t{receipt.predecessor} << 32 | receipt.successor);
-  if (slot == 0) return reject(ClaimResult::kNotOnPath);  // over-claim
-  Hop& hop = s.hops[slot - 1];
+  const std::uint32_t* index = s.hop_index.find(
+      hop_key(receipt.forwarder, receipt.conn_index, receipt.predecessor, receipt.successor));
+  if (index == nullptr) return reject(ClaimResult::kNotOnPath);  // over-claim
+  Hop& hop = s.hops[*index];
   if (hop.used >= hop.multiplicity) {
     return reject(ClaimResult::kDuplicate);  // replay beyond the hop's multiplicity
   }
@@ -177,12 +161,10 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
   // forwarders that never claimed are refunded to the initiator, never
   // redistributed (otherwise claimants would profit from suppressing other
   // nodes' claims).
-  // The shares are split_evenly(P_r, ||pi||): the first P_r mod ||pi||
-  // shares carry one unit more. Every payee is a recorded forwarder, so
-  // no more than ||pi|| shares are handed out.
-  const auto set_size = static_cast<Amount>(s.set_size);
-  const Amount share = set_size > 0 ? s.terms.routing_benefit / set_size : 0;
-  const Amount larger_shares = s.terms.routing_benefit - share * set_size;
+  // The shares are split_evenly(P_r, ||pi||), taken in payout order. Every
+  // payee is a recorded forwarder, so no more than ||pi|| shares are
+  // handed out.
+  const EvenSplit routing_shares = even_split(s.terms.routing_benefit, s.set_size);
 
   // Payout order: ascending account id. The paid tallies move to the front
   // and sort there (the tallies are released below).
@@ -192,11 +174,10 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
     return a.claimant < b.claimant;
   });
   report.payouts.reserve(static_cast<std::size_t>(paid_end - s.forwarders.begin()));
-  Amount share_idx = 0;
+  std::size_t share_idx = 0;
   for (auto f = s.forwarders.begin(); f != paid_end; ++f) {
     const auto m = static_cast<Amount>(f->instances);
-    const Amount due =
-        m * s.terms.forwarding_benefit + share + (share_idx++ < larger_shares ? 1 : 0);
+    const Amount due = m * s.terms.forwarding_benefit + routing_shares.share(share_idx++);
     const bool ok = bank_.escrow_pay(s.escrow, f->claimant, due);
     assert(ok && "escrow underfunded for verified claims");
     if (ok) {
@@ -217,7 +198,7 @@ const SettlementReport& SettlementEngine::finalize(SettlementId id, SettlementSt
   s.report = std::move(report);
   // No claim reaches a terminal settlement's hops again.
   s.hops = std::vector<Hop>{};
-  s.hop_slots = std::vector<std::uint32_t>{};
+  s.hop_index = sim::PackedFlatMap<std::uint32_t>{};
   s.forwarders = std::vector<ForwarderTally>{};
   return *s.report;
 }

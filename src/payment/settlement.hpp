@@ -51,6 +51,7 @@
 
 #include "payment/bank.hpp"
 #include "payment/receipt.hpp"
+#include "sim/flat_hash.hpp"
 #include "sim/types.hpp"
 
 namespace p2panon::payment {
@@ -154,7 +155,9 @@ class SettlementEngine {
   [[nodiscard]] std::uint32_t next_set_seq(net::PairId pair) const;
 
   /// True when `nonce` already opened a settlement here.
-  [[nodiscard]] bool has_nonce(SettlementNonce nonce) const { return nonces_.contains(nonce); }
+  [[nodiscard]] bool has_nonce(SettlementNonce nonce) const {
+    return nonces_.contains(sim::PackedKey{nonce});
+  }
 
   /// Submit one receipt as a claim by `claimant`.
   ClaimResult submit_claim(SettlementId id, AccountId claimant, const ForwardReceipt& receipt);
@@ -215,18 +218,17 @@ class SettlementEngine {
   [[nodiscard]] std::uint64_t claims_after_terminal() const noexcept {
     return claims_after_terminal_;
   }
-  /// Receipts of one set of a pair claimed against another set's
-  /// settlement (refused as kUnknownSettlement).
+  /// Authentic receipts of one set of a pair — right claimant, MAC
+  /// verified — claimed against another set's settlement (refused as
+  /// kUnknownSettlement, like every receipt under another nonce).
   [[nodiscard]] std::uint64_t cross_settlement_replays() const noexcept {
     return cross_settlement_replays_;
   }
 
  private:
-  /// One distinct validated hop: `where` is forwarder << 32 | conn_index
-  /// and `link` predecessor << 32 | successor.
+  /// One distinct validated hop, keyed in Settlement::hop_index by
+  /// hop_key().
   struct Hop {
-    std::uint64_t where = 0;
-    std::uint64_t link = 0;
     /// Positions the hop occupies on the validated paths: a node may occupy
     /// several positions on one path, and in degenerate cycles even with
     /// identical neighbours.
@@ -255,12 +257,11 @@ class SettlementEngine {
     SettlementState state = SettlementState::kOpen;
     sim::Time deadline = kNoSettlementDeadline;
     /// The validated hops, one entry per distinct hop in record order. This
-    /// and the two vectors below are built once in open() and released at
+    /// and the two members below are built once in open() and released at
     /// terminalisation.
     std::vector<Hop> hops;
-    /// Open-addressed index of `hops`: a power-of-two slot array at most
-    /// half full, each slot a hop's index + 1 (0 is empty).
-    std::vector<std::uint32_t> hop_slots;
+    /// hop_key() -> index into `hops`.
+    sim::PackedFlatMap<std::uint32_t> hop_index;
     /// The distinct forwarders, in record order.
     std::vector<ForwarderTally> forwarders;
     std::size_t set_size = 0;  ///< distinct forwarders in records: ||pi||
@@ -270,17 +271,19 @@ class SettlementEngine {
     std::optional<SettlementReport> report;  ///< set on terminalisation
   };
 
-  /// The slot of `s.hop_slots` holding hop (where, link), or the empty slot
-  /// where it would go.
-  static std::uint32_t& hop_slot(Settlement& s, std::uint64_t where, std::uint64_t link);
+  [[nodiscard]] static sim::PackedKey hop_key(net::NodeId forwarder, std::uint32_t conn_index,
+                                              net::NodeId predecessor,
+                                              net::NodeId successor) noexcept {
+    return sim::PackedKey::of(forwarder, conn_index, predecessor, successor);
+  }
 
   /// The one place money moves: pays verified claims, refunds the rest,
   /// stamps the terminal state. Callers must have first-wins-checked.
   const SettlementReport& finalize(SettlementId id, SettlementState outcome);
 
   std::vector<Settlement> settlements_;
-  /// Every nonce that opened a settlement.
-  FlatKeySet nonces_;
+  /// Every nonce that opened a settlement (a set: the value is unused).
+  sim::PackedFlatMap<bool> nonces_;
   Bank& bank_;
   std::uint64_t claims_accepted_ = 0;
   std::uint64_t claims_rejected_ = 0;

@@ -1,21 +1,27 @@
-// Packed-key open-addressing hash table for the per-hop decision stack.
+// Packed-key open-addressing hash table: the one probing table of the
+// program.
 //
-// The routing hot path indexes small fixed-width composite keys —
+// Hot paths index small fixed-width composite keys — the decision stack's
 // (pair, predecessor, successor) history counts and (from, pred, depth)
-// lookahead states. A node-based std::map/unordered_map pays an allocation
-// plus pointer chases per probe; this table packs each composite key into
-// 128 bits and resolves lookups with linear probing over one contiguous
-// slot array, so the steady-state cost of a hit is a single cache line.
-// Erase uses backward-shift deletion (no tombstones), keeping probe
-// sequences short under the record/evict churn of bounded history profiles.
+// lookahead states, the settlement engine's (forwarder, connection,
+// predecessor, successor) hops, the bank's spent coins and used settlement
+// nonces. A node-based std::map/unordered_map pays an allocation plus
+// pointer chases per probe; this table packs each composite key into 128
+// bits and resolves lookups with linear probing over one contiguous slot
+// array, so the steady-state cost of a hit is a single cache line. Erase
+// uses backward-shift deletion (no tombstones), keeping probe sequences
+// short under the record/evict churn of bounded history profiles.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
-namespace p2panon::core {
+namespace p2panon::sim {
 
 /// A 128-bit composite key assembled from up to four 32-bit ids.
 struct PackedKey {
@@ -81,7 +87,11 @@ class PackedFlatMap {
   }
 
   /// Value slot for `key`, inserting a default-constructed one when absent.
-  [[nodiscard]] Value& get_or_insert(PackedKey key) {
+  [[nodiscard]] Value& get_or_insert(PackedKey key) { return insert(key).first; }
+
+  /// Like get_or_insert, and also true when `key` was absent (a set's
+  /// insert).
+  std::pair<Value&, bool> insert(PackedKey key) {
     if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) grow();
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = hash_packed_key(key) & mask;; i = (i + 1) & mask) {
@@ -91,10 +101,17 @@ class PackedFlatMap {
         s.key = key;
         s.value = Value{};
         ++size_;
-        return s.value;
+        return {s.value, true};
       }
-      if (s.key == key) return s.value;
+      if (s.key == key) return {s.value, false};
     }
+  }
+
+  [[nodiscard]] bool contains(PackedKey key) const noexcept { return find(key) != nullptr; }
+
+  /// Size the slot array so `n` entries fit without growing.
+  void reserve(std::size_t n) {
+    if (n * 4 > slots_.size() * 3) rehash(std::bit_ceil(std::max<std::size_t>(16, n * 4 / 3 + 1)));
   }
 
   /// Remove `key` if present; true when an entry was erased.
@@ -131,9 +148,13 @@ class PackedFlatMap {
     bool used = false;
   };
 
-  void grow() {
+  void grow() { rehash(slots_.empty() ? 16 : slots_.size() * 2); }
+
+  /// Move every entry into a fresh array of `capacity` (a power of two)
+  /// slots.
+  void rehash(std::size_t capacity) {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    slots_.assign(capacity, Slot{});
     const std::size_t mask = slots_.size() - 1;
     for (Slot& s : old) {
       if (!s.used) continue;
@@ -147,4 +168,4 @@ class PackedFlatMap {
   std::size_t size_ = 0;
 };
 
-}  // namespace p2panon::core
+}  // namespace p2panon::sim

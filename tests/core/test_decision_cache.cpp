@@ -14,7 +14,7 @@
 
 #include "core/decision_scratch.hpp"
 #include "core/edge_quality.hpp"
-#include "core/flat_hash.hpp"
+#include "sim/flat_hash.hpp"
 #include "core/game.hpp"
 #include "core/spne_routing.hpp"
 #include "core/suspicion.hpp"
@@ -22,6 +22,8 @@
 #include "fixtures.hpp"
 
 using namespace p2panon::core;
+using p2panon::sim::PackedFlatMap;
+using p2panon::sim::PackedKey;
 using p2panon::net::kInvalidNode;
 using p2panon::net::NodeId;
 using p2ptest::StableWorld;
@@ -62,6 +64,23 @@ TEST(PackedFlatMap, SurvivesGrowthAndChurn) {
     }
   }
   EXPECT_EQ(m.size(), present);
+}
+
+TEST(PackedFlatMap, InsertReportsNewKeysAcrossReserve) {
+  // insert() is the set operation the ledgers use: true once per key, and
+  // a reserve() between inserts keeps every entry.
+  PackedFlatMap<std::uint32_t> m;
+  EXPECT_TRUE(m.insert(PackedKey{0}).second);  // the all-zero key is a key
+  EXPECT_FALSE(m.insert(PackedKey{0}).second);
+  m.insert(PackedKey::of(7, 8)).first = 5;
+  m.reserve(1000);
+  for (std::uint32_t i = 1; i < 1000; ++i) EXPECT_TRUE(m.insert(PackedKey::of(i, 0, 1)).second);
+  auto [value, inserted] = m.insert(PackedKey::of(7, 8));
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(value, 5u);
+  EXPECT_TRUE(m.contains(PackedKey{0}));
+  EXPECT_FALSE(m.contains(PackedKey::of(1000, 0, 1)));
+  EXPECT_EQ(m.size(), 1001u);
 }
 
 TEST(PackedFlatMap, DistinctKeysDoNotAlias) {

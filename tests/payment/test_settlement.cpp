@@ -340,7 +340,18 @@ TEST_F(SettlementTest, ClaimUnderAnotherSetsNonceRejected) {
       make_receipt(bank_.account_mac_key(accounts_[1]), kPair, 1, 1, 0, 2, /*set_seq=*/1);
   EXPECT_EQ(engine_.submit_claim(sid_, accounts_[1], r), ClaimResult::kUnknownSettlement);
   EXPECT_EQ(engine_.cross_settlement_replays(), 1u);
-  EXPECT_EQ(engine_.claims_rejected(), 1u);
+  // Set-1 receipts that are not authentic — a forged MAC, or an account
+  // that does not own the forwarder — are refused the same way but are no
+  // replay.
+  ForwardReceipt forged = r;
+  forged.mac ^= 1;
+  EXPECT_EQ(engine_.submit_claim(sid_, accounts_[1], forged), ClaimResult::kUnknownSettlement);
+  const ForwardReceipt misdirected =
+      make_receipt(bank_.account_mac_key(accounts_[2]), kPair, 1, 1, 0, 2, /*set_seq=*/1);
+  EXPECT_EQ(engine_.submit_claim(sid_, accounts_[2], misdirected),
+            ClaimResult::kUnknownSettlement);
+  EXPECT_EQ(engine_.cross_settlement_replays(), 1u);
+  EXPECT_EQ(engine_.claims_rejected(), 3u);
   EXPECT_EQ(engine_.state(sid_), SettlementState::kOpen);
 }
 
