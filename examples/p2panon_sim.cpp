@@ -43,7 +43,8 @@ void usage(const char* prog) {
       << "contract & routing:\n"
       << "  --strategy S       random | utility1 | utility2 | spne (default utility1)\n"
       << "  --tau T            P_r = tau * P_f (default 2; paper sweeps 0.5..4)\n"
-      << "  --w-selectivity W  edge-quality history weight w_s (default 0.5)\n"
+      << "  --w-selectivity W  edge-quality history weight w_s in [0, 1] (default 0.5;\n"
+      << "                     w_a = 1 - W)\n"
       << "  --termination T    crowds | ttl (default crowds)\n"
       << "  --p-forward P      Crowds forwarding probability (default 0.75)\n"
       << "  --ttl H            hop bound for ttl termination (default 4)\n"

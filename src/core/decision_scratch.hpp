@@ -1,16 +1,19 @@
 // Per-replicate decision resources: the reusable memo arena behind the
-// Utility-Model-II bounded lookahead and the SPNE backward induction. Every
-// RoutingContext carries one: subproblem values go through the memo while a
-// DecisionScope is open.
+// Utility-Model-II bounded lookahead and the SPNE backward induction, and the
+// candidate buffer of the hop decisions. Every RoutingContext carries one:
+// subproblem values go through the memo while a DecisionScope is open.
 //
-// One hop decision = one RoutingStrategy::choose call. The world (overlay
-// liveness, history, probing estimates) is frozen for its duration — the
-// simulator is single-threaded and no events run inside a decision — so
-// subproblem values keyed by (node, predecessor, remaining depth) may be
-// shared across the candidate subtrees of that one decision. DecisionScratch
-// realises this as a generation-tagged, fixed-size, lossy memo table: a
-// strategy arms it for the span of one choose() via DecisionScope (bumping
-// the generation invalidates every earlier entry in O(1)), recursive
+// The memo lives for one synchronous PathBuilder::build, or for one hop
+// decision of the event-driven runner. No event runs inside either — the
+// simulator is single-threaded — so the world (overlay liveness, history,
+// probing estimates) is frozen for that span, and subproblem values keyed
+// by (node, predecessor, remaining depth) or (holder, stages left) may be
+// shared across the candidate subtrees of a decision and across the hops
+// of one build. The async runner lets events run between hops, so each of
+// its decisions opens its own generation. DecisionScratch realises this as
+// a generation-tagged, fixed-size, lossy memo table: DecisionScope arms it
+// (bumping the generation invalidates every earlier entry in O(1); a scope
+// opened inside an armed one keeps the outer generation), recursive
 // evaluators consult it only while armed, and a missed or evicted entry is
 // simply recomputed — eviction can never change a value, only its cost.
 // Steady state performs no allocation.
@@ -19,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/ids.hpp"
 #include "sim/flat_hash.hpp"
 
 namespace p2panon::core {
@@ -31,8 +35,8 @@ enum ScratchMode : std::uint32_t {
 
 class DecisionScratch {
  public:
-  /// Start a new hop decision: all entries of earlier decisions become
-  /// stale at once. Use DecisionScope rather than calling this directly.
+  /// Start a new memo lifetime: all entries of earlier ones become stale at
+  /// once. Use DecisionScope rather than calling this directly.
   void begin_decision() {
     if (slots_.empty()) slots_.assign(std::size_t{1} << kLog2Slots, Slot{});
     ++generation_;
@@ -40,17 +44,20 @@ class DecisionScratch {
   }
   void end_decision() noexcept { armed_ = false; }
 
-  /// Memoisation is only sound while a decision is in progress (the world
-  /// is frozen); recursive evaluators must check this before lookup/store.
+  /// Memoisation is only sound while a scope is open (the world is
+  /// frozen); recursive evaluators must check this before lookup/store.
   [[nodiscard]] bool armed() const noexcept { return armed_; }
 
+  /// Within one generation a slot never goes stale again, and store() takes
+  /// the first stale slot of the window, so a stored key has no stale slot
+  /// before it: the probe stops at the first one.
   [[nodiscard]] bool lookup(sim::PackedKey key, double* out) const noexcept {
     const std::size_t mask = slots_.size() - 1;
-    const std::size_t home =
-        static_cast<std::size_t>(sim::hash_packed_key_fast(key) >> (64 - kLog2Slots));
+    const std::size_t home = home_slot(key);
     for (std::size_t p = 0; p < kProbes; ++p) {
       const Slot& s = slots_[(home + p) & mask];
-      if (s.generation == generation_ && s.key == key) {
+      if (s.generation != generation_) return false;
+      if (s.key == key) {
         *out = s.value;
         return true;
       }
@@ -60,9 +67,8 @@ class DecisionScratch {
 
   void store(sim::PackedKey key, double value) noexcept {
     const std::size_t mask = slots_.size() - 1;
-    const std::size_t home =
-        static_cast<std::size_t>(sim::hash_packed_key_fast(key) >> (64 - kLog2Slots));
-    std::size_t victim = home;
+    const std::size_t home = home_slot(key);
+    std::size_t victim = home;  // a full window evicts its home slot
     for (std::size_t p = 0; p < kProbes; ++p) {
       const std::size_t i = (home + p) & mask;
       if (slots_[i].generation != generation_) {
@@ -77,15 +83,21 @@ class DecisionScratch {
     slots_[victim] = Slot{key, generation_, value};
   }
 
+  /// Slots a key may occupy, starting at its home slot.
+  static constexpr std::size_t kProbes = 8;
+  static constexpr std::size_t kLog2Slots = 12;
+
+  /// The first slot of `key`'s probe window.
+  [[nodiscard]] static std::size_t home_slot(sim::PackedKey key) noexcept {
+    return static_cast<std::size_t>(sim::hash_packed_key_fast(key) >> (64 - kLog2Slots));
+  }
+
  private:
   struct Slot {
     sim::PackedKey key;
     std::uint64_t generation = 0;  // 0 never matches: generation_ starts at 1
     double value = 0.0;
   };
-
-  static constexpr std::size_t kProbes = 8;
-  static constexpr std::size_t kLog2Slots = 12;
 
   std::vector<Slot> slots_;
   std::uint64_t generation_ = 0;
@@ -95,23 +107,33 @@ class DecisionScratch {
 /// Everything one replicate's decision stack shares across hop decisions.
 /// Owned by a PathBuilder (or by a test or bench) and threaded through
 /// RoutingContext. Construction allocates nothing: the memo sizes its table
-/// on first use.
+/// on first use, and the candidate buffer grows to the largest candidate
+/// set once.
 struct DecisionResources {
   DecisionScratch scratch;
+  /// PathBuilder's candidate list for the hop being decided; refilled by
+  /// every decision.
+  std::vector<net::NodeId> candidates;
 };
 
-/// RAII armer: strategies open one scope per choose() call.
+/// RAII armer. PathBuilder::build opens one scope for the whole build and
+/// strategies open one per choose() call; a scope opened while the scratch
+/// is already armed leaves the outer generation and arming alone.
 class DecisionScope {
  public:
-  explicit DecisionScope(DecisionResources& resources) : scratch_(resources.scratch) {
-    scratch_.begin_decision();
+  explicit DecisionScope(DecisionResources& resources)
+      : scratch_(resources.scratch), outermost_(!scratch_.armed()) {
+    if (outermost_) scratch_.begin_decision();
   }
-  ~DecisionScope() { scratch_.end_decision(); }
+  ~DecisionScope() {
+    if (outermost_) scratch_.end_decision();
+  }
   DecisionScope(const DecisionScope&) = delete;
   DecisionScope& operator=(const DecisionScope&) = delete;
 
  private:
   DecisionScratch& scratch_;
+  bool outermost_;
 };
 
 }  // namespace p2panon::core

@@ -18,7 +18,8 @@
 // memoised lookahead collapse predecessor-distinct states that are
 // numerically identical (see core/utility and core/decision_scratch), and
 // a denominator of at most k - 1 bounds sigma by 1 (see
-// EdgeQualityEvaluator::edges_at_most_direct).
+// EdgeQualityEvaluator::Position, which also skips the per-successor count
+// probe when the denominator is zero).
 #pragma once
 
 #include <cstdint>

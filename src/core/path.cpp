@@ -4,12 +4,22 @@
 
 namespace p2panon::core {
 
-std::vector<net::NodeId> PathBuilder::candidates_for(const RoutingContext& ctx,
-                                                     net::NodeId holder, net::NodeId pred,
-                                                     bool first_hop,
-                                                     std::uint32_t* declined) const {
-  std::vector<net::NodeId> out;
-  out.reserve(nodes_.degree + 1);
+namespace {
+
+/// Capacity build() gives a path up front: the initiator, up to six
+/// forwarders and the responder, which covers about 82 % of Crowds paths at
+/// the paper's p_forward = 0.75 (more than six forwarders has probability
+/// 0.75^6). A longer path grows as before.
+constexpr std::size_t kReservedNodes = 8;
+
+}  // namespace
+
+std::vector<net::NodeId>& PathBuilder::candidates_for(const RoutingContext& ctx,
+                                                      net::NodeId holder, net::NodeId pred,
+                                                      bool first_hop,
+                                                      std::uint32_t* declined) const {
+  std::vector<net::NodeId>& out = ctx.resources.candidates;
+  out.clear();
   for (net::NodeId c : nodes_.neighbors_of(holder)) {
     if (c == holder || c == pred || !nodes_.appears_online(c)) continue;
     if (c == ctx.responder) {
@@ -54,7 +64,8 @@ PathBuilder::HopOutcome PathBuilder::next_hop(const RoutingContext& ctx, net::No
   if (forwarders_so_far >= cfg_.max_forwarders) deliver = true;
 
   if (!deliver) {
-    auto candidates = candidates_for(ctx, holder, pred, first_hop, &out.declined);
+    std::vector<net::NodeId>& candidates =
+        candidates_for(ctx, holder, pred, first_hop, &out.declined);
     if (candidates.empty() && pred != net::kInvalidNode && nodes_.appears_online(pred)) {
       // Only the sender itself is available: bouncing back beats failing.
       candidates.push_back(pred);
@@ -83,8 +94,13 @@ BuiltPath PathBuilder::build(net::PairId pair, std::uint32_t conn_index, net::No
                              sim::rng::Stream& stream) const {
   assert(initiator != responder);
   RoutingContext ctx{nodes_, links_, quality_, contract, pair, conn_index, responder, resources_};
+  // No event runs inside a build, so the world is frozen for all its hops:
+  // one memo generation serves every decision (each choose() scope nests).
+  DecisionScope scope(resources_);
 
   BuiltPath path;
+  path.nodes.reserve(kReservedNodes);
+  path.edge_qualities.reserve(kReservedNodes - 1);
   path.nodes.push_back(initiator);
 
   net::NodeId holder = initiator;

@@ -70,7 +70,8 @@ class PathBuilder {
   /// Form the path for connection `conn_index` (1-based) of `pair` from
   /// `initiator` to `responder` under `contract`, with per-node strategies
   /// from `strategies`. Randomness (termination coins, adversary picks)
-  /// comes from `stream`.
+  /// comes from `stream`. The whole build is one DecisionScope: every hop
+  /// decision shares one memo generation.
   [[nodiscard]] BuiltPath build(net::PairId pair, std::uint32_t conn_index,
                                 net::NodeId initiator, net::NodeId responder,
                                 const Contract& contract, const StrategyAssignment& strategies,
@@ -79,7 +80,9 @@ class PathBuilder {
   /// One hop decision, exposed for event-driven (asynchronous) formation:
   /// given the holder's situation, either deliver to the responder
   /// (delivered = true) or forward to `next`. `forwarders_so_far` feeds the
-  /// hop-count termination policy and the loop guard.
+  /// hop-count termination policy and the loop guard. Opens no scope of its
+  /// own: called outside build(), each decision gets its own memo generation
+  /// from the strategy, since events may run between hops.
   struct HopOutcome {
     net::NodeId next = net::kInvalidNode;
     double edge_quality = 0.0;
@@ -100,10 +103,12 @@ class PathBuilder {
   /// predecessor is excluded (a forwarder never bounces the payload straight
   /// back) unless it is the only live option; longer revisit cycles remain
   /// possible, which is why history entries are keyed by predecessor.
-  [[nodiscard]] std::vector<net::NodeId> candidates_for(const RoutingContext& ctx,
-                                                        net::NodeId holder, net::NodeId pred,
-                                                        bool first_hop,
-                                                        std::uint32_t* declined) const;
+  /// Refills and returns ctx.resources.candidates, so a hop allocates
+  /// nothing once the buffer has grown.
+  [[nodiscard]] std::vector<net::NodeId>& candidates_for(const RoutingContext& ctx,
+                                                         net::NodeId holder, net::NodeId pred,
+                                                         bool first_hop,
+                                                         std::uint32_t* declined) const;
 
   const net::NodeStateSoA& nodes_;
   const net::LinkModel& links_;

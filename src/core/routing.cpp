@@ -22,16 +22,18 @@ namespace {
 
 /// Shared argmax loop: pick the candidate with the highest utility, breaking
 /// utility ties toward the higher-quality edge (paper §2.2), then toward the
-/// lower node id for determinism. The edge quality is resolved once per
-/// candidate and handed to the utility callback, which needs the same value.
+/// lower node id for determinism. self's position is resolved once, the
+/// edge quality once per candidate and handed to the utility callback, which
+/// needs the same value.
 template <typename UtilityFn>
 HopChoice argmax_choice(const RoutingContext& ctx, net::NodeId self, net::NodeId pred,
                         std::span<const net::NodeId> candidates, UtilityFn&& utility_of) {
   assert(!candidates.empty());
+  const EdgeQualityEvaluator::Position at = ctx.position(self, pred);
   HopChoice best;
   bool have = false;
   for (net::NodeId j : candidates) {
-    const double q = ctx.edge_q(self, j, pred);
+    const double q = at.quality(j);
     const double u = utility_of(j, q);
     const bool better =
         !have || u > best.utility ||
@@ -60,8 +62,9 @@ HopChoice UtilityModelIIRouting::choose(const RoutingContext& ctx, net::NodeId s
                                         net::NodeId pred,
                                         std::span<const net::NodeId> candidates,
                                         sim::rng::Stream& /*stream*/) const {
-  // One memo generation for the whole decision: candidate lookahead trees
-  // overlap heavily and share their subproblem values.
+  // One memo generation for at least the whole decision (PathBuilder::build
+  // holds one for all its hops): candidate lookahead trees overlap heavily
+  // and share their subproblem values.
   DecisionScope scope(ctx.resources);
   return argmax_choice(ctx, self, pred, candidates, [&](net::NodeId j, double q) {
     return model2_utility_with_q(ctx, self, j, depth_, q);

@@ -55,9 +55,10 @@ double equilibrium_onward(const RoutingContext& ctx, net::NodeId holder,
                          transmission_cost(ctx, holder, ctx.responder));
 
   if (stages_left > 0) {
+    const EdgeQualityEvaluator::Position at = ctx.position(holder, net::kInvalidNode);
     for (net::NodeId j : ctx.nodes.neighbors_of(holder)) {
       if (j == holder || !ctx.nodes.appears_online(j) || j == ctx.responder) continue;
-      const double q_ij = ctx.edge_q(holder, j, net::kInvalidNode);
+      const double q_ij = at.quality(j);
       const double onward = q_ij + equilibrium_onward(ctx, j, stages_left - 1);
       const double u = ctx.contract.forwarding_benefit + onward * ctx.contract.routing_benefit() -
                        (participation_cost(ctx, holder) + transmission_cost(ctx, holder, j));
@@ -85,6 +86,10 @@ HopChoice SpneRouting::choose(const RoutingContext& ctx, net::NodeId self, net::
   // equilibrium continuation values of the lazy memoised DFS above.
   DecisionScope scope(ctx.resources);
 
+  // The stage game scores from the predecessor-free position; the reported
+  // edge quality and the tie-break use the path's actual predecessor.
+  const EdgeQualityEvaluator::Position stage = ctx.position(self, net::kInvalidNode);
+  const EdgeQualityEvaluator::Position at = ctx.position(self, pred);
   HopChoice best;
   bool have = false;
   for (net::NodeId j : candidates) {
@@ -95,13 +100,13 @@ HopChoice SpneRouting::choose(const RoutingContext& ctx, net::NodeId self, net::
       // At the forced-delivery stage a forwarding move earns no equilibrium
       // continuation: only the immediate edge counts, so the responder's
       // quality-1 edge dominates whenever it is available.
-      onward = ctx.edge_q(self, j, net::kInvalidNode);
+      onward = stage.quality(j);
     } else {
-      onward = ctx.edge_q(self, j, net::kInvalidNode) + equilibrium_onward(ctx, j, stages_ - 1);
+      onward = stage.quality(j) + equilibrium_onward(ctx, j, stages_ - 1);
     }
     const double u = ctx.contract.forwarding_benefit + onward * ctx.contract.routing_benefit() -
                      (participation_cost(ctx, self) + transmission_cost(ctx, self, j));
-    const double q = ctx.edge_q(self, j, pred);
+    const double q = at.quality(j);
     if (!have || u > best.utility ||
         (u == best.utility && (q > best.edge_quality ||
                                (q == best.edge_quality && j < best.next)))) {

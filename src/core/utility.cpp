@@ -19,20 +19,17 @@ double best_onward_quality(const RoutingContext& ctx, net::NodeId from, net::Nod
                            std::uint32_t depth) {
   if (depth == 0 || from == ctx.responder) return 0.0;
 
-  // One O(1) count of from's stored entries at (pair, pred) serves both
-  // the last-level bound and the memo key. At the last level every total
-  // below is one edge quality, so when none can exceed the quality-1 direct
-  // edge the loop would return exactly 1.0.
-  const std::size_t at_position =
-      ctx.quality.history().at(from).position_count(ctx.pair, pred);
-  if (depth == 1 && ctx.quality.edges_at_most_direct(at_position, ctx.conn_index)) return 1.0;
+  // At the last level every total below is one edge quality, so when none
+  // can exceed the quality-1 direct edge the loop would return exactly 1.0.
+  const EdgeQualityEvaluator::Position at = ctx.position(from, pred);
+  if (depth == 1 && at.edges_at_most_direct()) return 1.0;
 
-  // Memoise per (from, canonical pred, depth) within the current decision.
-  // A predecessor with no stored history at `from` yields sigma == +0.0
+  // Memoise per (from, canonical pred, depth) within the current scope. A
+  // predecessor with no stored history at `from` yields sigma == +0.0
   // toward every successor, so all such predecessors share one subtree
   // value bitwise.
   DecisionScratch& scratch = ctx.resources.scratch;
-  const net::NodeId canonical = at_position == 0 ? net::kInvalidNode : pred;
+  const net::NodeId canonical = at.count() == 0 ? net::kInvalidNode : pred;
   const sim::PackedKey key = sim::PackedKey::of(from, canonical, depth, kScratchLookahead);
   double cached = 0.0;
   if (scratch.armed() && scratch.lookup(key, &cached)) return cached;
@@ -41,7 +38,7 @@ double best_onward_quality(const RoutingContext& ctx, net::NodeId from, net::Nod
   bool any = false;
   for (net::NodeId c : ctx.nodes.neighbors_of(from)) {
     if (!ctx.nodes.appears_online(c) || c == from) continue;
-    const double q = ctx.edge_q(from, c, pred);
+    const double q = at.quality(c);
     const double total =
         c == ctx.responder ? q : q + best_onward_quality(ctx, c, from, depth - 1);
     if (!any || total > best) {

@@ -42,6 +42,12 @@ struct RoutingContext {
   [[nodiscard]] double edge_q(net::NodeId s, net::NodeId v, net::NodeId pred) const {
     return quality.edge_quality(s, v, responder, pair, pred, conn_index);
   }
+
+  /// s's position (predecessor `pred`) for this decision, to score several
+  /// edges out of s with one history lookup.
+  [[nodiscard]] EdgeQualityEvaluator::Position position(net::NodeId s, net::NodeId pred) const {
+    return quality.position(s, responder, pair, pred, conn_index);
+  }
 };
 
 /// Participation cost C_p of node i (paper §2.4.1).
@@ -68,16 +74,20 @@ struct RoutingContext {
 /// Quality (sum of edge qualities) of the best onward path of at most
 /// `depth` edges starting at node `from` (predecessor `pred`), stopping
 /// early when the responder is reached. Exhaustive search over online
-/// neighbours; cost O(d^depth), fine for d ~ 5 and depth <= 4. At depth 1
-/// the answer is exactly 1.0 (direct delivery), found without scoring an
-/// edge, whenever EdgeQualityEvaluator::edges_at_most_direct holds for
-/// `from`: the search then scores depth - 1 levels of edges plus the
-/// direct edge. While a DecisionScope is open on ctx.resources,
-/// subproblems are also memoised per (from, canonical predecessor, depth)
-/// — predecessors with no stored history at `from` collapse to one
-/// canonical key because sigma is exactly 0 toward every successor —
-/// turning the d^depth tree into at most nodes x depth distinct
-/// evaluations per decision.
+/// neighbours; cost O(d^depth), fine for d ~ 5 and depth <= 4. One
+/// EdgeQualityEvaluator::Position for (from, pred) serves the whole call:
+/// it scores every edge out of `from` (with no per-successor history probe
+/// when `from` stores nothing at the position), decides the last-level
+/// bound — at depth 1 the answer is exactly 1.0 (direct delivery), found
+/// without scoring an edge, whenever Position::edges_at_most_direct holds,
+/// so the search scores depth - 1 levels of edges plus the direct edge —
+/// and gives the memo key. While a DecisionScope is open on ctx.resources,
+/// subproblems are memoised per (from, canonical predecessor, depth):
+/// predecessors with no stored history at `from` collapse to one canonical
+/// key because sigma is exactly +0.0 toward every successor. The memo
+/// lives for the whole PathBuilder::build, so later hops reuse the values
+/// earlier hops computed, and the d^depth tree becomes at most
+/// nodes x depth distinct evaluations per build.
 [[nodiscard]] double best_onward_quality(const RoutingContext& ctx, net::NodeId from,
                                          net::NodeId pred, std::uint32_t depth);
 

@@ -305,9 +305,10 @@ class PaperWorld {
     while (want < cfg_.ttl_hops && conn_stream.bernoulli(cfg_.p_forward)) ++want;
 
     // Greedy walk over epoch snapshots: score q(cur, v) through the shared
-    // evaluator, candidates filtered by published liveness; deterministic
-    // tie-break on slot order. A dead end delivers early (Crowds hands the
-    // payload to the responder when no eligible successor remains).
+    // evaluator, one position lookup per (cur, prev), candidates filtered by
+    // published liveness; deterministic tie-break on slot order. A dead end
+    // delivers early (Crowds hands the payload to the responder when no
+    // eligible successor remains).
     std::vector<NodeId> path;
     path.reserve(want + 2);
     path.push_back(st.initiator);
@@ -315,11 +316,13 @@ class PaperWorld {
     const std::uint32_t k = j + 1;  // 1-based connection index for sigma
     for (std::uint32_t hop = 0; hop < want; ++hop) {
       const NodeId cur = path.back();
+      const core::EdgeQualityEvaluator::Position at =
+          quality_->position(cur, st.responder, p, prev, k);
       double best_score = -1.0;
       NodeId best = net::kInvalidNode;
       for (const NodeId v : state_.neighbors_of(cur)) {
         if (published_[v] == 0 || v == prev || v == st.initiator || v == st.responder) continue;
-        const double score = quality_->edge_quality(cur, v, st.responder, p, prev, k);
+        const double score = at.quality(v);
         if (score > best_score) {
           best_score = score;
           best = v;

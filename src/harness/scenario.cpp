@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <any>
 #include <cassert>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -78,6 +79,19 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
   if (!(tau >= 0.0)) return out_of_range("tau", tau, "at least 0");
   if (!(p_forward >= 0.0 && p_forward <= 1.0)) {
     return out_of_range("p_forward", p_forward, "in [0, 1]");
+  }
+  // Paper §2.3: q = w_s * sigma + w_a * alpha with w_s + w_a = 1, the
+  // simplex the lookahead's direct-delivery bound reasons about.
+  const double w_s = weights.w_selectivity;
+  const double w_a = weights.w_availability;
+  if (!(w_s >= 0.0)) return out_of_range("weights.w_selectivity", w_s, "at least 0");
+  if (!(w_a >= 0.0)) return out_of_range("weights.w_availability", w_a, "at least 0");
+  if (!(std::abs(w_s + w_a - 1.0) <= 1e-12)) {
+    return out_of_range("weights.w_selectivity + weights.w_availability", w_s + w_a,
+                        "1 (within 1e-12)");
+  }
+  if (!(p_f_lo <= p_f_hi)) {
+    return out_of_range("p_f_lo", p_f_lo, "at most p_f_hi = " + std::to_string(p_f_hi));
   }
   const std::string_view knob = sharded_runner ? serial_only_knob(*this) : std::string_view{};
   if (knob.empty()) return {};

@@ -37,9 +37,6 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
   s.hops.reserve(instances);
   s.hop_index.reserve(2 * instances);  // at most half full: short claim probes
   s.forwarders.reserve(instances);
-  // node -> index into s.forwarders, for this build only.
-  sim::PackedFlatMap<std::uint32_t> forwarder_index;
-  forwarder_index.reserve(instances);
   std::vector<std::uint32_t> conns;
   conns.reserve(records.size());
   for (const PathRecord& rec : records) {
@@ -48,8 +45,10 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
     for (std::size_t i = 0; i < rec.forwarders.size(); ++i) {
       const net::NodeId fwd = rec.forwarders[i];
       const net::NodeId succ = i + 1 < rec.forwarders.size() ? rec.forwarders[i + 1] : rec.exit;
-      auto [forwarder, new_forwarder] = forwarder_index.insert(sim::PackedKey::of(fwd, 0));
-      if (new_forwarder) {
+      assert(fwd != net::kInvalidNode);
+      if (fwd >= forwarder_slot_.size()) forwarder_slot_.resize(fwd + std::size_t{1}, kNoSlot);
+      std::uint32_t& forwarder = forwarder_slot_[fwd];
+      if (forwarder == kNoSlot) {
         forwarder = static_cast<std::uint32_t>(s.forwarders.size());
         s.forwarders.push_back(ForwarderTally{fwd});
       }
@@ -63,6 +62,7 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
       pred = fwd;
     }
   }
+  for (const ForwarderTally& f : s.forwarders) forwarder_slot_[f.node] = kNoSlot;
   s.set_size = s.forwarders.size();
   s.completed_connections = count_distinct(conns);
 

@@ -282,6 +282,12 @@ class SettlementEngine {
   const SettlementReport& finalize(SettlementId id, SettlementState outcome);
 
   std::vector<Settlement> settlements_;
+  /// Node id -> index into the Settlement::forwarders that open() is
+  /// building, kNoSlot everywhere else: open() numbers the distinct
+  /// forwarders in first-appearance order through it and resets the entries
+  /// it set, so the table needs no per-call allocation or clearing.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> forwarder_slot_;
   /// Every nonce that opened a settlement (a set: the value is unused).
   sim::PackedFlatMap<bool> nonces_;
   Bank& bank_;

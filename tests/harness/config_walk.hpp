@@ -21,7 +21,8 @@ struct ConfigLeaf {
 /// returns the leaf, or nullopt past the last one. Values stay inside
 /// validate()'s ranges: a flag flips, an enumerator swaps between the first
 /// two, an integer grows by one, a real halves (0 becomes 0.5) and the
-/// partition list gains a window.
+/// partition list gains a window. The two quality weights must sum to 1, so
+/// halving one moves the other to its complement.
 inline std::optional<ConfigLeaf> change_leaf(harness::ScenarioConfig& cfg, std::size_t index) {
   std::optional<ConfigLeaf> changed;
   std::size_t i = 0;
@@ -37,6 +38,8 @@ inline std::optional<ConfigLeaf> change_leaf(harness::ScenarioConfig& cfg, std::
       ++leaf;
     } else if constexpr (std::is_same_v<T, double>) {
       leaf = leaf == 0.0 ? 0.5 : leaf / 2.0;
+      if (name == "weights.w_selectivity") cfg.weights.w_availability = 1.0 - leaf;
+      if (name == "weights.w_availability") cfg.weights.w_selectivity = 1.0 - leaf;
     } else {
       leaf.push_back({600.0, 1200.0});
     }

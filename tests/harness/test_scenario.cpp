@@ -59,6 +59,14 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
       {"tau", [](ScenarioConfig& c) { c.tau = std::nan(""); }},
       {"p_forward", [](ScenarioConfig& c) { c.p_forward = 2.0; }},
       {"p_forward", [](ScenarioConfig& c) { c.p_forward = -0.5; }},
+      {"weights.w_selectivity", [](ScenarioConfig& c) { c.weights = {-0.5, 1.5}; }},
+      {"weights.w_availability", [](ScenarioConfig& c) { c.weights = {1.5, -0.5}; }},
+      {"weights.w_selectivity", [](ScenarioConfig& c) { c.weights.w_selectivity = std::nan(""); }},
+      {"weights.w_selectivity + weights.w_availability",
+       [](ScenarioConfig& c) { c.weights = {0.75, 0.5}; }},
+      {"weights.w_selectivity + weights.w_availability",
+       [](ScenarioConfig& c) { c.weights = {0.5, 0.5 - 1e-11}; }},
+      {"p_f_lo", [](ScenarioConfig& c) { c.p_f_lo = c.p_f_hi + 1.0; }},
   };
   for (const auto& [field, set] : cases) {
     for (const std::uint32_t shards : {1u, 4u}) {
@@ -82,6 +90,12 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
   edge.overlay.malicious_fraction = 1.0;
   edge.tau = 0.0;
   edge.p_forward = 0.0;
+  edge.weights = {1.0, 0.0};
+  edge.p_f_lo = edge.p_f_hi;
+  EXPECT_EQ(edge.validate(), "");
+  edge.weights = {0.0, 1.0};
+  EXPECT_EQ(edge.validate(), "");
+  edge.weights = {0.1, 1.0 - 0.1 + 1e-13};  // within the sum's tolerance
   EXPECT_EQ(edge.validate(), "");
 }
 
