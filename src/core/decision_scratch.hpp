@@ -107,13 +107,15 @@ class DecisionScratch {
 /// Everything one replicate's decision stack shares across hop decisions.
 /// Owned by a PathBuilder (or by a test or bench) and threaded through
 /// RoutingContext. Construction allocates nothing: the memo sizes its table
-/// on first use, and the candidate buffer grows to the largest candidate
-/// set once.
+/// on first use, and each buffer grows to its largest size once.
 struct DecisionResources {
   DecisionScratch scratch;
   /// PathBuilder's candidate list for the hop being decided; refilled by
   /// every decision.
   std::vector<net::NodeId> candidates;
+  /// The path PathBuilder::build is growing: its nodes and edge qualities.
+  std::vector<net::NodeId> path_nodes;
+  std::vector<double> path_qualities;
 };
 
 /// RAII armer. PathBuilder::build opens one scope for the whole build and

@@ -35,24 +35,6 @@ std::vector<HistoryEntry> HistoryProfile::entries() const {
   return out;
 }
 
-std::size_t HistoryProfile::count(net::PairId pair, net::NodeId predecessor,
-                                  net::NodeId successor) const {
-  const std::uint32_t* c = counts_.find(edge_key(pair, predecessor, successor));
-  return c == nullptr ? 0 : *c;
-}
-
-std::size_t HistoryProfile::position_count(net::PairId pair, net::NodeId predecessor) const {
-  const std::uint32_t* d = counts_.find(position_key(pair, predecessor));
-  return d == nullptr ? 0 : *d;
-}
-
-double HistoryProfile::selectivity(net::PairId pair, net::NodeId predecessor,
-                                   net::NodeId successor, std::uint32_t k) const {
-  if (k <= 1) return 0.0;
-  const auto c = count(pair, predecessor, successor);
-  return static_cast<double>(c) / static_cast<double>(k - 1);
-}
-
 void HistoryProfile::clear() {
   ring_.clear();
   head_ = 0;

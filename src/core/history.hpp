@@ -49,19 +49,32 @@ class HistoryProfile {
 
   void record(const HistoryEntry& entry);
 
+  // The three queries are defined here so that the decision stack's scoring
+  // loops inline them.
+
   /// Number of stored entries matching (pair, predecessor, successor).
   [[nodiscard]] std::size_t count(net::PairId pair, net::NodeId predecessor,
-                                  net::NodeId successor) const;
+                                  net::NodeId successor) const {
+    const std::uint32_t* c = counts_.find(edge_key(pair, predecessor, successor));
+    return c == nullptr ? 0 : *c;
+  }
 
   /// Number of stored entries matching (pair, predecessor) across all
   /// successors — the O(1) denominator of history-conditioned statistics.
   /// Zero means selectivity is 0 for every successor at this position.
-  [[nodiscard]] std::size_t position_count(net::PairId pair, net::NodeId predecessor) const;
+  [[nodiscard]] std::size_t position_count(net::PairId pair, net::NodeId predecessor) const {
+    const std::uint32_t* d = counts_.find(position_key(pair, predecessor));
+    return d == nullptr ? 0 : *d;
+  }
 
   /// sigma(s, v) for the k-th connection (k is 1-based; k == 1 has no
   /// history and yields 0).
   [[nodiscard]] double selectivity(net::PairId pair, net::NodeId predecessor,
-                                   net::NodeId successor, std::uint32_t k) const;
+                                   net::NodeId successor, std::uint32_t k) const {
+    if (k <= 1) return 0.0;
+    const auto c = count(pair, predecessor, successor);
+    return static_cast<double>(c) / static_cast<double>(k - 1);
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

@@ -4,15 +4,6 @@
 
 namespace p2panon::core {
 
-namespace {
-
-/// Capacity build() gives a path up front: the initiator, up to six
-/// forwarders and the responder, which covers about 82 % of Crowds paths at
-/// the paper's p_forward = 0.75 (more than six forwarders has probability
-/// 0.75^6). A longer path grows as before.
-constexpr std::size_t kReservedNodes = 8;
-
-}  // namespace
 
 std::vector<net::NodeId>& PathBuilder::candidates_for(const RoutingContext& ctx,
                                                       net::NodeId holder, net::NodeId pred,
@@ -98,11 +89,14 @@ BuiltPath PathBuilder::build(net::PairId pair, std::uint32_t conn_index, net::No
   // one memo generation serves every decision (each choose() scope nests).
   DecisionScope scope(resources_);
 
-  BuiltPath path;
-  path.nodes.reserve(kReservedNodes);
-  path.edge_qualities.reserve(kReservedNodes - 1);
-  path.nodes.push_back(initiator);
+  // The path grows in the resources' buffers and leaves at its exact size:
+  // two allocations per build, and no slack in the paths a session keeps.
+  std::vector<net::NodeId>& nodes = resources_.path_nodes;
+  std::vector<double>& qualities = resources_.path_qualities;
+  nodes.assign(1, initiator);
+  qualities.clear();
 
+  BuiltPath path;
   net::NodeId holder = initiator;
   net::NodeId pred = net::kInvalidNode;
   std::uint32_t forwarders = 0;
@@ -110,17 +104,19 @@ BuiltPath PathBuilder::build(net::PairId pair, std::uint32_t conn_index, net::No
   auto pick_stream = stream.child("picks", conn_index);
 
   while (holder != responder) {
-    const bool first_hop = path.nodes.size() == 1;
+    const bool first_hop = nodes.size() == 1;
     const HopOutcome hop = next_hop(ctx, holder, pred, first_hop, forwarders, strategies,
                                     coin_stream, pick_stream);
     path.declined += hop.declined;
-    path.edge_qualities.push_back(hop.edge_quality);
-    path.nodes.push_back(hop.next);
+    qualities.push_back(hop.edge_quality);
+    nodes.push_back(hop.next);
     if (hop.next != responder) ++forwarders;
     pred = holder;
     holder = hop.next;
   }
-  assert(path.nodes.size() == path.edge_qualities.size() + 1);
+  assert(nodes.size() == qualities.size() + 1);
+  path.nodes.assign(nodes.begin(), nodes.end());
+  path.edge_qualities.assign(qualities.begin(), qualities.end());
   return path;
 }
 
