@@ -4,7 +4,6 @@
 
 namespace p2panon::core {
 
-
 std::vector<net::NodeId>& PathBuilder::candidates_for(const RoutingContext& ctx,
                                                       net::NodeId holder, net::NodeId pred,
                                                       bool first_hop,

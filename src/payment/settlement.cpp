@@ -45,13 +45,7 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
     for (std::size_t i = 0; i < rec.forwarders.size(); ++i) {
       const net::NodeId fwd = rec.forwarders[i];
       const net::NodeId succ = i + 1 < rec.forwarders.size() ? rec.forwarders[i + 1] : rec.exit;
-      assert(fwd != net::kInvalidNode);
-      if (fwd >= forwarder_slot_.size()) forwarder_slot_.resize(fwd + std::size_t{1}, kNoSlot);
-      std::uint32_t& forwarder = forwarder_slot_[fwd];
-      if (forwarder == kNoSlot) {
-        forwarder = static_cast<std::uint32_t>(s.forwarders.size());
-        s.forwarders.push_back(ForwarderTally{fwd});
-      }
+      const std::uint32_t forwarder = number_forwarder(s, fwd);
       auto [hop, new_hop] = s.hop_index.insert(hop_key(fwd, rec.conn_index, pred, succ));
       if (new_hop) {
         hop = static_cast<std::uint32_t>(s.hops.size());
@@ -62,13 +56,33 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
       pred = fwd;
     }
   }
-  for (const ForwarderTally& f : s.forwarders) forwarder_slot_[f.node] = kNoSlot;
+  for (const ForwarderTally& f : s.forwarders) {
+    if (f.node < forwarder_slot_.size()) forwarder_slot_[f.node] = kNoSlot;
+  }
   s.set_size = s.forwarders.size();
   s.completed_connections = count_distinct(conns);
 
   const auto id = static_cast<SettlementId>(settlements_.size());
   settlements_.push_back(std::move(s));
   return id;
+}
+
+std::uint32_t SettlementEngine::number_forwarder(Settlement& s, net::NodeId node) {
+  if (node < kMaxSlotNode) {
+    if (node >= forwarder_slot_.size()) forwarder_slot_.resize(node + std::size_t{1}, kNoSlot);
+    std::uint32_t& slot = forwarder_slot_[node];
+    if (slot == kNoSlot) {
+      slot = static_cast<std::uint32_t>(s.forwarders.size());
+      s.forwarders.push_back(ForwarderTally{node});
+    }
+    return slot;
+  }
+  // An id no overlay of this program reaches (records may come from a peer
+  // over the wire): scan, so that no record can make the slot table huge.
+  const auto seen = std::find_if(s.forwarders.begin(), s.forwarders.end(),
+                                 [node](const ForwarderTally& f) { return f.node == node; });
+  if (seen == s.forwarders.end()) s.forwarders.push_back(ForwarderTally{node});
+  return static_cast<std::uint32_t>(seen - s.forwarders.begin());
 }
 
 std::uint32_t SettlementEngine::next_set_seq(net::PairId pair) const {

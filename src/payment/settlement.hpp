@@ -281,12 +281,17 @@ class SettlementEngine {
   /// stamps the terminal state. Callers must have first-wins-checked.
   const SettlementReport& finalize(SettlementId id, SettlementState outcome);
 
+  /// The index of `node` in s.forwarders, appending it on its first
+  /// appearance (open() numbers the distinct forwarders in record order).
+  std::uint32_t number_forwarder(Settlement& s, net::NodeId node);
+
   std::vector<Settlement> settlements_;
   /// Node id -> index into the Settlement::forwarders that open() is
-  /// building, kNoSlot everywhere else: open() numbers the distinct
-  /// forwarders in first-appearance order through it and resets the entries
-  /// it set, so the table needs no per-call allocation or clearing.
+  /// building, kNoSlot everywhere else: open() resets the entries it set,
+  /// so numbering needs no per-call table. Ids from kMaxSlotNode up are
+  /// numbered by a scan instead, which bounds the table at 16 MiB.
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  static constexpr net::NodeId kMaxSlotNode = net::NodeId{1} << 22;
   std::vector<std::uint32_t> forwarder_slot_;
   /// Every nonce that opened a settlement (a set: the value is unused).
   sim::PackedFlatMap<bool> nonces_;

@@ -224,6 +224,24 @@ TEST(SettlementRepeatedForwarder, NodeOnTwoPositionsOfOnePath) {
   EXPECT_EQ(payout_of(report, acct[2]), p_f + p_r / 2);
 }
 
+TEST(SettlementForwarderNumbering, AnyIdCountsOnceAndNumberingResetsPerOpen) {
+  // Records may come from a peer over the wire and name any node id: ids
+  // far past any overlay (kInvalidNode included) count once each in
+  // ||pi||, and the next open numbers its own forwarders afresh.
+  Bank bank(rng::Stream(22).child("bank"));
+  SettlementEngine engine(bank);
+  const AccountId refund = bank.open_pseudonymous_account();
+  constexpr NodeId kFar = 0xFFFFFFF0u;
+  constexpr NodeId kInvalid = p2panon::net::kInvalidNode;
+  const std::vector<PathRecord> hostile{PathRecord{1, 0, 3, {kFar, 1, kFar, kInvalid}},
+                                        PathRecord{2, 0, 3, {kInvalid, 2, 1}}};
+  const SettlementId a = engine.open(6, 0, SettlementTerms{1, 2}, hostile, refund);
+  EXPECT_EQ(engine.forwarder_set_size(a), 4u);  // {kFar, 1, kInvalid, 2}
+  const std::vector<PathRecord> plain{PathRecord{1, 0, 3, {2, 1, 2}}};
+  const SettlementId b = engine.open(7, 0, SettlementTerms{1, 2}, plain, refund);
+  EXPECT_EQ(engine.forwarder_set_size(b), 2u);  // {2, 1}: nothing left from the first open
+}
+
 // --- Crash-tolerant lifecycle (state machine, deadlines, replay guards). ---
 
 TEST_F(SettlementTest, StateMachineOpenClaimingClosed) {
