@@ -1,7 +1,8 @@
 // Per-replicate decision resources: the reusable memo arena behind the
 // Utility-Model-II bounded lookahead and the SPNE backward induction, and the
-// candidate buffer of the hop decisions. Every RoutingContext carries one:
-// subproblem values go through the memo while a DecisionScope is open.
+// buffers that PathBuilder refills for every hop and path. Every
+// RoutingContext carries one: subproblem values go through the memo while a
+// DecisionScope is open.
 //
 // The memo lives for one synchronous PathBuilder::build, or for one hop
 // decision of the event-driven runner. No event runs inside either — the
