@@ -8,7 +8,10 @@
 // so forwarders can evaluate their utility without learning the initiator.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "sim/types.hpp"
 
@@ -57,9 +60,34 @@ struct QualityWeights {
   double w_selectivity = 0.5;  ///< w_s (paper default 0.5)
   double w_availability = 0.5; ///< w_a (paper default 0.5)
 
-  [[nodiscard]] bool valid() const noexcept {
+  /// How far w_s + w_a may lie from 1 (rounding of a 1 - w split only).
+  static constexpr double kSumTolerance = 1e-12;
+
+  /// The first simplex rule these weights break, by member, or nullopt when
+  /// they are on the simplex: w_s >= 0, w_a >= 0, |w_s + w_a - 1| <=
+  /// kSumTolerance (NaN breaks each rule it reaches).
+  struct Violation {
+    std::string_view member;  ///< "w_selectivity", "w_availability" or their sum
+    double value;
+    std::string_view rule;
+  };
+  [[nodiscard]] std::optional<Violation> violation() const noexcept {
+    if (!(w_selectivity >= 0.0)) return Violation{"w_selectivity", w_selectivity, "at least 0"};
+    if (!(w_availability >= 0.0)) return Violation{"w_availability", w_availability, "at least 0"};
+    const double sum = w_selectivity + w_availability;
+    if (!(std::abs(sum - 1.0) <= kSumTolerance)) {
+      return Violation{"w_selectivity + w_availability", sum, "1 (within 1e-12)"};
+    }
+    return std::nullopt;
+  }
+  [[nodiscard]] bool valid() const noexcept { return !violation(); }
+
+  /// w_s, w_a >= 0 and fl(w_s + w_a) <= 1: with sigma and alpha in [0, 1]
+  /// no blended quality exceeds 1 (the lookahead's direct-delivery bound
+  /// rests on it; a valid pair may still sum a hair above 1).
+  [[nodiscard]] bool at_most_one() const noexcept {
     return w_selectivity >= 0.0 && w_availability >= 0.0 &&
-           w_selectivity + w_availability > 0.999 && w_selectivity + w_availability < 1.001;
+           w_selectivity + w_availability <= 1.0;
   }
 };
 

@@ -47,8 +47,7 @@ class EdgeQualityEvaluator {
         history_(history),
         weights_(weights),
         suspicion_(suspicion),
-        weights_at_most_one_(weights.w_selectivity >= 0.0 && weights.w_availability >= 0.0 &&
-                             weights.w_selectivity + weights.w_availability <= 1.0) {}
+        weights_at_most_one_(weights.at_most_one()) {}
   /// Over the serial engine's estimator.
   EdgeQualityEvaluator(const net::ProbingEstimator& probing, const HistoryStore& history,
                        QualityWeights weights,
@@ -143,7 +142,7 @@ class EdgeQualityEvaluator {
   const HistoryStore& history_;
   QualityWeights weights_;
   const SuspicionTracker* suspicion_;
-  bool weights_at_most_one_;  ///< w_s, w_a >= 0 and w_s + w_a <= 1
+  bool weights_at_most_one_;  ///< QualityWeights::at_most_one()
 };
 
 }  // namespace p2panon::core

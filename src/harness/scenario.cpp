@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <any>
 #include <cassert>
-#include <cmath>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -80,15 +79,8 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
   if (!(p_forward >= 0.0 && p_forward <= 1.0)) {
     return out_of_range("p_forward", p_forward, "in [0, 1]");
   }
-  // Paper §2.3: q = w_s * sigma + w_a * alpha with w_s + w_a = 1, the
-  // simplex the lookahead's direct-delivery bound reasons about.
-  const double w_s = weights.w_selectivity;
-  const double w_a = weights.w_availability;
-  if (!(w_s >= 0.0)) return out_of_range("weights.w_selectivity", w_s, "at least 0");
-  if (!(w_a >= 0.0)) return out_of_range("weights.w_availability", w_a, "at least 0");
-  if (!(std::abs(w_s + w_a - 1.0) <= 1e-12)) {
-    return out_of_range("weights.w_selectivity + weights.w_availability", w_s + w_a,
-                        "1 (within 1e-12)");
+  if (const auto bad = weights.violation()) {
+    return out_of_range("weights." + std::string(bad->member), bad->value, bad->rule);
   }
   if (!(p_f_lo <= p_f_hi)) {
     return out_of_range("p_f_lo", p_f_lo, "at most p_f_hi = " + std::to_string(p_f_hi));

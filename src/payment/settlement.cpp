@@ -37,6 +37,7 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
   s.hops.reserve(instances);
   s.hop_index.reserve(2 * instances);  // at most half full: short claim probes
   s.forwarders.reserve(instances);
+  forwarder_index_.reserve(instances);  // grows only; sparse, so erase() shifts little
   std::vector<std::uint32_t> conns;
   conns.reserve(records.size());
   for (const PathRecord& rec : records) {
@@ -45,7 +46,11 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
     for (std::size_t i = 0; i < rec.forwarders.size(); ++i) {
       const net::NodeId fwd = rec.forwarders[i];
       const net::NodeId succ = i + 1 < rec.forwarders.size() ? rec.forwarders[i + 1] : rec.exit;
-      const std::uint32_t forwarder = number_forwarder(s, fwd);
+      auto [forwarder, new_forwarder] = forwarder_index_.insert(sim::PackedKey::of(fwd, 0));
+      if (new_forwarder) {
+        forwarder = static_cast<std::uint32_t>(s.forwarders.size());
+        s.forwarders.push_back(ForwarderTally{fwd});
+      }
       auto [hop, new_hop] = s.hop_index.insert(hop_key(fwd, rec.conn_index, pred, succ));
       if (new_hop) {
         hop = static_cast<std::uint32_t>(s.hops.size());
@@ -56,8 +61,8 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
       pred = fwd;
     }
   }
-  for (const ForwarderTally& f : s.forwarders) {
-    if (f.node < forwarder_slot_.size()) forwarder_slot_[f.node] = kNoSlot;
+  for (const ForwarderTally& f : s.forwarders) {  // empty again, in O(forwarders)
+    forwarder_index_.erase(sim::PackedKey::of(f.node, 0));
   }
   s.set_size = s.forwarders.size();
   s.completed_connections = count_distinct(conns);
@@ -65,24 +70,6 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
   const auto id = static_cast<SettlementId>(settlements_.size());
   settlements_.push_back(std::move(s));
   return id;
-}
-
-std::uint32_t SettlementEngine::number_forwarder(Settlement& s, net::NodeId node) {
-  if (node < kMaxSlotNode) {
-    if (node >= forwarder_slot_.size()) forwarder_slot_.resize(node + std::size_t{1}, kNoSlot);
-    std::uint32_t& slot = forwarder_slot_[node];
-    if (slot == kNoSlot) {
-      slot = static_cast<std::uint32_t>(s.forwarders.size());
-      s.forwarders.push_back(ForwarderTally{node});
-    }
-    return slot;
-  }
-  // An id no overlay of this program reaches (records may come from a peer
-  // over the wire): scan, so that no record can make the slot table huge.
-  const auto seen = std::find_if(s.forwarders.begin(), s.forwarders.end(),
-                                 [node](const ForwarderTally& f) { return f.node == node; });
-  if (seen == s.forwarders.end()) s.forwarders.push_back(ForwarderTally{node});
-  return static_cast<std::uint32_t>(seen - s.forwarders.begin());
 }
 
 std::uint32_t SettlementEngine::next_set_seq(net::PairId pair) const {

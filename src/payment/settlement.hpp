@@ -281,18 +281,12 @@ class SettlementEngine {
   /// stamps the terminal state. Callers must have first-wins-checked.
   const SettlementReport& finalize(SettlementId id, SettlementState outcome);
 
-  /// The index of `node` in s.forwarders, appending it on its first
-  /// appearance (open() numbers the distinct forwarders in record order).
-  std::uint32_t number_forwarder(Settlement& s, net::NodeId node);
-
   std::vector<Settlement> settlements_;
-  /// Node id -> index into the Settlement::forwarders that open() is
-  /// building, kNoSlot everywhere else: open() resets the entries it set,
-  /// so numbering needs no per-call table. Ids from kMaxSlotNode up are
-  /// numbered by a scan instead, which bounds the table at 16 MiB.
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  static constexpr net::NodeId kMaxSlotNode = net::NodeId{1} << 22;
-  std::vector<std::uint32_t> forwarder_slot_;
+  /// Forwarder node -> its index in the Settlement::forwarders that open()
+  /// is building, empty between calls: open() erases the entries it added,
+  /// so numbering the forwarders allocates nothing once the table has grown
+  /// to a set's size.
+  sim::PackedFlatMap<std::uint32_t> forwarder_index_;
   /// Every nonce that opened a settlement (a set: the value is unused).
   sim::PackedFlatMap<bool> nonces_;
   Bank& bank_;

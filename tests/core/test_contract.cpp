@@ -43,3 +43,16 @@ TEST(QualityWeightsExtra, BoundarySums) {
   EXPECT_TRUE((QualityWeights{0.0, 1.0}.valid()));
   EXPECT_FALSE((QualityWeights{0.5, 0.6}.valid()));
 }
+
+TEST(QualityWeightsExtra, SimplexRuleNamesTheMemberItBreaks) {
+  EXPECT_EQ((QualityWeights{-0.5, 1.5}.violation()->member), "w_selectivity");
+  EXPECT_EQ((QualityWeights{1.5, -0.5}.violation()->member), "w_availability");
+  EXPECT_EQ((QualityWeights{0.5, 0.5 - 1e-11}.violation()->member),
+            "w_selectivity + w_availability");
+  EXPECT_TRUE((QualityWeights{0.1, 1.0 - 0.1 + 1e-13}.valid()));  // inside kSumTolerance
+  // The lookahead certificate is exact: a valid pair a hair above 1 fails
+  // it, and a pair below 1 that is off the simplex passes it.
+  EXPECT_FALSE((QualityWeights{0.5, 0.5 + 1e-13}.at_most_one()));
+  EXPECT_TRUE((QualityWeights{0.25, 0.5}.at_most_one()));
+  EXPECT_FALSE((QualityWeights{3.0, -2.0}.at_most_one()));
+}

@@ -18,11 +18,12 @@ struct ConfigLeaf {
 };
 
 /// Gives leaf `index` (table order) of `cfg` a value it does not hold and
-/// returns the leaf, or nullopt past the last one. Values stay inside
-/// validate()'s ranges: a flag flips, an enumerator swaps between the first
-/// two, an integer grows by one, a real halves (0 becomes 0.5) and the
-/// partition list gains a window. The two quality weights must sum to 1, so
-/// halving one moves the other to its complement.
+/// returns the leaf, or nullopt past the last one. Each value stays inside
+/// its field's range in validate(): a flag flips, an enumerator swaps
+/// between the first two, an integer grows by one, a real halves (0 becomes
+/// 0.5) and the partition list gains a window. Only the leaf changes, so
+/// halving one quality weight takes w_s + w_a off 1: a caller that
+/// validates moves the other weight itself.
 inline std::optional<ConfigLeaf> change_leaf(harness::ScenarioConfig& cfg, std::size_t index) {
   std::optional<ConfigLeaf> changed;
   std::size_t i = 0;
@@ -38,8 +39,6 @@ inline std::optional<ConfigLeaf> change_leaf(harness::ScenarioConfig& cfg, std::
       ++leaf;
     } else if constexpr (std::is_same_v<T, double>) {
       leaf = leaf == 0.0 ? 0.5 : leaf / 2.0;
-      if (name == "weights.w_selectivity") cfg.weights.w_availability = 1.0 - leaf;
-      if (name == "weights.w_availability") cfg.weights.w_selectivity = 1.0 - leaf;
     } else {
       leaf.push_back({600.0, 1200.0});
     }

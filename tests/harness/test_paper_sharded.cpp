@@ -248,6 +248,13 @@ TEST(PaperSharded, RejectsUnimplementedKnobs) {
     const auto leaf = harness_test::change_leaf(cfg, i);
     if (!leaf) break;
     SCOPED_TRACE(leaf->name);
+    // validate() keeps the two quality weights on the simplex: the other
+    // weight follows, which reaches no refusal (both are kBoth leaves).
+    if (leaf->name == "weights.w_selectivity") {
+      cfg.weights.w_availability = 1.0 - cfg.weights.w_selectivity;
+    } else if (leaf->name == "weights.w_availability") {
+      cfg.weights.w_selectivity = 1.0 - cfg.weights.w_availability;
+    }
     if (leaf->runners == Runners::kBoth) {
       EXPECT_EQ(cfg.validate(), "");
       continue;

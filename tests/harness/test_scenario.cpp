@@ -62,9 +62,9 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
       {"weights.w_selectivity", [](ScenarioConfig& c) { c.weights = {-0.5, 1.5}; }},
       {"weights.w_availability", [](ScenarioConfig& c) { c.weights = {1.5, -0.5}; }},
       {"weights.w_selectivity", [](ScenarioConfig& c) { c.weights.w_selectivity = std::nan(""); }},
-      {"weights.w_selectivity + weights.w_availability",
+      {"weights.w_selectivity + w_availability",
        [](ScenarioConfig& c) { c.weights = {0.75, 0.5}; }},
-      {"weights.w_selectivity + weights.w_availability",
+      {"weights.w_selectivity + w_availability",
        [](ScenarioConfig& c) { c.weights = {0.5, 0.5 - 1e-11}; }},
       {"p_f_lo", [](ScenarioConfig& c) { c.p_f_lo = c.p_f_hi + 1.0; }},
   };
