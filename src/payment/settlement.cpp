@@ -37,7 +37,8 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
   s.hops.reserve(instances);
   s.hop_index.reserve(2 * instances);  // at most half full: short claim probes
   s.forwarders.reserve(instances);
-  forwarder_index_.reserve(instances);  // grows only; sparse, so erase() shifts little
+  // Sparse for a set of up to kKeptForwarders, so erase() shifts little.
+  forwarder_index_.reserve(std::min(instances, kKeptForwarders));
   std::vector<std::uint32_t> conns;
   conns.reserve(records.size());
   for (const PathRecord& rec : records) {
@@ -61,8 +62,12 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
       pred = fwd;
     }
   }
-  for (const ForwarderTally& f : s.forwarders) {  // empty again, in O(forwarders)
-    forwarder_index_.erase(sim::PackedKey::of(f.node, 0));
+  if (s.forwarders.size() > kKeptForwarders) {
+    forwarder_index_ = {};  // a larger set keeps none of what it grew
+  } else {
+    for (const ForwarderTally& f : s.forwarders) {  // empty again, in O(forwarders)
+      forwarder_index_.erase(sim::PackedKey::of(f.node, 0));
+    }
   }
   s.set_size = s.forwarders.size();
   s.completed_connections = count_distinct(conns);

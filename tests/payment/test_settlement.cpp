@@ -240,6 +240,18 @@ TEST(SettlementForwarderNumbering, AnyIdCountsOnceAndNumberingResetsPerOpen) {
   const std::vector<PathRecord> plain{PathRecord{1, 0, 3, {2, 1, 2}}};
   const SettlementId b = engine.open(7, 0, SettlementTerms{1, 2}, plain, refund);
   EXPECT_EQ(engine.forwarder_set_size(b), 2u);  // {2, 1}: nothing left from the first open
+  // A set larger than the index the engine keeps, twice over, then a small
+  // one again.
+  std::vector<PathRecord> large;
+  for (std::uint32_t c = 0; c < 100; ++c) {
+    large.push_back(PathRecord{c, 0, 3, {10 + 3 * c, 11 + 3 * c, 12 + 3 * c, 10 + 3 * c}});
+  }
+  const SettlementId c = engine.open(8, 0, SettlementTerms{1, 2}, large, refund);
+  EXPECT_EQ(engine.forwarder_set_size(c), 300u);
+  const SettlementId d = engine.open(9, 0, SettlementTerms{1, 2}, large, refund);
+  EXPECT_EQ(engine.forwarder_set_size(d), 300u);
+  const SettlementId e = engine.open(10, 0, SettlementTerms{1, 2}, plain, refund);
+  EXPECT_EQ(engine.forwarder_set_size(e), 2u);
 }
 
 // --- Crash-tolerant lifecycle (state machine, deadlines, replay guards). ---
