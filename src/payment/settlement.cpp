@@ -37,8 +37,9 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
   s.hops.reserve(instances);
   s.hop_index.reserve(2 * instances);  // at most half full: short claim probes
   s.forwarders.reserve(instances);
-  // Sparse for a set of up to kKeptForwarders, so erase() shifts little.
-  forwarder_index_.reserve(std::min(instances, kKeptForwarders));
+  // node -> index into s.forwarders, for this build only.
+  sim::PackedFlatMap<std::uint32_t> forwarder_index;
+  forwarder_index.reserve(instances);
   std::vector<std::uint32_t> conns;
   conns.reserve(records.size());
   for (const PathRecord& rec : records) {
@@ -47,7 +48,7 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
     for (std::size_t i = 0; i < rec.forwarders.size(); ++i) {
       const net::NodeId fwd = rec.forwarders[i];
       const net::NodeId succ = i + 1 < rec.forwarders.size() ? rec.forwarders[i + 1] : rec.exit;
-      auto [forwarder, new_forwarder] = forwarder_index_.insert(sim::PackedKey::of(fwd, 0));
+      auto [forwarder, new_forwarder] = forwarder_index.insert(sim::PackedKey::of(fwd, 0));
       if (new_forwarder) {
         forwarder = static_cast<std::uint32_t>(s.forwarders.size());
         s.forwarders.push_back(ForwarderTally{fwd});
@@ -60,13 +61,6 @@ SettlementId SettlementEngine::open(net::PairId pair, EscrowId escrow, Settlemen
         ++s.hops[hop].multiplicity;  // a repeat of one hop
       }
       pred = fwd;
-    }
-  }
-  if (s.forwarders.size() > kKeptForwarders) {
-    forwarder_index_ = {};  // a larger set keeps none of what it grew
-  } else {
-    for (const ForwarderTally& f : s.forwarders) {  // empty again, in O(forwarders)
-      forwarder_index_.erase(sim::PackedKey::of(f.node, 0));
     }
   }
   s.set_size = s.forwarders.size();

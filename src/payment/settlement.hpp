@@ -282,14 +282,6 @@ class SettlementEngine {
   const SettlementReport& finalize(SettlementId id, SettlementState outcome);
 
   std::vector<Settlement> settlements_;
-  /// Forwarder node -> its index in the Settlement::forwarders that open()
-  /// is building, empty between calls: open() erases the entries it added,
-  /// so numbering a set of up to kKeptForwarders (a paper set has ~20)
-  /// allocates nothing once the table has grown. A larger set (long-lived
-  /// or from a peer's wire records) frees the table, so the engine never
-  /// keeps more than the small table.
-  static constexpr std::size_t kKeptForwarders = 256;
-  sim::PackedFlatMap<std::uint32_t> forwarder_index_;
   /// Every nonce that opened a settlement (a set: the value is unused).
   sim::PackedFlatMap<bool> nonces_;
   Bank& bank_;

@@ -240,8 +240,8 @@ TEST(SettlementForwarderNumbering, AnyIdCountsOnceAndNumberingResetsPerOpen) {
   const std::vector<PathRecord> plain{PathRecord{1, 0, 3, {2, 1, 2}}};
   const SettlementId b = engine.open(7, 0, SettlementTerms{1, 2}, plain, refund);
   EXPECT_EQ(engine.forwarder_set_size(b), 2u);  // {2, 1}: nothing left from the first open
-  // A set larger than the index the engine keeps, twice over, then a small
-  // one again.
+  // 300 distinct forwarders, twice over, then a small set again: each open
+  // counts only its own.
   std::vector<PathRecord> large;
   for (std::uint32_t c = 0; c < 100; ++c) {
     large.push_back(PathRecord{c, 0, 3, {10 + 3 * c, 11 + 3 * c, 12 + 3 * c, 10 + 3 * c}});
