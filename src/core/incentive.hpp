@@ -109,6 +109,10 @@ class ConnectionSetSession {
   [[nodiscard]] net::NodeId responder() const noexcept { return responder_; }
   [[nodiscard]] const Contract& contract() const noexcept { return contract_; }
 
+  /// Make room for `connections` connections up front, so running the set
+  /// does not reallocate its path list.
+  void reserve_connections(std::size_t connections) { paths_.reserve(connections); }
+
   /// Run the next connection of the set: build the path, record history at
   /// every forwarder, charge transmission/participation costs, and update
   /// the forwarder-set and edge-reuse statistics. Returns the built path.

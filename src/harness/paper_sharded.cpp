@@ -93,7 +93,8 @@ class PaperWorld {
                stream_.child("plane")),
         counters_(partition_.shard_count()),
         history_buf_(partition_.shard_count()),
-        settle_buf_(partition_.shard_count()) {
+        settle_buf_(partition_.shard_count()),
+        probe_lane_(engine.add_lane()) {
     assert(node_count_ >= 4);
     assert(degree_ >= 1 && degree_ < node_count_);
     state_.resize(node_count_, degree_);
@@ -225,7 +226,7 @@ class PaperWorld {
     state_.tracker[id].on_join(now);
     ++counters_[s].churn_events;
 
-    if (probing_->wake(id)) post_probe(id, now + cfg_.probing.period);
+    if (probing_->wake(id)) post_probe(id);
 
     const std::uint64_t cycle = churn_cycle_[id];
     const net::ChurnConfig& churn = cfg_.overlay.churn;
@@ -256,14 +257,15 @@ class PaperWorld {
     engine_.post(s, s, now + gap, [this, id] { do_join(id); });
   }
 
-  void post_probe(NodeId id, sim::Time at) {
-    const std::uint32_t s = partition_.shard_of(id);
-    engine_.post(s, s, at, [this, id] { probe_tick(id); });
+  // Probe ticks repeat at one fixed period, so they ride a FIFO lane.
+  void post_probe(NodeId id) {
+    local_sim(partition_.shard_of(id))
+        .schedule_in(probe_lane_, cfg_.probing.period, [this, id] { probe_tick(id); });
   }
 
   void probe_tick(NodeId id) {
     if (!probing_->tick(id, published_)) return;
-    post_probe(id, local_sim(partition_.shard_of(id)).now() + cfg_.probing.period);
+    post_probe(id);
   }
 
   [[nodiscard]] std::uint64_t key_of_node(NodeId id, std::uint64_t n) const noexcept {
@@ -654,6 +656,7 @@ class PaperWorld {
   // Per-shard write buffers (each shard appends only to its own).
   std::vector<std::vector<PendingPath>> history_buf_;
   std::vector<std::vector<SettleOp>> settle_buf_;
+  sim::Simulator::LaneId probe_lane_;
 
   std::vector<std::uint64_t> churn_cycle_;
   std::vector<PairState> pairs_;

@@ -17,6 +17,7 @@
 #include "core/suspicion.hpp"
 #include "harness/paper_sharded.hpp"
 #include "payment/settlement.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "transport/sim_transport.hpp"
 
@@ -84,6 +85,26 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
   }
   if (!(p_f_lo <= p_f_hi)) {
     return out_of_range("p_f_lo", p_f_lo, "at most p_f_hi = " + std::to_string(p_f_hi));
+  }
+  const double drop = adversary.drop_probability;
+  if (!(drop >= 0.0 && drop <= 1.0)) {
+    return out_of_range("adversary.drop_probability", drop, "in [0, 1]");
+  }
+  // Session lengths are bounded Pareto on [session_min, session_max] with a
+  // shape solved for the median, which must be one the solver can reach.
+  const net::ChurnConfig& churn = overlay.churn;
+  if (!(churn.session_min > 0.0 && churn.session_min < churn.session_max)) {
+    return out_of_range("overlay.churn.session_min", churn.session_min,
+                        "in (0, overlay.churn.session_max = " +
+                            std::to_string(churn.session_max) + ")");
+  }
+  const double ceiling =
+      sim::rng::bounded_pareto_median_ceiling(churn.session_min, churn.session_max);
+  if (!(churn.session_median > churn.session_min && churn.session_median < ceiling)) {
+    return out_of_range("overlay.churn.session_median", churn.session_median,
+                        "in (session_min = " + std::to_string(churn.session_min) +
+                            ", sqrt(session_min * session_max) = " + std::to_string(ceiling) +
+                            ")");
   }
   const std::string_view knob = sharded_runner ? serial_only_knob(*this) : std::string_view{};
   if (knob.empty()) return {};
@@ -185,6 +206,7 @@ ScenarioResult ScenarioRunner::run() const {
     plans.emplace_back(
         std::make_unique<core::ConnectionSetSession>(pid, initiator, responder, contract),
         root.child("pair-run", pid));
+    plans.back().session->reserve_connections(cfg.connections_per_pair);
     // Under bank faults a connection only counts as settleable once its data
     // phase confirmed completion; that signal exists only in fault mode.
     if (bank_mode && fault_mode) plans.back().session->enable_completion_tracking();

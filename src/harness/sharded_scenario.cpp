@@ -49,6 +49,11 @@ class World {
     pending_conn_.assign(cfg.node_count, 0);
     pending_slot_.assign(cfg.node_count, 0);
     pending_timer_.assign(cfg.node_count, sim::kInvalidEventId);
+    // Each fixed-delay timer kind gets a FIFO lane: probe ticks, local hop
+    // and ack messages, ack timers.
+    probe_lane_ = open_lane();
+    hop_lane_ = open_lane();
+    ack_lane_ = open_lane();
   }
 
   /// Schedule every node's initial join; uniform over [0, join_window).
@@ -110,6 +115,26 @@ class World {
     }
   }
 
+  [[nodiscard]] sim::Simulator::LaneId open_lane() {
+    return sharded_ != nullptr ? sharded_->add_lane() : serial_->add_lane();
+  }
+
+  /// A hop or ack message from shard `src`, delivered hop_latency from now:
+  /// through the hop lane when it stays on `src`, through the mailbox
+  /// otherwise.
+  void post_hop(std::uint32_t src, std::uint32_t dst, sim::EventFn fn) {
+    sim::Simulator& from = local_sim(src);
+    if (sharded_ != nullptr && dst != src) {
+      sharded_->post(src, dst, from.now() + cfg_.hop_latency, std::move(fn));
+    } else {
+      from.schedule_in(hop_lane_, cfg_.hop_latency, std::move(fn));
+    }
+  }
+
+  void post_probe(std::uint32_t s, NodeId id) {
+    local_sim(s).schedule_in(probe_lane_, cfg_.probe_period, [this, id] { probe_tick(id); });
+  }
+
   [[nodiscard]] std::uint64_t key_of(NodeId id, std::uint64_t n) const noexcept {
     return (static_cast<std::uint64_t>(id) << 32) | n;
   }
@@ -124,7 +149,7 @@ class World {
     state_.tracker[id].on_join(now);
     ++counters_[s].churn_events;
 
-    if (probing_->wake(id)) post(s, s, now + cfg_.probe_period, [this, id] { probe_tick(id); });
+    if (probing_->wake(id)) post_probe(s, id);
     if (conn_loop_started_[id] == 0) {
       conn_loop_started_[id] = 1;
       const double rate = 1.0 / cfg_.connection_interval_mean;
@@ -163,8 +188,7 @@ class World {
 
   void probe_tick(NodeId id) {
     if (!probing_->tick(id, published_)) return;
-    const std::uint32_t s = partition_.shard_of(id);
-    post(s, s, local_sim(s).now() + cfg_.probe_period, [this, id] { probe_tick(id); });
+    post_probe(partition_.shard_of(id), id);
   }
 
   // ---- traffic ----------------------------------------------------------
@@ -179,7 +203,7 @@ class World {
       if (slot >= cfg_.degree) {
         ++counters_[s].no_candidate;
       } else {
-        launch_connection(id, slot, s, now);
+        launch_connection(id, slot, s);
       }
     }
 
@@ -190,7 +214,7 @@ class World {
     post(s, s, now + gap, [this, id] { conn_tick(id); });
   }
 
-  void launch_connection(NodeId id, std::size_t slot, std::uint32_t s, sim::Time now) {
+  void launch_connection(NodeId id, std::size_t slot, std::uint32_t s) {
     ++counters_[s].connections_launched;
     const std::uint64_t conn = key_of(id, conn_count_[id]);
     pending_active_[id] = 1;
@@ -199,34 +223,31 @@ class World {
     quality_->record_attempt(id, slot);
     // The ack timer: cancelled on ack arrival — the cancel-heavy pattern.
     pending_timer_[id] = local_sim(s).schedule_in(
-        cfg_.ack_timeout, [this, id, conn] { on_ack_timeout(id, conn); });
+        ack_lane_, cfg_.ack_timeout, [this, id, conn] { on_ack_timeout(id, conn); });
     const NodeId next = state_.neighbors_of(id)[slot];
     const std::uint32_t hops_left = cfg_.path_hops > 0 ? cfg_.path_hops - 1 : 0;
-    post(s, partition_.shard_of(next), now + cfg_.hop_latency,
-         [this, id, conn, next, hops_left] { on_hop(id, conn, next, hops_left); });
+    post_hop(s, partition_.shard_of(next),
+             [this, id, conn, next, hops_left] { on_hop(id, conn, next, hops_left); });
   }
 
   void on_hop(NodeId initiator, std::uint64_t conn, NodeId at_node, std::uint32_t hops_left) {
     if (state_.online[at_node] == 0) return;  // dropped; the timer will fire
     const std::uint32_t s = partition_.shard_of(at_node);
-    const sim::Time now = local_sim(s).now();
     ++counters_[s].hops_forwarded;
     ++counters_[s].claims_pending;  // the forwarding claim, settled at a barrier
 
     if (hops_left == 0) {
-      const std::uint32_t is = partition_.shard_of(initiator);
-      post(s, is, now + cfg_.hop_latency,
-           [this, initiator, conn] { on_ack(initiator, conn); });
+      post_hop(s, partition_.shard_of(initiator),
+               [this, initiator, conn] { on_ack(initiator, conn); });
       return;
     }
     const std::size_t slot = quality_->pick_best(at_node, published_);
     if (slot >= cfg_.degree) return;  // stuck mid-path; the timer will fire
     quality_->record_attempt(at_node, slot);
     const NodeId next = state_.neighbors_of(at_node)[slot];
-    post(s, partition_.shard_of(next), now + cfg_.hop_latency,
-         [this, initiator, conn, next, hops_left] {
-           on_hop(initiator, conn, next, hops_left - 1);
-         });
+    post_hop(s, partition_.shard_of(next), [this, initiator, conn, next, hops_left] {
+      on_hop(initiator, conn, next, hops_left - 1);
+    });
   }
 
   void on_ack(NodeId id, std::uint64_t conn) {
@@ -300,6 +321,9 @@ class World {
   std::vector<std::uint64_t> pending_conn_;
   std::vector<std::uint32_t> pending_slot_;
   std::vector<sim::EventId> pending_timer_;
+  sim::Simulator::LaneId probe_lane_ = 0;
+  sim::Simulator::LaneId hop_lane_ = 0;
+  sim::Simulator::LaneId ack_lane_ = 0;
   std::uint64_t settlement_batches_ = 0;
 };
 

@@ -7,7 +7,8 @@ ProbingEstimator::ProbingEstimator(Overlay& overlay, const ProbingConfig& cfg,
     : overlay_(overlay),
       cfg_(cfg),
       partition_(overlay.size(), 1),
-      estimator_(overlay.state(), partition_, cfg.period, stream) {
+      estimator_(overlay.state(), partition_, cfg.period, stream),
+      tick_lane_(overlay.simulator().add_lane()) {
   // "When a peer first joins the system, it initializes the session time of
   // each of its neighbors to 0": slots start unobserved, so a join only
   // (re)starts the probe loop, which suspends itself while offline.
@@ -20,7 +21,7 @@ ProbingEstimator::ProbingEstimator(Overlay& overlay, const ProbingConfig& cfg,
 }
 
 void ProbingEstimator::schedule_tick(NodeId s) {
-  overlay_.simulator().schedule_in(cfg_.period, [this, s] {
+  overlay_.simulator().schedule_in(tick_lane_, cfg_.period, [this, s] {
     // What a probe *observes*: ground truth unless a fault oracle is
     // installed (probe false negatives, partitions). A neighbour observed
     // dead simply fails to accumulate session time this period.

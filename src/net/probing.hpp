@@ -77,6 +77,7 @@ class ProbingEstimator {
   ShardPartition partition_;  ///< one shard: every neighbour is read live
   ShardedProbing estimator_;
   ProbeOracle oracle_;  ///< empty = ground truth (fault-free baseline)
+  sim::Simulator::LaneId tick_lane_;  ///< ticks repeat at one fixed period T
 };
 
 }  // namespace p2panon::net

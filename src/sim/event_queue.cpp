@@ -5,7 +5,7 @@
 
 namespace p2panon::sim {
 
-void EventQueue::sift_up(std::size_t hole, HeapEntry e) noexcept {
+void EventQueue::sift_up(std::size_t hole, Entry e) noexcept {
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / kArity;
     if (!earlier(e, heap_[parent])) break;
@@ -15,7 +15,7 @@ void EventQueue::sift_up(std::size_t hole, HeapEntry e) noexcept {
   heap_[hole] = e;
 }
 
-void EventQueue::sift_down(std::size_t hole, HeapEntry e) const noexcept {
+void EventQueue::sift_down(std::size_t hole, Entry e) const noexcept {
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first = hole * kArity + 1;
@@ -33,7 +33,7 @@ void EventQueue::sift_down(std::size_t hole, HeapEntry e) const noexcept {
 }
 
 void EventQueue::pop_top() const noexcept {
-  const HeapEntry last = heap_.back();
+  const Entry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
 }
@@ -62,17 +62,60 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
   free_head_ = slot;
 }
 
-EventId EventQueue::schedule(Time at, EventFn fn) {
+EventQueue::Entry EventQueue::admit(Time at, EventFn fn) {
   assert(fn && "scheduling an empty event");
   ++stats_.scheduled;
   if (fn.uses_heap()) ++stats_.callback_heap_allocs;
   const std::uint32_t slot = acquire_slot();
-  const std::uint32_t gen = meta_[slot].gen;
   fns_[slot] = std::move(fn);
-  heap_.emplace_back();
-  sift_up(heap_.size() - 1, HeapEntry{at, next_seq_++, slot, gen});
   ++live_count_;
-  return make_id(slot, gen);
+  next_source_ = kUnknownSource;
+  return Entry{at, next_seq_++, slot, meta_[slot].gen};
+}
+
+EventId EventQueue::schedule(Time at, EventFn fn) {
+  const Entry e = admit(at, std::move(fn));
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, e);
+  return make_id(e.slot, e.gen);
+}
+
+EventQueue::LaneId EventQueue::add_lane() {
+  lanes_.emplace_back();
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+Time EventQueue::lane_back(LaneId lane) const noexcept {
+  const Lane& l = lanes_[lane];
+  return l.count == 0 ? -kTimeInfinity : l.back().time;
+}
+
+void EventQueue::Lane::push_back(const Entry& e) {
+  assert((count == 0 || !earlier(e, back())) && "lane entries must stay in (time, seq) order");
+  if (count == ring.size()) reserve(count + 1);
+  ring[(head + count) & (ring.size() - 1)] = e;
+  ++count;
+}
+
+void EventQueue::Lane::reserve(std::size_t n) {
+  if (n <= ring.size()) return;
+  std::size_t cap = std::max<std::size_t>(16, 2 * ring.size());
+  while (cap < n) cap *= 2;
+  std::vector<Entry> grown(cap);
+  for (std::size_t i = 0; i < count; ++i) grown[i] = ring[(head + i) & (ring.size() - 1)];
+  ring.swap(grown);
+  head = 0;
+}
+
+EventId EventQueue::schedule(LaneId lane, Time at, EventFn fn) {
+  assert(lane < lanes_.size() && "no such lane");
+  Lane& l = lanes_[lane];
+  // seq rises with every schedule, so (at, seq) follows the lane's last entry
+  // exactly when `at` is not before its time.
+  if (l.count != 0 && at < l.back().time) return schedule(at, std::move(fn));
+  const Entry e = admit(at, std::move(fn));
+  l.push_back(e);
+  return make_id(e.slot, e.gen);
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -84,31 +127,78 @@ bool EventQueue::cancel(EventId id) {
   release_slot(slot);
   --live_count_;
   ++stats_.cancelled;
-  // The heap entry stays behind; drop_stale_tops() discards it when it
+  next_source_ = kUnknownSource;
+  // The heap or lane entry stays behind; earliest_live() discards it when it
   // surfaces (its slot is no longer live under that generation).
   return true;
 }
 
-void EventQueue::drop_stale_tops() const {
-  while (!heap_.empty() && !entry_live(heap_.front())) pop_top();
+std::uint32_t EventQueue::earliest_front() const noexcept {
+  std::uint32_t best = kNoSource;
+  const Entry* first = nullptr;
+  if (!heap_.empty()) {
+    best = kHeapSource;
+    first = &heap_.front();
+  }
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
+    const Lane& l = lanes_[i];
+    if (l.count != 0 && (first == nullptr || earlier(l.front(), *first))) {
+      best = i;
+      first = &l.front();
+    }
+  }
+  return best;
+}
+
+void EventQueue::drop_front(std::uint32_t source) const noexcept {
+  if (source == kHeapSource) {
+    pop_top();
+  } else {
+    lanes_[source].pop_front();
+  }
+}
+
+std::uint32_t EventQueue::earliest_live() const {
+  while (next_source_ == kUnknownSource) {
+    const std::uint32_t source = earliest_front();
+    if (source == kNoSource || entry_live(front_of(source))) {
+      next_source_ = source;
+    } else {
+      drop_front(source);
+    }
+  }
+  return next_source_;
 }
 
 Time EventQueue::next_time() const noexcept {
-  drop_stale_tops();
-  return heap_.empty() ? kTimeInfinity : heap_.front().time;
+  const std::uint32_t source = earliest_live();
+  return source == kNoSource ? kTimeInfinity : front_of(source).time;
 }
 
 EventQueue::Popped EventQueue::pop() {
-  drop_stale_tops();
-  assert(!heap_.empty() && "pop() on empty EventQueue");
-  const HeapEntry e = heap_.front();
-  pop_top();
+  const std::uint32_t source = earliest_live();
+  assert(source != kNoSource && "pop() on empty EventQueue");
+  const Entry e = front_of(source);
+  drop_front(source);
+  next_source_ = kUnknownSource;
+  if (source != kHeapSource) ++stats_.fired_from_lanes;
   Popped out{e.time, make_id(e.slot, e.gen), std::move(fns_[e.slot])};
   // Free the slot before the caller runs the callback: the event is spent,
   // so cancel() of its own id from inside the callback reports false.
   release_slot(e.slot);
   --live_count_;
   ++stats_.fired;
+  // Pull the next earliest entry's slots toward the cache while the caller
+  // runs this callback (the callback column is far beyond L2 at scale).
+  // Only a hint: the entry may be stale or be overtaken by a new schedule.
+  const std::uint32_t next = earliest_front();
+  if (next != kNoSource) {
+    const std::uint32_t slot = front_of(next).slot;
+    const auto* fn_bytes = reinterpret_cast<const char*>(&fns_[slot]);
+    __builtin_prefetch(&meta_[slot]);
+    __builtin_prefetch(fn_bytes);
+    __builtin_prefetch(fn_bytes + sizeof(EventCallback) - 1);
+  }
   return out;
 }
 
@@ -117,6 +207,7 @@ void EventQueue::reserve_more(std::size_t n) {
     if (v.capacity() < need) v.reserve(std::max(need, 2 * v.capacity()));
   };
   grow(heap_, heap_.size() + n);
+  for (Lane& l : lanes_) l.reserve(l.count + n);
   const std::size_t free_slots = meta_.size() - live_count_;
   if (n > free_slots) {
     grow(meta_, meta_.size() + n - free_slots);
@@ -125,7 +216,9 @@ void EventQueue::reserve_more(std::size_t n) {
 }
 
 void EventQueue::clear() {
+  next_source_ = kUnknownSource;
   heap_.clear();
+  for (Lane& l : lanes_) l.head = l.count = 0;
   // Rebuild the free list over every slot. Generations are preserved (and
   // bumped on reuse), so ids handed out before clear() can never alias a
   // post-clear event.

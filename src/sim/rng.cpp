@@ -157,12 +157,14 @@ double bounded_pareto_median(double alpha, double lo, double hi) noexcept {
   return lo * std::pow((1.0 + r) / 2.0, -1.0 / alpha);
 }
 
+double bounded_pareto_median_ceiling(double lo, double hi) noexcept {
+  return std::sqrt(lo * hi);
+}
+
 double bounded_pareto_shape_for_median(double lo, double hi, double median) noexcept {
   assert(0.0 < lo && lo < median && median < hi);
-  // As alpha -> 0 the bounded Pareto tends to log-uniform on [lo, hi], whose
-  // median is the geometric mean sqrt(lo*hi) — the supremum of achievable
-  // medians. Requesting more silently degenerates, so reject it loudly.
-  assert(median < std::sqrt(lo * hi) &&
+  // Requesting the ceiling or more silently degenerates, so reject it loudly.
+  assert(median < bounded_pareto_median_ceiling(lo, hi) &&
          "median unreachable: raise the bounded-Pareto upper bound");
   // The bounded median is strictly decreasing in alpha: bisect.
   double a_lo = 1e-6, a_hi = 64.0;

@@ -195,9 +195,14 @@ struct ZipfCdf {
 /// Analytic median of the bounded Pareto on [lo, hi] with shape alpha.
 [[nodiscard]] double bounded_pareto_median(double alpha, double lo, double hi) noexcept;
 
+/// Supremum of the medians a bounded Pareto on [lo, hi] can have: as
+/// alpha -> 0 it tends to log-uniform, whose median is sqrt(lo * hi).
+[[nodiscard]] double bounded_pareto_median_ceiling(double lo, double hi) noexcept;
+
 /// Shape parameter such that the *bounded* Pareto on [lo, hi] has the
 /// requested median (truncation shifts the median, so the unbounded formula
-/// does not apply). Solved by bisection; median must lie in (lo, hi).
+/// does not apply). Solved by bisection. Requires 0 < lo < hi and
+/// lo < median < bounded_pareto_median_ceiling(lo, hi).
 [[nodiscard]] double bounded_pareto_shape_for_median(double lo, double hi,
                                                      double median) noexcept;
 

@@ -19,6 +19,7 @@ ShardedSimulator::ShardedSimulator(ShardId shard_count, Time window,
     shards_.push_back(std::make_unique<Simulator>());
     outbox_[s].resize(shard_count);
   }
+  mail_lane_ = add_lane();
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -32,6 +33,15 @@ void ShardedSimulator::post(ShardId src, ShardId dst, Time at, EventFn fn) {
     return;
   }
   outbox_[src][dst].push_back(Outgoing{at, std::move(fn)});
+}
+
+Simulator::LaneId ShardedSimulator::add_lane() {
+  const Simulator::LaneId lane = shards_[0]->add_lane();
+  for (ShardId s = 1; s < shard_count(); ++s) {
+    [[maybe_unused]] const Simulator::LaneId same = shards_[s]->add_lane();
+    assert(same == lane && "shards must open their lanes in the same order");
+  }
+  return lane;
 }
 
 Time ShardedSimulator::next_event_time() const noexcept {
@@ -50,6 +60,7 @@ EventQueue::Stats ShardedSimulator::aggregate_queue_stats() const noexcept {
     total.cancelled += s.cancelled;
     total.fired += s.fired;
     total.callback_heap_allocs += s.callback_heap_allocs;
+    total.fired_from_lanes += s.fired_from_lanes;
   }
   return total;
 }
@@ -69,12 +80,18 @@ void ShardedSimulator::for_each_shard(const Task& task) {
 void ShardedSimulator::drain_into(ShardId dst, Time boundary) {
   // Deterministic merge for one destination: source shards in ascending
   // order, each outbox in append order. Delivery time is clamped up to the
-  // boundary so no shard ever receives an event in its past.
+  // boundary so no shard ever receives an event in its past. The clamped
+  // deliveries all fire at the boundary, in this merge order, so they ride
+  // the mail lane; the few sent for later go to the heap.
   Simulator& to = *shards_[dst];
   for (auto& row : outbox_) {
     auto& box = row[dst];
     for (auto& msg : box) {
-      to.schedule_at(std::max(msg.at, boundary), std::move(msg.fn));
+      if (msg.at <= boundary) {
+        to.schedule_at(mail_lane_, boundary, std::move(msg.fn));
+      } else {
+        to.schedule_at(msg.at, std::move(msg.fn));
+      }
     }
     box.clear();  // keeps capacity — steady state appends do not allocate
   }

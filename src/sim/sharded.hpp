@@ -96,6 +96,10 @@ class ShardedSimulator {
   /// at the next window barrier at time max(at, boundary).
   void post(ShardId src, ShardId dst, Time at, EventFn fn);
 
+  /// Open a FIFO lane on every shard (see Simulator::add_lane). The one id
+  /// returned names it on each shard.
+  Simulator::LaneId add_lane();
+
   /// Register a barrier hook (see BarrierHook). Hooks run serially in
   /// registration order; they must not schedule cross-shard work directly
   /// (use post from a shard, or schedule locally on any shard — the shard
@@ -135,6 +139,7 @@ class ShardedSimulator {
   // destination drains only its own column.
   std::vector<std::vector<std::vector<Outgoing>>> outbox_;
   std::vector<BarrierHook> hooks_;
+  Simulator::LaneId mail_lane_ = 0;  // mailbox deliveries clamped to a boundary
   Time window_;
   parallel::ThreadPool* pool_;
   Stats stats_;

@@ -14,6 +14,18 @@ EventId Simulator::schedule_at(Time at, EventFn fn) {
   return queue_.schedule(at, std::move(fn));
 }
 
+EventId Simulator::schedule_in(LaneId lane, Time delay, EventFn fn) {
+  assert(delay >= 0.0 && "negative delay");
+  const Time at = now_ + delay;
+  assert(at >= queue_.lane_back(lane) && "one fixed delay per lane keeps its appends monotone");
+  return queue_.schedule(lane, at, std::move(fn));
+}
+
+EventId Simulator::schedule_at(LaneId lane, Time at, EventFn fn) {
+  assert(at >= now_ && "scheduling into the past");
+  return queue_.schedule(lane, at, std::move(fn));
+}
+
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto ev = queue_.pop();

@@ -37,6 +37,22 @@ class Simulator {
   /// Schedule `fn` at absolute time `at` (at >= now()).
   EventId schedule_at(Time at, EventFn fn);
 
+  using LaneId = EventQueue::LaneId;
+
+  /// Open a FIFO lane in the pending-event set (see EventQueue). Give each
+  /// kind of timer with one fixed delay its own lane: its events then arrive
+  /// in order and skip the heap.
+  LaneId add_lane() { return queue_.add_lane(); }
+
+  /// Schedule `fn` `delay` seconds from now through `lane`. The lane must
+  /// serve one fixed delay: now() never falls, so its appends are then
+  /// monotone and none falls back to the heap (asserted).
+  EventId schedule_in(LaneId lane, Time delay, EventFn fn);
+
+  /// Schedule `fn` at absolute time `at` (>= now()) through `lane`; an
+  /// entry that would break the lane's order goes to the heap instead.
+  EventId schedule_at(LaneId lane, Time at, EventFn fn);
+
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Run until the event set drains or the clock would pass `until`.

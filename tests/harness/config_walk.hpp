@@ -22,8 +22,10 @@ struct ConfigLeaf {
 /// its field's range in validate(): a flag flips, an enumerator swaps
 /// between the first two, an integer grows by one, a real halves (0 becomes
 /// 0.5) and the partition list gains a window. Only the leaf changes, so
-/// halving one quality weight takes w_s + w_a off 1: a caller that
-/// validates moves the other weight itself.
+/// halving one quality weight takes w_s + w_a off 1, and halving
+/// overlay.churn.session_min or session_max puts the default session median
+/// exactly on its reachable ceiling sqrt(session_min * session_max): a
+/// caller that validates moves the other weight or the median itself.
 inline std::optional<ConfigLeaf> change_leaf(harness::ScenarioConfig& cfg, std::size_t index) {
   std::optional<ConfigLeaf> changed;
   std::size_t i = 0;

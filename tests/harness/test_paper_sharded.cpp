@@ -248,12 +248,18 @@ TEST(PaperSharded, RejectsUnimplementedKnobs) {
     const auto leaf = harness_test::change_leaf(cfg, i);
     if (!leaf) break;
     SCOPED_TRACE(leaf->name);
-    // validate() keeps the two quality weights on the simplex: the other
-    // weight follows, which reaches no refusal (both are kBoth leaves).
+    // validate() keeps the two quality weights on the simplex and the
+    // session median reachable: the other weight or the median follows,
+    // which reaches no refusal (all are kBoth leaves).
     if (leaf->name == "weights.w_selectivity") {
       cfg.weights.w_availability = 1.0 - cfg.weights.w_selectivity;
     } else if (leaf->name == "weights.w_availability") {
       cfg.weights.w_selectivity = 1.0 - cfg.weights.w_availability;
+    } else if (leaf->name == "overlay.churn.session_min" ||
+               leaf->name == "overlay.churn.session_max") {
+      // Halving either bound puts the median on the ceiling of the medians
+      // the session shape can reach, so the median (a kBoth leaf) follows.
+      cfg.overlay.churn.session_median /= 2.0;
     }
     if (leaf->runners == Runners::kBoth) {
       EXPECT_EQ(cfg.validate(), "");

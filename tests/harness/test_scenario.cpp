@@ -67,6 +67,23 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
       {"weights.w_selectivity + w_availability",
        [](ScenarioConfig& c) { c.weights = {0.5, 0.5 - 1e-11}; }},
       {"p_f_lo", [](ScenarioConfig& c) { c.p_f_lo = c.p_f_hi + 1.0; }},
+      {"adversary.drop_probability", [](ScenarioConfig& c) { c.adversary.drop_probability = 1.5; }},
+      {"adversary.drop_probability",
+       [](ScenarioConfig& c) { c.adversary.drop_probability = -0.2; }},
+      {"adversary.drop_probability",
+       [](ScenarioConfig& c) { c.adversary.drop_probability = std::nan(""); }},
+      {"overlay.churn.session_min", [](ScenarioConfig& c) { c.overlay.churn.session_min = 0.0; }},
+      {"overlay.churn.session_min",
+       [](ScenarioConfig& c) { c.overlay.churn.session_min = c.overlay.churn.session_max; }},
+      {"overlay.churn.session_median",
+       [](ScenarioConfig& c) { c.overlay.churn.session_median = -300.0; }},
+      {"overlay.churn.session_median",
+       [](ScenarioConfig& c) { c.overlay.churn.session_median = c.overlay.churn.session_min; }},
+      {"overlay.churn.session_median",
+       [](ScenarioConfig& c) {  // the log-uniform limit sqrt(min * max) is out of reach
+         c.overlay.churn.session_median =
+             std::sqrt(c.overlay.churn.session_min * c.overlay.churn.session_max);
+       }},
   };
   for (const auto& [field, set] : cases) {
     for (const std::uint32_t shards : {1u, 4u}) {
@@ -96,6 +113,11 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
   edge.weights = {0.0, 1.0};
   EXPECT_EQ(edge.validate(), "");
   edge.weights = {0.1, 1.0 - 0.1 + 1e-13};  // within the sum's tolerance
+  EXPECT_EQ(edge.validate(), "");
+  edge.adversary.drop_probability = 1.0;
+  EXPECT_EQ(edge.validate(), "");
+  edge.overlay.churn.session_median =
+      0.999 * std::sqrt(edge.overlay.churn.session_min * edge.overlay.churn.session_max);
   EXPECT_EQ(edge.validate(), "");
 }
 

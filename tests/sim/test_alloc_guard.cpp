@@ -80,22 +80,29 @@ static_assert(sizeof(ModelCapture) <= p2panon::sim::EventCallback::kInlineSize);
 
 TEST(EventQueueAllocGuard, SteadyStateSchedulesWithoutAllocating) {
   EventQueue q;
+  const EventQueue::LaneId tick_lane = q.add_lane();
+  const EventQueue::LaneId timer_lane = q.add_lane();
   ModelCapture capture;
   constexpr int kPending = 2048;
   std::uint64_t fired = 0;
 
   // The fault-mode steady state — schedule a timer, cancel the previous one,
-  // pop due events. Deterministic, so two runs trace identical storage-growth
-  // profiles: the physical heap length (live + not-yet-surfaced stale entries)
-  // and slot count peak at the same values each time.
-  const auto run_workload = [&q, &capture, &fired] {
+  // pop due events — with fixed-delay ticks and timers on two lanes beside
+  // the heap. Deterministic, so two runs trace identical storage-growth
+  // profiles: the physical heap and ring lengths (live + not-yet-surfaced
+  // stale entries) and slot count peak at the same values each time.
+  const auto run_workload = [&q, &capture, &fired, tick_lane, timer_lane] {
     double now = 0.0;
     p2panon::sim::EventId last = p2panon::sim::kInvalidEventId;
     for (int round = 0; round < 50'000; ++round) {
-      const auto id = q.schedule(now + 5.0 + (round % 97), [capture, &fired] {
+      const auto callback = [capture, &fired] {
         ++fired;
         (void)capture;
-      });
+      };
+      const int kind = round % 3;
+      const auto id = kind == 0   ? q.schedule(now + 5.0 + (round % 97), callback)
+                      : kind == 1 ? q.schedule(tick_lane, now + 30.0, callback)
+                                  : q.schedule(timer_lane, now + 90.0, callback);
       if (round % 2 == 1) q.cancel(last);
       last = id;
       if (q.size() >= kPending / 2) {
@@ -125,6 +132,7 @@ TEST(EventQueueAllocGuard, SteadyStateSchedulesWithoutAllocating) {
   EXPECT_EQ(g_allocations.load(), 0u)
       << "steady-state schedule/cancel/pop performed heap allocations";
   EXPECT_EQ(q.stats().callback_heap_allocs, 0u);
+  EXPECT_GT(q.stats().fired_from_lanes, 0u);
   EXPECT_GT(fired, 0u);
 }
 

@@ -234,6 +234,101 @@ TEST(EventQueueCancelSemantics, CancelledSlotReusedKeepsOrdering) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// --- FIFO lanes: a second kind of source, the same (time, seq) order.
+
+TEST(EventQueueLanes, TiesAcrossLanesAndHeapPopInScheduleOrder) {
+  EventQueue q;
+  const auto a = q.add_lane();
+  const auto b = q.add_lane();
+  std::vector<int> order;
+  q.schedule(a, 1.0, [&] { order.push_back(0); });
+  q.schedule(2.0, [&] { order.push_back(3); });
+  q.schedule(b, 1.0, [&] { order.push_back(1); });
+  q.schedule(1.0, [&] { order.push_back(2); });
+  q.schedule(a, 2.0, [&] { order.push_back(4); });
+  q.schedule(b, 2.0, [&] { order.push_back(5); });
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.stats().fired_from_lanes, 4u);
+}
+
+TEST(EventQueueLanes, ScheduleThatBreaksTheLaneOrderGoesToTheHeap) {
+  EventQueue q;
+  const auto lane = q.add_lane();
+  std::vector<int> order;
+  q.schedule(lane, 5.0, [&] { order.push_back(5); });
+  EXPECT_EQ(q.lane_back(lane), 5.0);
+  q.schedule(lane, 3.0, [&] { order.push_back(3); });  // earlier: heap
+  q.schedule(lane, 5.0, [&] { order.push_back(6); });  // equal time, later seq: lane
+  EXPECT_EQ(q.lane_back(lane), 5.0);
+  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{3, 5, 6}));
+  EXPECT_EQ(q.stats().fired, 3u);
+  EXPECT_EQ(q.stats().fired_from_lanes, 2u);
+}
+
+TEST(EventQueueLanes, CancelledLaneFrontIsSkipped) {
+  EventQueue q;
+  const auto lane = q.add_lane();
+  bool first_fired = false;
+  bool second_fired = false;
+  const auto first = q.schedule(lane, 1.0, [&] { first_fired = true; });
+  q.schedule(lane, 2.0, [&] { second_fired = true; });
+  EXPECT_TRUE(q.cancel(first));
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  q.pop().fn();
+  EXPECT_FALSE(first_fired);
+  EXPECT_TRUE(second_fired);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueLanes, CancelInsideOwnLaneCallbackReturnsFalse) {
+  EventQueue q;
+  const auto lane = q.add_lane();
+  p2panon::sim::EventId self = p2panon::sim::kInvalidEventId;
+  bool cancel_result = true;
+  self = q.schedule(lane, 1.0, [&] { cancel_result = q.cancel(self); });
+  q.pop().fn();
+  EXPECT_FALSE(cancel_result);
+}
+
+TEST(EventQueueLanes, ClearEmptiesLanesAndKeepsThemOpen) {
+  EventQueue q;
+  const auto lane = q.add_lane();
+  const auto stale = q.schedule(lane, 9.0, [] {});
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), kTimeInfinity);
+  EXPECT_EQ(q.lane_back(lane), -kTimeInfinity);
+  bool fired = false;
+  q.schedule(lane, 1.0, [&] { fired = true; });  // earlier than before clear(): still the lane
+  EXPECT_FALSE(q.cancel(stale));
+  q.pop().fn();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(q.stats().fired_from_lanes, 1u);
+}
+
+TEST(EventQueueLanes, LaneKeepsOrderAcrossRingGrowthAndWrap) {
+  // Pop some, push more, so the ring wraps before it grows.
+  EventQueue q;
+  const auto lane = q.add_lane();
+  std::vector<int> order;
+  int next = 0;
+  int expected = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 7; ++i, ++next) {
+      q.schedule(lane, static_cast<double>(next), [&order, next] { order.push_back(next); });
+    }
+    for (int i = 0; i < 5; ++i) q.pop().fn();
+  }
+  while (!q.empty()) q.pop().fn();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(next));
+  for (const int v : order) EXPECT_EQ(v, expected++);
+}
+
 TEST(EventQueueStats, CountsScheduledCancelledFired) {
   EventQueue q;
   const auto a = q.schedule(1.0, [] {});
@@ -306,10 +401,19 @@ namespace {
 
 /// Drives an EventQueue and an ordered std::map model of its pending set in
 /// lock step. The model is the specification: pop order is (time, schedule
-/// order), nothing else.
+/// order), nothing else — whether an entry sits in the heap or in a lane.
 class ModelCheckedQueue {
  public:
   using Key = std::pair<double, std::uint64_t>;  // (time, schedule order)
+
+  // Lane l serves the fixed delay (l + 1) * kLaneDelay, on the same
+  // quarter-second grid as draw_time(), so lane and heap entries tie often.
+  static constexpr int kLanes = 3;
+  static constexpr double kLaneDelay = 8.0;
+
+  ModelCheckedQueue() {
+    for (auto& lane : lanes_) lane = q_.add_lane();
+  }
 
   std::uint64_t draw() {
     rng_ = rng_ * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -321,14 +425,28 @@ class ModelCheckedQueue {
 
   void schedule(double at) {
     const std::uint64_t order = next_order_++;
-    const auto id = q_.schedule(at, [this, order] { on_fire(order); });
-    model_.emplace(Key{at, order}, id);
-    key_of_.emplace(id, Key{at, order});
-    // Remember recent ids, live or spent, as cancel targets.
-    if (recent_ids_.size() < 4096) {
-      recent_ids_.push_back(id);
+    record(at, order, q_.schedule(at, [this, order] { on_fire(order); }));
+  }
+
+  void schedule_lane(int lane, double at) {
+    const std::uint64_t order = next_order_++;
+    record(at, order, q_.schedule(lanes_[lane], at, [this, order] { on_fire(order); }));
+  }
+
+  // The engine's mix: the heap at a drawn time, a lane at its fixed delay,
+  // and now and then a lane at a drawn time no later than that, which the
+  // queue must send to the heap whenever it would break the lane's order.
+  void schedule_any() {
+    const std::uint64_t r = draw() % 8;
+    const int lane = static_cast<int>(draw() % kLanes);
+    const double delay = kLaneDelay * (lane + 1);
+    if (r < 4) {
+      schedule(draw_time());
+    } else if (r < 7) {
+      schedule_lane(lane, now_ + delay);
     } else {
-      recent_ids_[draw() % recent_ids_.size()] = id;
+      const auto quarters = static_cast<std::uint64_t>(4.0 * delay) + 1;
+      schedule_lane(lane, now_ + 0.25 * static_cast<double>(draw() % quarters));
     }
   }
 
@@ -355,8 +473,18 @@ class ModelCheckedQueue {
     ASSERT_EQ(ev.time, key.first);
     ASSERT_EQ(ev.id, id);
     now_ = ev.time;
+    firing_ = id;
     ev.fn();
     ASSERT_EQ(fired_order_, key.second);  // the callback column matches the entry
+    ASSERT_FALSE(self_cancelled_);        // a popped event is spent, even mid-callback
+  }
+
+  // Drop everything in both; the ids handed out so far stay cancel targets
+  // and must all answer false from here on.
+  void clear() {
+    q_.clear();
+    model_.clear();
+    key_of_.clear();
   }
 
   void check_head() const {
@@ -369,20 +497,42 @@ class ModelCheckedQueue {
   [[nodiscard]] const EventQueue& queue() const { return q_; }
 
  private:
+  void record(double at, std::uint64_t order, p2panon::sim::EventId id) {
+    model_.emplace(Key{at, order}, id);
+    key_of_.emplace(id, Key{at, order});
+    // Remember recent ids, live or spent, as cancel targets.
+    if (recent_ids_.size() < 4096) {
+      recent_ids_.push_back(id);
+    } else {
+      recent_ids_[draw() % recent_ids_.size()] = id;
+    }
+  }
+
   void on_fire(std::uint64_t order) {
     fired_order_ = order;
-    // One in four callbacks schedules a follow-up, sometimes at `now` itself.
+    // One in four callbacks schedules a follow-up (heap or lane, sometimes
+    // at `now` itself); one in six tries to cancel its own event.
     const std::uint64_t r = draw();
-    if (r % 4 == 0) schedule(r % 8 == 0 ? now_ : draw_time());
+    if (r % 4 == 0) {
+      if (r % 8 == 0) {
+        schedule(now_);
+      } else {
+        schedule_any();
+      }
+    }
+    self_cancelled_ = r % 6 == 0 && q_.cancel(firing_);
   }
 
   EventQueue q_;
+  EventQueue::LaneId lanes_[kLanes] = {};
   std::map<Key, p2panon::sim::EventId> model_;
   std::unordered_map<p2panon::sim::EventId, Key> key_of_;
   std::vector<p2panon::sim::EventId> recent_ids_;
   std::uint64_t rng_ = 20240917;
   std::uint64_t next_order_ = 0;
   std::uint64_t fired_order_ = ~std::uint64_t{0};
+  p2panon::sim::EventId firing_ = p2panon::sim::kInvalidEventId;
+  bool self_cancelled_ = false;
   double now_ = 0.0;
 };
 
@@ -390,17 +540,25 @@ class ModelCheckedQueue {
 
 TEST(EventQueueStress, MatchesOrderedReferenceExactly) {
   // ~2e5 seeded schedule/cancel/pop operations against an ordered model with
-  // ~4e4 events pending, so the heap is many levels deep: every popped
-  // (time, id), every fired callback and every next_time() must match
-  // exactly — not merely come out in non-decreasing time.
+  // ~4e4 events pending, so the heap is many levels deep and the lanes long:
+  // every popped (time, id), every fired callback and every next_time() must
+  // match exactly — not merely come out in non-decreasing time. Schedules mix
+  // the heap and three fixed-delay lanes (with ties across them and lane
+  // schedules that must fall back to the heap); halfway through, clear()
+  // drops everything and the queue is refilled.
   constexpr std::size_t kTarget = 40'000;
   constexpr int kOps = 200'000;
   ModelCheckedQueue d;
-  while (d.pending() < kTarget) d.schedule(d.draw_time());
+  while (d.pending() < kTarget) d.schedule_any();
   for (int i = 0; i < kOps; ++i) {
+    if (i == kOps / 2) {
+      d.clear();
+      d.check_head();
+      while (d.pending() < kTarget) d.schedule_any();
+    }
     const std::uint64_t r = d.draw() % 8;
     if (r < 3 || d.pending() == 0) {
-      d.schedule(d.draw_time());
+      d.schedule_any();
     } else if (r < 5) {
       d.cancel_some();
     } else {
@@ -416,6 +574,9 @@ TEST(EventQueueStress, MatchesOrderedReferenceExactly) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_TRUE(d.queue().empty());
-  EXPECT_EQ(d.queue().stats().scheduled,
-            d.queue().stats().fired + d.queue().stats().cancelled);
+  const EventQueue::Stats& stats = d.queue().stats();  // since the clear()
+  EXPECT_EQ(stats.scheduled, stats.fired + stats.cancelled);
+  // Both kinds of source served a real share of the pops.
+  EXPECT_GT(stats.fired_from_lanes, stats.fired / 5);
+  EXPECT_LT(stats.fired_from_lanes, stats.fired - stats.fired / 5);
 }

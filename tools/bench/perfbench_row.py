@@ -18,16 +18,30 @@ recorded reference fingerprints with no failed check.
 --check validates every row of the file against that schema, prints each
 violation and exits non-zero if there is any.
 
+With two or more checkouts, every row after the first also stores, per
+workload and metric, the ratio of each pair (that checkout's run over the
+first checkout's run of the same pair) under "paired", with the first
+checkout's commit as its baseline. Rows without it (older rows, or a single
+checkout) stay valid.
+
 --compare prints, per workload and end-to-end metric, the median of the
 last two rows (the earlier one first), the relative change, and whether the
-change exceeds the earlier row's interquartile range. It only prints: the
-exit status is 0 whatever the numbers say.
+change exceeds the earlier row's interquartile range. When the last row has
+paired ratios, it also prints their median with a distribution-free
+interval from order statistics, pooling every row of the same commit
+against the same baseline: the k-th smallest and k-th largest ratio, with
+the largest k whose coverage of the median is at least 95 % (k = 2 for 10
+pairs: 97.9 %). A claim of "at least X % lower" is established when the
+interval's upper end is at most 1 - X/100, and "at least X % higher" when its
+lower end is at least 1 + X/100. It only prints: the exit status is 0
+whatever the numbers say.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -41,6 +55,7 @@ WORKLOADS = ("paper_sweep", "fault_population", "sharded_scale")
 METRICS = {"setup_s": "s", "wall_s": "s", "replicates_per_s": "1/s", "peak_rss_mib": "MiB"}
 ROW_KEYS = {"commit", "nproc", "compiler", "build_type", "pairs", "seed", "note",
             "matches_reference", "workloads"}
+MIN_COVERAGE = 0.95
 
 
 def git(repo: Path, *args: str) -> str:
@@ -95,9 +110,10 @@ def measure(repos: list[Path], workloads: list[str], runs: int, seed: int, note:
                       f"{'' if ok else '  (reference mismatch or failed check)'}",
                       file=sys.stderr)
     rows = []
+    baseline = repos[0]
     for repo in repos:
         env = envs[repo]
-        rows.append({
+        row = {
             "commit": commit_of(repo),
             "nproc": env.get("nproc", os.cpu_count()),
             "compiler": env.get("compiler", "unknown"),
@@ -110,7 +126,15 @@ def measure(repos: list[Path], workloads: list[str], runs: int, seed: int, note:
                 w: {m: dict(summary(samples[repo][w][m]), unit=METRICS[m]) for m in METRICS}
                 for w in workloads
             },
-        })
+        }
+        if repo != baseline:
+            row["paired"] = {
+                "baseline": commit_of(baseline),
+                "ratios": {w: {m: [b / a for a, b in zip(samples[baseline][w][m],
+                                                         samples[repo][w][m])]
+                               for m in METRICS} for w in workloads},
+            }
+        rows.append(row)
     return rows
 
 
@@ -161,7 +185,49 @@ def check(path: Path) -> list[str]:
                     errors.append(f"{where} {w} {m}: needs q1 <= median <= q3")
                 if cell.get("unit") != METRICS[m]:
                     errors.append(f"{where} {w} {m}: unit must be {METRICS[m]!r}")
+        if "paired" in row:
+            errors.extend(check_paired(row, where))
     return errors
+
+
+def check_paired(row: dict, where: str) -> list[str]:
+    """Violations of a row's optional "paired" field."""
+    paired = row["paired"]
+    if not isinstance(paired, dict) or set(paired) != {"baseline", "ratios"}:
+        return [f"{where}: paired must be an object with exactly baseline and ratios"]
+    errors = []
+    if not isinstance(paired["baseline"], str):
+        errors.append(f"{where}: paired.baseline must be a string")
+    ratios = paired["ratios"]
+    if not isinstance(ratios, dict) or set(ratios) != set(row["workloads"]):
+        return errors + [f"{where}: paired.ratios must cover exactly the row's workloads"]
+    for w, metrics in ratios.items():
+        if not isinstance(metrics, dict) or set(metrics) != set(METRICS):
+            errors.append(f"{where} {w}: paired ratios must be exactly {sorted(METRICS)}")
+            continue
+        for m, values in metrics.items():
+            if (not isinstance(values, list) or len(values) != row["pairs"] or
+                    not all(isinstance(x, (int, float)) and x > 0 for x in values)):
+                errors.append(f"{where} {w} {m}: paired ratios must be {row['pairs']} "
+                              "positive numbers, one per pair")
+    return errors
+
+
+def median_interval(ratios: list[float]) -> tuple[float, float, float, float]:
+    """(median, low, high, coverage): the order-statistic interval for the
+    median, [k-th smallest, k-th largest] with the largest k whose coverage
+    1 - 2 P(Binomial(n, 1/2) < k) is at least MIN_COVERAGE (k = 1, the full
+    range, when even that falls short)."""
+    xs = sorted(ratios)
+    n = len(xs)
+
+    def coverage(k: int) -> float:
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(k)) / 2.0 ** n
+
+    k = 1
+    while k + 1 <= (n + 1) // 2 and coverage(k + 1) >= MIN_COVERAGE:
+        k += 1
+    return statistics.median(xs), xs[k - 1], xs[n - k], coverage(k)
 
 
 def compare(path: Path) -> list[str]:
@@ -183,6 +249,23 @@ def compare(path: Path) -> list[str]:
             beyond = "beyond" if abs(b["median"] - a["median"]) > iqr else "within"
             lines.append(f"  {w:17s} {m:17s} {a['median']:11.4g} -> {b['median']:11.4g} {unit:4s}"
                          f" {change}  ({beyond} the earlier IQR {iqr:.3g})")
+    if "paired" not in new:
+        return lines
+    # Pool every batch of the same commit against the same baseline.
+    baseline = new["paired"]["baseline"]
+    batches = [r for r in rows if r["commit"] == new["commit"]
+               and r.get("paired", {}).get("baseline") == baseline]
+    lines.append(f"{new['commit']} over {baseline}: paired ratios from {len(batches)} "
+                 f"batch(es), median [interval] (coverage of the median)")
+    for w in WORKLOADS:
+        pooled = {m: [x for r in batches for x in r["paired"]["ratios"].get(w, {}).get(m, [])]
+                  for m in METRICS}
+        for m, ratios in pooled.items():
+            if not ratios:
+                continue
+            med, low, high, cover = median_interval(ratios)
+            lines.append(f"  {w:17s} {m:17s} {med:7.4f} [{low:.4f}, {high:.4f}] "
+                         f"({100.0 * cover:.1f} %, {len(ratios)} pairs)")
     return lines
 
 
