@@ -69,7 +69,6 @@ EventQueue::Entry EventQueue::admit(Time at, EventFn fn) {
   const std::uint32_t slot = acquire_slot();
   fns_[slot] = std::move(fn);
   ++live_count_;
-  next_source_ = kUnknownSource;
   return Entry{at, next_seq_++, slot, meta_[slot].gen};
 }
 
@@ -127,7 +126,6 @@ bool EventQueue::cancel(EventId id) {
   release_slot(slot);
   --live_count_;
   ++stats_.cancelled;
-  next_source_ = kUnknownSource;
   // The heap or lane entry stays behind; earliest_live() discards it when it
   // surfaces (its slot is no longer live under that generation).
   return true;
@@ -159,15 +157,11 @@ void EventQueue::drop_front(std::uint32_t source) const noexcept {
 }
 
 std::uint32_t EventQueue::earliest_live() const {
-  while (next_source_ == kUnknownSource) {
+  for (;;) {
     const std::uint32_t source = earliest_front();
-    if (source == kNoSource || entry_live(front_of(source))) {
-      next_source_ = source;
-    } else {
-      drop_front(source);
-    }
+    if (source == kNoSource || entry_live(front_of(source))) return source;
+    drop_front(source);
   }
-  return next_source_;
 }
 
 Time EventQueue::next_time() const noexcept {
@@ -180,7 +174,6 @@ EventQueue::Popped EventQueue::pop() {
   assert(source != kNoSource && "pop() on empty EventQueue");
   const Entry e = front_of(source);
   drop_front(source);
-  next_source_ = kUnknownSource;
   if (source != kHeapSource) ++stats_.fired_from_lanes;
   Popped out{e.time, make_id(e.slot, e.gen), std::move(fns_[e.slot])};
   // Free the slot before the caller runs the callback: the event is spent,
@@ -216,7 +209,6 @@ void EventQueue::reserve_more(std::size_t n) {
 }
 
 void EventQueue::clear() {
-  next_source_ = kUnknownSource;
   heap_.clear();
   for (Lane& l : lanes_) l.head = l.count = 0;
   // Rebuild the free list over every slot. Generations are preserved (and

@@ -180,7 +180,6 @@ class EventQueue {
   // Sources of pending entries: a lane index, or one of these.
   static constexpr std::uint32_t kNoSource = 0xFFFFFFFFu;  // nothing pending
   static constexpr std::uint32_t kHeapSource = 0xFFFFFFFEu;
-  static constexpr std::uint32_t kUnknownSource = 0xFFFFFFFDu;  // next_source_ not cached
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
     return (static_cast<EventId>(gen) << 32) | slot;
@@ -199,8 +198,8 @@ class EventQueue {
   [[nodiscard]] std::uint32_t earliest_front() const noexcept;
   // The source whose front is the earliest live entry. Drops the entries of
   // cancelled events that surface on the way. Logically const: the live set
-  // is unchanged (heap_, lanes_ and next_source_ are mutable bookkeeping,
-  // slots are not touched).
+  // is unchanged (heap_ and lanes_ are mutable bookkeeping, slots are not
+  // touched).
   std::uint32_t earliest_live() const;
   void drop_front(std::uint32_t source) const noexcept;
 
@@ -222,9 +221,6 @@ class EventQueue {
   std::uint32_t free_head_ = kNoFreeSlot;
   std::size_t live_count_ = 0;
   std::uint64_t next_seq_ = 0;
-  // earliest_live()'s answer until the next schedule, successful cancel or
-  // pop: run loops ask next_time() and then pop() for the same entry.
-  mutable std::uint32_t next_source_ = kUnknownSource;
   Stats stats_;
 };
 
