@@ -195,12 +195,12 @@ EventQueue::Popped EventQueue::pop() {
   return out;
 }
 
-void EventQueue::reserve_more(std::size_t n) {
+void EventQueue::reserve_more(std::size_t n, LaneId lane) {
   const auto grow = [](auto& v, std::size_t need) {
     if (v.capacity() < need) v.reserve(std::max(need, 2 * v.capacity()));
   };
   grow(heap_, heap_.size() + n);
-  for (Lane& l : lanes_) l.reserve(l.count + n);
+  lanes_[lane].reserve(lanes_[lane].count + n);
   const std::size_t free_slots = meta_.size() - live_count_;
   if (n > free_slots) {
     grow(meta_, meta_.size() + n - free_slots);

@@ -121,10 +121,11 @@ class EventQueue {
   };
   Popped pop();
 
-  /// Grow capacity (geometrically) so the next `n` schedule() calls, into
-  /// the heap or any one lane, do not reallocate. Changes no observable
-  /// state.
-  void reserve_more(std::size_t n);
+  /// Grow capacity (geometrically) so the next `n` schedule() calls, each
+  /// into the heap or `lane`, do not reallocate. Changes no observable
+  /// state. Other lanes are left alone: reserving every lane for a burst
+  /// that goes to one of them would only inflate memory.
+  void reserve_more(std::size_t n, LaneId lane);
 
   /// Drop everything and zero the stats. Lanes stay open, empty. Outstanding
   /// ids stay dead: slot generations survive and are bumped on reuse as

@@ -105,7 +105,7 @@ void ShardedSimulator::flush_mailboxes(Time boundary) {
   for (ShardId dst = 0; dst < shard_count(); ++dst) {
     std::size_t incoming = 0;
     for (const auto& row : outbox_) incoming += row[dst].size();
-    shards_[dst]->reserve_events(incoming);
+    shards_[dst]->reserve_events(incoming, mail_lane_);
     mail += incoming;
   }
   if (mail == 0) return;

@@ -73,8 +73,9 @@ class Simulator {
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
 
-  /// Make room for `n` more scheduled events without reallocating.
-  void reserve_events(std::size_t n) { queue_.reserve_more(n); }
+  /// Make room for `n` more events, each scheduled on the heap or `lane`,
+  /// without reallocating.
+  void reserve_events(std::size_t n, LaneId lane) { queue_.reserve_more(n, lane); }
 
   /// Reset clock and drop all pending events.
   void reset();

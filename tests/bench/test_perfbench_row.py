@@ -18,10 +18,10 @@ def cell(value):
     return {"median": value, "q1": value, "q3": value}
 
 
-def row(commit, pairs, ratios=None, baseline="parent"):
+def row(commit, pairs, ratios=None, baseline="parent", seed=1):
     r = {
         "commit": commit, "nproc": 4, "compiler": "g++", "build_type": "RelWithDebInfo",
-        "pairs": pairs, "seed": 1, "note": "", "matches_reference": True,
+        "pairs": pairs, "seed": seed, "note": "", "matches_reference": True,
         "workloads": {"sharded_scale": {m: dict(cell(1.0), unit=u)
                                         for m, u in pr.METRICS.items()}},
     }
@@ -69,8 +69,9 @@ class Schema(unittest.TestCase):
 
 
 class Compare(unittest.TestCase):
-    def test_batches_of_the_same_two_commits_pool_their_pairs(self):
+    def test_batches_of_the_same_two_commits_and_seed_pool_their_pairs(self):
         rows = [row("other", 5), row("change", 5, [5.0] * 5, baseline="other"),
+                row("parent", 5, seed=2), row("change", 5, [3.0] * 5, seed=2),
                 row("parent", 5), row("change", 5, [0.8] * 5),
                 row("parent", 5), row("change", 5, [0.9] * 5)]
         with tempfile.TemporaryDirectory() as d:

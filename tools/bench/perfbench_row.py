@@ -29,12 +29,12 @@ last two rows (the earlier one first), the relative change, and whether the
 change exceeds the earlier row's interquartile range. When the last row has
 paired ratios, it also prints their median with a distribution-free
 interval from order statistics, pooling every row of the same commit
-against the same baseline: the k-th smallest and k-th largest ratio, with
-the largest k whose coverage of the median is at least 95 % (k = 2 for 10
-pairs: 97.9 %). A claim of "at least X % lower" is established when the
-interval's upper end is at most 1 - X/100, and "at least X % higher" when its
-lower end is at least 1 + X/100. It only prints: the exit status is 0
-whatever the numbers say.
+against the same baseline at the same seed: the k-th smallest and k-th
+largest ratio, with the largest k whose coverage of the median is at least
+95 % (k = 2 for 10 pairs: 97.9 %). A claim of "at least X % lower" is
+established when the interval's upper end is at most 1 - X/100, and "at
+least X % higher" when its lower end is at least 1 + X/100. It only prints:
+the exit status is 0 whatever the numbers say.
 """
 
 from __future__ import annotations
@@ -251,12 +251,12 @@ def compare(path: Path) -> list[str]:
                          f" {change}  ({beyond} the earlier IQR {iqr:.3g})")
     if "paired" not in new:
         return lines
-    # Pool every batch of the same commit against the same baseline.
+    # Pool every batch of the same commit against the same baseline and seed.
     baseline = new["paired"]["baseline"]
-    batches = [r for r in rows if r["commit"] == new["commit"]
+    batches = [r for r in rows if r["commit"] == new["commit"] and r["seed"] == new["seed"]
                and r.get("paired", {}).get("baseline") == baseline]
-    lines.append(f"{new['commit']} over {baseline}: paired ratios from {len(batches)} "
-                 f"batch(es), median [interval] (coverage of the median)")
+    lines.append(f"{new['commit']} over {baseline}, seed {new['seed']}: paired ratios from "
+                 f"{len(batches)} batch(es), median [interval] (coverage of the median)")
     for w in WORKLOADS:
         pooled = {m: [x for r in batches for x in r["paired"]["ratios"].get(w, {}).get(m, [])]
                   for m in METRICS}
