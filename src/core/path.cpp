@@ -11,7 +11,7 @@ std::vector<net::NodeId>& PathBuilder::candidates_for(const RoutingContext& ctx,
   std::vector<net::NodeId>& out = ctx.resources.candidates;
   out.clear();
   for (net::NodeId c : nodes_.neighbors_of(holder)) {
-    if (c == holder || c == pred || !nodes_.appears_online(c)) continue;
+    if (c == holder || c == pred || !ctx.appears_online(c)) continue;
     if (c == ctx.responder) {
       // The initiator never hands the payload straight to the responder —
       // that forfeits its anonymity (in Crowds the first hop is always a
@@ -56,7 +56,7 @@ PathBuilder::HopOutcome PathBuilder::next_hop(const RoutingContext& ctx, net::No
   if (!deliver) {
     std::vector<net::NodeId>& candidates =
         candidates_for(ctx, holder, pred, first_hop, &out.declined);
-    if (candidates.empty() && pred != net::kInvalidNode && nodes_.appears_online(pred)) {
+    if (candidates.empty() && pred != net::kInvalidNode && ctx.appears_online(pred)) {
       // Only the sender itself is available: bouncing back beats failing.
       candidates.push_back(pred);
     }
@@ -83,7 +83,8 @@ BuiltPath PathBuilder::build(net::PairId pair, std::uint32_t conn_index, net::No
                              const StrategyAssignment& strategies,
                              sim::rng::Stream& stream) const {
   assert(initiator != responder);
-  RoutingContext ctx{nodes_, links_, quality_, contract, pair, conn_index, responder, resources_};
+  RoutingContext ctx{nodes_,     links_,    quality_,   contract, pair,
+                     conn_index, responder, resources_, believed_};
   // No event runs inside a build, so the world is frozen for all its hops:
   // one memo generation serves every decision (each choose() scope nests).
   DecisionScope scope(resources_);

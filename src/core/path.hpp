@@ -54,7 +54,16 @@ class PathBuilder {
   /// (never null), which must outlive the builder.
   PathBuilder(const net::Overlay& overlay, const EdgeQualityEvaluator& quality,
               PathBuilderConfig cfg, DecisionResources* shared) noexcept
-      : nodes_(overlay.state()), links_(overlay.links()), quality_(quality), cfg_(cfg),
+      : PathBuilder(overlay.state(), overlay.state().believed(), overlay.links(), quality, cfg,
+                    shared) {}
+
+  /// Over bare node columns: `nodes` gives neighbours, kinds and costs,
+  /// `believed` the liveness every decision reads (the serial overlay's own
+  /// columns above; the K > 1 paper runner's published snapshot).
+  PathBuilder(const net::NodeStateSoA& nodes, net::LivenessView believed,
+              const net::LinkModel& links, const EdgeQualityEvaluator& quality,
+              PathBuilderConfig cfg, DecisionResources* shared) noexcept
+      : nodes_(nodes), believed_(believed), links_(links), quality_(quality), cfg_(cfg),
         resources_(*shared) {}
 
   /// Non-copyable: a copy would alias the original's owned resources.
@@ -111,6 +120,7 @@ class PathBuilder {
                                                          std::uint32_t* declined) const;
 
   const net::NodeStateSoA& nodes_;
+  net::LivenessView believed_;
   const net::LinkModel& links_;
   const EdgeQualityEvaluator& quality_;
   PathBuilderConfig cfg_;

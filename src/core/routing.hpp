@@ -80,8 +80,11 @@ class UtilityModelIIRouting final : public RoutingStrategy {
 /// malicious nodes play RandomRouting (paper adversary model).
 class StrategyAssignment {
  public:
+  StrategyAssignment(const net::NodeStateSoA& nodes,
+                     const RoutingStrategy& good_strategy) noexcept
+      : nodes_(nodes), good_(good_strategy) {}
   StrategyAssignment(const net::Overlay& overlay, const RoutingStrategy& good_strategy) noexcept
-      : nodes_(overlay.state()), good_(good_strategy) {}
+      : StrategyAssignment(overlay.state(), good_strategy) {}
 
   [[nodiscard]] const RoutingStrategy& of(net::NodeId id) const noexcept {
     return nodes_.is_malicious(id) ? static_cast<const RoutingStrategy&>(adversary_) : good_;

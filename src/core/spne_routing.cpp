@@ -11,7 +11,7 @@ game::PathGameSpec SpneRouting::make_spec(const RoutingContext& ctx) {
   spec.candidates = [&ctx](net::NodeId v) {
     std::vector<net::NodeId> out;
     for (net::NodeId c : ctx.nodes.neighbors_of(v)) {
-      if (c != v && ctx.nodes.appears_online(c)) out.push_back(c);
+      if (c != v && ctx.appears_online(c)) out.push_back(c);
     }
     return out;
   };
@@ -57,7 +57,7 @@ double equilibrium_onward(const RoutingContext& ctx, net::NodeId holder,
   if (stages_left > 0) {
     const EdgeQualityEvaluator::Position at = ctx.position(holder, net::kInvalidNode);
     for (net::NodeId j : ctx.nodes.neighbors_of(holder)) {
-      if (j == holder || !ctx.nodes.appears_online(j) || j == ctx.responder) continue;
+      if (j == holder || !ctx.appears_online(j) || j == ctx.responder) continue;
       const double q_ij = at.quality(j);
       const double onward = q_ij + equilibrium_onward(ctx, j, stages_left - 1);
       const double u = ctx.contract.forwarding_benefit + onward * ctx.contract.routing_benefit() -

@@ -37,7 +37,7 @@ double best_onward_quality(const RoutingContext& ctx, net::NodeId from, net::Nod
   double best = 0.0;
   bool any = false;
   for (net::NodeId c : ctx.nodes.neighbors_of(from)) {
-    if (!ctx.nodes.appears_online(c) || c == from) continue;
+    if (!ctx.appears_online(c) || c == from) continue;
     const double q = at.quality(c);
     const double total =
         c == ctx.responder ? q : q + best_onward_quality(ctx, c, from, depth - 1);
@@ -79,7 +79,7 @@ bool would_participate(const RoutingContext& ctx, net::NodeId j) {
   double min_ct = transmission_cost(ctx, j, ctx.responder);
   if (p_f > c_p + min_ct) return true;
   for (net::NodeId c : ctx.nodes.neighbors_of(j)) {
-    if (!ctx.nodes.appears_online(c) || c == j) continue;
+    if (!ctx.appears_online(c) || c == j) continue;
     min_ct = std::min(min_ct, transmission_cost(ctx, j, c));
   }
   return p_f > c_p + min_ct;

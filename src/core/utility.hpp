@@ -37,6 +37,13 @@ struct RoutingContext {
   net::NodeId responder = net::kInvalidNode;
   /// The per-replicate memo arena of this decision.
   DecisionResources& resources;
+  /// What this decision believes about liveness (see net::LivenessView):
+  /// the nodes' own columns unless the builder was given other ones.
+  net::LivenessView believed = nodes.believed();
+
+  [[nodiscard]] bool appears_online(net::NodeId id) const noexcept {
+    return believed.appears_online(id);
+  }
 
   /// q(s, v) for this decision.
   [[nodiscard]] double edge_q(net::NodeId s, net::NodeId v, net::NodeId pred) const {

@@ -12,6 +12,8 @@
 
 #include "core/edge_quality.hpp"
 #include "core/history.hpp"
+#include "core/path.hpp"
+#include "core/routing.hpp"
 #include "harness/checkpoint.hpp"
 #include "net/link_model.hpp"
 #include "net/sharded_probing.hpp"
@@ -35,7 +37,6 @@ struct alignas(64) PaperShardCounters {
   std::uint64_t connections_launched = 0;
   std::uint64_t connections_completed = 0;
   std::uint64_t connections_failed = 0;  ///< initiator/responder down or hop lost
-  std::uint64_t no_candidate = 0;        ///< walk steps with no eligible successor
   std::uint64_t hops_recorded = 0;       ///< forwarder instances on completed paths
 };
 
@@ -43,8 +44,7 @@ struct alignas(64) PaperShardCounters {
 struct PairState {
   NodeId initiator = net::kInvalidNode;
   NodeId responder = net::kInvalidNode;
-  Amount p_f = 0;  ///< forwarding benefit per instance, milli-credits
-  Amount p_r = 0;  ///< routing benefit, milli-credits
+  core::Contract contract;  ///< P_f, P_r and the termination rule, in credits
   std::uint32_t launched = 0;
   std::uint32_t completed = 0;
   std::uint64_t instances = 0;  ///< total forwarder instances across records
@@ -52,6 +52,8 @@ struct PairState {
   /// (forwarder, view epoch) -> receipts accrued — the forwarder-epoch
   /// aggregation unit. Ordered so claim ops are enqueued deterministically.
   std::map<std::pair<NodeId, std::uint32_t>, std::vector<payment::ForwardReceipt>> aggregates;
+  /// Each member's transmission cost C_t over its instances in the set.
+  std::map<NodeId, double> member_cost;
   double length_sum = 0.0;   ///< sum of forwarder-path lengths L over completed
   double latency_sum = 0.0;  ///< sum of end-to-end path latencies (seconds)
   sim::Time deadline = payment::kNoSettlementDeadline;
@@ -65,8 +67,20 @@ struct PairState {
 /// One completed path awaiting the next history fold.
 struct PendingPath {
   net::PairId pair = net::kInvalidPair;
-  std::uint32_t conn_index = 0;
-  std::vector<NodeId> path;  ///< initiator, forwarders..., responder
+  std::uint32_t conn_index = 0;  ///< k, 1-based
+  std::vector<NodeId> path;      ///< initiator, forwarders..., responder
+};
+
+/// One shard's path formation: a builder and the decision arena it threads
+/// through every hop. Cache-line aligned, since shards decide concurrently.
+struct alignas(64) ShardBuilder {
+  ShardBuilder(const net::NodeStateSoA& nodes, net::LivenessView believed,
+               const net::LinkModel& links, const core::EdgeQualityEvaluator& quality,
+               core::PathBuilderConfig cfg)
+      : builder(nodes, believed, links, quality, cfg, &resources) {}
+
+  core::DecisionResources resources;
+  core::PathBuilder builder;
 };
 
 /// One deferred settlement-plane operation, drained at the next barrier.
@@ -94,7 +108,9 @@ class PaperWorld {
         counters_(partition_.shard_count()),
         history_buf_(partition_.shard_count()),
         settle_buf_(partition_.shard_count()),
-        probe_lane_(engine.add_lane()) {
+        probe_lane_(engine.add_lane()),
+        strategy_(core::make_strategy(cfg.good_strategy, cfg.lookahead_depth)),
+        strategies_(state_, *strategy_) {
     assert(node_count_ >= 4);
     assert(degree_ >= 1 && degree_ < node_count_);
     state_.resize(node_count_, degree_);
@@ -104,9 +120,18 @@ class PaperWorld {
                                                       stream_.child("probing"));
     quality_ = std::make_unique<core::EdgeQualityEvaluator>(*snapshot_, history_, cfg.weights);
 
+    net::assign_node_kinds(state_, cfg.overlay.malicious_fraction,
+                           cfg.overlay.participation_cost, stream_.child("malicious"));
     net::sample_neighbors(state_, stream_.child("neighbors"));
 
+    // Decisions believe the published snapshot; state_.crashed stays all
+    // zero (this runner injects no crashes).
     published_.assign(node_count_, 0);
+    const net::LivenessView believed{published_.data(), state_.crashed.data()};
+    for (std::uint32_t s = 0; s < partition_.shard_count(); ++s) {
+      builders_.push_back(std::make_unique<ShardBuilder>(state_, believed, links_, *quality_,
+                                                         cfg.path_builder));
+    }
     churn_cycle_.assign(node_count_, 0);
 
     // View-refresh interval R, snapped to a whole number of windows so every
@@ -195,9 +220,7 @@ class PaperWorld {
                            ? static_cast<NodeId>(id_stream.zipf(node_count_, cfg_.responder_zipf))
                            : static_cast<NodeId>(id_stream.uniform_int(0, node_count_ - 1));
       } while (st.responder == st.initiator);
-      const double pf_credits = stream_.child("pf", p).uniform(cfg_.p_f_lo, cfg_.p_f_hi);
-      st.p_f = payment::from_credits(pf_credits);
-      st.p_r = payment::from_credits(cfg_.tau * pf_credits);
+      st.contract = cfg_.contract_for(stream_.child("pf", p).uniform(cfg_.p_f_lo, cfg_.p_f_hi));
 
       auto& times = launch_times_[p];
       times.reserve(cfg_.connections_per_pair);
@@ -274,11 +297,11 @@ class PaperWorld {
 
   // ---- connections --------------------------------------------------------
 
-  /// Launch connection j of pair p on the owner shard. The whole path is
-  /// constructed here from epoch snapshots only (published liveness,
-  /// snapshot estimator, folded history), so the outcome is identical
-  /// for any K, pool size, and window dividing the refresh interval. The
-  /// data-plane echo (hop posts across shards) carries no digested state.
+  /// Launch connection j of pair p on the owner shard. The shard's path
+  /// builder forms the whole path here, reading only epoch snapshots
+  /// (published liveness, snapshot estimator, folded history) besides
+  /// static topology, kinds and costs, so the outcome is identical for any
+  /// K, pool size, and window dividing the refresh interval.
   void launch(std::uint32_t p, std::uint32_t j) {
     PairState& st = pairs_[p];
     const std::uint32_t s = owner_shard(p);
@@ -300,44 +323,11 @@ class PaperWorld {
     }
 
     auto conn_stream = stream_.child("conn", key_of(p, j));
-
-    // Crowds-style length: one forwarder, then continue with p_forward up
-    // to the TTL.
-    std::uint32_t want = 1;
-    while (want < cfg_.ttl_hops && conn_stream.bernoulli(cfg_.p_forward)) ++want;
-
-    // Greedy walk over epoch snapshots: score q(cur, v) through the shared
-    // evaluator, one position lookup per (cur, prev), candidates filtered by
-    // published liveness; deterministic tie-break on slot order. A dead end
-    // delivers early (Crowds hands the payload to the responder when no
-    // eligible successor remains).
-    std::vector<NodeId> path;
-    path.reserve(want + 2);
-    path.push_back(st.initiator);
-    NodeId prev = net::kInvalidNode;
-    const std::uint32_t k = j + 1;  // 1-based connection index for sigma
-    for (std::uint32_t hop = 0; hop < want; ++hop) {
-      const NodeId cur = path.back();
-      const core::EdgeQualityEvaluator::Position at =
-          quality_->position(cur, st.responder, p, prev, k);
-      double best_score = -1.0;
-      NodeId best = net::kInvalidNode;
-      for (const NodeId v : state_.neighbors_of(cur)) {
-        if (published_[v] == 0 || v == prev || v == st.initiator || v == st.responder) continue;
-        const double score = at.quality(v);
-        if (score > best_score) {
-          best_score = score;
-          best = v;
-        }
-      }
-      if (best == net::kInvalidNode) {
-        ++counters_[s].no_candidate;
-        break;
-      }
-      prev = cur;
-      path.push_back(best);
-    }
-    path.push_back(st.responder);
+    const std::uint32_t k = j + 1;  // 1-based connection index, as in the serial runner
+    core::BuiltPath built = builders_[s]->builder.build(static_cast<net::PairId>(p), k,
+                                                         st.initiator, st.responder,
+                                                         st.contract, strategies_, conn_stream);
+    std::vector<NodeId>& path = built.nodes;
 
     // Fault plane: each edge of the path is an independent keyed loss draw;
     // any lost edge fails the connection (no record, no receipts).
@@ -369,12 +359,13 @@ class PaperWorld {
       st.aggregates[{path[i], epoch}].push_back(payment::make_receipt(
           plane_.mac_key_of(path[i]), static_cast<net::PairId>(p), j, path[i], path[i - 1],
           path[i + 1]));
+      st.member_cost[path[i]] += links_.transmission_cost(path[i], path[i + 1]);
       ++counters_[s].hops_recorded;
     }
     st.instances += record.forwarders.size();
     st.length_sum += static_cast<double>(record.forwarders.size());
     st.latency_sum += links_.path_latency(path);
-    history_buf_[s].push_back(PendingPath{static_cast<net::PairId>(p), j, std::move(path)});
+    history_buf_[s].push_back(PendingPath{static_cast<net::PairId>(p), k, std::move(path)});
     st.records.push_back(std::move(record));
     ++st.completed;
     ++counters_[s].connections_completed;
@@ -455,11 +446,12 @@ class PaperWorld {
         PairState& st = pairs_[op.pair];
         switch (op.kind) {
           case SettleOp::Kind::kOpen: {
-            const Amount escrow =
-                static_cast<Amount>(st.instances) * st.p_f + st.p_r;
+            const Amount p_f = payment::from_credits(st.contract.forwarding_benefit);
+            const Amount p_r = payment::from_credits(st.contract.routing_benefit());
+            const Amount escrow = static_cast<Amount>(st.instances) * p_f + p_r;
             auto handle = plane_.open_settlement(
                 op.pair, static_cast<net::PairId>(op.pair), st.initiator, escrow,
-                payment::SettlementTerms{st.p_f, st.p_r}, st.records, st.deadline);
+                payment::SettlementTerms{p_f, p_r}, st.records, st.deadline);
             assert(handle.has_value() && "initial balances must cover every escrow");
             if (handle.has_value()) {
               st.handle = *handle;
@@ -510,10 +502,13 @@ class PaperWorld {
         }
       }
       r.initiator_spend.add(payment::to_credits(report->paid_out));
+      // Membership payoff, defined as in the serial runner: for every good
+      // member, its payout minus the C_t of its instances in the set and C_p.
       for (const auto& [acct, paid] : report->payouts) {
-        (void)acct;
-        const double payoff =
-            payment::to_credits(paid) - cfg_.overlay.participation_cost;
+        const auto owner = static_cast<NodeId>(acct);  // node i is account i
+        if (!state_.is_good(owner)) continue;
+        const double payoff = payment::to_credits(paid) - st.member_cost.at(owner) -
+                              state_.participation_cost[owner];
         r.member_payoff.add(payoff);
         r.member_payoff_samples.push_back(payoff);
       }
@@ -621,7 +616,6 @@ class PaperWorld {
       h = fnv1a_mix(h, c.connections_launched);
       h = fnv1a_mix(h, c.connections_completed);
       h = fnv1a_mix(h, c.connections_failed);
-      h = fnv1a_mix(h, c.no_candidate);
       h = fnv1a_mix(h, c.hops_recorded);
     }
     h = fnv1a_mix(h, static_cast<std::uint64_t>(rec.escrow_milli));
@@ -653,10 +647,14 @@ class PaperWorld {
   std::unique_ptr<net::ShardedProbing> snapshot_;
   std::unique_ptr<core::EdgeQualityEvaluator> quality_;
 
+  std::vector<std::unique_ptr<ShardBuilder>> builders_;  ///< one per shard
+
   // Per-shard write buffers (each shard appends only to its own).
   std::vector<std::vector<PendingPath>> history_buf_;
   std::vector<std::vector<SettleOp>> settle_buf_;
   sim::Simulator::LaneId probe_lane_;
+  std::unique_ptr<core::RoutingStrategy> strategy_;  ///< good nodes' strategy
+  core::StrategyAssignment strategies_;
 
   std::vector<std::uint64_t> churn_cycle_;
   std::vector<PairState> pairs_;

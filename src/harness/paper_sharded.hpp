@@ -12,10 +12,12 @@
 //     completed paths are buffered per source shard during a window and
 //     folded serially in the window-barrier hook at view-refresh epoch
 //     boundaries, so the store is a read-only merged view while shards run;
-//   * path construction reads ONLY epoch snapshots (published liveness,
-//     a snapshot estimator, folded history selectivity) plus static
-//     topology, so a pair's paths are identical for any K, pool size, or
-//     window length dividing the refresh interval;
+//   * paths are formed by the serial runner's core::PathBuilder, one per
+//     shard, which reads ONLY epoch snapshots (published liveness through
+//     a net::LivenessView, a snapshot estimator, folded history
+//     selectivity) plus static topology, kinds and costs, so a pair's
+//     paths are identical for any K, pool size, or window length dividing
+//     the refresh interval;
 //   * pair settlement is batched: completed pairs enqueue their settlement
 //     ops (open -> aggregated forwarder-epoch claims -> close) into
 //     per-shard FIFO buffers, and the serial barrier hook drains the

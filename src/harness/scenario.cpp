@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/edge_quality.hpp"
@@ -73,22 +74,27 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
     return out_of_range("overlay.degree", overlay.degree,
                         "in [1, overlay.node_count = " + std::to_string(n) + ")");
   }
-  // Written as !(in range) so that NaN is refused too.
-  const double f = overlay.malicious_fraction;
-  if (!(f >= 0.0 && f <= 1.0)) return out_of_range("overlay.malicious_fraction", f, "in [0, 1]");
-  if (!(tau >= 0.0)) return out_of_range("tau", tau, "at least 0");
-  if (!(p_forward >= 0.0 && p_forward <= 1.0)) {
-    return out_of_range("p_forward", p_forward, "in [0, 1]");
+  // Every check is written as !(in range) so that NaN is refused too.
+  const std::pair<std::string_view, double> probabilities[] = {
+      {"overlay.malicious_fraction", overlay.malicious_fraction},
+      {"overlay.churn.departure_probability", overlay.churn.departure_probability},
+      {"p_forward", p_forward},
+      {"adversary.drop_probability", adversary.drop_probability},
+      {"fault.link_loss", fault.link_loss},
+      {"fault.probe_false_negative", fault.probe_false_negative},
+      {"fault.bank.claim_loss", fault.bank.claim_loss},
+      {"fault.bank.initiator_crash", fault.bank.initiator_crash},
+      {"fault.bank.forwarder_crash", fault.bank.forwarder_crash},
+  };
+  for (const auto& [field, prob] : probabilities) {
+    if (!(prob >= 0.0 && prob <= 1.0)) return out_of_range(field, prob, "in [0, 1]");
   }
+  if (!(tau >= 0.0)) return out_of_range("tau", tau, "at least 0");
   if (const auto bad = weights.violation()) {
     return out_of_range("weights." + std::string(bad->member), bad->value, bad->rule);
   }
   if (!(p_f_lo <= p_f_hi)) {
     return out_of_range("p_f_lo", p_f_lo, "at most p_f_hi = " + std::to_string(p_f_hi));
-  }
-  const double drop = adversary.drop_probability;
-  if (!(drop >= 0.0 && drop <= 1.0)) {
-    return out_of_range("adversary.drop_probability", drop, "in [0, 1]");
   }
   // Session lengths are bounded Pareto on [session_min, session_max] with a
   // shape solved for the median, which must be one the solver can reach.
@@ -106,9 +112,24 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
                             ", sqrt(session_min * session_max) = " + std::to_string(ceiling) +
                             ")");
   }
+  // The K > 1 runner's window and view-refresh interval (both runners
+  // refuse them, so a config means the same at every K).
+  if (!(engine_window > 0.0)) return out_of_range("engine_window", engine_window, "above 0");
+  if (!(view_refresh >= 0.0)) return out_of_range("view_refresh", view_refresh, "at least 0");
   const std::string_view knob = sharded_runner ? serial_only_knob(*this) : std::string_view{};
   if (knob.empty()) return {};
   return "the sharded paper runner does not implement ScenarioConfig::" + std::string(knob);
+}
+
+core::Contract ScenarioConfig::contract_for(double forwarding_benefit) const noexcept {
+  core::Contract contract;
+  contract.forwarding_benefit = forwarding_benefit;
+  contract.tau = tau;
+  contract.termination = termination;
+  contract.p_forward = p_forward;
+  contract.ttl_hops = ttl_hops;
+  contract.cid_rotation = cid_rotation;
+  return contract;
 }
 
 ScenarioResult ScenarioRunner::run() const {
@@ -196,13 +217,8 @@ ScenarioResult ScenarioRunner::run() const {
                             pair_stream.zipf(overlay.size(), cfg.responder_zipf))
                       : static_cast<net::NodeId>(pair_stream.below(overlay.size()));
     }
-    core::Contract contract;
-    contract.forwarding_benefit = pair_stream.uniform(cfg.p_f_lo, cfg.p_f_hi);
-    contract.tau = cfg.tau;
-    contract.termination = cfg.termination;
-    contract.p_forward = cfg.p_forward;
-    contract.ttl_hops = cfg.ttl_hops;
-    contract.cid_rotation = cfg.cid_rotation;
+    const core::Contract contract =
+        cfg.contract_for(pair_stream.uniform(cfg.p_f_lo, cfg.p_f_hi));
     plans.emplace_back(
         std::make_unique<core::ConnectionSetSession>(pid, initiator, responder, contract),
         root.child("pair-run", pid));

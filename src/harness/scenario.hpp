@@ -126,6 +126,10 @@ struct ScenarioConfig {
   /// ScenarioConfig{}. Both runners throw std::invalid_argument with it.
   [[nodiscard]] std::string validate() const { return validate(engine_shards > 1); }
   [[nodiscard]] std::string validate(bool sharded_runner) const;
+
+  /// The contract a pair with forwarding benefit P_f (credits) runs under,
+  /// in both runners.
+  [[nodiscard]] core::Contract contract_for(double forwarding_benefit) const noexcept;
 };
 
 /// Which runners implement a config leaf; the K > 1 runner refuses a
@@ -170,7 +174,7 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   visit("seed", seed, kBoth);
   visit("overlay.node_count", node_count, kBoth);
   visit("overlay.degree", degree, kBoth);
-  visit("overlay.malicious_fraction", malicious_fraction, kSerialOnly);
+  visit("overlay.malicious_fraction", malicious_fraction, kBoth);
   visit("overlay.malicious_always_online", malicious_always_online, kSerialOnly);
   visit("overlay.participation_cost", participation_cost, kBoth);
   visit("overlay.churn.join_interarrival_mean", join_interarrival_mean, kSerialOnly);
@@ -187,9 +191,7 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   visit("probing.period", period, kBoth);
   visit("weights.w_selectivity", w_selectivity, kBoth);
   visit("weights.w_availability", w_availability, kBoth);
-  visit("good_strategy", good_strategy, kSerialOnly);
-  // Unread at K > 1, but it changes nothing while good_strategy (the only
-  // way to select Model II) is refused there.
+  visit("good_strategy", good_strategy, kBoth);
   visit("lookahead_depth", lookahead_depth, kBoth);
   visit("pair_count", pair_count, kBoth);
   visit("connections_per_pair", connections_per_pair, kBoth);
@@ -198,7 +200,7 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   visit("p_f_lo", p_f_lo, kBoth);
   visit("p_f_hi", p_f_hi, kBoth);
   visit("tau", tau, kBoth);
-  visit("termination", termination, kSerialOnly);
+  visit("termination", termination, kBoth);
   visit("p_forward", p_forward, kBoth);
   visit("ttl_hops", ttl_hops, kBoth);
   visit("warmup", warmup, kBoth);
@@ -238,8 +240,8 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   visit("anonymity.form", form, kSerialOnly);
   visit("anonymity.scale", scale, kSerialOnly);
   visit("anonymity.lambda", lambda, kSerialOnly);
-  visit("path_builder.max_forwarders", max_forwarders, kSerialOnly);
-  visit("path_builder.allow_declines", allow_declines, kSerialOnly);
+  visit("path_builder.max_forwarders", max_forwarders, kBoth);
+  visit("path_builder.allow_declines", allow_declines, kBoth);
   visit("engine_window", engine_window, kBoth);
   visit("engine_shards", engine_shards, kBoth);
   visit("bank_partitions", bank_partitions, kBoth);

@@ -16,17 +16,8 @@ Overlay::Overlay(const OverlayConfig& cfg, sim::Simulator& simulator, sim::rng::
   assert(cfg.malicious_fraction >= 0.0 && cfg.malicious_fraction <= 1.0);
 
   state_.resize(cfg.node_count, cfg.degree);
-  for (NodeId id = 0; id < cfg.node_count; ++id) {
-    state_.participation_cost[id] = cfg.participation_cost;
-  }
-
-  // Assign the malicious fraction uniformly at random.
-  auto mal_stream = stream.child("malicious");
-  const auto mal_count =
-      static_cast<std::size_t>(cfg.malicious_fraction * static_cast<double>(cfg.node_count) + 0.5);
-  for (std::size_t idx : mal_stream.sample_indices(cfg.node_count, mal_count)) {
-    state_.kind[idx] = NodeKind::kMalicious;
-  }
+  assign_node_kinds(state_, cfg.malicious_fraction, cfg.participation_cost,
+                    stream.child("malicious"));
 
   // Each node randomly selects d distinct neighbours (paper §3).
   sample_neighbors(state_, stream.child("neighbors"));

@@ -30,6 +30,21 @@ namespace p2panon::net {
 /// breaking anonymity, not income (§2.4).
 enum class NodeKind : std::uint8_t { kGood, kMalicious };
 
+/// Believed liveness, read from two byte columns: a node appears online when
+/// either byte is set. Decisions read liveness only through this view, so
+/// every runner's decisions run the same code over its own columns: the
+/// serial overlay's (online, crashed), where a silent crash stays invisible,
+/// or the K > 1 paper runner's (published, crashed), whose crashed column is
+/// all zero.
+struct LivenessView {
+  const std::uint8_t* online = nullptr;
+  const std::uint8_t* crashed = nullptr;
+
+  [[nodiscard]] bool appears_online(NodeId id) const noexcept {
+    return online[id] != 0 || crashed[id] != 0;
+  }
+};
+
 /// Columnar node state, one column per field. The neighbour table is CSR
 /// with a fixed stride of `degree` — entries are replaced in place (never
 /// removed) when a neighbour departs for good, so the stride is an
@@ -83,8 +98,11 @@ struct NodeStateSoA {
   }
   /// What the rest of the overlay *believes* about liveness: a silent crash
   /// is invisible (the node still appears up), a graceful leave is not.
+  [[nodiscard]] LivenessView believed() const noexcept {
+    return {online.data(), crashed.data()};
+  }
   [[nodiscard]] bool appears_online(NodeId id) const noexcept {
-    return online[id] != 0 || crashed[id] != 0;
+    return believed().appears_online(id);
   }
 };
 
@@ -94,6 +112,13 @@ struct NodeStateSoA {
 /// row. The single site shared by the serial overlay and both sharded
 /// runners, so all three build the same graph from the same stream.
 void sample_neighbors(NodeStateSoA& state, sim::rng::Stream stream);
+
+/// Node kinds and costs (paper §3): every node gets participation cost
+/// `participation_cost`, and round(f * N) nodes, drawn uniformly from
+/// `stream`, turn malicious. The single site shared by the serial overlay
+/// and the K > 1 paper runner.
+void assign_node_kinds(NodeStateSoA& state, double malicious_fraction, double participation_cost,
+                       sim::rng::Stream stream);
 
 /// Contiguous node-id partition into K shards: shard s owns
 /// [range(s).begin, range(s).end). Remainder nodes go to the low shards so

@@ -210,9 +210,9 @@ TEST(PaperSharded, DigestMatchesPin) {
   ScenarioConfig paper = small_config();
   paper.engine_shards = 4;
   const ScenarioResult a = run_paper_scenario_sharded(paper, nullptr);
-  EXPECT_EQ(a.sharded_digest, 12435200812065929497ULL);
+  EXPECT_EQ(a.sharded_digest, 18231694623268324532ULL);
   EXPECT_EQ(a.probes, 451u);
-  EXPECT_EQ(a.settlement_paid_milli, 12417629);
+  EXPECT_EQ(a.settlement_paid_milli, 11270015);
 
   ScenarioConfig faults = small_config(9);
   faults.engine_shards = 4;
@@ -223,10 +223,31 @@ TEST(PaperSharded, DigestMatchesPin) {
   faults.fault.bank.initiator_crash = 0.3;
   faults.fault.bank.forwarder_crash = 0.1;
   const ScenarioResult b = run_paper_scenario_sharded(faults, nullptr);
-  EXPECT_EQ(b.sharded_digest, 17117862794481506774ULL);
+  EXPECT_EQ(b.sharded_digest, 8574711101939070798ULL);
   EXPECT_EQ(b.probes, 490u);
-  EXPECT_EQ(b.settlement_paid_milli, 8009205);
-  EXPECT_EQ(b.settlement_refunded_milli, 1549274);
+  EXPECT_EQ(b.settlement_paid_milli, 6957131);
+  EXPECT_EQ(b.settlement_refunded_milli, 1744010);
+}
+
+TEST(PaperSharded, ModelFollowsStrategyAndF) {
+  // The K > 1 runner forms paths with the serial runner's builder, so the
+  // paper's Fig. 5 shape holds at K = 4 too (paper defaults, N = 40): random
+  // routing spreads a pair's paths over more forwarders than Model I, and
+  // adversaries, who route randomly, widen Model I's forwarder sets.
+  const auto mean_set_size = [](core::StrategyKind strategy, double f) {
+    metrics::Accumulator sizes;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      ScenarioConfig cfg = paper_default_config(seed);
+      cfg.engine_shards = 4;
+      cfg.good_strategy = strategy;
+      cfg.overlay.malicious_fraction = f;
+      sizes.add(run_paper_scenario_sharded(cfg, nullptr).forwarder_set_size.mean());
+    }
+    return sizes.mean();
+  };
+  const double model1 = mean_set_size(core::StrategyKind::kUtilityModelI, 0.0);
+  EXPECT_GT(mean_set_size(core::StrategyKind::kRandom, 0.0), model1);
+  EXPECT_GT(mean_set_size(core::StrategyKind::kUtilityModelI, 0.5), model1);
 }
 
 TEST(PaperSharded, RejectsUnimplementedKnobs) {
@@ -275,7 +296,7 @@ TEST(PaperSharded, RejectsUnimplementedKnobs) {
     expect_refused(cfg, refusal);  // a direct call to this runner still does not
   }
   // Each step of porting the paper model to this runner lowers the count.
-  EXPECT_EQ(refused, 33u);
+  EXPECT_EQ(refused, 28u);
 }
 
 TEST(PaperSharded, RejectsFewerThanFourNodes) {
@@ -324,7 +345,10 @@ TEST(PaperSharded, AcceptsImplementedConfigs) {
   bench_fault.fault.bank.claim_loss = 0.1;
   bench_fault.fault.bank.initiator_crash = 0.2;
   bench_fault.fault.bank.forwarder_crash = 0.05;
-  for (const ScenarioConfig* cfg : {&paper, &bench_paper, &bench_fault}) {
+  ScenarioConfig model2 = paper;  // the path builder's strategies and f
+  model2.good_strategy = core::StrategyKind::kUtilityModelII;
+  model2.overlay.malicious_fraction = 0.5;
+  for (const ScenarioConfig* cfg : {&paper, &bench_paper, &bench_fault, &model2}) {
     EXPECT_EQ(cfg->validate(), "");
   }
 }

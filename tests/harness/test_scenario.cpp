@@ -72,6 +72,18 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
        [](ScenarioConfig& c) { c.adversary.drop_probability = -0.2; }},
       {"adversary.drop_probability",
        [](ScenarioConfig& c) { c.adversary.drop_probability = std::nan(""); }},
+      {"fault.link_loss", [](ScenarioConfig& c) { c.fault.link_loss = 1.5; }},
+      {"fault.probe_false_negative",
+       [](ScenarioConfig& c) { c.fault.probe_false_negative = -0.1; }},
+      {"fault.bank.claim_loss", [](ScenarioConfig& c) { c.fault.bank.claim_loss = std::nan(""); }},
+      {"fault.bank.initiator_crash", [](ScenarioConfig& c) { c.fault.bank.initiator_crash = 2.0; }},
+      {"fault.bank.forwarder_crash",
+       [](ScenarioConfig& c) { c.fault.bank.forwarder_crash = -0.5; }},
+      {"overlay.churn.departure_probability",
+       [](ScenarioConfig& c) { c.overlay.churn.departure_probability = 1.5; }},
+      {"engine_window", [](ScenarioConfig& c) { c.engine_window = 0.0; }},
+      {"engine_window", [](ScenarioConfig& c) { c.engine_window = -60.0; }},
+      {"view_refresh", [](ScenarioConfig& c) { c.view_refresh = -1.0; }},
       {"overlay.churn.session_min", [](ScenarioConfig& c) { c.overlay.churn.session_min = 0.0; }},
       {"overlay.churn.session_min",
        [](ScenarioConfig& c) { c.overlay.churn.session_min = c.overlay.churn.session_max; }},
@@ -115,6 +127,9 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
   edge.weights = {0.1, 1.0 - 0.1 + 1e-13};  // within the sum's tolerance
   EXPECT_EQ(edge.validate(), "");
   edge.adversary.drop_probability = 1.0;
+  edge.fault.link_loss = 1.0;
+  edge.overlay.churn.departure_probability = 0.0;
+  edge.view_refresh = 0.0;
   EXPECT_EQ(edge.validate(), "");
   edge.overlay.churn.session_median =
       0.999 * std::sqrt(edge.overlay.churn.session_min * edge.overlay.churn.session_max);
