@@ -112,8 +112,7 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
                             ", sqrt(session_min * session_max) = " + std::to_string(ceiling) +
                             ")");
   }
-  // The K > 1 runner's window and view-refresh interval (both runners
-  // refuse them, so a config means the same at every K).
+  // Read only by the K > 1 runner, but refused at every K like the rest.
   if (!(engine_window > 0.0)) return out_of_range("engine_window", engine_window, "above 0");
   if (!(view_refresh >= 0.0)) return out_of_range("view_refresh", view_refresh, "at least 0");
   const std::string_view knob = sharded_runner ? serial_only_knob(*this) : std::string_view{};
