@@ -80,7 +80,7 @@ void AsyncConnectionRunner::establish(net::PairId pair, std::uint32_t conn_index
 
 void AsyncConnectionRunner::start_attempt(std::shared_ptr<Pending> p) {
   if (p->finished) return;
-  if (p->attempts >= cfg_.max_attempts) {
+  if (p->attempts >= kMaxSetupAttempts) {
     p->finished = true;
     AsyncResult result;
     result.established = false;
@@ -194,11 +194,9 @@ void AsyncConnectionRunner::send_leg(std::shared_ptr<Pending> p, net::NodeId fro
                                      net::NodeId to, LegDelivery leg) {
   const std::uint32_t attempt = p->attempts;
   const std::uint64_t tid = ++p->current_tid;
-  const sim::Time base = overlay_.links().transfer_time(from, to);
-
   // The sender's patience scales with its own link: a leg's ack needs one
-  // round trip, so the timer covers factor round trips plus fixed slack.
-  const sim::Time patience = cfg_.ack_timeout_factor * 2.0 * base + cfg_.ack_timeout_slack;
+  // round trip over it.
+  const sim::Time patience = ack_patience(overlay_.links().transfer_time(from, to));
   p->ack_timeout_event = sim_.schedule_in(patience, [this, p, attempt, tid, to] {
     if (p->finished || !p->attempt_active || attempt != p->attempts) return;
     if (tid != p->current_tid) return;  // a newer leg superseded this timer
@@ -254,11 +252,9 @@ void AsyncConnectionRunner::fail_attempt(std::shared_ptr<Pending> p) {
   // Capped exponential backoff: base * 2^(n-1) is exact in binary floating
   // point (ldexp), so the schedule is bitwise reproducible.
   const int exponent = static_cast<int>(std::min<std::uint32_t>(p->attempts, 62u)) - 1;
-  const sim::Time capped = std::min(std::ldexp(cfg_.backoff_base, exponent), cfg_.backoff_cap);
+  const sim::Time capped = std::min(std::ldexp(kSetupBackoffBase, exponent), kSetupBackoffCap);
   const double jitter =
-      cfg_.backoff_jitter > 0.0
-          ? p->backoff_stream.uniform(1.0 - cfg_.backoff_jitter, 1.0 + cfg_.backoff_jitter)
-          : 1.0;
+      p->backoff_stream.uniform(1.0 - kSetupBackoffJitter, 1.0 + kSetupBackoffJitter);
   sim_.schedule_in(capped * jitter,
                    [this, p = std::move(p)]() mutable { start_attempt(std::move(p)); });
 }

@@ -49,18 +49,27 @@ namespace p2panon::core {
 
 class SuspicionTracker;
 
+/// Backoff before retry n (1-based) is
+/// min(kSetupBackoffBase * 2^(n-1), kSetupBackoffCap) * U[1-j, 1+j],
+/// j = kSetupBackoffJitter.
+inline constexpr sim::Time kSetupBackoffBase = 2.0;
+inline constexpr sim::Time kSetupBackoffCap = 60.0;
+inline constexpr double kSetupBackoffJitter = 0.5;
+/// A setup gives up after this many attempts (the callback then reports
+/// failure).
+inline constexpr std::uint32_t kMaxSetupAttempts = 16;
+/// Ack patience: kAckTimeoutFactor round trips plus kAckTimeoutSlack.
+inline constexpr double kAckTimeoutFactor = 4.0;
+inline constexpr sim::Time kAckTimeoutSlack = 1.0;
+
+/// How long a sender waits for the answer to a message whose one-way trip
+/// takes `one_way`: a setup leg over one link, or a keepalive over a whole
+/// path (DataPhaseRunner).
+[[nodiscard]] constexpr sim::Time ack_patience(sim::Time one_way) noexcept {
+  return kAckTimeoutFactor * 2.0 * one_way + kAckTimeoutSlack;
+}
+
 struct AsyncConfig {
-  /// Backoff before retry n (1-based) is
-  /// min(backoff_base * 2^(n-1), backoff_cap) * U[1-j, 1+j].
-  sim::Time backoff_base = 2.0;
-  sim::Time backoff_cap = 60.0;
-  double backoff_jitter = 0.5;  ///< j above, in [0, 1)
-  /// Give up after this many attempts (the callback then reports failure).
-  std::uint32_t max_attempts = 16;
-  /// Ack timer for a leg over link (a, b):
-  /// ack_timeout_factor * 2 * transfer_time(a, b) + ack_timeout_slack.
-  double ack_timeout_factor = 4.0;
-  sim::Time ack_timeout_slack = 1.0;
   /// Hard ceiling on one attempt's duration; 0 disables. A safety net for
   /// pathological delay jitter — ack timers catch ordinary failures first.
   sim::Time attempt_deadline = 0.0;

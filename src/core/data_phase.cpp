@@ -62,8 +62,7 @@ void DataPhaseRunner::send_keepalive(std::shared_ptr<Pending> p) {
   ++p->seq;
   ++p->result.keepalives_sent;
   p->awaiting_echo = true;
-  const sim::Time one_way = overlay_.links().path_latency(p->path.nodes);
-  const sim::Time patience = cfg_.ack_timeout_factor * 2.0 * one_way + cfg_.ack_timeout_slack;
+  const sim::Time patience = ack_patience(overlay_.links().path_latency(p->path.nodes));
   const std::uint32_t gen = p->gen;
   const std::uint64_t seq = p->seq;
   p->timeout_event = sim_.schedule_in(patience, [this, p, gen, seq] {
@@ -131,7 +130,7 @@ void DataPhaseRunner::on_timeout(std::shared_ptr<Pending> p, std::uint32_t /*gen
 }
 
 void DataPhaseRunner::reform(std::shared_ptr<Pending> p) {
-  if (p->result.reformations >= cfg_.max_reformations) {
+  if (p->result.reformations >= kMaxReformations) {
     finish(std::move(p), /*completed=*/false);
     return;
   }

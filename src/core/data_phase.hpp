@@ -30,15 +30,14 @@
 
 namespace p2panon::core {
 
+/// A connection is given up after this many successful re-formations.
+inline constexpr std::uint32_t kMaxReformations = 8;
+
+/// The round-trip timer of one keepalive over path P is
+/// ack_patience(path_latency(P)), the rule setup legs use.
 struct DataPhaseConfig {
   sim::Time duration = sim::minutes(2.0);  ///< length of the data phase
   sim::Time keepalive_interval = 15.0;     ///< gap between keepalive sends
-  /// Round-trip timer for one keepalive over path P:
-  /// ack_timeout_factor * 2 * path_latency(P) + ack_timeout_slack.
-  double ack_timeout_factor = 4.0;
-  sim::Time ack_timeout_slack = 1.0;
-  /// Give up on the connection after this many successful re-formations.
-  std::uint32_t max_reformations = 8;
 };
 
 struct DataPhaseResult {

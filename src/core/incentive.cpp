@@ -79,7 +79,7 @@ const BuiltPath& ConnectionSetSession::run_connection(const PathBuilder& builder
     auto attempt_stream = conn_stream.child("attempt", attempt);
     path = builder.build(wire_pair, wire_index, initiator_, responder_, contract_, strategies,
                          attempt_stream);
-    if (adversary.drop_probability <= 0.0 || attempt >= adversary.max_retries) break;
+    if (adversary.drop_probability <= 0.0 || attempt >= kMaxDropReformations) break;
 
     // A malicious forwarder may drop the payload; forwarders upstream of the
     // dropper already spent transmission effort, and the path must reform.

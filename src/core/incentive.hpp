@@ -72,8 +72,11 @@ class PayoffLedger {
 /// reformation — exactly the event that helps intersection attacks.
 struct AdversaryModel {
   double drop_probability = 0.0;  ///< per-connection drop chance at a malicious hop
-  std::uint32_t max_retries = 8;  ///< reformation attempts before giving up
 };
+
+/// At most this many payload-drop reformations per connection; the path
+/// built after the last one is kept even if a malicious hop would drop it.
+inline constexpr std::uint32_t kMaxDropReformations = 8;
 
 struct SettleOutcome {
   payment::SettlementReport report;

@@ -75,7 +75,7 @@ struct ScenarioConfig {
   /// Mean gap between successive connections of one pair (exponential).
   sim::Time connection_interval_mean = sim::minutes(5.0);
 
-  core::AdversaryModel adversary;  ///< payload-drop attack knobs
+  core::AdversaryModel adversary;  ///< payload-drop attack
   std::size_t history_capacity = 0;  ///< per-node entries; 0 = unbounded
 
   /// Fault model. Default-constructed (all-off) leaves the scenario on the
@@ -83,7 +83,7 @@ struct ScenarioConfig {
   /// setup to the timeout-driven AsyncConnectionRunner and adds a keepalive
   /// data phase per connection.
   fault::FaultConfig fault;
-  core::AsyncConfig async_setup;    ///< setup timeouts/backoff (fault mode)
+  core::AsyncConfig async_setup;    ///< setup attempt deadline (fault mode)
   core::DataPhaseConfig data_phase; ///< keepalive phase knobs (fault mode)
 
   metrics::AnonymityValuation anonymity;  ///< A(.) for the initiator utility
@@ -159,15 +159,13 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   auto& [bandwidth_lo, bandwidth_hi, cost_scale, payload_size, propagation_delay] = link;
   auto& [period] = probing;
   auto& [w_selectivity, w_availability] = weights;
-  auto& [drop_probability, max_retries] = adversary;
+  auto& [drop_probability] = adversary;
   auto& [link_loss, delay_jitter, crash_rate_per_hour, crash_recovery_mean, probe_false_negative,
          partitions, bank] = fault;
   auto& [lifecycle, claim_loss, claim_delay_mean, initiator_crash, forwarder_crash,
          claim_deadline, close_after, claim_spread] = bank;
-  auto& [backoff_base, backoff_cap, backoff_jitter, max_attempts, ack_timeout_factor,
-         ack_timeout_slack, attempt_deadline] = async_setup;
-  auto& [duration, keepalive_interval, phase_ack_timeout_factor, phase_ack_timeout_slack,
-         max_reformations] = data_phase;
+  auto& [attempt_deadline] = async_setup;
+  auto& [duration, keepalive_interval] = data_phase;
   auto& [form, scale, lambda] = anonymity;
   auto& [max_forwarders, allow_declines] = path_builder;
 
@@ -207,7 +205,6 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   visit("pair_start_window", pair_start_window, kBoth);
   visit("connection_interval_mean", connection_interval_mean, kBoth);
   visit("adversary.drop_probability", drop_probability, kSerialOnly);
-  visit("adversary.max_retries", max_retries, kSerialOnly);
   visit("history_capacity", history_capacity, kSerialOnly);
   visit("fault.link_loss", link_loss, kBoth);
   visit("fault.delay_jitter", delay_jitter, kSerialOnly);
@@ -225,18 +222,9 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   visit("fault.bank.claim_deadline", claim_deadline, kBoth);
   visit("fault.bank.close_after", close_after, kSerialOnly);
   visit("fault.bank.claim_spread", claim_spread, kSerialOnly);
-  visit("async_setup.backoff_base", backoff_base, kSerialOnly);
-  visit("async_setup.backoff_cap", backoff_cap, kSerialOnly);
-  visit("async_setup.backoff_jitter", backoff_jitter, kSerialOnly);
-  visit("async_setup.max_attempts", max_attempts, kSerialOnly);
-  visit("async_setup.ack_timeout_factor", ack_timeout_factor, kSerialOnly);
-  visit("async_setup.ack_timeout_slack", ack_timeout_slack, kSerialOnly);
   visit("async_setup.attempt_deadline", attempt_deadline, kSerialOnly);
   visit("data_phase.duration", duration, kSerialOnly);
   visit("data_phase.keepalive_interval", keepalive_interval, kSerialOnly);
-  visit("data_phase.ack_timeout_factor", phase_ack_timeout_factor, kSerialOnly);
-  visit("data_phase.ack_timeout_slack", phase_ack_timeout_slack, kSerialOnly);
-  visit("data_phase.max_reformations", max_reformations, kSerialOnly);
   visit("anonymity.form", form, kSerialOnly);
   visit("anonymity.scale", scale, kSerialOnly);
   visit("anonymity.lambda", lambda, kSerialOnly);

@@ -98,8 +98,10 @@ TEST(AsyncPathChurn, ReformationsHappenUnderHeavyChurn) {
   core::HistoryStore history(overlay.size());
   core::EdgeQualityEvaluator quality(probing, history, core::QualityWeights{});
   core::PathBuilder builder(overlay, quality);
+  core::AsyncConfig acfg;
+  acfg.attempt_deadline = sim::minutes(3.0);
   transport::SimTransport transport(simulator, overlay);
-  core::AsyncConnectionRunner runner(simulator, overlay, builder, transport);
+  core::AsyncConnectionRunner runner(simulator, overlay, builder, transport, acfg);
   core::RandomRouting strategy;
   core::StrategyAssignment assign(overlay, strategy);
 
@@ -134,8 +136,11 @@ TEST(AsyncPathChurn, ReformationsHappenUnderHeavyChurn) {
 TEST(AsyncPathChurn, ExhaustedAttemptsReportFailure) {
   // A world where everyone except the endpoints is permanently offline and
   // links are so slow the endpoints churn out mid-attempt is hard to build
-  // deterministically; instead cap attempts at 1 under violent churn and
-  // slow links, and check that failures are reported as such.
+  // deterministically; instead bound each attempt by a 3-minute deadline
+  // under violent churn and slow links. A path of two or more hops needs at
+  // least four minutes for setup and confirmation, so only a rare direct hop
+  // can succeed, and establishments that use up every attempt must report
+  // failure as such.
   sim::rng::Stream root(9);
   sim::Simulator simulator;
   net::OverlayConfig cfg;
@@ -152,7 +157,7 @@ TEST(AsyncPathChurn, ExhaustedAttemptsReportFailure) {
   core::EdgeQualityEvaluator quality(probing, history, core::QualityWeights{});
   core::PathBuilder builder(overlay, quality);
   core::AsyncConfig acfg;
-  acfg.max_attempts = 1;
+  acfg.attempt_deadline = sim::minutes(3.0);
   transport::SimTransport transport(simulator, overlay);
   core::AsyncConnectionRunner runner(simulator, overlay, builder, transport, acfg);
   core::RandomRouting strategy;
@@ -170,7 +175,7 @@ TEST(AsyncPathChurn, ExhaustedAttemptsReportFailure) {
                        ++resolved;
                        if (!r.established) {
                          ++failures;
-                         EXPECT_EQ(r.attempts, 1u);
+                         EXPECT_EQ(r.attempts, core::kMaxSetupAttempts);
                        }
                      });
     simulator.run_until(simulator.now() + sim::minutes(20.0));

@@ -54,12 +54,11 @@ TEST(AsyncTimeouts, TotalLossExhaustsAttemptsViaAckTimeouts) {
   fcfg.link_loss = 1.0;  // every leg dropped: only timers can fail the attempt
   fault::FaultInjector faults(fcfg, world.overlay, world.root.child("faults"));
 
-  AsyncConfig acfg;
-  acfg.max_attempts = 3;
-  const AsyncResult r = h.establish(world, acfg, 1, &faults);
+  const AsyncResult r = h.establish(world, AsyncConfig{}, 1, &faults);
   EXPECT_FALSE(r.established);
-  EXPECT_EQ(r.attempts, 3u);
-  EXPECT_EQ(r.ack_timeouts, 3u) << "each attempt must die by exactly one ack timeout";
+  EXPECT_EQ(r.attempts, kMaxSetupAttempts);
+  EXPECT_EQ(r.ack_timeouts, kMaxSetupAttempts)
+      << "each attempt must die by exactly one ack timeout";
 }
 
 TEST(AsyncTimeouts, AckTimeoutsFeedSuspicion) {
@@ -72,12 +71,10 @@ TEST(AsyncTimeouts, AckTimeoutsFeedSuspicion) {
   fault::FaultInjector faults(fcfg, world.overlay, world.root.child("faults"));
   SuspicionTracker suspicion(world.overlay.size());
 
-  AsyncConfig acfg;
-  acfg.max_attempts = 4;
-  (void)h.establish(world, acfg, 1, &faults, &suspicion);
+  (void)h.establish(world, AsyncConfig{}, 1, &faults, &suspicion);
   std::uint32_t total = 0;
   for (NodeId v = 0; v < world.overlay.size(); ++v) total += suspicion.count(v);
-  EXPECT_EQ(total, 4u) << "one suspect recorded per timed-out attempt";
+  EXPECT_EQ(total, kMaxSetupAttempts) << "one suspect recorded per timed-out attempt";
 }
 
 TEST(AsyncTimeouts, BackoffJitterDesynchronisesRetries) {
@@ -91,12 +88,10 @@ TEST(AsyncTimeouts, BackoffJitterDesynchronisesRetries) {
   fcfg.link_loss = 1.0;
   fault::FaultInjector faults(fcfg, world.overlay, world.root.child("faults"));
 
-  AsyncConfig acfg;
-  acfg.max_attempts = 4;
   const sim::Time t0 = world.simulator.now();
-  const AsyncResult a = h.establish(world, acfg, 1, &faults);
+  const AsyncResult a = h.establish(world, AsyncConfig{}, 1, &faults);
   const sim::Time ta = world.simulator.now();
-  const AsyncResult b = h.establish(world, acfg, 2, &faults);
+  const AsyncResult b = h.establish(world, AsyncConfig{}, 2, &faults);
   EXPECT_FALSE(a.established);
   EXPECT_FALSE(b.established);
   EXPECT_NE(a.setup_time, b.setup_time)
@@ -112,11 +107,9 @@ TEST(AsyncTimeouts, GracefulOfflineResponderFailsFastViaNack) {
   AsyncHarness h(world);
 
   world.overlay.force_offline(19);
-  AsyncConfig acfg;
-  acfg.max_attempts = 2;
-  const AsyncResult r = h.establish(world, acfg, 1);
+  const AsyncResult r = h.establish(world, AsyncConfig{}, 1);
   EXPECT_FALSE(r.established);
-  EXPECT_EQ(r.attempts, 2u);
+  EXPECT_EQ(r.attempts, kMaxSetupAttempts);
   EXPECT_EQ(r.ack_timeouts, 0u) << "graceful leaves are refused, not timed out";
 }
 
@@ -126,9 +119,7 @@ TEST(AsyncTimeouts, CrashedResponderTimesOutSilently) {
   AsyncHarness h(world);
 
   ASSERT_TRUE(world.overlay.crash(19));
-  AsyncConfig acfg;
-  acfg.max_attempts = 2;
-  const AsyncResult r = h.establish(world, acfg, 1);
+  const AsyncResult r = h.establish(world, AsyncConfig{}, 1);
   EXPECT_FALSE(r.established);
   EXPECT_GT(r.ack_timeouts, 0u) << "a crashed responder answers nothing; timers must fire";
 }

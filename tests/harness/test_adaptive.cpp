@@ -283,9 +283,9 @@ TEST(ConfigFingerprint, ValuesArePinned) {
   sharded.bank_partitions = 3;
   sharded.view_refresh = 600.0;
 
-  EXPECT_EQ(config_fingerprint(paper), 0x8bf45f0c175b8440ULL);
-  EXPECT_EQ(config_fingerprint(faults), 0x5812809659bfe770ULL);
-  EXPECT_EQ(config_fingerprint(sharded), 0x00602adc7885eb9eULL);
+  EXPECT_EQ(config_fingerprint(paper), 0x4c1b26b1261260e3ULL);
+  EXPECT_EQ(config_fingerprint(faults), 0x8f2dc4e01be089e3ULL);
+  EXPECT_EQ(config_fingerprint(sharded), 0x16e07f8797d38111ULL);
 }
 
 TEST(AdaptiveRunner, AdaptiveStopsEarlyOnTightCell) {

@@ -111,8 +111,6 @@ TEST(Determinism, FaultKnobsOffAreBitwiseInert) {
 
   ScenarioConfig tweaked = stress_config();
   ASSERT_FALSE(tweaked.fault.enabled());
-  tweaked.async_setup.max_attempts = 3;
-  tweaked.async_setup.backoff_base = 7.0;
   tweaked.async_setup.attempt_deadline = sim::minutes(1.0);
   tweaked.data_phase.duration = 5.0;
   tweaked.data_phase.keepalive_interval = 1.0;
