@@ -64,9 +64,9 @@ Row run_static(core::StrategyKind formation, double session_median_min, std::uin
       overlay.force_online(responder);
       session.run_connection(builder, history, assign, ledger, overlay, stream);
     }
-    row.set_size += static_cast<double>(session.forwarder_set().size()) / pairs;
+    row.set_size += static_cast<double>(session.set().forwarder_set().size()) / pairs;
     row.reformations += static_cast<double>(session.reformations()) / pairs;
-    row.quality += session.path_quality() / pairs;
+    row.quality += session.set().path_quality() / pairs;
   }
   return row;
 }

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/incentive.hpp"
 #include "core/path.hpp"
@@ -30,51 +29,33 @@ class CrowdsSession {
  public:
   CrowdsSession(net::PairId pair, net::NodeId initiator, net::NodeId responder,
                 Contract contract) noexcept
-      : pair_(pair), initiator_(initiator), responder_(responder), contract_(contract) {}
-
-  [[nodiscard]] net::PairId pair() const noexcept { return pair_; }
-  [[nodiscard]] net::NodeId initiator() const noexcept { return initiator_; }
-  [[nodiscard]] net::NodeId responder() const noexcept { return responder_; }
+      : set_(pair, initiator, responder, contract) {}
 
   /// Run the next connection: reuse the current static path when all of its
-  /// forwarders are online, otherwise re-form it (a reformation). Records
-  /// history, charges costs, and updates the forwarder set exactly like
-  /// ConnectionSetSession does for per-connection routing. Re-formation
+  /// forwarders are online, otherwise re-form it (a reformation). The set
+  /// then adopts the path, which records history, charges costs and grows
+  /// the forwarder set exactly as for per-connection routing. Re-formation
   /// routes through `builder`, so it shares the builder's per-replicate
   /// DecisionResources (decision memo arena) when attached.
   const BuiltPath& run_connection(const PathBuilder& builder, HistoryStore& history,
                                   const StrategyAssignment& strategies, PayoffLedger& ledger,
                                   const net::Overlay& overlay, sim::rng::Stream& stream);
 
-  [[nodiscard]] std::uint32_t connections_run() const noexcept { return connections_; }
+  /// The connection set the static path serves: connections run, forwarder
+  /// set Q, L and Q(pi).
+  [[nodiscard]] const ConnectionSetSession& set() const noexcept { return set_; }
   /// Reformations = path (re)formations beyond the first.
   [[nodiscard]] std::uint32_t reformations() const noexcept {
     return formations_ > 0 ? formations_ - 1 : 0;
   }
-  /// Distinct forwarders across all connections so far, Q, in ascending
-  /// node order (as ConnectionSetSession::forwarder_set()).
-  [[nodiscard]] const std::vector<net::NodeId>& forwarder_set() const noexcept {
-    return forwarder_set_;
-  }
-  [[nodiscard]] double average_path_length() const noexcept;
-  /// Q(pi) = L / ||pi||.
-  [[nodiscard]] double path_quality() const noexcept;
   [[nodiscard]] const BuiltPath& current_path() const noexcept { return current_; }
 
  private:
   [[nodiscard]] bool path_alive(const net::Overlay& overlay) const;
 
-  net::PairId pair_;
-  net::NodeId initiator_;
-  net::NodeId responder_;
-  Contract contract_;
-
+  ConnectionSetSession set_;
   BuiltPath current_;
-  bool have_path_ = false;
-  std::uint32_t connections_ = 0;
   std::uint32_t formations_ = 0;
-  std::size_t total_path_length_ = 0;
-  std::vector<net::NodeId> forwarder_set_;  ///< ascending
 };
 
 }  // namespace p2panon::core

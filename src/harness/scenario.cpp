@@ -89,6 +89,45 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
   for (const auto& [field, prob] : probabilities) {
     if (!(prob >= 0.0 && prob <= 1.0)) return out_of_range(field, prob, "in [0, 1]");
   }
+  // Periods, means and rates that divide or drive a schedule.
+  const std::pair<std::string_view, double> positives[] = {
+      {"probing.period", probing.period},
+      {"overlay.churn.join_interarrival_mean", overlay.churn.join_interarrival_mean},
+      {"overlay.churn.offline_gap_mean", overlay.churn.offline_gap_mean},
+      {"connection_interval_mean", connection_interval_mean},
+      {"overlay.link.bandwidth_lo", overlay.link.bandwidth_lo},
+      {"overlay.link.bandwidth_hi", overlay.link.bandwidth_hi},
+      {"data_phase.keepalive_interval", data_phase.keepalive_interval},
+      {"anonymity.scale", anonymity.scale},
+      {"anonymity.lambda", anonymity.lambda},
+  };
+  for (const auto& [field, value] : positives) {
+    if (!(value > 0.0)) return out_of_range(field, value, "above 0");
+  }
+  if (!(overlay.link.bandwidth_lo <= overlay.link.bandwidth_hi)) {
+    return out_of_range("overlay.link.bandwidth_lo", overlay.link.bandwidth_lo,
+                        "at most overlay.link.bandwidth_hi = " +
+                            std::to_string(overlay.link.bandwidth_hi));
+  }
+  // Durations and delays, where 0 means none (or, for a deadline, off).
+  const std::pair<std::string_view, double> non_negatives[] = {
+      {"overlay.link.payload_size", overlay.link.payload_size},
+      {"overlay.link.propagation_delay", overlay.link.propagation_delay},
+      {"warmup", warmup},
+      {"pair_start_window", pair_start_window},
+      {"fault.delay_jitter", fault.delay_jitter},
+      {"fault.crash_rate_per_hour", fault.crash_rate_per_hour},
+      {"fault.crash_recovery_mean", fault.crash_recovery_mean},
+      {"fault.bank.claim_delay_mean", fault.bank.claim_delay_mean},
+      {"fault.bank.claim_deadline", fault.bank.claim_deadline},
+      {"fault.bank.close_after", fault.bank.close_after},
+      {"fault.bank.claim_spread", fault.bank.claim_spread},
+      {"async_setup.attempt_deadline", async_setup.attempt_deadline},
+      {"data_phase.duration", data_phase.duration},
+  };
+  for (const auto& [field, value] : non_negatives) {
+    if (!(value >= 0.0)) return out_of_range(field, value, "at least 0");
+  }
   if (!(tau >= 0.0)) return out_of_range("tau", tau, "at least 0");
   if (const auto bad = weights.violation()) {
     return out_of_range("weights." + std::string(bad->member), bad->value, bad->rule);

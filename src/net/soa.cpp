@@ -17,12 +17,10 @@ void sample_neighbors(NodeStateSoA& state, sim::rng::Stream stream) {
 void assign_node_kinds(NodeStateSoA& state, double malicious_fraction, double participation_cost,
                        sim::rng::Stream stream) {
   const std::size_t n = state.size();
-  // lint-exempt(cross-shard): world setup, before any shard runs
   state.participation_cost.assign(n, participation_cost);
   const auto mal_count =
       static_cast<std::size_t>(malicious_fraction * static_cast<double>(n) + 0.5);
   for (std::size_t idx : stream.sample_indices(n, mal_count)) {
-    // lint-exempt(cross-shard): world setup, before any shard runs
     state.kind[idx] = NodeKind::kMalicious;
   }
 }

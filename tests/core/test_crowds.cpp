@@ -42,13 +42,13 @@ TEST_F(CrowdsTest, StablePathReusedWithoutChurn) {
   // The StableWorld has ~100h sessions: the static path never dies, so a
   // session of 15 connections performs exactly one formation.
   auto session = run(15);
-  EXPECT_EQ(session->connections_run(), 15u);
+  EXPECT_EQ(session->set().connections_run(), 15u);
   EXPECT_EQ(session->reformations(), 0u);
   // Forwarder set == the distinct nodes of the single path (one node may
   // occupy several positions, so distinct <= positions).
   std::set<NodeId> distinct(session->current_path().nodes.begin() + 1,
                             session->current_path().nodes.end() - 1);
-  EXPECT_EQ(session->forwarder_set().size(), distinct.size());
+  EXPECT_EQ(session->set().forwarder_set().size(), distinct.size());
   EXPECT_LE(distinct.size(), session->current_path().forwarder_count());
 }
 
@@ -57,8 +57,8 @@ TEST_F(CrowdsTest, PathQualityMaximalWhenStable) {
   // distinct-node count, so Q(pi) = positions / distinct >= 1 — the best any
   // routing can do for a fixed L.
   auto session = run(10);
-  if (session->forwarder_set().empty()) GTEST_SKIP() << "degenerate direct path";
-  EXPECT_GE(session->path_quality(), 1.0 - 1e-9);
+  if (session->set().forwarder_set().empty()) GTEST_SKIP() << "degenerate direct path";
+  EXPECT_GE(session->set().path_quality(), 1.0 - 1e-9);
 }
 
 TEST_F(CrowdsTest, HistoryRecordedEveryConnection) {
@@ -114,8 +114,8 @@ TEST(CrowdsChurn, ReformationsUnderChurn) {
   }
   EXPECT_GT(session.reformations(), 0u);
   // Each reformation can only grow Q, so quality drops below the stable 1.0.
-  EXPECT_LT(session.path_quality(), 1.0);
-  EXPECT_GE(session.forwarder_set().size(), session.current_path().forwarder_count());
+  EXPECT_LT(session.set().path_quality(), 1.0);
+  EXPECT_GE(session.set().forwarder_set().size(), session.current_path().forwarder_count());
 }
 
 TEST(CrowdsChurn, UtilityFormationShrinksForwarderSetVsRandom) {
@@ -147,7 +147,7 @@ TEST(CrowdsChurn, UtilityFormationShrinksForwarderSetVsRandom) {
       overlay.force_online(29);
       session.run_connection(builder, history, assign, ledger, overlay, stream);
     }
-    return session.forwarder_set().size();
+    return session.set().forwarder_set().size();
   };
   std::size_t random_total = 0, utility_total = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 using namespace p2panon;
@@ -96,6 +100,38 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
          c.overlay.churn.session_median =
              std::sqrt(c.overlay.churn.session_min * c.overlay.churn.session_max);
        }},
+      {"probing.period", [](ScenarioConfig& c) { c.probing.period = 0.0; }},
+      {"overlay.churn.join_interarrival_mean",
+       [](ScenarioConfig& c) { c.overlay.churn.join_interarrival_mean = -1.0; }},
+      {"overlay.churn.offline_gap_mean",
+       [](ScenarioConfig& c) { c.overlay.churn.offline_gap_mean = std::nan(""); }},
+      {"connection_interval_mean", [](ScenarioConfig& c) { c.connection_interval_mean = 0.0; }},
+      {"overlay.link.bandwidth_lo", [](ScenarioConfig& c) { c.overlay.link.bandwidth_lo = 0.0; }},
+      {"overlay.link.bandwidth_hi",
+       [](ScenarioConfig& c) { c.overlay.link.bandwidth_hi = -1.0; }},
+      {"overlay.link.bandwidth_lo",
+       [](ScenarioConfig& c) { c.overlay.link.bandwidth_lo = c.overlay.link.bandwidth_hi + 1.0; }},
+      {"data_phase.keepalive_interval",
+       [](ScenarioConfig& c) { c.data_phase.keepalive_interval = 0.0; }},
+      {"anonymity.scale", [](ScenarioConfig& c) { c.anonymity.scale = 0.0; }},
+      {"anonymity.lambda", [](ScenarioConfig& c) { c.anonymity.lambda = -1.0; }},
+      {"overlay.link.payload_size", [](ScenarioConfig& c) { c.overlay.link.payload_size = -1.0; }},
+      {"overlay.link.propagation_delay",
+       [](ScenarioConfig& c) { c.overlay.link.propagation_delay = std::nan(""); }},
+      {"warmup", [](ScenarioConfig& c) { c.warmup = std::nan(""); }},
+      {"pair_start_window", [](ScenarioConfig& c) { c.pair_start_window = std::nan(""); }},
+      {"fault.delay_jitter", [](ScenarioConfig& c) { c.fault.delay_jitter = -1.0; }},
+      {"fault.crash_rate_per_hour", [](ScenarioConfig& c) { c.fault.crash_rate_per_hour = -1.0; }},
+      {"fault.crash_recovery_mean",
+       [](ScenarioConfig& c) { c.fault.crash_recovery_mean = -60.0; }},
+      {"fault.bank.claim_delay_mean",
+       [](ScenarioConfig& c) { c.fault.bank.claim_delay_mean = -1.0; }},
+      {"fault.bank.claim_deadline", [](ScenarioConfig& c) { c.fault.bank.claim_deadline = -1.0; }},
+      {"fault.bank.close_after", [](ScenarioConfig& c) { c.fault.bank.close_after = std::nan(""); }},
+      {"fault.bank.claim_spread", [](ScenarioConfig& c) { c.fault.bank.claim_spread = -1.0; }},
+      {"async_setup.attempt_deadline",
+       [](ScenarioConfig& c) { c.async_setup.attempt_deadline = -1.0; }},
+      {"data_phase.duration", [](ScenarioConfig& c) { c.data_phase.duration = -1.0; }},
   };
   for (const auto& [field, set] : cases) {
     for (const std::uint32_t shards : {1u, 4u}) {
@@ -134,6 +170,84 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
   edge.overlay.churn.session_median =
       0.999 * std::sqrt(edge.overlay.churn.session_min * edge.overlay.churn.session_max);
   EXPECT_EQ(edge.validate(), "");
+  edge.overlay.link.bandwidth_lo = edge.overlay.link.bandwidth_hi;
+  edge.overlay.link.payload_size = 0.0;
+  edge.overlay.link.propagation_delay = 0.0;
+  edge.warmup = 0.0;
+  edge.pair_start_window = 0.0;
+  edge.fault.crash_recovery_mean = 0.0;  // crashed for good
+  edge.fault.bank.claim_spread = 0.0;
+  edge.async_setup.attempt_deadline = 0.0;  // off
+  edge.data_phase.duration = 0.0;
+  EXPECT_EQ(edge.validate(), "");
+}
+
+TEST(Scenario, MutatedConfigsAreRefusedByNameOrConserveMoney) {
+  // Config-mutation smoke over the field table: every real leaf set to -1, 0
+  // and NaN, and every count set to 0, one at a time, from a plain and a
+  // fault-mode K = 1 base and a K = 4 base. A mutant is either refused with
+  // the leaf named (the weights simplex, the session shape and p_f_lo <=
+  // p_f_hi may name a partner field instead), or it runs with money
+  // conserved and the settlement reconciled. No mutant may abort.
+  ScenarioConfig plain = small_config();
+  plain.pair_count = 8;
+  plain.connections_per_pair = 3;
+  ScenarioConfig faulty = plain;
+  faulty.fault.link_loss = 0.05;
+  faulty.fault.bank.claim_loss = 0.1;
+  ScenarioConfig sharded = plain;
+  sharded.engine_shards = 4;
+
+  const auto names_leaf = [](const std::string& err, const std::string& leaf) {
+    const auto starts = [&err](const std::string& prefix) { return err.rfind(prefix, 0) == 0; };
+    if (starts("ScenarioConfig::" + leaf + " = ")) return true;
+    if (err == "the sharded paper runner does not implement ScenarioConfig::" + leaf) return true;
+    if (leaf.rfind("weights.", 0) == 0) return starts("ScenarioConfig::weights.");
+    if (leaf.rfind("overlay.churn.session_", 0) == 0) {
+      return starts("ScenarioConfig::overlay.churn.session_");
+    }
+    return leaf == "p_f_hi" && starts("ScenarioConfig::p_f_lo = ");
+  };
+
+  std::size_t leaves = 0;
+  for_each_config_field(plain, [&leaves](std::string_view, const auto&, Runners) { ++leaves; });
+  const double reals[] = {-1.0, 0.0, std::nan("")};
+  std::size_t refused = 0, ran = 0;
+  for (const ScenarioConfig* base : {&plain, &faulty, &sharded}) {
+    for (std::size_t index = 0; index < leaves; ++index) {
+      for (std::size_t m = 0; m < std::size(reals); ++m) {
+        ScenarioConfig cfg = *base;
+        std::string leaf;
+        std::size_t i = 0;
+        for_each_config_field(cfg, [&](std::string_view name, auto& value, Runners) {
+          using T = std::remove_cvref_t<decltype(value)>;
+          if (i++ != index) return;
+          if constexpr (std::is_same_v<T, double>) {
+            value = reals[m];
+            leaf = name;
+          } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+            if (m != 0) return;
+            value = 0;
+            leaf = name;
+          }
+        });
+        if (leaf.empty()) continue;  // no such mutation for this leaf
+        SCOPED_TRACE(leaf + " <- mutation " + std::to_string(m) + " at K = " +
+                     std::to_string(base->engine_shards));
+        try {
+          const ScenarioResult r = ScenarioRunner(cfg).run();
+          ++ran;
+          EXPECT_TRUE(r.payment_conserved);
+          EXPECT_TRUE(r.settlement_reconciled);
+        } catch (const std::invalid_argument& e) {
+          ++refused;
+          EXPECT_TRUE(names_leaf(e.what(), leaf)) << e.what();
+        }
+      }
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(ran, 0u);
 }
 
 TEST(Scenario, RunsAllConnections) {

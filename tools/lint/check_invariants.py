@@ -82,7 +82,7 @@ D3 RNG discipline
 D4 shard-ownership discipline
     Within a window a shard may only touch its own state. Writes to
     ``net::NodeStateSoA`` columns are legal only in the owning module
-    (``src/net/overlay.*``, ``src/net/soa.hpp``), in a function that derives
+    (``src/net/overlay.*``, ``src/net/soa.*``), in a function that derives
     the written index's shard via ``shard_of(...)`` first, or inside a
     lambda registered through ``add_barrier_hook``. Every
     ``shard(...).schedule_in/at`` call needs a waiver affirming the target
@@ -144,7 +144,8 @@ CLOCK_ALLOWED_PREFIXES = ("src/parallel/", "bench/")
 RNG_HOME_PREFIX = "src/sim/rng."
 
 # D4: modules that own NodeStateSoA mutation outright.
-SOA_OWNER_FILES = ("src/net/overlay.cpp", "src/net/overlay.hpp", "src/net/soa.hpp")
+SOA_OWNER_FILES = ("src/net/overlay.cpp", "src/net/overlay.hpp", "src/net/soa.cpp",
+                   "src/net/soa.hpp")
 
 UNORDERED_RE = r"unordered_(?:map|set|multimap|multiset)"
 
