@@ -33,8 +33,6 @@ namespace p2panon::core {
 /// A connection is given up after this many successful re-formations.
 inline constexpr std::uint32_t kMaxReformations = 8;
 
-/// The round-trip timer of one keepalive over path P is
-/// ack_patience(path_latency(P)), the rule setup legs use.
 struct DataPhaseConfig {
   sim::Time duration = sim::minutes(2.0);  ///< length of the data phase
   sim::Time keepalive_interval = 15.0;     ///< gap between keepalive sends

@@ -89,7 +89,8 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
   for (const auto& [field, prob] : probabilities) {
     if (!(prob >= 0.0 && prob <= 1.0)) return out_of_range(field, prob, "in [0, 1]");
   }
-  // Periods, means and rates that divide or drive a schedule.
+  // Periods, means and bandwidths divide or set rates; A(.) needs a positive
+  // value and decay length.
   const std::pair<std::string_view, double> positives[] = {
       {"probing.period", probing.period},
       {"overlay.churn.join_interarrival_mean", overlay.churn.join_interarrival_mean},
