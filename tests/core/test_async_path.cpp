@@ -98,10 +98,8 @@ TEST(AsyncPathChurn, ReformationsHappenUnderHeavyChurn) {
   core::HistoryStore history(overlay.size());
   core::EdgeQualityEvaluator quality(probing, history, core::QualityWeights{});
   core::PathBuilder builder(overlay, quality);
-  core::AsyncConfig acfg;
-  acfg.attempt_deadline = sim::minutes(3.0);
   transport::SimTransport transport(simulator, overlay);
-  core::AsyncConnectionRunner runner(simulator, overlay, builder, transport, acfg);
+  core::AsyncConnectionRunner runner(simulator, overlay, builder, transport);
   core::RandomRouting strategy;
   core::StrategyAssignment assign(overlay, strategy);
 
