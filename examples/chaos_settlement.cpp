@@ -21,6 +21,10 @@
 //   ./chaos_settlement [seed] [schedules] [--adaptive] [--eps X]
 //                      [--checkpoint PATH] (default 42, 200)
 //
+// A seed or schedule count that is not a decimal integer, a zero schedule
+// count, an extra argument or --help prints the usage to stderr and exits 2
+// before any schedule runs.
+//
 // The sweep runs through harness::AdaptiveRunner (DESIGN.md §3.12):
 //  * --checkpoint persists the sweep state after every batch, so a killed
 //    sweep resumes where it stopped and finishes with numerically identical
@@ -44,8 +48,12 @@
 // Summary counters are written atomically to BENCH_chaos_settlement.json
 // (in $P2PANON_CSV_DIR when set, else the cwd), including schedules-used
 // vs schedules-planned for both phases.
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <vector>
@@ -285,6 +293,33 @@ std::vector<double> run_plane_schedule(std::uint64_t seed, std::size_t index) {
   return row;
 }
 
+void usage(const char* prog) {
+  std::cerr << "usage: " << prog
+            << " [seed] [schedules] [--adaptive] [--eps X] [--checkpoint PATH]\n"
+               "  seed       base seed, a non-negative integer (default 42)\n"
+               "  schedules  the sweep's schedule cap, at least 1 (default 200)\n";
+}
+
+/// Positional argument `index` as a count of at least `min` (decimal digits
+/// only, no sign, within 64 bits; the simulate CLI's count rule), or
+/// `fallback` when it is absent. Anything else prints the usage and exits 2.
+std::uint64_t positional_count(int argc, char** argv, int index, const char* name,
+                               std::uint64_t min, std::uint64_t fallback) {
+  if (index >= argc) return fallback;
+  const char* v = argv[index];
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(*v)) == 0 || *end != '\0' || errno == ERANGE ||
+      n < min) {
+    std::cerr << "invalid " << name << ": '" << v << "' (want an integer of at least " << min
+              << ")\n";
+    usage(argv[0]);
+    std::exit(2);
+  }
+  return n;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -292,8 +327,14 @@ int main(int argc, char** argv) {
   // s ~ 0.3): ±0.1 cannot close within the 200-schedule cap, ±0.12
   // certifies at 128 schedules (seed 42). Override with --eps.
   harness::AdaptiveConfig adaptive = bench::parse_sweep_options(argc, argv, 0.12);
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
-  const std::uint64_t schedules = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 200;
+  const bool help = std::any_of(argv + 1, argv + argc,
+                                [](const char* a) { return std::strcmp(a, "--help") == 0; });
+  if (help || argc > 3) {
+    usage(argv[0]);
+    return 2;
+  }
+  const std::uint64_t seed = positional_count(argc, argv, 1, "seed", 0, 42);
+  const std::uint64_t schedules = positional_count(argc, argv, 2, "schedules", 1, 200);
 
   auto run_schedule = [&](std::size_t i) {
     const harness::ScenarioConfig cfg = schedule_config(seed, i);

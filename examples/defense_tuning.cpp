@@ -1,12 +1,12 @@
 // Defense-tuning example: dialling the system parameters against the three
 // §5 attacks at once.
 //
-// Shows how an operator would pick (w_s : w_a), the cid-rotation epoch and
-// the termination policy for a deployment facing availability attackers,
-// droppers, and cid-linking insiders simultaneously — and what each dial
-// costs in forwarder-set size and payments.
+// Shows how an operator would pick (w_s : w_a) for a deployment facing
+// availability attackers, droppers, and cid-linking insiders simultaneously
+// — and what the dial costs in forwarder-set size and payments.
 //
 //   ./defense_tuning [seed]
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
@@ -20,11 +20,6 @@ namespace {
 
 using namespace p2panon;
 
-struct Deployment {
-  double w_availability = 0.5;
-  std::uint32_t cid_rotation = 0;
-};
-
 struct Report {
   double set_size = 0.0;
   double malicious_capture = 0.0;
@@ -32,7 +27,7 @@ struct Report {
   double reformations = 0.0;
 };
 
-Report evaluate(const Deployment& d, std::uint64_t seed) {
+Report evaluate(double w_availability, std::uint64_t seed) {
   sim::rng::Stream root(seed);
   sim::Simulator simulator;
   net::OverlayConfig cfg;
@@ -43,7 +38,7 @@ Report evaluate(const Deployment& d, std::uint64_t seed) {
   net::Overlay overlay(cfg, simulator, root.child("overlay"));
   net::ProbingEstimator probing(overlay, net::ProbingConfig{}, root.child("probing"));
   core::HistoryStore history(overlay.size());
-  core::QualityWeights weights{1.0 - d.w_availability, d.w_availability};
+  core::QualityWeights weights{1.0 - w_availability, w_availability};
   core::EdgeQualityEvaluator quality(probing, history, weights);
   core::PathBuilder builder(overlay, quality);
   core::PayoffLedger ledger(overlay.size());
@@ -71,9 +66,7 @@ Report evaluate(const Deployment& d, std::uint64_t seed) {
     while (responder == initiator) {
       responder = static_cast<net::NodeId>(pair_stream.below(overlay.size()));
     }
-    core::Contract contract;
-    contract.cid_rotation = d.cid_rotation;
-    core::ConnectionSetSession session(pid, initiator, responder, contract);
+    core::ConnectionSetSession session(pid, initiator, responder, core::Contract{});
     auto stream = run_stream.child("pair", pid);
     for (std::uint32_t k = 1; k <= 20; ++k) {
       simulator.run_until(simulator.now() + sim::minutes(2.0));
@@ -81,7 +74,7 @@ Report evaluate(const Deployment& d, std::uint64_t seed) {
       overlay.force_online(responder);
       const core::BuiltPath& p = session.run_connection(builder, history, assign, ledger,
                                                         overlay, stream, adversary);
-      analysis.observe_path(session.effective_pair(k), p.nodes);
+      analysis.observe_path(pid, p.nodes);
       for (std::size_t i = 1; i + 1 < p.nodes.size(); ++i) {
         ++total;
         if (overlay.state().is_malicious(p.nodes[i])) ++captured;
@@ -105,31 +98,26 @@ int main(int argc, char** argv) {
                "always-online (availability attack), drop 15% of payloads, and link\n"
                "connections via cids.\n\n";
 
-  const Deployment deployments[] = {
-      {0.75, 0},   // availability-heavy, no rotation: fast but exposed
-      {0.5, 0},    // paper default weights, no rotation
-      {0.5, 5},    // + cid rotation
-      {0.25, 5},   // history-heavy + rotation: resist availability attackers
-  };
+  // Availability-heavy (fast but exposed), the paper's default weights, and
+  // history-heavy (resists availability attackers).
+  const double w_availabilities[] = {0.75, 0.5, 0.25};
 
-  std::cout << "w_a    rotation  ||pi||  capture  linked-profile  drop-reformations\n"
-            << "---------------------------------------------------------------------\n";
-  for (const Deployment& d : deployments) {
-    const Report r = evaluate(d, seed);
-    std::printf("%.2f   %-8s  %-6.1f  %-7.3f  %-14.0f  %.0f\n", d.w_availability,
-                d.cid_rotation == 0 ? "never" : std::to_string(d.cid_rotation).c_str(),
-                r.set_size, r.malicious_capture, r.largest_profile, r.reformations);
+  std::cout << "w_a    ||pi||  capture  linked-profile  drop-reformations\n"
+            << "-----------------------------------------------------------\n";
+  for (const double w_availability : w_availabilities) {
+    const Report r = evaluate(w_availability, seed);
+    std::printf("%.2f   %-6.1f  %-7.3f  %-14.0f  %.0f\n", w_availability, r.set_size,
+                r.malicious_capture, r.largest_profile, r.reformations);
   }
 
   std::cout << "\nHow to read this:\n"
                "  * capture: share of forwarding instances through adversaries. Always-\n"
                "    online attackers earn a large share at any w_a (uptime feeds both the\n"
-               "    availability estimate AND their presence in history); lowering w_a\n"
-               "    and rotating cids each shave a little off. The structural fix is\n"
-               "    keeping honest availability high — incentives, not weights.\n"
-               "  * linked-profile: max connections an insider ties together — capped\n"
-               "    exactly by the cid-rotation epoch.\n"
-               "  * ||pi||: the anonymity-set cost of each defense combination (here\n"
-               "    rotation is nearly free because availability carries continuity).\n";
+               "    availability estimate AND their presence in history), so the\n"
+               "    weights barely move it. The structural fix is keeping honest\n"
+               "    availability high — incentives, not weights.\n"
+               "  * linked-profile: max connections an insider ties together through\n"
+               "    the set's one cid (at most the 20 connections of a set).\n"
+               "  * ||pi||: the anonymity-set cost of each weighting.\n";
   return 0;
 }

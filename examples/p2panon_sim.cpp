@@ -4,7 +4,7 @@
 //
 //   ./p2panon_sim --malicious 0.3 --strategy utility1 --tau 4 --replicates 16
 //   ./p2panon_sim --nodes 80 --degree 8 --strategy spne --termination ttl --ttl 4
-//   ./p2panon_sim --zipf 1.0 --cid-rotation 5 --csv out.csv
+//   ./p2panon_sim --zipf 1.0 --csv out.csv
 //
 // Prints the headline metrics (forwarder set, path quality, payoffs with
 // 95% CIs, latency, conservation check) and optionally appends a CSV row.
@@ -48,7 +48,6 @@ void usage(const char* prog) {
       << "  --termination T    crowds | ttl (default crowds)\n"
       << "  --p-forward P      Crowds forwarding probability (default 0.75)\n"
       << "  --ttl H            hop bound for ttl termination (default 4)\n"
-      << "  --cid-rotation E   rotate the connection-set id every E connections\n"
       << "  --drop P           malicious payload-drop probability (default 0)\n"
       << "run control:\n"
       << "  --seed S           base seed (default 1)\n"
@@ -165,8 +164,6 @@ int main(int argc, char** argv) {
       cfg.p_forward = args.next_double(a);
     } else if (std::strcmp(a, "--ttl") == 0) {
       cfg.ttl_hops = args.next_count<std::uint32_t>(a);
-    } else if (std::strcmp(a, "--cid-rotation") == 0) {
-      cfg.cid_rotation = args.next_count<std::uint32_t>(a);
     } else if (std::strcmp(a, "--drop") == 0) {
       cfg.adversary.drop_probability = args.next_double(a);
     } else if (std::strcmp(a, "--seed") == 0) {

@@ -33,15 +33,6 @@ struct Contract {
   double p_forward = 0.75;  ///< Crowds forwarding probability
   std::uint32_t ttl_hops = 4;  ///< hop-distance bound when kHopCount
 
-  /// Connection-id rotation (defense against the paper's §5 attack (3):
-  /// a malicious forwarder linking a set's connections via the cid in its
-  /// history). Every `cid_rotation` connections the initiator switches to a
-  /// fresh pseudonymous cid: forwarders — and attackers — can only link
-  /// connections within one epoch, but history selectivity resets with the
-  /// cid, trading forwarder-set stability for linkage privacy
-  /// (bench/abl_cid_rotation quantifies the trade-off). 0 = never rotate.
-  std::uint32_t cid_rotation = 0;
-
   [[nodiscard]] double routing_benefit() const noexcept { return tau * forwarding_benefit; }
 
   /// Expected number of forwarders on one path. Crowds: the first hop is

@@ -37,16 +37,11 @@ struct HistoryEntry {
   net::NodeId successor = net::kInvalidNode;
 };
 
-/// History profile for one node. Storage is bounded by `capacity` entries
-/// (0 = unbounded); eviction is FIFO — the oldest stored entry leaves first,
-/// modelling a node that only keeps recent history (an ablation knob — the
-/// paper notes the amount of stored history influences edge quality).
-/// Bounded mode stores entries in a ring buffer, so a record that evicts is
-/// O(1) (the old erase-from-front shifted the whole window per record).
+/// History profile for one node. Append-only: H^{k-1}(s) keeps every past
+/// connection of the set (Table 1). Only the count index is stored; the
+/// queries never need the entries themselves.
 class HistoryProfile {
  public:
-  explicit HistoryProfile(std::size_t capacity = 0) : capacity_(capacity) {}
-
   void record(const HistoryEntry& entry);
 
   // The three queries are defined here so that the decision stack's scoring
@@ -76,15 +71,9 @@ class HistoryProfile {
     return static_cast<double>(c) / static_cast<double>(k - 1);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  /// Number of recorded entries.
+  [[nodiscard]] std::size_t size() const noexcept { return entries_; }
   void clear();
-
-  /// Stored entries in FIFO order (oldest first). Returns a snapshot by
-  /// value: the backing store is a ring buffer, so entries are not
-  /// contiguous in eviction order once the window wraps. Cold path (tests,
-  /// diagnostics); queries go through the count indices.
-  [[nodiscard]] std::vector<HistoryEntry> entries() const;
 
  private:
   [[nodiscard]] static sim::PackedKey edge_key(net::PairId pair, net::NodeId predecessor,
@@ -98,14 +87,7 @@ class HistoryProfile {
     return sim::PackedKey::of(pair, predecessor, net::kInvalidNode, 1);
   }
 
-  void remove_from_index(const HistoryEntry& entry);
-
-  std::size_t capacity_;
-  /// Ring buffer: grows like a plain vector until `capacity_` entries are
-  /// stored (head_ == 0, FIFO order is index order); once full, ring_[head_]
-  /// is the oldest entry and each record overwrites it in place.
-  std::vector<HistoryEntry> ring_;
-  std::size_t head_ = 0;
+  std::size_t entries_ = 0;
   /// Edge-key -> multiplicity, position-key -> denominator; one table keeps
   /// both so a record touches a single allocation-free index.
   sim::PackedFlatMap<std::uint32_t> counts_;
@@ -114,7 +96,7 @@ class HistoryProfile {
 /// History profiles for all nodes of an overlay, indexed by node id.
 class HistoryStore {
  public:
-  explicit HistoryStore(std::size_t node_count, std::size_t per_node_capacity = 0);
+  explicit HistoryStore(std::size_t node_count) : profiles_(node_count) {}
 
   [[nodiscard]] HistoryProfile& at(net::NodeId id) { return profiles_.at(id); }
   [[nodiscard]] const HistoryProfile& at(net::NodeId id) const { return profiles_.at(id); }

@@ -38,26 +38,6 @@ std::vector<double> PayoffLedger::good_node_payoff_samples(const net::Overlay& o
   return out;
 }
 
-net::PairId ConnectionSetSession::effective_pair(std::uint32_t conn_index) const noexcept {
-  assert(conn_index >= 1);
-  if (contract_.cid_rotation == 0) return pair_;
-  const std::uint32_t epoch = (conn_index - 1) / contract_.cid_rotation;
-  if (epoch == 0) return pair_;  // first epoch keeps the real id
-  // Pseudonymous epoch cid: avalanche-mix (pair, epoch); collisions with
-  // other pairs' ids are astronomically unlikely at simulation scales and
-  // harmless (they would only blend history, never payments).
-  const std::uint64_t mixed =
-      sim::rng::mix64((static_cast<std::uint64_t>(pair_) << 32) | epoch);
-  return static_cast<net::PairId>(mixed >> 16);
-}
-
-std::uint32_t ConnectionSetSession::effective_conn_index(
-    std::uint32_t conn_index) const noexcept {
-  assert(conn_index >= 1);
-  if (contract_.cid_rotation == 0) return conn_index;
-  return (conn_index - 1) % contract_.cid_rotation + 1;
-}
-
 const BuiltPath& ConnectionSetSession::run_connection(const PathBuilder& builder,
                                                       HistoryStore& history,
                                                       const StrategyAssignment& strategies,
@@ -69,15 +49,10 @@ const BuiltPath& ConnectionSetSession::run_connection(const PathBuilder& builder
   const auto conn_index = static_cast<std::uint32_t>(paths_.size() + 1);
   auto conn_stream = stream.child("conn", conn_index);
 
-  // Forwarders see the epoch's pseudonymous cid and epoch-local index (the
-  // real (pair, index) is only known to the initiator and the bank).
-  const net::PairId wire_pair = effective_pair(conn_index);
-  const std::uint32_t wire_index = effective_conn_index(conn_index);
-
   BuiltPath path;
   for (std::uint32_t attempt = 0;; ++attempt) {
     auto attempt_stream = conn_stream.child("attempt", attempt);
-    path = builder.build(wire_pair, wire_index, initiator_, responder_, contract_, strategies,
+    path = builder.build(pair_, conn_index, initiator_, responder_, contract_, strategies,
                          attempt_stream);
     if (adversary.drop_probability <= 0.0 || attempt >= kMaxDropReformations) break;
 
@@ -108,12 +83,10 @@ const BuiltPath& ConnectionSetSession::adopt_connection(BuiltPath path, HistoryS
                                                         const net::Overlay& overlay) {
   assert(!settled_ && "connection after settlement");
   const auto conn_index = static_cast<std::uint32_t>(paths_.size() + 1);
-  const net::PairId wire_pair = effective_pair(conn_index);
-  const std::uint32_t wire_index = effective_conn_index(conn_index);
 
   // Reverse-path confirmation: the initiator recreates the path and every
-  // forwarder records its history entry under the wire-visible cid.
-  history.record_path(wire_pair, wire_index, path.nodes);
+  // forwarder records its history entry under the set's cid.
+  history.record_path(pair_, conn_index, path.nodes);
 
   // Costs: every forwarder pays C_p once and C_t per instance; the
   // initiator's transmission of the first hop is part of its own spend, not

@@ -200,15 +200,6 @@ class ConnectionSetSession {
   /// Path reformations forced by payload drops (adversary model).
   [[nodiscard]] std::uint64_t reformations() const noexcept { return reformations_; }
 
-  /// The pseudonymous connection-set id forwarders see for connection
-  /// `conn_index` (1-based) under the contract's cid-rotation policy; the
-  /// real pair id when rotation is off.
-  [[nodiscard]] net::PairId effective_pair(std::uint32_t conn_index) const noexcept;
-
-  /// Connection index *within the current cid epoch* (what selectivity's
-  /// k-1 denominator sees).
-  [[nodiscard]] std::uint32_t effective_conn_index(std::uint32_t conn_index) const noexcept;
-
  private:
   net::PairId pair_;
   net::NodeId initiator_;

@@ -17,6 +17,7 @@
 #include "core/path.hpp"
 #include "core/suspicion.hpp"
 #include "harness/paper_sharded.hpp"
+#include "metrics/anonymity.hpp"
 #include "payment/settlement.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -89,8 +90,7 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
   for (const auto& [field, prob] : probabilities) {
     if (!(prob >= 0.0 && prob <= 1.0)) return out_of_range(field, prob, "in [0, 1]");
   }
-  // Periods, means and bandwidths divide or set rates; A(.) needs a positive
-  // value and decay length.
+  // Periods, means and bandwidths divide or set rates.
   const std::pair<std::string_view, double> positives[] = {
       {"probing.period", probing.period},
       {"overlay.churn.join_interarrival_mean", overlay.churn.join_interarrival_mean},
@@ -99,8 +99,6 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
       {"overlay.link.bandwidth_lo", overlay.link.bandwidth_lo},
       {"overlay.link.bandwidth_hi", overlay.link.bandwidth_hi},
       {"data_phase.keepalive_interval", data_phase.keepalive_interval},
-      {"anonymity.scale", anonymity.scale},
-      {"anonymity.lambda", anonymity.lambda},
   };
   for (const auto& [field, value] : positives) {
     if (!(value > 0.0)) return out_of_range(field, value, "above 0");
@@ -152,6 +150,7 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
                             ", sqrt(session_min * session_max) = " + std::to_string(ceiling) +
                             ")");
   }
+  if (engine_shards < 1) return out_of_range("engine_shards", engine_shards, "at least 1");
   // Read only by the K > 1 runner, but refused at every K like the rest.
   if (!(engine_window > 0.0)) return out_of_range("engine_window", engine_window, "above 0");
   if (!(view_refresh >= 0.0)) return out_of_range("view_refresh", view_refresh, "at least 0");
@@ -167,7 +166,6 @@ core::Contract ScenarioConfig::contract_for(double forwarding_benefit) const noe
   contract.termination = termination;
   contract.p_forward = p_forward;
   contract.ttl_hops = ttl_hops;
-  contract.cid_rotation = cid_rotation;
   return contract;
 }
 
@@ -179,7 +177,7 @@ ScenarioResult ScenarioRunner::run() const {
   sim::Simulator simulator;
   net::Overlay overlay(cfg.overlay, simulator, root.child("overlay"));
   net::ProbingEstimator probing(overlay, cfg.probing, root.child("probing"));
-  core::HistoryStore history(overlay.size(), cfg.history_capacity);
+  core::HistoryStore history(overlay.size());
 
   // Fault mode: any enabled fault swaps the omniscient synchronous setup
   // for the timeout-driven async runner + keepalive data phase. With every
@@ -325,15 +323,14 @@ ScenarioResult ScenarioRunner::run() const {
         }
 
         // Fault mode: timeout-driven setup, then a keepalive data phase
-        // whose detected failures re-form the path. Wire ids follow launch
-        // order (completions may interleave across the pair's connections).
+        // whose detected failures re-form the path. Wire ids are (pair,
+        // launch order): completions may interleave across the pair's
+        // connections.
         const std::uint32_t conn = ++p.launched;
-        const net::PairId wire_pair = p.session->effective_pair(conn);
-        const std::uint32_t wire_index = p.session->effective_conn_index(conn);
         ctx->setup_runner->establish(
-            wire_pair, wire_index, p.session->initiator(), p.session->responder(),
+            pid, conn, p.session->initiator(), p.session->responder(),
             p.session->contract(), ctx->strategies, p.stream.child("setup", conn),
-            [ctx, pid, conn, wire_pair, wire_index](const core::AsyncResult& r) {
+            [ctx, pid, conn](const core::AsyncResult& r) {
               PairPlan& plan = ctx->plans[pid];
               // A setup that completes after the set settled (possible only
               // in bank-fault mode, where the simulator keeps running through
@@ -357,7 +354,7 @@ ScenarioResult ScenarioRunner::run() const {
               ctx->latency.add(ctx->overlay.links().path_latency(path.nodes));
               ++ctx->connections_completed;
               ctx->data_runner->run(
-                  wire_pair, wire_index, path, plan.session->contract(), ctx->strategies,
+                  pid, conn, path, plan.session->contract(), ctx->strategies,
                   plan.stream.child("data", conn),
                   [ctx, pid, adopted](const core::DataPhaseResult& d) {
                     PairPlan& owner = ctx->plans[pid];
@@ -503,7 +500,7 @@ ScenarioResult ScenarioRunner::run() const {
     result.avg_path_length.add(session.average_path_length());
     result.path_quality.add(session.path_quality());
     result.initiator_spend.add(outcome.initiator_spend);
-    result.initiator_utility.add(cfg.anonymity(set_size) - outcome.initiator_spend);
+    result.initiator_utility.add(metrics::anonymity_value(set_size) - outcome.initiator_spend);
     result.total_paid_credits += payment::to_credits(outcome.report.paid_out);
     result.reformations += session.reformations();
 

@@ -18,7 +18,6 @@
 #include "core/incentive.hpp"
 #include "core/routing.hpp"
 #include "fault/fault.hpp"
-#include "metrics/anonymity.hpp"
 #include "metrics/stats.hpp"
 #include "net/overlay.hpp"
 #include "net/probing.hpp"
@@ -55,10 +54,6 @@ struct ScenarioConfig {
   /// where a few responders receive most recurring connections).
   double responder_zipf = 0.0;
 
-  /// Connection-id rotation epoch applied to every pair's contract
-  /// (see core::Contract::cid_rotation). 0 = off.
-  std::uint32_t cid_rotation = 0;
-
   double p_f_lo = 50.0;  ///< forwarding benefit drawn U[p_f_lo, p_f_hi]
   double p_f_hi = 100.0;
   double tau = 2.0;      ///< P_r = tau * P_f (paper: {0.5, 1, 2, 4})
@@ -76,7 +71,6 @@ struct ScenarioConfig {
   sim::Time connection_interval_mean = sim::minutes(5.0);
 
   core::AdversaryModel adversary;  ///< payload-drop attack
-  std::size_t history_capacity = 0;  ///< per-node entries; 0 = unbounded
 
   /// Fault model. Default-constructed (all-off) leaves the scenario on the
   /// omniscient synchronous path. Any enabled fault switches connection
@@ -85,8 +79,6 @@ struct ScenarioConfig {
   fault::FaultConfig fault;
   core::AsyncConfig async_setup;    ///< setup attempt deadline (fault mode)
   core::DataPhaseConfig data_phase; ///< keepalive phase knobs (fault mode)
-
-  metrics::AnonymityValuation anonymity;  ///< A(.) for the initiator utility
 
   core::PathBuilderConfig path_builder;
 
@@ -148,10 +140,10 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   constexpr Runners kBoth = Runners::kBoth;
   constexpr Runners kSerialOnly = Runners::kSerialOnly;
   auto& [seed, overlay, probing, weights, good_strategy, lookahead_depth, pair_count,
-         connections_per_pair, responder_zipf, cid_rotation, p_f_lo, p_f_hi, tau, termination,
-         p_forward, ttl_hops, warmup, pair_start_window, connection_interval_mean, adversary,
-         history_capacity, fault, async_setup, data_phase, anonymity, path_builder,
-         engine_window, engine_shards, bank_partitions, view_refresh, transport] = cfg;
+         connections_per_pair, responder_zipf, p_f_lo, p_f_hi, tau, termination, p_forward,
+         ttl_hops, warmup, pair_start_window, connection_interval_mean, adversary, fault,
+         async_setup, data_phase, path_builder, engine_window, engine_shards, bank_partitions,
+         view_refresh, transport] = cfg;
   auto& [node_count, degree, malicious_fraction, malicious_always_online, participation_cost,
          churn, link] = overlay;
   auto& [join_interarrival_mean, session_median, session_min, session_max, offline_gap_mean,
@@ -166,7 +158,6 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
          claim_deadline, close_after, claim_spread] = bank;
   auto& [attempt_deadline] = async_setup;
   auto& [duration, keepalive_interval] = data_phase;
-  auto& [form, scale, lambda] = anonymity;
   auto& [max_forwarders, allow_declines] = path_builder;
 
   visit("seed", seed, kBoth);
@@ -194,7 +185,6 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   visit("pair_count", pair_count, kBoth);
   visit("connections_per_pair", connections_per_pair, kBoth);
   visit("responder_zipf", responder_zipf, kBoth);
-  visit("cid_rotation", cid_rotation, kSerialOnly);
   visit("p_f_lo", p_f_lo, kBoth);
   visit("p_f_hi", p_f_hi, kBoth);
   visit("tau", tau, kBoth);
@@ -205,7 +195,6 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   visit("pair_start_window", pair_start_window, kBoth);
   visit("connection_interval_mean", connection_interval_mean, kBoth);
   visit("adversary.drop_probability", drop_probability, kSerialOnly);
-  visit("history_capacity", history_capacity, kSerialOnly);
   visit("fault.link_loss", link_loss, kBoth);
   visit("fault.delay_jitter", delay_jitter, kSerialOnly);
   visit("fault.crash_rate_per_hour", crash_rate_per_hour, kSerialOnly);
@@ -225,9 +214,6 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   visit("async_setup.attempt_deadline", attempt_deadline, kSerialOnly);
   visit("data_phase.duration", duration, kSerialOnly);
   visit("data_phase.keepalive_interval", keepalive_interval, kSerialOnly);
-  visit("anonymity.form", form, kSerialOnly);
-  visit("anonymity.scale", scale, kSerialOnly);
-  visit("anonymity.lambda", lambda, kSerialOnly);
   visit("path_builder.max_forwarders", max_forwarders, kBoth);
   visit("path_builder.allow_declines", allow_declines, kBoth);
   visit("engine_window", engine_window, kBoth);

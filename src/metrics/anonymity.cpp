@@ -1,6 +1,5 @@
 #include "metrics/anonymity.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -23,12 +22,7 @@ double shannon_entropy_bits(std::span<const double> probabilities) noexcept {
 }
 
 double degree_of_anonymity(std::span<const double> probabilities) noexcept {
-  std::size_t support = 0;
-  for (double p : probabilities) {
-    if (p > 0.0) ++support;
-  }
   if (probabilities.size() < 2) return 0.0;
-  (void)support;
   const double h_max = std::log2(static_cast<double>(probabilities.size()));
   return h_max > 0.0 ? shannon_entropy_bits(probabilities) / h_max : 0.0;
 }
@@ -37,22 +31,13 @@ double effective_set_size(std::span<const double> probabilities) noexcept {
   return std::exp2(shannon_entropy_bits(probabilities));
 }
 
-double AnonymityValuation::operator()(double set_size) const noexcept {
-  assert(set_size >= 0.0 && lambda > 0.0 && scale > 0.0);
-  switch (form) {
-    case AnonymityFunctional::kExponentialDecay:
-      return scale * std::exp(-set_size / lambda);
-    case AnonymityFunctional::kInverse:
-      return scale / (1.0 + set_size / lambda);
-    case AnonymityFunctional::kLinearClamped:
-      return std::max(0.0, scale * (1.0 - set_size / lambda));
-  }
-  return 0.0;  // unreachable
+double anonymity_value(double set_size) noexcept {
+  assert(set_size >= 0.0);
+  return kAnonymityScale * std::exp(-set_size / kAnonymityDecay);
 }
 
-double initiator_utility(const AnonymityValuation& a, double forwarder_set_size, double p_f,
-                         double p_r) noexcept {
-  return a(forwarder_set_size) - forwarder_set_size * p_f - p_r;
+double initiator_utility(double forwarder_set_size, double p_f, double p_r) noexcept {
+  return anonymity_value(forwarder_set_size) - forwarder_set_size * p_f - p_r;
 }
 
 }  // namespace p2panon::metrics

@@ -6,9 +6,8 @@
 //   * entropy / normalised-entropy anonymity of an attacker's probability
 //     assignment over candidate initiators (Serjantov-Danezis / Diaz et al.
 //     style), used by the intersection-attack analyses, and
-//   * a family of concrete A(.) functionals for the initiator utility, with
-//     the shape exposed as a parameter so the ablation bench can verify the
-//     paper's conclusions are insensitive to it.
+//   * one concrete A(.) for the initiator utility, an exponential decay in
+//     the forwarder-set size.
 #pragma once
 
 #include <cstddef>
@@ -27,26 +26,16 @@ namespace p2panon::metrics {
 /// that would produce the observed entropy.
 [[nodiscard]] double effective_set_size(std::span<const double> probabilities) noexcept;
 
-/// Concrete functional forms for A(||pi||) in the initiator utility
-/// U_I = A(||pi||) - ||pi||*P_f - P_r. All are positive and strictly
-/// decreasing in the forwarder-set size, as the paper requires.
-enum class AnonymityFunctional {
-  kExponentialDecay,  // A(x) = scale * exp(-x / lambda)
-  kInverse,           // A(x) = scale / (1 + x / lambda)
-  kLinearClamped,     // A(x) = max(0, scale * (1 - x / lambda))
-};
+/// A(x) = kAnonymityScale * exp(-x / kAnonymityDecay): positive and
+/// strictly decreasing in the forwarder-set size x, as the paper requires.
+inline constexpr double kAnonymityScale = 10000.0;  ///< A(0), perfect anonymity
+inline constexpr double kAnonymityDecay = 20.0;     ///< in forwarder-set-size units
 
-struct AnonymityValuation {
-  AnonymityFunctional form = AnonymityFunctional::kExponentialDecay;
-  double scale = 10000.0;  // value of perfect anonymity (forwarder set -> 0)
-  double lambda = 20.0;    // decay scale in forwarder-set-size units
-
-  /// Evaluate A(set_size).
-  [[nodiscard]] double operator()(double set_size) const noexcept;
-};
+/// A(set_size).
+[[nodiscard]] double anonymity_value(double set_size) noexcept;
 
 /// Initiator utility U_I = A(||pi||) - ||pi||*P_f - P_r (paper Eq. 2).
-[[nodiscard]] double initiator_utility(const AnonymityValuation& a, double forwarder_set_size,
-                                       double p_f, double p_r) noexcept;
+[[nodiscard]] double initiator_utility(double forwarder_set_size, double p_f,
+                                       double p_r) noexcept;
 
 }  // namespace p2panon::metrics

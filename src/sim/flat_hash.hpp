@@ -9,8 +9,8 @@
 // pointer chases per probe; this table packs each composite key into 128
 // bits and resolves lookups with linear probing over one contiguous slot
 // array, so the steady-state cost of a hit is a single cache line. Erase
-// uses backward-shift deletion (no tombstones), keeping probe sequences
-// short under the record/evict churn of bounded history profiles.
+// uses backward-shift deletion (no tombstones), so probe sequences stay
+// short after erases.
 #pragma once
 
 #include <algorithm>

@@ -35,7 +35,6 @@ TEST(Contract, PaperDefaultsAreSane) {
   EXPECT_LE(c.forwarding_benefit, 100.0);
   EXPECT_GT(c.p_forward, 0.0);
   EXPECT_LT(c.p_forward, 1.0);
-  EXPECT_EQ(c.cid_rotation, 0u);  // rotation is opt-in
 }
 
 TEST(QualityWeightsExtra, BoundarySums) {

@@ -58,32 +58,13 @@ TEST(HistoryProfile, KeyedByPair) {
   EXPECT_EQ(h.count(8, 10, 20), 1u);
 }
 
-TEST(HistoryProfile, BoundedCapacityEvictsFifo) {
-  HistoryProfile h(3);
-  h.record({1, 1, 10, 20});
-  h.record({1, 2, 10, 21});
-  h.record({1, 3, 10, 22});
-  h.record({1, 4, 10, 23});  // evicts (10, 20)
-  EXPECT_EQ(h.size(), 3u);
-  EXPECT_EQ(h.count(1, 10, 20), 0u);
-  EXPECT_EQ(h.count(1, 10, 23), 1u);
-}
-
-TEST(HistoryProfile, EvictionDecrementsSharedCount) {
-  HistoryProfile h(2);
-  h.record({1, 1, 10, 20});
-  h.record({1, 2, 10, 20});
-  EXPECT_EQ(h.count(1, 10, 20), 2u);
-  h.record({1, 3, 10, 21});  // evicts one (10, 20)
-  EXPECT_EQ(h.count(1, 10, 20), 1u);
-}
-
 TEST(HistoryProfile, ClearResets) {
   HistoryProfile h;
   h.record({1, 1, 10, 20});
   h.clear();
   EXPECT_EQ(h.size(), 0u);
   EXPECT_EQ(h.count(1, 10, 20), 0u);
+  EXPECT_EQ(h.position_count(1, 10), 0u);
 }
 
 TEST(HistoryStore, RecordPathStoresPredecessorSuccessor) {
@@ -132,18 +113,3 @@ TEST(HistoryProfile, PositionCountSumsOverSuccessors) {
   EXPECT_EQ(h.position_count(2, 10), 1u);
   EXPECT_EQ(h.position_count(2, 11), 0u);
 }
-
-TEST(HistoryProfile, PositionCountTracksEviction) {
-  HistoryProfile h(2);
-  h.record({1, 1, 10, 20});
-  h.record({1, 2, 10, 21});
-  EXPECT_EQ(h.position_count(1, 10), 2u);
-  h.record({1, 3, 11, 22});  // evicts (10, 20)
-  EXPECT_EQ(h.position_count(1, 10), 1u);
-  h.record({1, 4, 11, 23});  // evicts (10, 21)
-  EXPECT_EQ(h.position_count(1, 10), 0u);
-  EXPECT_EQ(h.position_count(1, 11), 2u);
-  h.clear();
-  EXPECT_EQ(h.position_count(1, 11), 0u);
-}
-

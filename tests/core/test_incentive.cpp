@@ -269,62 +269,58 @@ TEST_F(IncentiveTest, AdoptedSessionStatisticsMatchSetReference) {
   // adopted one by one. After each, the session's Prop. 1 new-edge
   // fractions, its forwarder set Q and Q(pi) must equal a reference kept
   // over std::set, bit for bit; settlement then pays exactly ||Q||.
-  for (const std::uint32_t rotation : {0u, 3u}) {
-    PayoffLedger ledger(world.overlay.size());
-    Contract contract;
-    contract.cid_rotation = rotation;
-    // One pair per run: the engine is shared, and a second settlement of
-    // the same pair would see the first one's receipts as replays.
-    ConnectionSetSession session(kPair + 1 + rotation, kInitiator, kResponder, contract);
-    auto gen = world.root.child("adopt-stats", rotation);
+  PayoffLedger ledger(world.overlay.size());
+  // A pair of its own: the engine is shared, and a second settlement of
+  // the same pair would see the first one's receipts as replays.
+  ConnectionSetSession session(kPair + 1, kInitiator, kResponder, Contract{});
+  auto gen = world.root.child("adopt-stats");
 
-    std::set<std::pair<NodeId, NodeId>> edges;
-    std::set<NodeId> forwarders;
-    std::vector<double> fractions;
-    std::size_t instances = 0;
-    std::vector<NodeId> previous;
-    for (std::uint32_t j = 1; j <= 40; ++j) {
-      BuiltPath path;
-      if (!previous.empty() && gen.bernoulli(0.25)) {
-        path.nodes = previous;  // a reused path: every edge already seen
-      } else {
-        path.nodes.push_back(kInitiator);
-        const std::uint64_t len = gen.below(7);
-        for (std::uint64_t h = 0; h < len; ++h) {
-          path.nodes.push_back(static_cast<NodeId>(1 + gen.below(5)));
-        }
-        path.nodes.push_back(kResponder);
+  std::set<std::pair<NodeId, NodeId>> edges;
+  std::set<NodeId> forwarders;
+  std::vector<double> fractions;
+  std::size_t instances = 0;
+  std::vector<NodeId> previous;
+  for (std::uint32_t j = 1; j <= 40; ++j) {
+    BuiltPath path;
+    if (!previous.empty() && gen.bernoulli(0.25)) {
+      path.nodes = previous;  // a reused path: every edge already seen
+    } else {
+      path.nodes.push_back(kInitiator);
+      const std::uint64_t len = gen.below(7);
+      for (std::uint64_t h = 0; h < len; ++h) {
+        path.nodes.push_back(static_cast<NodeId>(1 + gen.below(5)));
       }
-      previous = path.nodes;
-
-      std::size_t fresh = 0;
-      for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
-        if (i > 0) forwarders.insert(path.nodes[i]);
-        if (edges.insert({path.nodes[i], path.nodes[i + 1]}).second) ++fresh;
-      }
-      const std::size_t hops = path.nodes.size() - 1;
-      fractions.push_back(static_cast<double>(fresh) / static_cast<double>(hops));
-      instances += path.forwarder_count();
-
-      session.adopt_connection(std::move(path), world.history, ledger, world.overlay);
-      ASSERT_EQ(session.new_edge_fractions(), fractions) << "connection " << j;
-      EXPECT_EQ(session.forwarder_set().size(), forwarders.size());
-      EXPECT_EQ(session.forwarder_set().empty(), forwarders.empty());
-      EXPECT_EQ(std::set<NodeId>(session.forwarder_set().begin(), session.forwarder_set().end()),
-                forwarders);
-      const double expected_quality =
-          forwarders.empty()
-              ? 0.0
-              : (static_cast<double>(instances) / static_cast<double>(j)) /
-                    static_cast<double>(forwarders.size());
-      EXPECT_EQ(session.path_quality(), expected_quality) << "connection " << j;
+      path.nodes.push_back(kResponder);
     }
+    previous = path.nodes;
 
-    auto stream = world.root.child("adopt-settle", rotation);
-    const SettleOutcome out = session.settle(bank, engine, ledger, stream);
-    EXPECT_EQ(out.forwarder_set_size, forwarders.size());
-    EXPECT_EQ(out.report.forwarder_set_size, forwarders.size());
-    EXPECT_EQ(out.report.accepted_claims, instances);
-    EXPECT_EQ(out.report.refunded, 0);
+    std::size_t fresh = 0;
+    for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
+      if (i > 0) forwarders.insert(path.nodes[i]);
+      if (edges.insert({path.nodes[i], path.nodes[i + 1]}).second) ++fresh;
+    }
+    const std::size_t hops = path.nodes.size() - 1;
+    fractions.push_back(static_cast<double>(fresh) / static_cast<double>(hops));
+    instances += path.forwarder_count();
+
+    session.adopt_connection(std::move(path), world.history, ledger, world.overlay);
+    ASSERT_EQ(session.new_edge_fractions(), fractions) << "connection " << j;
+    EXPECT_EQ(session.forwarder_set().size(), forwarders.size());
+    EXPECT_EQ(session.forwarder_set().empty(), forwarders.empty());
+    EXPECT_EQ(std::set<NodeId>(session.forwarder_set().begin(), session.forwarder_set().end()),
+              forwarders);
+    const double expected_quality =
+        forwarders.empty()
+            ? 0.0
+            : (static_cast<double>(instances) / static_cast<double>(j)) /
+                  static_cast<double>(forwarders.size());
+    EXPECT_EQ(session.path_quality(), expected_quality) << "connection " << j;
   }
+
+  auto stream = world.root.child("adopt-settle");
+  const SettleOutcome out = session.settle(bank, engine, ledger, stream);
+  EXPECT_EQ(out.forwarder_set_size, forwarders.size());
+  EXPECT_EQ(out.report.forwarder_set_size, forwarders.size());
+  EXPECT_EQ(out.report.accepted_claims, instances);
+  EXPECT_EQ(out.report.refunded, 0);
 }

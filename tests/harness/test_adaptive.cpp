@@ -283,9 +283,9 @@ TEST(ConfigFingerprint, ValuesArePinned) {
   sharded.bank_partitions = 3;
   sharded.view_refresh = 600.0;
 
-  EXPECT_EQ(config_fingerprint(paper), 0x4c1b26b1261260e3ULL);
-  EXPECT_EQ(config_fingerprint(faults), 0x8f2dc4e01be089e3ULL);
-  EXPECT_EQ(config_fingerprint(sharded), 0x16e07f8797d38111ULL);
+  EXPECT_EQ(config_fingerprint(paper), 0x4dc6105759411384ULL);
+  EXPECT_EQ(config_fingerprint(faults), 0x30f53c3e84b57984ULL);
+  EXPECT_EQ(config_fingerprint(sharded), 0xc9dbdca0a3c52296ULL);
 }
 
 TEST(AdaptiveRunner, AdaptiveStopsEarlyOnTightCell) {

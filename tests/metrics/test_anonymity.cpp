@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 using namespace p2panon::metrics;
@@ -59,46 +60,29 @@ TEST(EffectiveSetSize, ShrinksWithSkew) {
   EXPECT_GE(effective_set_size(skewed), 1.0);
 }
 
-class AnonymityFunctionalForms : public ::testing::TestWithParam<AnonymityFunctional> {};
-
-TEST_P(AnonymityFunctionalForms, StrictlyDecreasingInSetSize) {
-  AnonymityValuation a;
-  a.form = GetParam();
-  a.scale = 10000.0;
-  a.lambda = 20.0;
-  double prev = a(0.0);
+TEST(AnonymityValue, StrictlyDecreasingInSetSize) {
+  double prev = anonymity_value(0.0);
   for (double x = 1.0; x <= 15.0; x += 1.0) {
-    const double v = a(x);
-    EXPECT_LT(v, prev) << "form not decreasing at x=" << x;
+    const double v = anonymity_value(x);
+    EXPECT_LT(v, prev) << "A not decreasing at x=" << x;
     prev = v;
   }
 }
 
-TEST_P(AnonymityFunctionalForms, NonNegative) {
-  AnonymityValuation a;
-  a.form = GetParam();
-  for (double x = 0.0; x <= 100.0; x += 5.0) EXPECT_GE(a(x), 0.0);
+TEST(AnonymityValue, NonNegative) {
+  for (double x = 0.0; x <= 100.0; x += 5.0) EXPECT_GE(anonymity_value(x), 0.0);
 }
 
-TEST_P(AnonymityFunctionalForms, PerfectAnonymityEqualsScale) {
-  AnonymityValuation a;
-  a.form = GetParam();
-  a.scale = 1234.0;
-  EXPECT_NEAR(a(0.0), 1234.0, 1e-9);
+TEST(AnonymityValue, PerfectAnonymityEqualsScale) {
+  EXPECT_EQ(anonymity_value(0.0), kAnonymityScale);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllForms, AnonymityFunctionalForms,
-                         ::testing::Values(AnonymityFunctional::kExponentialDecay,
-                                           AnonymityFunctional::kInverse,
-                                           AnonymityFunctional::kLinearClamped));
 
 TEST(InitiatorUtility, MatchesEquationTwo) {
-  AnonymityValuation a;  // exponential decay, scale 10000, lambda 20
-  const double u = initiator_utility(a, 10.0, 50.0, 100.0);
-  EXPECT_NEAR(u, a(10.0) - 10.0 * 50.0 - 100.0, 1e-12);
+  const double u = initiator_utility(10.0, 50.0, 100.0);
+  EXPECT_NEAR(u, anonymity_value(10.0) - 10.0 * 50.0 - 100.0, 1e-12);
+  EXPECT_NEAR(anonymity_value(10.0), 10000.0 * std::exp(-0.5), 1e-9);
 }
 
 TEST(InitiatorUtility, SmallerSetHigherUtility) {
-  AnonymityValuation a;
-  EXPECT_GT(initiator_utility(a, 4.0, 50.0, 100.0), initiator_utility(a, 12.0, 50.0, 100.0));
+  EXPECT_GT(initiator_utility(4.0, 50.0, 100.0), initiator_utility(12.0, 50.0, 100.0));
 }
