@@ -1,6 +1,6 @@
 // Connection-history profiles (paper §2.3, Table 1).
 //
-// Every node s stores, per connection that passed through it, the tuple
+// Every node s records, per connection that passed through it, the tuple
 // (cid, predecessor, successor). The history for the k-th connection of a
 // set, H^{k-1}(s), comprises the outgoing edges of s on pi^1..pi^{k-1}.
 // Because entries are keyed by predecessor too, a node distinguishes its
