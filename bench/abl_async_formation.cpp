@@ -75,7 +75,7 @@ Outcome run_async(core::StrategyKind kind, double session_median_min, std::uint6
     attempts.add(static_cast<double>(result.attempts));
     if (result.established) {
       setup.add(result.setup_time);
-      history.record_path(1, c, result.path.nodes);  // feed selectivity
+      history.record_path(1, result.path.nodes);  // feed selectivity
     } else {
       ++failed;
     }

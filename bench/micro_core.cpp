@@ -103,7 +103,7 @@ struct RoutingEnv {
     for (std::uint32_t k = 1; k <= 4; ++k) {
       const net::NodeId a = overlay.neighbors(0)[k % overlay.neighbors(0).size()];
       const net::NodeId b = overlay.neighbors(a)[k % overlay.neighbors(a).size()];
-      history.record_path(0, k, {0, a, b, 39});
+      history.record_path(0, {0, a, b, 39});
     }
     // 100 pairs x 10 connections mirrors the paper-default workload
     // (~50 stored entries per node).
@@ -114,7 +114,7 @@ struct RoutingEnv {
         const net::NodeId b = overlay.neighbors(a)[(p + 3 * k) % overlay.neighbors(a).size()];
         const net::NodeId r = (s + overlay.size() / 2) % overlay.size();
         if (a == s || b == s || b == a || r == s || r == a || r == b) continue;
-        history.record_path(p, k, {s, a, b, r});
+        history.record_path(p, {s, a, b, r});
       }
     }
   }
@@ -184,15 +184,15 @@ BENCHMARK(BM_EdgeQuality);
 /// node's profile: same pair, varying predecessor/successor ids.
 constexpr std::uint32_t kSelectivityProbes = 64;
 
-core::HistoryProfile& flat_profile() {
-  static core::HistoryProfile profile = [] {
-    core::HistoryProfile p;
-    for (std::uint32_t i = 0; i < 200; ++i) {
-      p.record({i % 7, i + 1, i % 11, (i * 3) % 13});
-    }
-    return p;
+/// Node 13's profile after it forwarded 200 paths {pred, 13, succ}.
+const core::HistoryProfile& flat_profile() {
+  constexpr net::NodeId kHolder = 13;  // above every predecessor and successor id
+  static const core::HistoryStore store = [] {
+    core::HistoryStore h(kHolder + 1);
+    for (std::uint32_t i = 0; i < 200; ++i) h.record_path(i % 7, {i % 11, kHolder, (i * 3) % 13});
+    return h;
   }();
-  return profile;
+  return store.at(kHolder);
 }
 
 void BM_SelectivityFlatMap(benchmark::State& state) {

@@ -121,9 +121,6 @@ class NormalFormGame {
   NormalFormGame(std::vector<std::size_t> action_counts, PayoffFn payoff);
 
   [[nodiscard]] std::size_t player_count() const noexcept { return action_counts_.size(); }
-  [[nodiscard]] std::size_t action_count(std::size_t player) const {
-    return action_counts_.at(player);
-  }
 
   [[nodiscard]] double payoff(std::size_t player, const Profile& profile) const;
 

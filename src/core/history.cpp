@@ -4,24 +4,18 @@
 
 namespace p2panon::core {
 
-void HistoryProfile::record(const HistoryEntry& entry) {
+void HistoryProfile::record(net::PairId pair, net::NodeId predecessor,
+                            net::NodeId successor) {
   ++entries_;
-  ++counts_.get_or_insert(edge_key(entry.pair, entry.predecessor, entry.successor));
-  ++counts_.get_or_insert(position_key(entry.pair, entry.predecessor));
+  ++counts_.get_or_insert(edge_key(pair, predecessor, successor));
+  ++counts_.get_or_insert(position_key(pair, predecessor));
 }
 
-void HistoryProfile::clear() {
-  entries_ = 0;
-  counts_.clear();
-}
-
-void HistoryStore::record_path(net::PairId pair, std::uint32_t conn_index,
-                               const std::vector<net::NodeId>& path) {
+void HistoryStore::record_path(net::PairId pair, const std::vector<net::NodeId>& path) {
   assert(path.size() >= 2 && "path must contain at least initiator and responder");
   // Positions 1..n-2 are forwarders; each stores its predecessor/successor.
   for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    profiles_.at(path[i]).record(
-        HistoryEntry{pair, conn_index, path[i - 1], path[i + 1]});
+    profiles_.at(path[i]).record(pair, path[i - 1], path[i + 1]);
   }
 }
 

@@ -1,7 +1,7 @@
 // Connection-history profiles (paper §2.3, Table 1).
 //
 // Every node s records, per connection that passed through it, the tuple
-// (cid, predecessor, successor). The history for the k-th connection of a
+// (pair, predecessor, successor). The history for the k-th connection of a
 // set, H^{k-1}(s), comprises the outgoing edges of s on pi^1..pi^{k-1}.
 // Because entries are keyed by predecessor too, a node distinguishes its
 // outgoing edges for different positions it occupied on the same path.
@@ -30,20 +30,12 @@
 
 namespace p2panon::core {
 
-struct HistoryEntry {
-  net::PairId pair = net::kInvalidPair;
-  std::uint32_t conn_index = 0;
-  net::NodeId predecessor = net::kInvalidNode;
-  net::NodeId successor = net::kInvalidNode;
-};
-
 /// History profile for one node. Append-only: H^{k-1}(s) keeps every past
 /// connection of the set (Table 1). Only the count index is stored; the
-/// queries never need the entries themselves.
+/// queries never need the entries themselves. HistoryStore::record_path is
+/// the one writer.
 class HistoryProfile {
  public:
-  void record(const HistoryEntry& entry);
-
   // The three queries are defined here so that the decision stack's scoring
   // loops inline them.
 
@@ -73,9 +65,13 @@ class HistoryProfile {
 
   /// Number of recorded entries.
   [[nodiscard]] std::size_t size() const noexcept { return entries_; }
-  void clear();
 
  private:
+  friend class HistoryStore;
+
+  /// Store one (pair, predecessor, successor) entry.
+  void record(net::PairId pair, net::NodeId predecessor, net::NodeId successor);
+
   [[nodiscard]] static sim::PackedKey edge_key(net::PairId pair, net::NodeId predecessor,
                                                net::NodeId successor) noexcept {
     return sim::PackedKey::of(pair, predecessor, successor);
@@ -102,11 +98,10 @@ class HistoryStore {
   [[nodiscard]] const HistoryProfile& at(net::NodeId id) const { return profiles_.at(id); }
   [[nodiscard]] std::size_t node_count() const noexcept { return profiles_.size(); }
 
-  /// Record the completed path pi^k of `pair`: for every forwarder position,
-  /// store (pair, k, predecessor, successor) at that forwarder.
-  /// `path` is the full node sequence initiator..responder.
-  void record_path(net::PairId pair, std::uint32_t conn_index,
-                   const std::vector<net::NodeId>& path);
+  /// Record a completed path of `pair`: for every forwarder position, store
+  /// (pair, predecessor, successor) at that forwarder. `path` is the full
+  /// node sequence initiator..responder. The only way to write a profile.
+  void record_path(net::PairId pair, const std::vector<net::NodeId>& path);
 
   [[nodiscard]] std::size_t total_entries() const;
 

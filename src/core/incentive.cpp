@@ -82,11 +82,10 @@ const BuiltPath& ConnectionSetSession::adopt_connection(BuiltPath path, HistoryS
                                                         PayoffLedger& ledger,
                                                         const net::Overlay& overlay) {
   assert(!settled_ && "connection after settlement");
-  const auto conn_index = static_cast<std::uint32_t>(paths_.size() + 1);
 
   // Reverse-path confirmation: the initiator recreates the path and every
-  // forwarder records its history entry under the set's cid.
-  history.record_path(pair_, conn_index, path.nodes);
+  // forwarder records its history entry under the set's pair.
+  history.record_path(pair_, path.nodes);
 
   // Costs: every forwarder pays C_p once and C_t per instance; the
   // initiator's transmission of the first hop is part of its own spend, not

@@ -52,22 +52,7 @@ void FaultInjector::fire_crash(net::NodeId id) {
   schedule_next_crash(id);
 }
 
-bool FaultInjector::partitioned(net::NodeId a, net::NodeId b) const {
-  if (cfg_.partitions.empty()) return false;
-  const auto half = static_cast<net::NodeId>(overlay_.size() / 2);
-  if ((a < half) == (b < half)) return false;
-  const sim::Time now = overlay_.simulator().now();
-  for (const PartitionWindow& w : cfg_.partitions) {
-    if (now >= w.start && now < w.end) return true;
-  }
-  return false;
-}
-
-bool FaultInjector::drop_message(net::NodeId from, net::NodeId to) {
-  if (partitioned(from, to)) {
-    ++drops_;
-    return true;
-  }
+bool FaultInjector::drop_message(net::NodeId /*from*/, net::NodeId /*to*/) {
   if (cfg_.link_loss > 0.0 && loss_stream_.bernoulli(cfg_.link_loss)) {
     ++drops_;
     return true;
@@ -81,11 +66,10 @@ sim::Time FaultInjector::extra_delay(net::NodeId from, net::NodeId to) {
   return jitter_stream_.uniform(0.0, cfg_.delay_jitter * base);
 }
 
-bool FaultInjector::probe_observation(net::NodeId prober, net::NodeId target) {
-  // A dead (or unreachable) target never answers: false positives are
-  // physically impossible, so only the true->false direction is degraded.
+bool FaultInjector::probe_observation(net::NodeId /*prober*/, net::NodeId target) {
+  // A dead target never answers: false positives are physically
+  // impossible, so only the true->false direction is degraded.
   if (!overlay_.is_online(target)) return false;
-  if (partitioned(prober, target)) return false;
   if (cfg_.probe_false_negative > 0.0 &&
       probe_stream_.bernoulli(cfg_.probe_false_negative)) {
     ++probe_false_negatives_;

@@ -17,10 +17,7 @@
 //                        timeouts, not learned from the simulator;
 //  * probe lies        — a live target is reported dead with
 //                        p = probe_false_negative (false negatives only:
-//                        a dead node never answers a probe);
-//  * partitions        — scheduled bisections (node id < N/2 vs the rest)
-//                        during [start, end) windows; cross-side messages
-//                        and probes fail deterministically.
+//                        a dead node never answers a probe).
 #pragma once
 
 #include <cstdint>
@@ -31,14 +28,6 @@
 #include "sim/types.hpp"
 
 namespace p2panon::fault {
-
-/// One scheduled bisection: the overlay splits into {id < N/2} vs the rest
-/// for sim-time [start, end).
-struct PartitionWindow {
-  sim::Time start = 0.0;
-  sim::Time end = 0.0;
-  bool operator==(const PartitionWindow&) const = default;
-};
 
 /// Bank-facing faults for the settlement lifecycle (robustness PR 5). These
 /// strike the *payment* plane: the messages between nodes and the bank, and
@@ -76,7 +65,6 @@ struct FaultConfig {
   double crash_rate_per_hour = 0.0;  ///< per-node silent-crash hazard rate
   sim::Time crash_recovery_mean = sim::minutes(10.0);  ///< 0 = crashed for good
   double probe_false_negative = 0.0;  ///< P(live target reported dead)
-  std::vector<PartitionWindow> partitions;
   BankFaultConfig bank;               ///< settlement-lifecycle fault plane
 
   /// True when any *message/liveness* fault source is active; the harness
@@ -85,7 +73,7 @@ struct FaultConfig {
   /// lifecycle (see BankFaultConfig::enabled), not the async data plane.
   [[nodiscard]] bool enabled() const noexcept {
     return link_loss > 0.0 || delay_jitter > 0.0 || crash_rate_per_hour > 0.0 ||
-           probe_false_negative > 0.0 || !partitions.empty();
+           probe_false_negative > 0.0;
   }
 };
 
@@ -100,8 +88,8 @@ class FaultInjector {
   /// simulator (a no-op when crash_rate_per_hour == 0).
   void start();
 
-  /// Decide the fate of one message from -> to at the current sim time.
-  /// Partition cuts are deterministic; loss is an independent Bernoulli draw.
+  /// Decide the fate of one message from -> to at the current sim time:
+  /// loss is an independent Bernoulli draw.
   [[nodiscard]] bool drop_message(net::NodeId from, net::NodeId to);
 
   /// Extra one-way latency for a message on (from, to): U[0, jitter * base].
@@ -109,11 +97,8 @@ class FaultInjector {
   [[nodiscard]] sim::Time extra_delay(net::NodeId from, net::NodeId to);
 
   /// What a probe by `prober` observes about `target`: ground truth liveness
-  /// degraded by partitions and false negatives. Never a false positive.
+  /// degraded by false negatives. Never a false positive.
   [[nodiscard]] bool probe_observation(net::NodeId prober, net::NodeId target);
-
-  /// Whether a and b are on opposite sides of an active bisection window.
-  [[nodiscard]] bool partitioned(net::NodeId a, net::NodeId b) const;
 
   [[nodiscard]] std::uint64_t crashes() const noexcept { return crashes_; }
   [[nodiscard]] std::uint64_t messages_dropped() const noexcept { return drops_; }

@@ -67,8 +67,7 @@ struct PairState {
 /// One completed path awaiting the next history fold.
 struct PendingPath {
   net::PairId pair = net::kInvalidPair;
-  std::uint32_t conn_index = 0;  ///< k, 1-based
-  std::vector<NodeId> path;      ///< initiator, forwarders..., responder
+  std::vector<NodeId> path;  ///< initiator, forwarders..., responder
 };
 
 /// One shard's path formation: a builder and the decision arena it threads
@@ -365,7 +364,7 @@ class PaperWorld {
     st.instances += record.forwarders.size();
     st.length_sum += static_cast<double>(record.forwarders.size());
     st.latency_sum += links_.path_latency(path);
-    history_buf_[s].push_back(PendingPath{static_cast<net::PairId>(p), k, std::move(path)});
+    history_buf_[s].push_back(PendingPath{static_cast<net::PairId>(p), std::move(path)});
     st.records.push_back(std::move(record));
     ++st.completed;
     ++counters_[s].connections_completed;
@@ -427,7 +426,7 @@ class PaperWorld {
   void refresh_views() {
     for (std::uint32_t s = 0; s < partition_.shard_count(); ++s) {
       for (const PendingPath& done : history_buf_[s]) {
-        history_.record_path(done.pair, done.conn_index, done.path);
+        history_.record_path(done.pair, done.path);
       }
       history_buf_[s].clear();
     }

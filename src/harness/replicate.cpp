@@ -153,11 +153,6 @@ std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept {
     using T = std::remove_cvref_t<decltype(leaf)>;
     if constexpr (std::is_same_v<T, double>) {
       h = fnv1a_double(h, leaf);
-    } else if constexpr (std::is_same_v<T, std::vector<fault::PartitionWindow>>) {
-      h = fnv1a_mix(h, leaf.size());
-      for (const fault::PartitionWindow& w : leaf) {
-        h = fnv1a_double(fnv1a_double(h, w.start), w.end);
-      }
     } else {  // integers, flags and enumerators mix as their integer value
       h = fnv1a_mix(h, static_cast<std::uint64_t>(leaf));
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <any>
 #include <cassert>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -66,6 +67,16 @@ std::string_view serial_only_knob(const ScenarioConfig& c) {
 }  // namespace
 
 std::string ScenarioConfig::validate(bool sharded_runner) const {
+  // One rule over the field table: no real leaf is NaN or infinite.
+  std::string non_finite;
+  for_each_config_field(*this, [&non_finite](std::string_view name, const auto& leaf, Runners) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(leaf)>, double>) {
+      if (non_finite.empty() && !std::isfinite(leaf)) {
+        non_finite = out_of_range(name, leaf, "finite");
+      }
+    }
+  });
+  if (!non_finite.empty()) return non_finite;
   const std::size_t n = overlay.node_count;
   if (n < 2) return out_of_range("overlay.node_count", n, "at least 2");
   if (sharded_runner && n < 4) {
@@ -114,6 +125,7 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
       {"overlay.link.propagation_delay", overlay.link.propagation_delay},
       {"warmup", warmup},
       {"pair_start_window", pair_start_window},
+      {"p_f_lo", p_f_lo},  // a negative P_f commits a negative escrow
       {"fault.delay_jitter", fault.delay_jitter},
       {"fault.crash_rate_per_hour", fault.crash_rate_per_hour},
       {"fault.crash_recovery_mean", fault.crash_recovery_mean},
@@ -133,6 +145,25 @@ std::string ScenarioConfig::validate(bool sharded_runner) const {
   }
   if (!(p_f_lo <= p_f_hi)) {
     return out_of_range("p_f_lo", p_f_lo, "at most p_f_hi = " + std::to_string(p_f_hi));
+  }
+  // Funding bound (DESIGN.md §3): every pair may draw the same initiator,
+  // whose balance must then fund the worst-case escrow of all their sets.
+  // A set adopts at most connections_per_pair * (1 + kMaxReformations)
+  // paths of at most max_forwarders forwarders, and commits P_f <= p_f_hi
+  // per forwarding instance plus P_r = tau * P_f once. In milli-credits,
+  // each amount rounded up by the half unit of payment::from_credits.
+  const double instances = static_cast<double>(connections_per_pair) *
+                           (1.0 + core::kMaxReformations) * path_builder.max_forwarders;
+  const double worst_escrow_milli =
+      static_cast<double>(pair_count) *
+      (instances * (p_f_hi * 1000.0 + 0.5) + tau * p_f_hi * 1000.0 + 0.5);
+  if (!(worst_escrow_milli <= kInitialBalanceCredits * 1000.0)) {
+    std::ostringstream rule;
+    rule << "small enough that one initiator's " << kInitialBalanceCredits
+         << " credits fund the worst-case escrow pair_count * (connections_per_pair * "
+         << (1 + core::kMaxReformations) << " * path_builder.max_forwarders + tau) * p_f_hi = "
+         << worst_escrow_milli / 1000.0 << " credits";
+    return out_of_range("tau", tau, rule.str());
   }
   // Session lengths are bounded Pareto on [session_min, session_max] with a
   // shape solved for the median, which must be one the solver can reach.

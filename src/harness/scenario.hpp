@@ -153,7 +153,7 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   auto& [w_selectivity, w_availability] = weights;
   auto& [drop_probability] = adversary;
   auto& [link_loss, delay_jitter, crash_rate_per_hour, crash_recovery_mean, probe_false_negative,
-         partitions, bank] = fault;
+         bank] = fault;
   auto& [lifecycle, claim_loss, claim_delay_mean, initiator_crash, forwarder_crash,
          claim_deadline, close_after, claim_spread] = bank;
   auto& [attempt_deadline] = async_setup;
@@ -202,7 +202,6 @@ void for_each_config_field(Cfg& cfg, Visit&& visit) {
   // only source of crashes to recover from) is refused there.
   visit("fault.crash_recovery_mean", crash_recovery_mean, kBoth);
   visit("fault.probe_false_negative", probe_false_negative, kSerialOnly);
-  visit("fault.partitions", partitions, kSerialOnly);
   visit("fault.bank.lifecycle", lifecycle, kBoth);
   visit("fault.bank.claim_loss", claim_loss, kBoth);
   visit("fault.bank.claim_delay_mean", claim_delay_mean, kSerialOnly);

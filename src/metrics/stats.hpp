@@ -154,7 +154,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
   [[nodiscard]] double bin_lo(std::size_t bin) const noexcept;

@@ -45,7 +45,6 @@ class ChurnProcess {
   [[nodiscard]] bool is_final_departure() noexcept;
 
   [[nodiscard]] const ChurnConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] double pareto_shape() const noexcept { return shape_; }
 
  private:
   ChurnConfig cfg_;

@@ -23,7 +23,7 @@ ProbingEstimator::ProbingEstimator(Overlay& overlay, const ProbingConfig& cfg,
 void ProbingEstimator::schedule_tick(NodeId s) {
   overlay_.simulator().schedule_in(tick_lane_, cfg_.period, [this, s] {
     // What a probe *observes*: ground truth unless a fault oracle is
-    // installed (probe false negatives, partitions). A neighbour observed
+    // installed (probe false negatives). A neighbour observed
     // dead simply fails to accumulate session time this period.
     const bool online =
         oracle_ ? estimator_.tick_with(s, [&](NodeId u) { return oracle_(s, u); })

@@ -26,7 +26,7 @@ struct ProbingConfig {
 class ProbingEstimator {
  public:
   /// What a probe by `prober` observes about `target`. Installed by the
-  /// fault layer to degrade ground truth (false negatives, partitions);
+  /// fault layer to degrade ground truth (probe false negatives);
   /// when absent, probes see the simulator's omniscient liveness, which is
   /// the fault-free baseline behaviour, bit for bit.
   using ProbeOracle = std::function<bool(NodeId prober, NodeId target)>;

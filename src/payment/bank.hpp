@@ -101,8 +101,6 @@ class Bank {
   /// Value withdrawn into coins and not yet re-deposited or escrowed.
   [[nodiscard]] Amount outstanding_coin_value() const noexcept { return outstanding_; }
 
-  [[nodiscard]] std::size_t spent_serials() const noexcept { return spent_.size(); }
-
   /// Journal every balance-moving operation into `log` (not owned; nullptr
   /// detaches). The journal never sees coin serials, only amounts.
   void attach_audit(AuditLog* log) noexcept { audit_ = log; }

@@ -201,8 +201,6 @@ class ShardedSettlementPlane {
   /// reconciliation tooling; model/bench code must not mutate through it.
   [[nodiscard]] BankPartition& partition(std::uint32_t b) { return *parts_[b]; }
 
-  [[nodiscard]] Amount partition_initial(std::uint32_t b) const { return parts_[b]->initial_total; }
-
   /// initial + sum over partitions of (balance_b - initial).
   [[nodiscard]] Amount merged_balance(AccountId account) const;
 

@@ -8,9 +8,8 @@
 // nonces. A node-based std::map/unordered_map pays an allocation plus
 // pointer chases per probe; this table packs each composite key into 128
 // bits and resolves lookups with linear probing over one contiguous slot
-// array, so the steady-state cost of a hit is a single cache line. Erase
-// uses backward-shift deletion (no tombstones), so probe sequences stay
-// short after erases.
+// array, so the steady-state cost of a hit is a single cache line. Entries
+// are never erased, only the whole table cleared.
 #pragma once
 
 #include <algorithm>
@@ -57,8 +56,7 @@ struct PackedKey {
 }
 
 /// Exact map from PackedKey to Value (linear probing, max load 0.75,
-/// power-of-two capacity, backward-shift erase). Values must be cheap to
-/// move; Value{} is reserved for vacated slots only and carries no meaning.
+/// power-of-two capacity, insert-only). Values must be cheap to move.
 template <typename Value>
 class PackedFlatMap {
  public:
@@ -98,8 +96,7 @@ class PackedFlatMap {
       Slot& s = slots_[i];
       if (!s.used) {
         s.used = true;
-        s.key = key;
-        s.value = Value{};
+        s.key = key;  // an unused slot still holds its Value{}: nothing is erased
         ++size_;
         return {s.value, true};
       }
@@ -112,33 +109,6 @@ class PackedFlatMap {
   /// Size the slot array so `n` entries fit without growing.
   void reserve(std::size_t n) {
     if (n * 4 > slots_.size() * 3) rehash(std::bit_ceil(std::max<std::size_t>(16, n * 4 / 3 + 1)));
-  }
-
-  /// Remove `key` if present; true when an entry was erased.
-  bool erase(PackedKey key) noexcept {
-    if (slots_.empty()) return false;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash_packed_key(key) & mask;
-    for (;; i = (i + 1) & mask) {
-      if (!slots_[i].used) return false;
-      if (slots_[i].key == key) break;
-    }
-    // Backward-shift: pull later probe-chain members into the hole so no
-    // tombstone is needed.
-    std::size_t j = i;
-    for (;;) {
-      j = (j + 1) & mask;
-      if (!slots_[j].used) break;
-      const std::size_t ideal = hash_packed_key(slots_[j].key) & mask;
-      if (((j - ideal) & mask) >= ((j - i) & mask)) {
-        slots_[i] = slots_[j];
-        i = j;
-      }
-    }
-    slots_[i].used = false;
-    slots_[i].value = Value{};
-    --size_;
-    return true;
   }
 
  private:

@@ -36,18 +36,18 @@ namespace {
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// A history of `entries` random records over `pairs` pairs: random holder,
-/// predecessor and successor, so most positions stay empty and some hold
-/// more entries than k - 1.
+/// predecessor and successor, each written as the 3-node path (predecessor,
+/// holder, successor), so most positions stay empty and some hold more
+/// entries than k - 1.
 void fill_random_history(HistoryStore& history, std::size_t nodes, std::uint32_t pairs,
                          std::size_t entries, rng::Stream& stream) {
   for (std::size_t e = 0; e < entries; ++e) {
     const auto s = static_cast<NodeId>(stream.below(nodes));
-    HistoryEntry entry;
-    entry.pair = static_cast<PairId>(stream.below(pairs));
-    entry.conn_index = static_cast<std::uint32_t>(1 + stream.below(12));
-    entry.predecessor = static_cast<NodeId>(stream.below(nodes));
-    entry.successor = static_cast<NodeId>(stream.below(nodes));
-    history.at(s).record(entry);
+    const auto pair = static_cast<PairId>(stream.below(pairs));
+    (void)stream.below(12);  // unused draw; keeps this stream's sequence of triples
+    const auto predecessor = static_cast<NodeId>(stream.below(nodes));
+    const auto successor = static_cast<NodeId>(stream.below(nodes));
+    history.record_path(pair, {predecessor, s, successor});
   }
 }
 
@@ -210,7 +210,7 @@ TEST(BuildScope, OneGenerationPerBuildMatchesOnePerDecision) {
         EXPECT_EQ(got.declined, want.declined) << "pair=" << pair << " k=" << k;
         declined += got.declined;
         if (got.forwarder_count() >= 2) ++multi_hop;
-        history.record_path(pair, k, got.nodes);
+        history.record_path(pair, got.nodes);
       }
     }
     EXPECT_GT(declined, 0u);   // declines were exercised

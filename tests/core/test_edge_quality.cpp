@@ -48,27 +48,27 @@ TEST_F(EdgeQualityTest, NoHistoryMeansAvailabilityOnly) {
 
 TEST_F(EdgeQualityTest, HistoryRaisesQuality) {
   const NodeId s = 0;
+  const NodeId u = world.overlay.neighbors(s)[1];
   const NodeId v = world.overlay.neighbors(s)[0];
-  const double before = world.quality.edge_quality(s, v, 19, 3, net::kInvalidNode, 5);
-  for (std::uint32_t k = 1; k <= 4; ++k) {
-    world.history.at(s).record({3, k, net::kInvalidNode, v});
-  }
-  const double after = world.quality.edge_quality(s, v, 19, 3, net::kInvalidNode, 5);
+  const double before = world.quality.edge_quality(s, v, 19, 3, u, 5);
+  for (int k = 1; k <= 4; ++k) world.history.record_path(3, {u, s, v});
+  const double after = world.quality.edge_quality(s, v, 19, 3, u, 5);
   EXPECT_GT(after, before);
   EXPECT_NEAR(after - before, 0.5 * 1.0, 1e-12);  // sigma went 0 -> 1
 }
 
 TEST_F(EdgeQualityTest, WeightsShiftEmphasis) {
   const NodeId s = 0;
+  const NodeId u = world.overlay.neighbors(s)[1];
   const NodeId v = world.overlay.neighbors(s)[0];
-  world.history.at(s).record({3, 1, net::kInvalidNode, v});
+  world.history.record_path(3, {u, s, v});
 
   EdgeQualityEvaluator selective(world.probing, world.history, QualityWeights{1.0, 0.0});
   EdgeQualityEvaluator available(world.probing, world.history, QualityWeights{0.0, 1.0});
   // Pure selectivity at k = 2: sigma = 1/1 = 1.
-  EXPECT_DOUBLE_EQ(selective.edge_quality(s, v, 19, 3, net::kInvalidNode, 2), 1.0);
+  EXPECT_DOUBLE_EQ(selective.edge_quality(s, v, 19, 3, u, 2), 1.0);
   // Pure availability: equals alpha.
-  EXPECT_DOUBLE_EQ(available.edge_quality(s, v, 19, 3, net::kInvalidNode, 2),
+  EXPECT_DOUBLE_EQ(available.edge_quality(s, v, 19, 3, u, 2),
                    world.probing.availability(s, v));
 }
 
@@ -106,18 +106,19 @@ TEST(EdgeQualityEvaluator, ScoresOverASlotAddressedEstimator) {
   ASSERT_NE(probing.availability(0, 0), probing.availability(0, 1));
 
   HistoryStore history(5);
-  history.at(0).record({7, 1, net::kInvalidNode, 1});
+  const NodeId u = 4;  // D(4) = [0, 1]: 4 -> 0 -> 1 is a path
+  history.record_path(7, {u, 0, 1});
   const QualityWeights w{0.3, 0.7};
   const EdgeQualityEvaluator eval(probing, history, w);
   for (const NodeId v : state.neighbors_of(0)) {
     SCOPED_TRACE(v);
-    const double sigma = history.at(0).selectivity(7, net::kInvalidNode, v, 2);
+    const double sigma = history.at(0).selectivity(7, u, v, 2);
     const double alpha = probing.availability(0, probing.slot_of(0, v));
-    EXPECT_EQ(eval.edge_quality(0, v, 4, 7, net::kInvalidNode, 2),
+    EXPECT_EQ(eval.edge_quality(0, v, 4, 7, u, 2),
               w.w_selectivity * sigma + w.w_availability * alpha);
   }
-  EXPECT_GT(history.at(0).selectivity(7, net::kInvalidNode, 1, 2), 0.0);
-  EXPECT_EQ(eval.edge_quality(0, 2, 2, 7, net::kInvalidNode, 2), 1.0) << "responder edge";
+  EXPECT_GT(history.at(0).selectivity(7, u, 1, 2), 0.0);
+  EXPECT_EQ(eval.edge_quality(0, 2, 2, 7, u, 2), 1.0) << "responder edge";
 }
 
 TEST(QualityWeights, Validation) {

@@ -158,7 +158,7 @@ TEST_F(PathTest, UtilityRoutingReusesForwardersAcrossConnections) {
     for (std::uint32_t k = 1; k <= 20; ++k) {
       auto stream = world.root.child(tag, k);
       const BuiltPath p = b2.build(kPair, k, kInitiator, kResponder, Contract{}, assign, stream);
-      fresh.record_path(kPair, k, p.nodes);
+      fresh.record_path(kPair, p.nodes);
       for (std::size_t i = 1; i + 1 < p.nodes.size(); ++i) forwarders.insert(p.nodes[i]);
     }
     return forwarders.size();

@@ -42,12 +42,11 @@ TEST_P(QualityWeightSweep, ResponderEdgeAlwaysOne) {
 
 TEST_P(QualityWeightSweep, HistoryNeverLowersQuality) {
   const NodeId s = 0;
+  const NodeId u = world.overlay.neighbors(s)[1];
   const NodeId v = world.overlay.neighbors(s)[0];
-  const double before = quality.edge_quality(s, v, 19, 2, net::kInvalidNode, 4);
-  for (std::uint32_t k = 1; k <= 3; ++k) {
-    world.history.at(s).record({2, k, net::kInvalidNode, v});
-  }
-  const double after = quality.edge_quality(s, v, 19, 2, net::kInvalidNode, 4);
+  const double before = quality.edge_quality(s, v, 19, 2, u, 4);
+  for (int k = 1; k <= 3; ++k) world.history.record_path(2, {u, s, v});
+  const double after = quality.edge_quality(s, v, 19, 2, u, 4);
   EXPECT_GE(after, before - 1e-12);
 }
 
@@ -62,17 +61,16 @@ TEST_P(QualityWeightSweep, Model1UtilityMonotoneInQuality) {
   const auto nbs = world.overlay.neighbors(s);
   ASSERT_GE(nbs.size(), 2u);
   const NodeId hi = nbs[0];
-  for (std::uint32_t k = 1; k <= 4; ++k) {
-    world.history.at(s).record({6, k, net::kInvalidNode, hi});
-  }
-  const double q_hi = quality.edge_quality(s, hi, 19, 6, net::kInvalidNode, 5);
-  const double q_lo = quality.edge_quality(s, nbs[1], 19, 6, net::kInvalidNode, 5);
+  const NodeId u = 0;  // a predecessor of s = 1 on the recorded paths
+  for (int k = 1; k <= 4; ++k) world.history.record_path(6, {u, s, hi});
+  const double q_hi = quality.edge_quality(s, hi, 19, 6, u, 5);
+  const double q_lo = quality.edge_quality(s, nbs[1], 19, 6, u, 5);
   if (weights.w_selectivity == 0.0 || q_hi <= q_lo) {
     GTEST_SKIP() << "no quality contrast under these weights";
   }
-  const double u_hi = model1_utility(ctx, s, net::kInvalidNode, hi) +
+  const double u_hi = model1_utility(ctx, s, u, hi) +
                       transmission_cost(ctx, s, hi);  // normalise cost away
-  const double u_lo = model1_utility(ctx, s, net::kInvalidNode, nbs[1]) +
+  const double u_lo = model1_utility(ctx, s, u, nbs[1]) +
                       transmission_cost(ctx, s, nbs[1]);
   EXPECT_GT(u_hi, u_lo);
 }

@@ -224,12 +224,11 @@ TEST_F(RoutingTest, Model1HistoryMakesChoiceSticky) {
   const auto candidates = candidates_of(0);
   ASSERT_GE(candidates.size(), 2u);
   const NodeId favoured = candidates.back();
-  for (std::uint32_t k = 1; k <= 8; ++k) {
-    world.history.at(0).record({ctx->pair, k, net::kInvalidNode, favoured});
-  }
+  const NodeId u = candidates.front();  // the predecessor on the recorded paths
+  for (int k = 1; k <= 8; ++k) world.history.record_path(ctx->pair, {u, 0, favoured});
   RoutingContext later = *ctx;
   later.conn_index = 9;
-  const HopChoice c = routing.choose(later, 0, net::kInvalidNode, candidates, stream);
+  const HopChoice c = routing.choose(later, 0, u, candidates, stream);
   EXPECT_EQ(c.next, favoured);
 }
 

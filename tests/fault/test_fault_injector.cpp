@@ -1,7 +1,7 @@
 // FaultInjector unit behaviour: the all-off config injects nothing, streams
-// are deterministic, partitions cut exactly across the bisection, crashes
-// are silent to observers but visible to ground truth, and probe false
-// negatives degrade observations without touching liveness.
+// are deterministic, crashes are silent to observers but visible to ground
+// truth, and probe false negatives degrade observations without touching
+// liveness.
 #include "fault/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -39,9 +39,6 @@ TEST(FaultConfig, DefaultIsAllOff) {
   FaultConfig loss = cfg;
   loss.link_loss = 0.01;
   EXPECT_TRUE(loss.enabled());
-  FaultConfig part = cfg;
-  part.partitions.push_back({10.0, 20.0});
-  EXPECT_TRUE(part.enabled());
 }
 
 TEST(FaultInjector, AllOffInjectsNothing) {
@@ -57,7 +54,6 @@ TEST(FaultInjector, AllOffInjectsNothing) {
       if (a == b) continue;
       EXPECT_FALSE(f.drop_message(a, b));
       EXPECT_DOUBLE_EQ(f.extra_delay(a, b), 0.0);
-      EXPECT_FALSE(f.partitioned(a, b));
       if (o.is_online(b)) {
         EXPECT_TRUE(f.probe_observation(a, b));
       }
@@ -88,30 +84,6 @@ TEST(FaultInjector, DeterministicAcrossInstances) {
     return std::make_tuple(f.crashes(), drops, delays);
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(FaultInjector, PartitionCutsOnlyCrossSideMessages) {
-  sim::Simulator s;
-  net::Overlay o(stable_overlay(20), s, sim::rng::Stream(3).child("o"));
-  FaultConfig cfg;
-  cfg.partitions.push_back({sim::minutes(10.0), sim::minutes(20.0)});
-  FaultInjector f(cfg, o, sim::rng::Stream(3).child("f"));
-  o.start();
-
-  s.run_until(sim::minutes(5.0));
-  EXPECT_FALSE(f.partitioned(0, 19)) << "window not yet open";
-
-  s.run_until(sim::minutes(15.0));  // inside the window; bisection at 10
-  EXPECT_TRUE(f.partitioned(0, 19));
-  EXPECT_TRUE(f.partitioned(19, 0));
-  EXPECT_FALSE(f.partitioned(0, 9)) << "same side of the bisection";
-  EXPECT_FALSE(f.partitioned(10, 19)) << "same side of the bisection";
-  EXPECT_TRUE(f.drop_message(0, 19)) << "cross-partition legs always drop";
-  EXPECT_FALSE(f.drop_message(0, 9));
-  EXPECT_FALSE(f.probe_observation(0, 19)) << "probes cannot cross the partition";
-
-  s.run_until(sim::minutes(25.0));
-  EXPECT_FALSE(f.partitioned(0, 19)) << "window closed; partition healed";
 }
 
 TEST(FaultInjector, CrashesAreSilentAndRecoveriesAnnounced) {

@@ -20,8 +20,8 @@ struct ConfigLeaf {
 /// Gives leaf `index` (table order) of `cfg` a value it does not hold and
 /// returns the leaf, or nullopt past the last one. Each value stays inside
 /// its field's range in validate(): a flag flips, an enumerator swaps
-/// between the first two, an integer grows by one, a real halves (0 becomes
-/// 0.5) and the partition list gains a window. Only the leaf changes, so
+/// between the first two, an integer grows by one and a real halves (0
+/// becomes 0.5). Only the leaf changes, so
 /// halving one quality weight takes w_s + w_a off 1, and halving
 /// overlay.churn.session_min or session_max puts the default session median
 /// exactly on its reachable ceiling sqrt(session_min * session_max): a
@@ -39,10 +39,9 @@ inline std::optional<ConfigLeaf> change_leaf(harness::ScenarioConfig& cfg, std::
       leaf = static_cast<T>(leaf == T{} ? 1 : 0);
     } else if constexpr (std::is_integral_v<T>) {
       ++leaf;
-    } else if constexpr (std::is_same_v<T, double>) {
-      leaf = leaf == 0.0 ? 0.5 : leaf / 2.0;
     } else {
-      leaf.push_back({600.0, 1200.0});
+      static_assert(std::is_same_v<T, double>);
+      leaf = leaf == 0.0 ? 0.5 : leaf / 2.0;
     }
   });
   return changed;

@@ -296,7 +296,7 @@ TEST(PaperSharded, RejectsUnimplementedKnobs) {
     expect_refused(cfg, refusal);  // a direct call to this runner still does not
   }
   // Each step of porting the paper model to this runner lowers the count.
-  EXPECT_EQ(refused, 13u);
+  EXPECT_EQ(refused, 12u);
 }
 
 TEST(PaperSharded, RejectsFewerThanFourNodes) {

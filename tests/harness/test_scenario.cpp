@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -61,6 +62,15 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
       {"overlay.malicious_fraction", [](ScenarioConfig& c) { c.overlay.malicious_fraction = 1.5; }},
       {"tau", [](ScenarioConfig& c) { c.tau = -1.0; }},
       {"tau", [](ScenarioConfig& c) { c.tau = std::nan(""); }},
+      {"tau", [](ScenarioConfig& c) { c.tau = std::numeric_limits<double>::infinity(); }},
+      {"tau", [](ScenarioConfig& c) { c.tau = 1e9; }},  // the initiator cannot fund the escrow
+      {"tau", [](ScenarioConfig& c) { c.pair_count = 100'000'000; }},  // nor 1e8 sets of it
+      {"p_f_lo", [](ScenarioConfig& c) { c.p_f_lo = -1.0; }},  // a negative escrow
+      {"p_f_hi", [](ScenarioConfig& c) { c.p_f_hi = std::numeric_limits<double>::infinity(); }},
+      {"overlay.link.cost_scale",
+       [](ScenarioConfig& c) {
+         c.overlay.link.cost_scale = -std::numeric_limits<double>::infinity();
+       }},
       {"p_forward", [](ScenarioConfig& c) { c.p_forward = 2.0; }},
       {"p_forward", [](ScenarioConfig& c) { c.p_forward = -0.5; }},
       {"weights.w_selectivity", [](ScenarioConfig& c) { c.weights = {-0.5, 1.5}; }},
@@ -179,11 +189,24 @@ TEST(Scenario, OutOfRangeValuesAreRefusedByName) {
   edge.async_setup.attempt_deadline = 0.0;  // off
   edge.data_phase.duration = 0.0;
   EXPECT_EQ(edge.validate(), "");
+  // The funding bound: the largest tau whose worst-case escrow, summed over
+  // every pair, one initiator's balance still covers.
+  const double instances = edge.connections_per_pair * (1.0 + core::kMaxReformations) *
+                           edge.path_builder.max_forwarders;
+  const double p_f_milli = edge.p_f_hi * 1000.0;
+  const double tau_max =
+      (kInitialBalanceCredits * 1000.0 / static_cast<double>(edge.pair_count) - 0.5 -
+       instances * (p_f_milli + 0.5)) /
+      p_f_milli;
+  edge.tau = 0.999 * tau_max;
+  EXPECT_EQ(edge.validate(), "");
+  edge.tau = 1.001 * tau_max;
+  EXPECT_EQ(edge.validate().rfind("ScenarioConfig::tau = ", 0), 0u);
 }
 
 TEST(Scenario, MutatedConfigsAreRefusedByNameOrConserveMoney) {
-  // Config-mutation smoke over the field table: every real leaf set to -1, 0
-  // and NaN, and every count set to 0, one at a time, from a plain and a
+  // Config-mutation smoke over the field table: every real leaf set to -1, 0,
+  // NaN and +inf, and every count set to 0, one at a time, from a plain and a
   // fault-mode K = 1 base and a K = 4 base. A mutant is either refused with
   // the leaf named (the weights simplex, the session shape and p_f_lo <=
   // p_f_hi may name a partner field instead), or it runs with money
@@ -210,7 +233,7 @@ TEST(Scenario, MutatedConfigsAreRefusedByNameOrConserveMoney) {
 
   std::size_t leaves = 0;
   for_each_config_field(plain, [&leaves](std::string_view, const auto&, Runners) { ++leaves; });
-  const double reals[] = {-1.0, 0.0, std::nan("")};
+  const double reals[] = {-1.0, 0.0, std::nan(""), std::numeric_limits<double>::infinity()};
   std::size_t refused = 0, ran = 0;
   for (const ScenarioConfig* base : {&plain, &faulty, &sharded}) {
     for (std::size_t index = 0; index < leaves; ++index) {
